@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import Coloring, Graph, brooks_upper_bound
 from .logenc import bits_for_colors, decode_log, encode_mgc_log
@@ -208,19 +208,13 @@ METHODOLOGY_NOTES = (
 )
 
 
-def _decoded_quality(prob_kind: str, prob, samples: SampleSet, g: Graph) -> list[int | None]:
+def _decoded_quality(decode: Callable, prob, samples: SampleSet, g: Graph) -> list[int | None]:
     """Color count per sample for feasible decodes, None for infeasible ones."""
     out: list[int | None] = []
     for s in samples.samples:
-        if prob_kind == "onehot":
-            decoded = decode_onehot(prob, s.bits)
-            if isinstance(decoded, Coloring) and decoded.is_proper(g):
-                out.append(decoded.distinct_count())
-            else:
-                out.append(None)
-        else:
-            coloring = decode_log(prob, s.bits)
-            out.append(coloring.distinct_count() if coloring.is_proper(g) else None)
+        decoded = decode(prob, s.bits)
+        feasible = isinstance(decoded, Coloring) and decoded.is_proper(g)
+        out.append(decoded.distinct_count() if feasible else None)
     return out
 
 
@@ -284,8 +278,8 @@ def _bench_one(
     onehot_samples = anneal(onehot_prob.polynomial, params, onehot_prob.num_variables)
     quad_samples = anneal(quad.problem.polynomial, params, quad.problem.num_variables)
 
-    onehot_quality = _decoded_quality("onehot", onehot_prob, onehot_samples, g)
-    log_quality = _decoded_quality("log", quad.problem, quad_samples, g)
+    onehot_quality = _decoded_quality(decode_onehot, onehot_prob, onehot_samples, g)
+    log_quality = _decoded_quality(decode_log, quad.problem, quad_samples, g)
     feasible_counts = [q for q in onehot_quality + log_quality if q is not None]
     best = min(feasible_counts) if feasible_counts else None
 

@@ -103,21 +103,6 @@ class Coloring:
         return all(self.labels[u] != self.labels[v] for u, v in g.edges)
 
 
-@dataclass(frozen=True)
-class InstanceConfig:
-    """Parameters of one random benchmark instance."""
-
-    density: float
-    seed: int
-    color_bound: int
-
-    def __post_init__(self):
-        if not (0 < self.density <= 1):
-            raise InvalidInstanceError(f"density must be in (0, 1], got {self.density}")
-        if self.color_bound < 1:
-            raise InvalidInstanceError("color_bound must be positive")
-
-
 def generate_random_connected(n: int, density: float, seed: int) -> Graph:
     """Seeded random connected graph with max(n-1, round(density * C(n,2))) edges.
 

@@ -9,14 +9,16 @@ small labels without any dedicated counting register.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, InvalidInstanceError, ResourceLimitError
 from .graphs import Coloring, Graph, brooks_upper_bound
-from .model import EncodedProblem
-from .pbo import Bits, Polynomial, energy_vector, index_to_bits
+from .model import EncodedProblem, instance_meta
+from .pbo import Bits, Polynomial, Term, energy_vector, index_to_bits
 
 
 @dataclass(frozen=True)
@@ -104,26 +106,77 @@ def bit_var(v: int, k: int, l: int) -> int:
     return v * l + (k - 1)
 
 
-def xnor_polynomial(a: int, b: int) -> Polynomial:
-    """2ab - a - b + 1: equals 1 iff the two bits agree."""
-    return Polynomial({(a, b): 2, (a,): -1, (b,): -1, (): 1})
+# Per-bit factors of XNOR(a, b) = 2ab - a - b + 1 as (coeff, takes a, takes b).
+_XNOR_FACTORS = ((2, True, True), (-1, True, False), (-1, False, True), (1, False, False))
+
+
+def log_hubo_terms(
+    n: int,
+    ladder: Sequence[int],
+    constant: int = 0,
+    edges: Iterable[tuple[int, int]] = (),
+    weights: Iterable[int] = (),
+) -> Iterator[tuple[Term, int]]:
+    """The logarithmic HUBO as one term stream, with L = len(ladder).
+
+    Yields P_k * x[v][k] for every vertex and bit, then the constant, then
+    weight * prod_k XNOR(x[u][k], x[v][k]) for each edge. An edge's 4^L
+    product monomials are written out directly, one XNOR factor chosen
+    per bit, under sorted keys: every bit of the lower vertex precedes
+    every bit of the higher one.
+    """
+    l = len(ladder)
+    for k in range(1, l + 1):
+        for v in range(n):
+            yield (bit_var(v, k, l),), ladder[k - 1]
+    yield (), constant
+    template = []
+    for factors in itertools.product(_XNOR_FACTORS, repeat=l):
+        u_bits = tuple(k for k, (_, a, _) in enumerate(factors) if a)
+        v_bits = tuple(k for k, (_, _, b) in enumerate(factors) if b)
+        template.append((math.prod(c for c, _, _ in factors), u_bits, v_bits))
+    for (u, v), weight in zip(edges, weights):
+        if weight:
+            lo, hi = min(u, v) * l, max(u, v) * l
+            for coeff, u_bits, v_bits in template:
+                yield tuple(lo + k for k in u_bits) + tuple(hi + k for k in v_bits), weight * coeff
+
+
+def partition_weights(
+    edges: Sequence[tuple[int, int]], spec: PartitionSpec, a_partition: int
+) -> tuple[list[int], int]:
+    """Per-edge agreement-product weights and the constant of A * sum(alpha*prod + beta*(1-prod))."""
+    weights = [a_partition * (spec.alpha[e] - spec.beta[e]) for e in edges]
+    return weights, sum(a_partition * spec.beta[e] for e in edges)
+
+
+def edge_weights(prob: EncodedProblem) -> tuple[list[int], int]:
+    """partition_weights of a logarithmic encoding, re-derived from its metadata."""
+    edges = [tuple(e) for e in prob.meta["edges"]]
+    if prob.kind == "log_mgc":
+        spec = PartitionSpec(alpha=dict.fromkeys(edges, 1), beta=dict.fromkeys(edges, 0))
+    elif prob.kind == "log_general":
+        spec = PartitionSpec(
+            alpha={(u, v): int(prob.meta["alpha"][f"{u}-{v}"]) for u, v in edges},
+            beta={(u, v): int(prob.meta["beta"][f"{u}-{v}"]) for u, v in edges},
+        )
+    else:
+        raise ValueError(f"expected a logarithmic encoding, got kind {prob.kind!r}")
+    return partition_weights(edges, spec, prob.penalties.a_adjacency)
 
 
 def edge_agreement_product(u: int, v: int, l: int) -> Polynomial:
     """Product of per-bit XNORs: 1 iff the two vertices carry equal bitstrings."""
-    prod = Polynomial.constant(1)
-    for k in range(1, l + 1):
-        prod = prod * xnor_polynomial(bit_var(u, k, l), bit_var(v, k, l))
-    return prod
+    return Polynomial(log_hubo_terms(0, (0,) * l, 0, [(u, v)], [1]))
 
 
 def lexicographic_polynomial(n: int, pen: LexPenalties) -> Polynomial:
-    l = len(pen.p)
-    terms = []
-    for k in range(1, l + 1):
-        for v in range(n):
-            terms.append(((bit_var(v, k, l),), pen.p[k - 1]))
-    return Polynomial(terms)
+    return Polynomial(log_hubo_terms(n, pen.p))
+
+
+def _log_polynomial(g: Graph, ladder: Sequence[int], a_partition: int, spec: PartitionSpec) -> Polynomial:
+    weights, constant = partition_weights(g.edges, spec, a_partition)
+    return Polynomial(log_hubo_terms(g.n, ladder, constant, g.edges, weights))
 
 
 def _registry(n: int, l: int) -> tuple[str, ...]:
@@ -136,18 +189,8 @@ def encode_mgc_log(g: Graph, c: int | None = None) -> EncodedProblem:
         c = brooks_upper_bound(g)
     l = bits_for_colors(c)
     pen = lex_penalties(g.n, l)
-    poly = lexicographic_polynomial(g.n, pen)
-    for u, v in g.edges:
-        poly = poly.add_scaled(edge_agreement_product(u, v, l), pen.a_adjacency)
-    meta = {
-        "kind": "log_mgc",
-        "n": g.n,
-        "m": g.m,
-        "c_num": c,
-        "L": l,
-        "edges": [list(e) for e in g.edges],
-        "graph_digest": g.digest(),
-    }
+    poly = _log_polynomial(g, pen.p, pen.a_adjacency, PartitionSpec.mgc(g))
+    meta = instance_meta(g, kind="log_mgc", c_num=c, L=l)
     return EncodedProblem(poly, _registry(g.n, l), pen, meta)
 
 
@@ -171,29 +214,16 @@ def encode_general(g: Graph, spec: PartitionSpec, l: int) -> EncodedProblem:
             raise ValueError(f"feasibility gap must be a positive integer, got {spec.gap}")
         a_partition = (g.n * pen_base.total) // spec.gap + 1
     pen = LexPenalties(p=pen_base.p, a_adjacency=a_partition)
-
-    poly = lexicographic_polynomial(g.n, pen)
-    for u, v in g.edges:
-        alpha = spec.alpha[(u, v)]
-        beta = spec.beta[(u, v)]
-        # alpha * prod + beta * (1 - prod), scaled by the partition penalty
-        if beta:
-            poly = poly.add_scaled(Polynomial.constant(1), a_partition * beta)
-        weight = a_partition * (alpha - beta)
-        if weight:
-            poly = poly.add_scaled(edge_agreement_product(u, v, l), weight)
-    meta = {
-        "kind": "log_general",
-        "n": g.n,
-        "m": g.m,
-        "c_num": None,
-        "L": l,
-        "edges": [list(e) for e in g.edges],
-        "alpha": {f"{u}-{v}": spec.alpha[(u, v)] for u, v in g.edges},
-        "beta": {f"{u}-{v}": spec.beta[(u, v)] for u, v in g.edges},
-        "gap": "unconstrained" if spec.gap is None else spec.gap,
-        "graph_digest": g.digest(),
-    }
+    poly = _log_polynomial(g, pen.p, a_partition, spec)
+    meta = instance_meta(
+        g,
+        kind="log_general",
+        c_num=None,
+        L=l,
+        alpha={f"{u}-{v}": spec.alpha[(u, v)] for u, v in g.edges},
+        beta={f"{u}-{v}": spec.beta[(u, v)] for u, v in g.edges},
+        gap="unconstrained" if spec.gap is None else spec.gap,
+    )
     return EncodedProblem(poly, _registry(g.n, l), pen, meta)
 
 
@@ -201,12 +231,9 @@ LOG_KINDS = ("log_mgc", "log_general")
 
 
 def _require_log(prob: EncodedProblem) -> tuple[int, int]:
-    kind = prob.kind
-    if kind in LOG_KINDS:
+    if prob.kind in LOG_KINDS + ("quadratized_log",):
         return prob.meta["n"], prob.meta["L"]
-    if kind == "quadratized_log":
-        return prob.meta["n"], prob.meta["L"]
-    raise ValueError(f"expected a logarithmic encoding, got kind {kind!r}")
+    raise ValueError(f"expected a logarithmic encoding, got kind {prob.kind!r}")
 
 
 def index_population(prob: EncodedProblem, assignment: Bits) -> tuple[int, ...]:
@@ -214,9 +241,7 @@ def index_population(prob: EncodedProblem, assignment: Bits) -> tuple[int, ...]:
     n, l = _require_log(prob)
     if len(assignment) < n * l:
         raise DimensionError(f"assignment length {len(assignment)} < {n * l} vertex bits")
-    return tuple(
-        sum(assignment[bit_var(v, k, l)] for v in range(n)) for k in range(1, l + 1)
-    )
+    return population_of_bits(assignment, n, l)
 
 
 def population_of_bits(bits: Bits, n: int, l: int) -> tuple[int, ...]:
@@ -273,15 +298,7 @@ def feasibility_gap_bruteforce(
     nv = g.n * l
     if nv > 24:
         raise ResourceLimitError(f"feasibility-gap enumeration limited to 24 bits, got {nv}")
-    terms = Polynomial.zero()
-    for u, v in g.edges:
-        alpha = spec.alpha[(u, v)]
-        beta = spec.beta[(u, v)]
-        if beta:
-            terms = terms.add_scaled(Polynomial.constant(1), beta)
-        if alpha - beta:
-            terms = terms.add_scaled(edge_agreement_product(u, v, l), alpha - beta)
-    energies = energy_vector(terms, nv)
+    energies = energy_vector(_log_polynomial(g, (0,) * l, 1, spec), nv)
     best_feasible: int | None = None
     best_infeasible: int | None = None
     for idx in range(1 << nv):

@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 from .errors import ParseError
+from .graphs import Graph
 from .pbo import Polynomial
 
 
@@ -42,6 +43,11 @@ class EncodedProblem:
     @property
     def kind(self) -> str:
         return self.meta["kind"]
+
+
+def instance_meta(g: Graph, **fields: Any) -> dict[str, Any]:
+    """The source-graph fields every encoding records, plus its own `fields`."""
+    return {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges], "graph_digest": g.digest(), **fields}
 
 
 def to_model_json(prob: EncodedProblem) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError
 from .graphs import Coloring, Graph, brooks_upper_bound
-from .model import EncodedProblem
+from .model import EncodedProblem, instance_meta
 from .pbo import Bits, Polynomial
 
 
@@ -66,6 +66,23 @@ def y_var(color: int, n: int, c: int) -> int:
     return n * c + color
 
 
+def _coloring_terms(g: Graph, c: int, pen: OneHotPenalties) -> list[tuple[tuple[int, ...], int]]:
+    """A_onehot * sum_v (1 - sum_c x)^2 + A_adjacency * sum_edges sum_c x_u x_v, expanded."""
+    terms: list[tuple[tuple[int, ...], int]] = []
+    for v in range(g.n):
+        # (1 - sum_c x)^2 = 1 - sum_c x + 2 * sum_{c<c'} x x'
+        terms.append(((), pen.a_onehot))
+        for col in range(c):
+            terms.append(((x_var(v, col, c),), -pen.a_onehot))
+        for col in range(c):
+            for col2 in range(col + 1, c):
+                terms.append(((x_var(v, col, c), x_var(v, col2, c)), 2 * pen.a_onehot))
+    for u, v in g.edges:
+        for col in range(c):
+            terms.append(((x_var(u, col, c), x_var(v, col, c)), pen.a_adjacency))
+    return terms
+
+
 def encode_mgc_onehot(g: Graph, c: int | None = None) -> EncodedProblem:
     """Build the one-hot minimum-coloring QUBO over (n+1)*c variables.
 
@@ -82,20 +99,7 @@ def encode_mgc_onehot(g: Graph, c: int | None = None) -> EncodedProblem:
         raise ValueError(f"color count must be >= 1, got {c}")
     n = g.n
     pen = onehot_penalties(n, g.m, c)
-    terms: list[tuple[tuple[int, ...], int]] = []
-
-    for v in range(n):
-        # (1 - sum_c x)^2 = 1 - sum_c x + 2 * sum_{c<c'} x x'
-        terms.append(((), pen.a_onehot))
-        for col in range(c):
-            terms.append(((x_var(v, col, c),), -pen.a_onehot))
-        for col in range(c):
-            for col2 in range(col + 1, c):
-                terms.append(((x_var(v, col, c), x_var(v, col2, c)), 2 * pen.a_onehot))
-
-    for u, v in g.edges:
-        for col in range(c):
-            terms.append(((x_var(u, col, c), x_var(v, col, c)), pen.a_adjacency))
+    terms = _coloring_terms(g, c, pen)
 
     for col in range(c):
         terms.append(((y_var(col, n, c),), 1))
@@ -107,15 +111,7 @@ def encode_mgc_onehot(g: Graph, c: int | None = None) -> EncodedProblem:
 
     registry = [f"x[{v}][{col}]" for v in range(n) for col in range(c)]
     registry += [f"y[{col}]" for col in range(c)]
-    meta = {
-        "kind": "onehot_mgc",
-        "n": n,
-        "m": g.m,
-        "c_num": c,
-        "L": None,
-        "edges": [list(e) for e in g.edges],
-        "graph_digest": g.digest(),
-    }
+    meta = instance_meta(g, kind="onehot_mgc", c_num=c, L=None)
     return EncodedProblem(Polynomial(terms), tuple(registry), pen, meta)
 
 
@@ -127,30 +123,10 @@ def encode_gc_onehot(g: Graph, c: int) -> EncodedProblem:
     """
     if c < 1:
         raise ValueError(f"color count must be >= 1, got {c}")
-    n = g.n
-    pen = onehot_penalties(n, g.m, c)
-    terms: list[tuple[tuple[int, ...], int]] = []
-    for v in range(n):
-        terms.append(((), pen.a_onehot))
-        for col in range(c):
-            terms.append(((x_var(v, col, c),), -pen.a_onehot))
-        for col in range(c):
-            for col2 in range(col + 1, c):
-                terms.append(((x_var(v, col, c), x_var(v, col2, c)), 2 * pen.a_onehot))
-    for u, v in g.edges:
-        for col in range(c):
-            terms.append(((x_var(u, col, c), x_var(v, col, c)), pen.a_adjacency))
-    registry = tuple(f"x[{v}][{col}]" for v in range(n) for col in range(c))
-    meta = {
-        "kind": "onehot_gc",
-        "n": n,
-        "m": g.m,
-        "c_num": c,
-        "L": None,
-        "edges": [list(e) for e in g.edges],
-        "graph_digest": g.digest(),
-    }
-    return EncodedProblem(Polynomial(terms), registry, pen, meta)
+    pen = onehot_penalties(g.n, g.m, c)
+    registry = tuple(f"x[{v}][{col}]" for v in range(g.n) for col in range(c))
+    meta = instance_meta(g, kind="onehot_gc", c_num=c, L=None)
+    return EncodedProblem(Polynomial(_coloring_terms(g, c, pen)), registry, pen, meta)
 
 
 def _check_assignment(prob: EncodedProblem, assignment: Bits) -> tuple[int, int]:

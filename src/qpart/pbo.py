@@ -14,6 +14,8 @@ import numpy as np
 from .errors import DimensionError, ResourceLimitError
 
 ENUMERATION_MAX_VARS = 24
+# energy_vector fills its result in chunks of this many assignments.
+ENERGY_CHUNK = 1 << 22
 
 Term = tuple[int, ...]
 Bits = tuple[int, ...]
@@ -182,7 +184,7 @@ def bits_to_index(bits: Iterable[int]) -> int:
     return out
 
 
-def energy_vector(p: Polynomial, num_vars: int, chunk_bits: int = 22) -> np.ndarray:
+def energy_vector(p: Polynomial, num_vars: int) -> np.ndarray:
     """Energies of all 2**num_vars assignments, indexed by bits_to_index.
 
     Uses the bitmask identity: a term contributes exactly where the index
@@ -201,9 +203,8 @@ def energy_vector(p: Polynomial, num_vars: int, chunk_bits: int = 22) -> np.ndar
     masked = [
         (sum(1 << v for v in key), coeff) for key, coeff in p._terms.items() if key
     ]
-    chunk = 1 << min(chunk_bits, num_vars)
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
+    for start in range(0, size, ENERGY_CHUNK):
+        stop = min(start + ENERGY_CHUNK, size)
         idx = np.arange(start, stop, dtype=np.int64)
         view = energies[start:stop]
         for mask, coeff in masked:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError
-from .logenc import (
-    LexPenalties,
-    bit_var,
-    bits_for_colors,
-    edge_agreement_product,
-    lexicographic_polynomial,
-)
+from .logenc import LexPenalties, bit_var, bits_for_colors, edge_weights, log_hubo_terms
 from .model import EncodedProblem
 from .pbo import Polynomial, energy_vector, index_to_bits
 
@@ -72,26 +66,6 @@ def quadratization_penalties(coeff_bound: int, n: int, lex_total: int) -> Quadra
     return QuadratizationPenalties(m_product=3 * m, m_stage1=m, m_stage2=m)
 
 
-def _edge_weights(prob: EncodedProblem) -> tuple[list[int], int]:
-    """Per-edge product coefficient and the assignment-independent constant."""
-    kind = prob.kind
-    edges = [tuple(e) for e in prob.meta["edges"]]
-    pen: LexPenalties = prob.penalties
-    if kind == "log_mgc":
-        return [pen.a_adjacency] * len(edges), 0
-    if kind == "log_general":
-        a_p = pen.a_adjacency
-        weights = []
-        const = 0
-        for u, v in edges:
-            alpha = int(prob.meta["alpha"][f"{u}-{v}"])
-            beta = int(prob.meta["beta"][f"{u}-{v}"])
-            weights.append(a_p * (alpha - beta))
-            const += a_p * beta
-        return weights, const
-    raise ValueError(f"expected a logarithmic encoding, got kind {prob.kind!r}")
-
-
 def quadratize(
     prob: EncodedProblem,
     penalties: QuadratizationPenalties | None = None,
@@ -110,17 +84,12 @@ def quadratize(
     l = prob.meta["L"]
     edges = [tuple(e) for e in prob.meta["edges"]]
     pen: LexPenalties = prob.penalties
-    weights, const = _edge_weights(prob)
+    weights, const = edge_weights(prob)
 
     # Rebuild the HUBO from structure; a mismatch means the input was
     # hand-edited or corrupted in transit.
-    rebuilt = lexicographic_polynomial(n, pen)
-    if const:
-        rebuilt = rebuilt.add_scaled(Polynomial.constant(1), const)
-    for (u, v), weight in zip(edges, weights):
-        if weight:
-            rebuilt = rebuilt.add_scaled(edge_agreement_product(u, v, l), weight)
-    if rebuilt != prob.polynomial:
+    rebuilt = Polynomial(log_hubo_terms(n, pen.p, const, edges, weights))
+    if rebuilt != prob.polynomial or len(pen.p) != l:
         raise InternalInvariantError("encoding metadata does not reproduce its polynomial")
 
     coeff_bound = max((abs(w) for w in weights), default=0)
@@ -133,9 +102,7 @@ def quadratize(
         out = EncodedProblem(prob.polynomial, prob.registry, penalties, meta)
         return QuadratizedProblem(out, penalties, num_original, 0, 0, 0)
 
-    terms: list[tuple[tuple[int, ...], int]] = list(lexicographic_polynomial(n, pen).items())
-    if const:
-        terms.append(((), const))
+    terms = list(log_hubo_terms(n, pen.p, const))
     registry = list(prob.registry)
     aux_w = aux_y = aux_b = 0
     next_id = num_original

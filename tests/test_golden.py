@@ -1,0 +1,112 @@
+"""Golden model files: fixed-seed encodings must serialize to pinned bytes.
+
+The digests are SHA-256 of `to_model_json` output. Any change to how a
+Hamiltonian is built that alters a coefficient, a variable role or a
+metadata field changes a digest, so a refactor of the builders that
+claims identical output is checked here byte for byte.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+from qpart.graphs import generate_random_connected
+from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
+from qpart.model import to_model_json
+from qpart.onehot import encode_gc_onehot, encode_mgc_onehot
+from qpart.pbo import Polynomial
+from qpart.quadratize import quadratize
+
+GRAPH = generate_random_connected(6, 0.6, 5)
+
+# (alpha, beta) cycled over the edges: alpha < beta with alpha = 0 makes the
+# edge's constant cancel, alpha = beta drops the product, alpha > beta is
+# the coloring case, and (2, 5) gives a negative product weight.
+COST_CYCLE = ((0, 2), (3, 1), (1, 1), (0, 0), (2, 5))
+
+
+def mixed_spec(g, gap, offset=0):
+    costs = dict(zip(g.edges, itertools.islice(itertools.cycle(COST_CYCLE), offset, None)))
+    return PartitionSpec(
+        alpha={e: a for e, (a, _) in costs.items()},
+        beta={e: b for e, (_, b) in costs.items()},
+        gap=gap,
+    )
+
+
+def golden_models():
+    models = {f"log_mgc_L{l}": encode_mgc_log(GRAPH, 1 << l) for l in (1, 2, 3, 4)}
+    for l in (1, 2, 3, 4):
+        models[f"log_general_L{l}"] = encode_general(GRAPH, mixed_spec(GRAPH, 2), l)
+    models["log_general_unconstrained_L3"] = encode_general(GRAPH, mixed_spec(GRAPH, None), 3)
+    for name, prob in list(models.items()):
+        models[f"quadratized_{name}"] = quadratize(prob).problem
+    models["onehot_mgc_c4"] = encode_mgc_onehot(GRAPH, 4)
+    models["onehot_gc_c3"] = encode_gc_onehot(GRAPH, 3)
+    return models
+
+
+GOLDEN_SHA256 = {
+    "log_general_L1": "e059e901c0fd721998493569ee58cb1f513acd35917e97093077d6e81927e3d7",
+    "log_general_L2": "b495792125ac39cdb4f0cade8a2595a0ae0b698e41fb630f37dc1b6959f7d5ec",
+    "log_general_L3": "dc66a13b57e9f0400735225275681e534ab28cdb638277eaa5eb6f5b7fa81e96",
+    "log_general_L4": "39ce48ef0565672d9c0970b84edfd0df7fad06643dd1453d105181de838fdd82",
+    "log_general_unconstrained_L3": "faf4ab56505e33200e1c079c707c6be21e92eee8ba8ab1dec50d80ccc3eefb3e",
+    "log_mgc_L1": "70f81f19948737357f7027d44e6f5127cd7ec06fde3c3e6b91281382fc2d55a2",
+    "log_mgc_L2": "f9254727f5e588c6c8b79f95e6b475241a83e58a75fe78378b11c86233954a95",
+    "log_mgc_L3": "643f1add3b11e7b0367b516826f95abb5c4c51221d559152ce8ef083cf035ff1",
+    "log_mgc_L4": "d03e41b062cdb7eb3f476ecc17d213003d4e766578f3fa6b5e05ec9e14584cd3",
+    "onehot_gc_c3": "5b8fd96400377c29fe75d0c3f21f924fc3d3182286bed2728e809e4fedae6e0e",
+    "onehot_mgc_c4": "40fafec450c29bcce260a1a01008c3550338bb6cfd2fa809dbf942811dbcb0ed",
+    "quadratized_log_general_L1": "52f60b4b163604cff2246bb8d61a88024a6ab7703d337978616e61455509b4a8",
+    "quadratized_log_general_L2": "6a758191e1f838d88f4e99d4d86b42b2158d899587273b738ebeba9f2e1dd9e9",
+    "quadratized_log_general_L3": "be7b2cf01297036ef4ebcb6fb408b71e28bcb9045e07f3dbc11f280abd9c03a9",
+    "quadratized_log_general_L4": "c6548ed9e8f8a0d9a0fd076248fb1d6635e7268035ed31b02a7bfccb469b21f5",
+    "quadratized_log_general_unconstrained_L3": "360e92d3afbf2a301de55ef26d99d81231cfa842494d0cb151da51c977d8eb7b",
+    "quadratized_log_mgc_L1": "a29a719027a36e2e320941e3471b3ec99248f87ef36cad9b3c0648cf08183cd0",
+    "quadratized_log_mgc_L2": "c9011d76171f1e9e36c44e03a48c063e6d5b43bbbb95a38875e63bcf22085236",
+    "quadratized_log_mgc_L3": "ae65d52a4155348065c706a174404d7a6a69491fdca2f4d9a1b4a519f290f901",
+    "quadratized_log_mgc_L4": "59320d657956020a6da531c82a77110428971802befa5a58e0b7e4fc1339d106",
+}
+
+
+@pytest.fixture(scope="module")
+def models():
+    return golden_models()
+
+
+def test_golden_names_cover_every_model(models):
+    assert set(models) == set(GOLDEN_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_model_json_bytes_pinned(models, name):
+    text = to_model_json(models[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def reference_general(g, spec, l, a):
+    """encode_general's polynomial built with Polynomial algebra alone."""
+    ladder = [(g.n + 1) ** k for k in range(l)]
+    poly = Polynomial([((v * l + k,), ladder[k]) for k in range(l) for v in range(g.n)])
+    one = Polynomial.constant(1)
+    for u, v in g.edges:
+        agree = one
+        for k in range(l):
+            xu, xv = Polynomial.variable(u * l + k), Polynomial.variable(v * l + k)
+            agree = agree * (xu * xv * 2 - xu - xv + one)
+        cost = agree * spec.alpha[(u, v)] + (one - agree) * spec.beta[(u, v)]
+        poly = poly.add_scaled(cost, a)
+    return poly
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("gap", [1, 3, None])
+def test_encode_general_matches_polynomial_algebra(l, gap):
+    g = generate_random_connected(5, 0.7, 11 + l)
+    spec = mixed_spec(g, gap, offset=l)
+    a = 1 if gap is None else g.n * sum((g.n + 1) ** k for k in range(l)) // gap + 1
+    prob = encode_general(g, spec, l)
+    assert prob.penalties.a_adjacency == a
+    assert prob.polynomial == reference_general(g, spec, l, a)

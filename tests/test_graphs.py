@@ -217,19 +217,6 @@ class TestSerialization:
             serialize_graph(Graph(1, ()), "graphml")
 
 
-def test_instance_config_invariants():
-    from qpart.graphs import InstanceConfig
-
-    cfg = InstanceConfig(density=0.5, seed=7, color_bound=3)
-    assert cfg.density == 0.5
-    with pytest.raises(InvalidInstanceError):
-        InstanceConfig(density=0.0, seed=0, color_bound=3)
-    with pytest.raises(InvalidInstanceError):
-        InstanceConfig(density=1.5, seed=0, color_bound=3)
-    with pytest.raises(InvalidInstanceError):
-        InstanceConfig(density=0.5, seed=0, color_bound=0)
-
-
 def test_iso_distinct_connected_counts():
     # Known counts of connected graphs up to isomorphism
     assert len(connected_graphs_up_to_iso(2)) == 1

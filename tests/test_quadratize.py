@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from conftest import complete_graph, path_graph
 
+from qpart.errors import InternalInvariantError
 from qpart.graphs import Graph
 from qpart.logenc import encode_mgc_log, lex_penalties
+from qpart.model import EncodedProblem
 from qpart.onehot import encode_mgc_onehot
 from qpart.quadratize import (
     QuadratizationPenalties,
@@ -72,6 +74,12 @@ class TestQuadratize:
     def test_rejects_onehot_input(self):
         with pytest.raises(ValueError):
             quadratize(encode_mgc_onehot(K2, 2))
+
+    def test_rejects_metadata_bit_count_disagreeing_with_ladder(self):
+        hubo = encode_mgc_log(P3, 4)
+        tampered = EncodedProblem(hubo.polynomial, hubo.registry, hubo.penalties, {**hubo.meta, "L": 3})
+        with pytest.raises(InternalInvariantError):
+            quadratize(tampered)
 
 
 class TestVerification:
