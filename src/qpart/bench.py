@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .errors import InternalInvariantError
 from .graphs import Coloring, Graph, brooks_upper_bound
 from .logenc import bits_for_colors, decode_log, encode_mgc_log
 from .onehot import decode_onehot, encode_mgc_onehot
@@ -226,9 +227,10 @@ def run_suite(
 ) -> BenchReport:
     """Encode, anneal, and score every instance under both encodings.
 
-    Per-instance failures are recorded and the suite continues. Groups of
-    records sharing the grouping key are aggregated with km_median, one
-    survival estimate per (group, encoding).
+    Per-instance failures are recorded and the suite continues; an
+    InternalInvariantError is a bug, not a bad instance, and propagates.
+    Groups of records sharing the grouping key are aggregated with
+    km_median, one survival estimate per (group, encoding).
     """
     if group_by not in ("n", "density"):
         raise ValueError(f"group_by must be 'n' or 'density', got {group_by!r}")
@@ -237,6 +239,8 @@ def run_suite(
     for inst in instances:
         try:
             records.extend(_bench_one(inst, anneal_params, timing))
+        except InternalInvariantError:
+            raise
         except Exception as exc:  # noqa: BLE001 - suite must survive bad instances
             failures.append((inst.instance_id, f"{type(exc).__name__}: {exc}"))
 

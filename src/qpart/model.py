@@ -74,18 +74,28 @@ def from_model_json(text: str) -> EncodedProblem:
         raise ParseError(f"invalid model JSON: {exc.msg}", line=exc.lineno) from exc
     try:
         num_vars = int(doc["num_vars"])
-        variables = doc["variables"]
-        registry = [""] * num_vars
-        for entry in variables:
-            registry[int(entry["id"])] = str(entry["role"])
+        roles: dict[int, str] = {}
+        for entry in doc["variables"]:
+            i = int(entry["id"])
+            if not 0 <= i < num_vars or i in roles:
+                raise ValueError(f"variable id {i} is out of range 0..{num_vars - 1} or repeated")
+            roles[i] = str(entry["role"])
+        if len(roles) != num_vars:
+            raise ValueError(f"variables list {len(roles)} ids but num_vars is {num_vars}")
         poly = Polynomial(
             (tuple(int(v) for v in t["vars"]), int(t["coeff"])) for t in doc["terms"]
         )
         metadata = dict(doc.get("metadata", {}))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model JSON: {exc}") from exc
-    penalties = _penalties_from_meta(metadata)
-    return EncodedProblem(poly, tuple(registry), penalties, metadata)
+    try:
+        penalties = _penalties_from_meta(metadata)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(
+            f"penalty record does not fit kind {metadata.get('kind')!r}: {exc}"
+        ) from exc
+    registry = tuple(roles[i] for i in range(num_vars))
+    return EncodedProblem(poly, registry, penalties, metadata)
 
 
 def _penalties_from_meta(metadata: dict) -> Any:
@@ -94,7 +104,7 @@ def _penalties_from_meta(metadata: dict) -> Any:
         return None
     kind = metadata.get("kind", "")
     # Late imports: the encoder modules depend on this one.
-    if kind == "onehot_mgc":
+    if kind in ("onehot_mgc", "onehot_gc"):
         from .onehot import OneHotPenalties
 
         return OneHotPenalties(**_intify(record))

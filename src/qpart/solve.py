@@ -12,10 +12,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DimensionError, ParseError
 from .pbo import Bits, Polynomial, ground_states
 
 
@@ -94,22 +95,28 @@ def solve_exact(p: Polynomial, num_vars: int | None = None) -> SolveResult:
     return SolveResult(min_energy=emin, argmin=tuple(states), method="exhaustive")
 
 
-def _flip_structure(p: Polynomial, num_vars: int) -> list[list[tuple[int, tuple[int, ...]]]]:
-    """For each variable, the terms containing it as (coeff, other vars)."""
-    by_var: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(num_vars)]
-    for key, coeff in p.items():
-        for v in key:
-            others = tuple(u for u in key if u != v)
-            by_var[v].append((coeff, others))
-    return by_var
-
-
 def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> SampleSet:
-    """One final-state sample per run under Metropolis single-bit-flip dynamics."""
+    """One final-state sample per run under Metropolis single-bit-flip dynamics.
+
+    Models of degree <= 2 anneal with incremental local fields, HUBOs with
+    per-term evaluation; both make the same draws and the same exact
+    integer energy changes, so a given seed gives the same samples.
+    """
     nv = p.num_variables() if num_vars is None else num_vars
+    if nv < p.num_variables():
+        raise DimensionError(f"num_vars={nv} is smaller than the polynomial's variable span")
     if nv < 1:
         raise ValueError("annealing needs at least one variable")
-    by_var = _flip_structure(p, nv)
+    kernel = _local_field_kernel if p.degree() <= 2 else _per_term_kernel
+    return _anneal_with(kernel(p, nv), p, params, nv)
+
+
+# A kernel applies one run's sweep draws to its state `x` in place.
+_Kernel = Callable[[list[int], Iterator[tuple[float, Iterator[tuple[int, float]]]]], None]
+
+
+def _anneal_with(run_sweeps: _Kernel, p: Polynomial, params: AnnealParams, nv: int) -> SampleSet:
+    """Draw each run's initial state and sweeps; `run_sweeps` applies them to the state."""
     sweeps = params.sweeps
     denom = max(sweeps - 1, 1)
     ratio = params.beta_end / params.beta_start
@@ -119,10 +126,32 @@ def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> 
     for run in range(params.runs):
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(run,)))
         x = rng.integers(0, 2, size=nv).tolist()
-        for beta in betas:
-            targets = rng.integers(0, nv, size=nv)
-            uniforms = rng.random(size=nv)
-            for v, u in zip(targets.tolist(), uniforms.tolist()):
+        run_sweeps(x, _sweep_draws(rng, betas, nv))
+        bits = tuple(x)
+        samples.append(Sample(bits=bits, energy=p.evaluate(bits)))
+    return SampleSet(tuple(samples))
+
+
+def _sweep_draws(
+    rng: np.random.Generator, betas: list[float], nv: int
+) -> Iterator[tuple[float, Iterator[tuple[int, float]]]]:
+    """Per sweep: beta and the (site, uniform) pairs, drawn sites first."""
+    for beta in betas:
+        targets = rng.integers(0, nv, size=nv)
+        uniforms = rng.random(size=nv)
+        yield beta, zip(targets.tolist(), uniforms.tolist())
+
+
+def _per_term_kernel(p: Polynomial, nv: int) -> _Kernel:
+    """Each attempted flip sums the terms containing the site; any degree."""
+    by_var: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nv)]
+    for key, coeff in p.items():
+        for v in key:
+            by_var[v].append((coeff, tuple(u for u in key if u != v)))
+
+    def run_sweeps(x, draws):
+        for beta, flips in draws:
+            for v, u in flips:
                 acc = 0
                 for coeff, others in by_var[v]:
                     prod = 1
@@ -135,9 +164,47 @@ def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> 
                 delta = acc if not x[v] else -acc
                 if delta <= 0 or u < math.exp(-beta * delta):
                     x[v] = 1 - x[v]
-        bits = tuple(x)
-        samples.append(Sample(bits=bits, energy=p.evaluate(bits)))
-    return SampleSet(tuple(samples))
+
+    return run_sweeps
+
+
+def _local_field_kernel(p: Polynomial, nv: int) -> _Kernel:
+    """Degree <= 2 only. The local field h[v] + sum_w J[v][w] x[w] is the
+    energy change of raising x[v]; each run keeps it per variable, signed
+    by x[v] so that it is the change of flipping v (as dwave-neal's sweep
+    kernel does), and only an accepted flip updates its neighbours'.
+    Python ints keep every delta exact."""
+    h = [0] * nv
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for key, coeff in p.items():
+        if len(key) == 1:
+            h[key[0]] = coeff
+        elif len(key) == 2:
+            a, b = key
+            nbrs[a].append((b, coeff))
+            nbrs[b].append((a, coeff))
+    exp = math.exp
+
+    def run_sweeps(x, draws):
+        flip_delta = [
+            (h[v] + sum(j for w, j in nbrs[v] if x[w])) * (1 - 2 * x[v]) for v in range(nv)
+        ]
+        for beta, flips in draws:
+            for v, u in flips:
+                delta = flip_delta[v]
+                if delta <= 0 or u < exp(-beta * delta):
+                    flip_delta[v] = -delta
+                    old = x[v]
+                    x[v] = 1 - old
+                    # w's field moves by +-J, which raises w's flip delta
+                    # by J exactly when x[w] equals the old x[v].
+                    for w, j in nbrs[v]:
+                        if x[w] == old:
+                            flip_delta[w] += j
+                        else:
+                            flip_delta[w] -= j
+
+    return run_sweeps
 
 
 def success_probability(samples: SampleSet, target: int) -> Fraction:

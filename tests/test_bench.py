@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from conftest import complete_graph, path_graph
 
+from qpart import bench, cli
 from qpart.bench import (
     CSV_COLUMNS,
     BenchInstance,
@@ -18,6 +19,7 @@ from qpart.bench import (
     run_suite,
     tts,
 )
+from qpart.errors import InternalInvariantError
 from qpart.solve import AnnealParams
 
 
@@ -188,6 +190,20 @@ class TestRunSuite:
         assert len(report.failures) == 1
         assert report.failures[0][0] == "bad"
         assert len(report.records) == 2
+
+    def test_invariant_error_propagates(self, monkeypatch, capsys):
+        def broken(prob):
+            raise InternalInvariantError("integrity check failed")
+
+        monkeypatch.setattr(bench, "quadratize", broken)
+        with pytest.raises(InternalInvariantError):
+            run_suite(
+                [BenchInstance("p3", path_graph(3), colors=2)],
+                AnnealParams(runs=4, sweeps=16, seed=0),
+            )
+        argv = ["bench", "--count", "1", "--n-min", "4", "--n-max", "4", "--runs", "2", "--sweeps", "2"]
+        assert cli.main(argv) == 4
+        assert "internal invariant" in capsys.readouterr().err
 
     def test_group_by_density(self):
         report = run_suite(

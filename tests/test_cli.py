@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import complete_graph
+
 from qpart.cli import build_parser, main
-from qpart.model import from_model_json
+from qpart.logenc import encode_mgc_log
+from qpart.model import from_model_json, to_model_json
+from qpart.onehot import encode_mgc_onehot
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,6 +147,25 @@ class TestBench:
         assert code == 2
 
 
+def _set_first_id(value):
+    def corrupt(doc):
+        doc["variables"][0]["id"] = value
+
+    return corrupt
+
+
+# Model JSON whose parts disagree: (encoding, mutation of the parsed document).
+MODEL_DEFECTS = {
+    "kind_edited": ("log", lambda doc: doc["metadata"].update(kind="onehot_mgc")),
+    "penalty_key_removed": ("onehot", lambda doc: doc["metadata"]["penalties"].pop("a_link")),
+    "negative_id": ("onehot", _set_first_id(-1)),
+    "id_past_end": ("onehot", lambda doc: doc["variables"][0].update(id=doc["num_vars"])),
+    "duplicate_id": ("log", _set_first_id(1)),
+    "missing_id": ("log", lambda doc: doc["variables"].pop()),
+}
+
+
+
 class TestExitCodes:
     def test_malformed_model_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -174,6 +197,20 @@ class TestExitCodes:
         code, _, err = run(["quadratize", "--in", str(model)], capsys)
         assert code == 4
         assert "invariant" in err
+
+    @pytest.mark.parametrize("command", ["solve", "quadratize", "gates"])
+    @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+    def test_inconsistent_model_exits_2(self, defect, command, tmp_path, capsys):
+        encoding, corrupt = MODEL_DEFECTS[defect]
+        k3 = complete_graph(3)
+        prob = encode_mgc_log(k3, 4) if encoding == "log" else encode_mgc_onehot(k3, 3)
+        doc = json.loads(to_model_json(prob))
+        corrupt(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code, _, err = run([command, "--in", str(model)], capsys)
+        assert code == 2
+        assert "Traceback" not in err
 
 
 def test_help_lists_every_flag_with_default():

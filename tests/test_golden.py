@@ -1,9 +1,12 @@
-"""Golden model files: fixed-seed encodings must serialize to pinned bytes.
+"""Golden files: fixed-seed encodings and anneals must serialize to pinned bytes.
 
-The digests are SHA-256 of `to_model_json` output. Any change to how a
-Hamiltonian is built that alters a coefficient, a variable role or a
+The model digests are SHA-256 of `to_model_json` output. Any change to how
+a Hamiltonian is built that alters a coefficient, a variable role or a
 metadata field changes a digest, so a refactor of the builders that
-claims identical output is checked here byte for byte.
+claims identical output is checked here byte for byte. The anneal digests
+are SHA-256 of `SampleSet.to_json` output, so a change to the annealer
+that alters a random draw, an acceptance decision or a final energy
+changes one.
 """
 
 import hashlib
@@ -17,6 +20,7 @@ from qpart.model import to_model_json
 from qpart.onehot import encode_gc_onehot, encode_mgc_onehot
 from qpart.pbo import Polynomial
 from qpart.quadratize import quadratize
+from qpart.solve import AnnealParams, anneal
 
 GRAPH = generate_random_connected(6, 0.6, 5)
 
@@ -110,3 +114,65 @@ def test_encode_general_matches_polynomial_algebra(l, gap):
     prob = encode_general(g, spec, l)
     assert prob.penalties.a_adjacency == a
     assert prob.polynomial == reference_general(g, spec, l, a)
+
+
+# Negative quadratic couplings, a coupling of 2**70 whose flips are never
+# accepted uphill, and num_vars two past the span (variables 6 and 7 occur
+# in no term).
+HAND_QUBO = Polynomial(
+    {
+        (): 5,
+        (0,): 3,
+        (1,): -2,
+        (2,): 4,
+        (3,): 1 - (1 << 70),
+        (5,): -3,
+        (0, 1): -4,
+        (0, 5): 6,
+        (1, 3): 1 << 70,
+        (2, 3): -7,
+        (2, 4): -1,
+        (4, 5): 2,
+    }
+)
+ANNEAL_PARAMS = AnnealParams(runs=6, sweeps=40, seed=11)
+
+
+def golden_anneal_inputs():
+    """(polynomial, num_vars) of every pinned anneal."""
+    models = {f"onehot_mgc_c{c}": encode_mgc_onehot(GRAPH, c) for c in (3, 4)}
+    for l in (1, 2, 3):
+        models[f"quadratized_log_mgc_L{l}"] = quadratize(encode_mgc_log(GRAPH, 1 << l)).problem
+    models["log_mgc_L2_degree4"] = encode_mgc_log(GRAPH, 4)
+    inputs = {name: (prob.polynomial, prob.num_variables) for name, prob in models.items()}
+    inputs["hand_qubo"] = (HAND_QUBO, 8)
+    return inputs
+
+
+# Recorded with the per-term kernel on every input; the local-field kernel
+# must reproduce them.
+ANNEAL_SHA256 = {
+    "hand_qubo": "3b849a0ea35711971ff9add7e0dc31e2fe1e974eb308333050f8d7e8866cf394",
+    "log_mgc_L2_degree4": "208ba500d7847e8386dea76a244e878a9b939a3a0e9d31612e5d9dd3c19c63df",
+    "onehot_mgc_c3": "241122909cec9e8f7fcf12ba6af1f86bcb4a89aa01b411a751e2e61487fa3b27",
+    "onehot_mgc_c4": "acd49fc615a8fe3f3ed7d8ae1fb2ad02ed42db9b80b99f154d5d7b009097b9bd",
+    "quadratized_log_mgc_L1": "0a7ebfb9da6fa82dd31b11dcc773fb0051642ea427146dcbb33bd00d51af3e8e",
+    "quadratized_log_mgc_L2": "f134729fded2994f21935ded9dc8a127bc3cc1d7b8201d081fb7bb8788a5f275",
+    "quadratized_log_mgc_L3": "bfeea1fd9ca6c1e04e1a48350b42c16dd6383ffea9b3498d2d9270b4645d0c2c",
+}
+
+
+@pytest.fixture(scope="module")
+def anneal_inputs():
+    return golden_anneal_inputs()
+
+
+def test_anneal_golden_names_cover_every_input(anneal_inputs):
+    assert set(anneal_inputs) == set(ANNEAL_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(ANNEAL_SHA256))
+def test_anneal_bytes_pinned(anneal_inputs, name):
+    poly, num_vars = anneal_inputs[name]
+    text = anneal(poly, ANNEAL_PARAMS, num_vars).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == ANNEAL_SHA256[name]

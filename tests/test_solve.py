@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import complete_graph, path_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qpart.errors import ResourceLimitError
+from qpart import solve
+from qpart.errors import DimensionError, ResourceLimitError
 from qpart.logenc import encode_mgc_log
 from qpart.pbo import Polynomial, ground_states
 from qpart.solve import (
@@ -101,6 +104,42 @@ class TestAnneal:
             AnnealParams(sweeps=0)
         with pytest.raises(ValueError):
             AnnealParams(beta_start=2.0, beta_end=1.0)
+
+    def test_num_vars_below_span_rejected(self):
+        prob = encode_mgc_log(P3, 2)
+        with pytest.raises(DimensionError, match="smaller than the polynomial's variable span"):
+            anneal(prob.polynomial, AnnealParams(runs=1, sweeps=1), prob.num_variables - 1)
+
+
+@st.composite
+def qubos(draw):
+    """A random QUBO with small or 2**70-sized coefficients, and a num_vars
+    at or up to two past its span."""
+    nv = draw(st.integers(1, 8))
+    coeffs = st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70))
+    keys = st.lists(st.integers(0, nv - 1), max_size=2)
+    poly = Polynomial(draw(st.lists(st.tuples(keys, coeffs), max_size=16)))
+    return poly, nv + draw(st.integers(0, 2))
+
+
+class TestKernels:
+    """The local-field kernel against the per-term reference, draw for draw."""
+
+    @given(
+        qubos(),
+        st.integers(1, 4),
+        st.integers(1, 24),
+        st.integers(0, 2**32),
+        st.sampled_from([(0.01, 10.0), (0.5, 2.0), (1.0, 100.0)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_local_field_matches_per_term(self, qubo, runs, sweeps, seed, betas):
+        poly, nv = qubo
+        params = AnnealParams(runs, sweeps, betas[0], betas[1], seed)
+        fields = solve._anneal_with(solve._local_field_kernel(poly, nv), poly, params, nv)
+        terms = solve._anneal_with(solve._per_term_kernel(poly, nv), poly, params, nv)
+        assert fields == terms
+        assert anneal(poly, params, nv) == fields
 
 
 class TestSuccessProbability:
