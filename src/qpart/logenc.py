@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DimensionError, InvalidInstanceError, ResourceLimitError
+import numpy as np
+
+from .errors import DimensionError, InvalidInstanceError
 from .graphs import Coloring, Graph, brooks_upper_bound
 from .model import EncodedProblem, instance_meta
 from .pbo import Bits, Polynomial, Term, energy_vector, index_to_bits
@@ -292,26 +294,18 @@ def feasibility_gap_bruteforce(
 ) -> int | None:
     """Minimum partition energy over infeasible assignments minus the feasible minimum.
 
-    Evaluated with a unit partition penalty. Returns None when every
-    assignment is feasible (no hard constraints); raises when none is.
+    Evaluated with a unit partition penalty, and `feasible` is called once
+    per assignment. Returns None when every assignment is feasible (no hard
+    constraints); raises InvalidInstanceError when none is, and
+    energy_vector's ResourceLimitError past its variable limit.
     """
     nv = g.n * l
-    if nv > 24:
-        raise ResourceLimitError(f"feasibility-gap enumeration limited to 24 bits, got {nv}")
     energies = energy_vector(_log_polynomial(g, (0,) * l, 1, spec), nv)
-    best_feasible: int | None = None
-    best_infeasible: int | None = None
-    for idx in range(1 << nv):
-        bits = index_to_bits(idx, nv)
-        e = int(energies[idx])
-        if feasible(bits):
-            if best_feasible is None or e < best_feasible:
-                best_feasible = e
-        else:
-            if best_infeasible is None or e < best_infeasible:
-                best_infeasible = e
-    if best_infeasible is None:
+    mask = np.fromiter(
+        (feasible(index_to_bits(i, nv)) for i in range(1 << nv)), dtype=bool, count=1 << nv
+    )
+    if mask.all():
         return None
-    if best_feasible is None:
+    if not mask.any():
         raise InvalidInstanceError("no feasible assignment exists; the gap is undefined")
-    return best_infeasible - best_feasible
+    return int(energies[~mask].min()) - int(energies[mask].min())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, InvalidInstanceError
 from .logenc import LexPenalties, bit_var, bits_for_colors, edge_weights, log_hubo_terms
 from .model import EncodedProblem
 from .pbo import Polynomial, energy_vector, index_to_bits
@@ -87,10 +87,10 @@ def quadratize(
     weights, const = edge_weights(prob)
 
     # Rebuild the HUBO from structure; a mismatch means the input was
-    # hand-edited or corrupted in transit.
+    # hand-edited or corrupted in transit, so it is bad input, not a bug.
     rebuilt = Polynomial(log_hubo_terms(n, pen.p, const, edges, weights))
     if rebuilt != prob.polynomial or len(pen.p) != l:
-        raise InternalInvariantError("encoding metadata does not reproduce its polynomial")
+        raise InvalidInstanceError("encoding metadata does not reproduce its polynomial")
 
     coeff_bound = max((abs(w) for w in weights), default=0)
     if penalties is None:

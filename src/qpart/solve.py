@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .pbo import Bits, Polynomial, ground_states
+from .pbo import Bits, Polynomial, bits_to_index, ground_states, index_to_bits
 
 
 @dataclass(frozen=True)
@@ -143,27 +143,31 @@ def _sweep_draws(
 
 
 def _per_term_kernel(p: Polynomial, nv: int) -> _Kernel:
-    """Each attempted flip sums the terms containing the site; any degree."""
-    by_var: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nv)]
+    """Each attempted flip sums the terms containing the site; any degree.
+    The run's state is also kept as one int bitmask, so a term counts
+    when the mask of its other variables is all set."""
+    by_var: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for key, coeff in p.items():
         for v in key:
-            by_var[v].append((coeff, tuple(u for u in key if u != v)))
+            by_var[v].append((coeff, sum(1 << u for u in key if u != v)))
+    exp = math.exp
 
     def run_sweeps(x, draws):
+        xs = bits_to_index(x)
         for beta, flips in draws:
             for v, u in flips:
                 acc = 0
-                for coeff, others in by_var[v]:
-                    prod = 1
-                    for w in others:
-                        if not x[w]:
-                            prod = 0
-                            break
-                    if prod:
+                for coeff, m in by_var[v]:
+                    if xs & m == m:
                         acc += coeff
-                delta = acc if not x[v] else -acc
-                if delta <= 0 or u < math.exp(-beta * delta):
-                    x[v] = 1 - x[v]
+                delta = -acc if xs >> v & 1 else acc
+                try:
+                    if delta > 0 and u >= exp(-beta * delta):
+                        continue
+                except OverflowError:  # delta is past float range, so exp(...) is 0.0
+                    continue
+                xs ^= 1 << v
+        x[:] = index_to_bits(xs, nv)
 
     return run_sweeps
 
@@ -192,17 +196,21 @@ def _local_field_kernel(p: Polynomial, nv: int) -> _Kernel:
         for beta, flips in draws:
             for v, u in flips:
                 delta = flip_delta[v]
-                if delta <= 0 or u < exp(-beta * delta):
-                    flip_delta[v] = -delta
-                    old = x[v]
-                    x[v] = 1 - old
-                    # w's field moves by +-J, which raises w's flip delta
-                    # by J exactly when x[w] equals the old x[v].
-                    for w, j in nbrs[v]:
-                        if x[w] == old:
-                            flip_delta[w] += j
-                        else:
-                            flip_delta[w] -= j
+                try:
+                    if delta > 0 and u >= exp(-beta * delta):
+                        continue
+                except OverflowError:  # delta is past float range, so exp(...) is 0.0
+                    continue
+                flip_delta[v] = -delta
+                old = x[v]
+                x[v] = 1 - old
+                # w's field moves by +-J, which raises w's flip delta
+                # by J exactly when x[w] equals the old x[v].
+                for w, j in nbrs[v]:
+                    if x[w] == old:
+                        flip_delta[w] += j
+                    else:
+                        flip_delta[w] -= j
 
     return run_sweeps
 

@@ -188,15 +188,32 @@ class TestExitCodes:
             main(["gen"])  # missing required --n
         assert exc.value.code == 2
 
-    def test_tampered_model_exits_4(self, k3_file, tmp_path, capsys):
+    def test_tampered_model_exits_2(self, k3_file, tmp_path, capsys):
         model = tmp_path / "model.json"
         run(["encode", "--in", str(k3_file), "--encoding", "log", "--colors", "4", "--out", str(model)], capsys)
         doc = json.loads(model.read_text())
         doc["terms"][0]["coeff"] = str(int(doc["terms"][0]["coeff"]) + 1)
         model.write_text(json.dumps(doc))
         code, _, err = run(["quadratize", "--in", str(model)], capsys)
-        assert code == 4
-        assert "invariant" in err
+        assert code == 2
+        assert "does not reproduce its polynomial" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("encoding", ["log", "onehot"])
+    def test_anneal_with_coefficient_beyond_float_range(self, encoding, tmp_path, capsys):
+        # x0's linear coefficient becomes 2**1100: raising x0 is an uphill
+        # change no float can hold, which the annealer must reject
+        k3 = complete_graph(3)
+        prob = encode_mgc_log(k3, 4) if encoding == "log" else encode_mgc_onehot(k3, 3)
+        doc = json.loads(to_model_json(prob))
+        (term,) = [t for t in doc["terms"] if t["vars"] == [0]]
+        term["coeff"] = str(2**1100)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code, out, err = run(["solve", "--in", str(model), "--runs", "5", "--sweeps", "30"], capsys)
+        assert code == 0
+        assert "Traceback" not in err
+        assert all(s["bits"][0] == "0" for s in json.loads(out)["samples"])
 
     @pytest.mark.parametrize("command", ["solve", "quadratize", "gates"])
     @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))

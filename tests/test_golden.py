@@ -6,7 +6,9 @@ metadata field changes a digest, so a refactor of the builders that
 claims identical output is checked here byte for byte. The anneal digests
 are SHA-256 of `SampleSet.to_json` output, so a change to the annealer
 that alters a random draw, an acceptance decision or a final energy
-changes one.
+changes one. The energy-vector digests cover the dtype and every entry of
+`energy_vector`, so a change to exhaustive evaluation that alters one
+energy or the int64/object choice changes one.
 """
 
 import hashlib
@@ -14,11 +16,11 @@ import itertools
 
 import pytest
 
-from qpart.graphs import generate_random_connected
+from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
 from qpart.model import to_model_json
 from qpart.onehot import encode_gc_onehot, encode_mgc_onehot
-from qpart.pbo import Polynomial
+from qpart.pbo import Polynomial, energy_vector
 from qpart.quadratize import quadratize
 from qpart.solve import AnnealParams, anneal
 
@@ -176,3 +178,50 @@ def test_anneal_bytes_pinned(anneal_inputs, name):
     poly, num_vars = anneal_inputs[name]
     text = anneal(poly, ANNEAL_PARAMS, num_vars).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == ANNEAL_SHA256[name]
+
+
+def golden_energy_inputs():
+    """(polynomial, num_vars) of every pinned energy vector: the shapes the
+    exhaustive checks enumerate, at 20-23 variables, plus a model whose
+    coefficients need the object dtype."""
+    inputs = {}
+    for n, seed in ((10, 3), (11, 4)):
+        prob = encode_mgc_log(generate_random_connected(n, 0.5, seed), 4)
+        inputs[f"log_n{n}_c4"] = (prob.polynomial, prob.num_variables)
+    prob = encode_mgc_onehot(generate_random_connected(4, 0.5, 5), 4)
+    inputs["onehot_n4_c4"] = (prob.polynomial, prob.num_variables)
+    prob = quadratize(encode_mgc_log(Graph(3, ((0, 1), (1, 2))), 8)).problem
+    inputs["quadratized_path3_c8"] = (prob.polynomial, prob.num_variables)
+    big = Polynomial({(): -(1 << 70), (0, 3): 1 << 70, (1, 2, 4): -(3 << 68), (5,): 7, (2, 9): -1})
+    inputs["object_dtype"] = (big, 12)
+    return inputs
+
+
+def energy_digest(energies):
+    """SHA-256 over the dtype and the entries; object entries as decimal text."""
+    h = hashlib.sha256(str(energies.dtype).encode() + b"\n")
+    if energies.dtype == object:
+        h.update(",".join(str(e) for e in energies.tolist()).encode())
+    else:
+        h.update(energies.tobytes())
+    return h.hexdigest()
+
+
+# Recorded with the per-term masked evaluation, before the zeta transform.
+ENERGY_SHA256 = {
+    "log_n10_c4": "a2c872fc3506bf3401b4aaa146aa435f4e9544d586194c05524dc36c8c7575c9",
+    "log_n11_c4": "b591a2932e996c2abcb83c4a0f3dbeb9b893e7439b63036068a692945edafd18",
+    "object_dtype": "b3da354901afd89d1b6db6d5516115033b0a7edad58280bd8a51731b9dd35075",
+    "onehot_n4_c4": "6907033d0dc87cb2313a7d9bb17de599edf580409c19509bccce4fdaf6a8971d",
+    "quadratized_path3_c8": "1033e5e9002a72af4adfed422927de55a6d90df61871de1e5ac3b772e7e1e1b4",
+}
+
+
+def test_energy_golden_names_cover_every_input():
+    assert set(golden_energy_inputs()) == set(ENERGY_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(ENERGY_SHA256))
+def test_energy_vector_bytes_pinned(name):
+    poly, num_vars = golden_energy_inputs()[name]
+    assert energy_digest(energy_vector(poly, num_vars)) == ENERGY_SHA256[name]

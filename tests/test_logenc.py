@@ -5,7 +5,7 @@ import itertools
 import pytest
 from conftest import complete_graph, connected_graphs_up_to_iso, path_graph
 
-from qpart.errors import DimensionError, InvalidInstanceError
+from qpart.errors import DimensionError, InvalidInstanceError, ResourceLimitError
 from qpart.graphs import Graph
 from qpart.logenc import (
     PartitionSpec,
@@ -20,7 +20,7 @@ from qpart.logenc import (
     lex_penalties,
     population_of_bits,
 )
-from qpart.pbo import ground_states
+from qpart.pbo import ENUMERATION_MAX_VARS, ground_states
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -236,6 +236,11 @@ class TestFeasibilityGap:
     def test_unconstrained_returns_none(self):
         spec = PartitionSpec(alpha={e: 0 for e in P3.edges}, beta={e: 0 for e in P3.edges}, gap=None)
         assert feasibility_gap_bruteforce(P3, spec, 1, lambda bits: True) is None
+
+    def test_enumeration_limit(self):
+        path = Graph(ENUMERATION_MAX_VARS + 1, tuple((v, v + 1) for v in range(ENUMERATION_MAX_VARS)))
+        with pytest.raises(ResourceLimitError):
+            feasibility_gap_bruteforce(path, PartitionSpec.mgc(path), 1, lambda bits: True)
 
     def test_all_infeasible_is_an_error(self):
         # a triangle cannot be properly 2-colored

@@ -3,12 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpart.errors import DimensionError, ResourceLimitError
 from qpart.pbo import (
+    ENUMERATION_MAX_VARS,
     Polynomial,
     bits_to_index,
     energy_vector,
@@ -196,6 +198,57 @@ class TestExactArithmetic:
         vec = energy_vector(p, 2)
         assert vec[bits_to_index((1, 1))] == big - 1
 
+    def test_int64_at_the_largest_safe_bound(self):
+        # sum |c| = 2**62 - 1 keeps int64, and every entry stays exact
+        p = Polynomial({(): -(2**61), (0,): 2**60, (1,): 2**60 - 1})
+        vec = energy_vector(p, 2)
+        assert vec.dtype == np.int64
+        assert vec.tolist() == [-(2**61), -(2**60), -(2**60) - 1, -1]
+
+    def test_object_dtype_where_int64_would_wrap(self):
+        p = Polynomial({(0,): 2**62, (1,): 2**62})
+        vec = energy_vector(p, 2)
+        assert vec.dtype == object
+        assert vec.tolist() == [0, 2**62, 2**62, 2**63]
+
     def test_index_bit_round_trip(self):
         for i in range(16):
             assert bits_to_index(index_to_bits(i, 4)) == i
+
+
+@st.composite
+def enumerable_polynomials(draw):
+    """A polynomial of degree <= 4 with small or 2**70-sized coefficients,
+    and a num_vars at or up to two past its span (0 for a constant)."""
+    nv = draw(st.integers(0, 7))
+    coeffs = st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70))
+    keys = st.lists(st.integers(0, nv - 1), max_size=4) if nv else st.just(())
+    poly = Polynomial(draw(st.lists(st.tuples(keys, coeffs), max_size=12)))
+    return poly, nv + draw(st.integers(0, 2))
+
+
+class TestEnergyVector:
+    @given(enumerable_polynomials())
+    @settings(max_examples=300)
+    def test_matches_evaluate_at_every_index(self, case):
+        p, nv = case
+        vec = energy_vector(p, nv)
+        assert len(vec) == 1 << nv
+        assert [int(e) for e in vec] == [p.evaluate(index_to_bits(i, nv)) for i in range(1 << nv)]
+
+    def test_zero_polynomial(self):
+        vec = energy_vector(Polynomial.zero(), 3)
+        assert vec.dtype == np.int64
+        assert vec.tolist() == [0] * 8
+
+    def test_no_variables(self):
+        assert energy_vector(Polynomial.constant(-4), 0).tolist() == [-4]
+        assert energy_vector(Polynomial.constant(2**70), 0).tolist() == [2**70]
+
+    def test_num_vars_below_span_rejected(self):
+        with pytest.raises(DimensionError, match="smaller than the polynomial's variable span"):
+            energy_vector(Polynomial({(3,): 1}), 3)
+
+    def test_resource_guard(self):
+        with pytest.raises(ResourceLimitError):
+            energy_vector(Polynomial.zero(), ENUMERATION_MAX_VARS + 1)

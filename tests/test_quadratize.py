@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import complete_graph, path_graph
 
-from qpart.errors import InternalInvariantError
+from qpart.errors import InvalidInstanceError
 from qpart.graphs import Graph
 from qpart.logenc import encode_mgc_log, lex_penalties
 from qpart.model import EncodedProblem
@@ -78,7 +78,7 @@ class TestQuadratize:
     def test_rejects_metadata_bit_count_disagreeing_with_ladder(self):
         hubo = encode_mgc_log(P3, 4)
         tampered = EncodedProblem(hubo.polynomial, hubo.registry, hubo.penalties, {**hubo.meta, "L": 3})
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InvalidInstanceError):
             quadratize(tampered)
 
 

@@ -1,5 +1,6 @@
 """Exact solver and the seeded Metropolis annealer."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,77 @@ class TestKernels:
         terms = solve._anneal_with(solve._per_term_kernel(poly, nv), poly, params, nv)
         assert fields == terms
         assert anneal(poly, params, nv) == fields
+
+
+@st.composite
+def hubos(draw):
+    """A random polynomial, nearly always of degree 3 or 4, with small,
+    2**70-sized or 2**1100-sized coefficients, and a num_vars at or up to
+    two past its span."""
+    nv = draw(st.integers(4, 8))
+    coeffs = st.one_of(
+        st.integers(-30, 30), st.integers(-(2**70), 2**70), st.sampled_from([2**1100, -(2**1100)])
+    )
+    keys = st.lists(st.integers(0, nv - 1), max_size=4)
+    items = draw(st.lists(st.tuples(keys, coeffs), max_size=16))
+    top = draw(st.lists(st.integers(0, nv - 1), min_size=draw(st.integers(3, 4)), max_size=4, unique=True))
+    items.append((top, draw(st.integers(1, 30))))
+    return Polynomial(items), nv + draw(st.integers(0, 2))
+
+
+def naive_kernel(p, nv):
+    """Each flip's energy change by evaluating the whole polynomial twice."""
+
+    def run_sweeps(x, draws):
+        for beta, flips in draws:
+            for v, u in flips:
+                flipped = x[:v] + [1 - x[v]] + x[v + 1 :]
+                delta = p.evaluate(flipped) - p.evaluate(x)
+                try:
+                    accept = delta <= 0 or u < math.exp(-beta * delta)
+                except OverflowError:  # exp of a delta beyond float range is 0.0
+                    accept = False
+                if accept:
+                    x[v] = 1 - x[v]
+
+    return run_sweeps
+
+
+class TestHuboKernel:
+    """The HUBO kernel against full re-evaluation, draw for draw."""
+
+    @given(
+        hubos(),
+        st.integers(1, 4),
+        st.integers(1, 16),
+        st.integers(0, 2**32),
+        st.sampled_from([(0.01, 10.0), (0.5, 2.0), (1.0, 100.0)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_reevaluation(self, hubo, runs, sweeps, seed, betas):
+        poly, nv = hubo
+        params = AnnealParams(runs, sweeps, betas[0], betas[1], seed)
+        naive = solve._anneal_with(naive_kernel(poly, nv), poly, params, nv)
+        assert solve._anneal_with(solve._per_term_kernel(poly, nv), poly, params, nv) == naive
+        assert anneal(poly, params, nv) == naive
+
+
+class TestHugeEnergyChanges:
+    """An uphill change beyond float range is rejected instead of raising."""
+
+    PARAMS = AnnealParams(runs=8, sweeps=20, seed=4)
+
+    def test_local_field_kernel(self):
+        poly = Polynomial({(0,): 2**1100, (0, 1): -1})
+        ss = anneal(poly, self.PARAMS)
+        # x0 = 1 costs 2**1100 - 1 or 2**1100: every run ends at x0 = 0
+        assert ss.energies() == [0] * self.PARAMS.runs
+
+    def test_per_term_kernel(self):
+        poly = Polynomial({(0, 1, 2): 2**1100})
+        ss = anneal(poly, self.PARAMS)
+        assert ss.energies() == [0] * self.PARAMS.runs
+        assert ss == solve._anneal_with(naive_kernel(poly, 3), poly, self.PARAMS, 3)
 
 
 class TestSuccessProbability:
