@@ -95,10 +95,6 @@ class SurvivalEstimate:
     ci_high: float | None
     curve: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
-    @property
-    def num_events(self) -> int:
-        return len(self.curve)
-
 
 def km_median(observations: Sequence[SurvivalObservation]) -> SurvivalEstimate:
     """Kaplan-Meier estimate over right-censored observations.

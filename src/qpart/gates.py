@@ -2,9 +2,9 @@
 
 Closed forms for both encodings are cross-checked by an oracle that
 performs the Ising substitution x = (1 - Z)/2 exactly and prices each
-surviving k-local Z product at 2(k-1) CNOTs. Coefficients are dyadic
-rationals kept as (numerator, shift) pairs so cancellation is detected
-exactly.
+surviving k-local Z product at 2(k-1) CNOTs. A term over T variables
+contributes c / 2**|T| to each subset of T, so every coefficient is kept
+as an int scaled by 2**degree and cancellation is detected exactly.
 """
 
 from __future__ import annotations
@@ -15,42 +15,24 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .pbo import Bits, Polynomial
-
-Dyadic = tuple[int, int]  # value = numerator / 2**shift, numerator odd unless zero
-
-
-def _dyadic_normalize(num: int, shift: int) -> Dyadic:
-    if num == 0:
-        return (0, 0)
-    while num % 2 == 0 and shift > 0:
-        num //= 2
-        shift -= 1
-    return (num, shift)
-
-
-def _dyadic_add(a: Dyadic, b: Dyadic) -> Dyadic:
-    n1, s1 = a
-    n2, s2 = b
-    s = max(s1, s2)
-    return _dyadic_normalize((n1 << (s - s1)) + (n2 << (s - s2)), s)
+from .pbo import Bits, Polynomial, Term
 
 
 class SpinPolynomial:
-    """Multilinear polynomial in spin (Z) variables with dyadic coefficients."""
+    """Multilinear polynomial in spin (Z) variables with coefficients num / 2**shift."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_shift")
 
-    def __init__(self, terms: dict[tuple[int, ...], Dyadic] | None = None):
-        self._terms = {k: v for k, v in (terms or {}).items() if v[0] != 0}
+    def __init__(self, terms: dict[Term, int], shift: int):
+        self._terms = {k: v for k, v in terms.items() if v}
+        self._shift = shift
 
     @property
-    def terms(self) -> dict[tuple[int, ...], Dyadic]:
-        return dict(self._terms)
+    def terms(self) -> dict[Term, Fraction]:
+        return {k: Fraction(v, 1 << self._shift) for k, v in self._terms.items()}
 
     def coefficient(self, vars_: Iterable[int]) -> Fraction:
-        num, shift = self._terms.get(tuple(sorted(set(vars_))), (0, 0))
-        return Fraction(num, 1 << shift)
+        return Fraction(self._terms.get(tuple(sorted(set(vars_))), 0), 1 << self._shift)
 
     def locality_histogram(self) -> dict[int, int]:
         """Counts of nonzero k-local terms for k >= 2 (constants and fields dropped)."""
@@ -63,26 +45,30 @@ class SpinPolynomial:
 
     def evaluate_bits(self, bits: Bits) -> Fraction:
         """Evaluate at Z_j = 1 - 2*x_j; must reproduce the source polynomial."""
-        total = Fraction(0)
-        for key, (num, shift) in self._terms.items():
-            prod = 1
+        total = 0
+        for key, num in self._terms.items():
             for v in key:
-                prod *= 1 - 2 * bits[v]
-            total += Fraction(num * prod, 1 << shift)
-        return total
+                num *= 1 - 2 * bits[v]
+            total += num
+        return Fraction(total, 1 << self._shift)
 
 
 def ising_expand(p: Polynomial) -> SpinPolynomial:
-    """Exact substitution x_j = (1 - Z_j)/2 with multilinear expansion."""
-    acc: dict[tuple[int, ...], Dyadic] = {}
+    """Exact substitution x_j = (1 - Z_j)/2 with multilinear expansion.
+
+    A term c * x_T expands to c / 2**|T| * sum over subsets S of T of
+    (-1)**|S| Z_S; every coefficient is kept scaled by 2**degree.
+    """
+    shift = p.degree()
+    acc: dict[Term, int] = {}
     for key, coeff in p.items():
         t = len(key)
+        scaled = coeff << (shift - t)
         for size in range(t + 1):
-            sign = -1 if size % 2 else 1
+            signed = -scaled if size % 2 else scaled
             for subset in combinations(key, size):
-                prev = acc.get(subset, (0, 0))
-                acc[subset] = _dyadic_add(prev, _dyadic_normalize(sign * coeff, t))
-    return SpinPolynomial(acc)
+                acc[subset] = acc.get(subset, 0) + signed
+    return SpinPolynomial(acc, shift)
 
 
 @dataclass(frozen=True)

@@ -154,16 +154,16 @@ def partition_weights(
 
 def edge_weights(prob: EncodedProblem) -> tuple[list[int], int]:
     """partition_weights of a logarithmic encoding, re-derived from its metadata."""
+    if prob.kind not in LOG_KINDS:
+        raise ValueError(f"expected a logarithmic encoding, got kind {prob.kind!r}")
     edges = [tuple(e) for e in prob.meta["edges"]]
     if prob.kind == "log_mgc":
         spec = PartitionSpec(alpha=dict.fromkeys(edges, 1), beta=dict.fromkeys(edges, 0))
-    elif prob.kind == "log_general":
+    else:
         spec = PartitionSpec(
             alpha={(u, v): int(prob.meta["alpha"][f"{u}-{v}"]) for u, v in edges},
             beta={(u, v): int(prob.meta["beta"][f"{u}-{v}"]) for u, v in edges},
         )
-    else:
-        raise ValueError(f"expected a logarithmic encoding, got kind {prob.kind!r}")
     return partition_weights(edges, spec, prob.penalties.a_adjacency)
 
 

@@ -41,8 +41,8 @@ class EncodedProblem:
         return len(self.registry)
 
     @property
-    def kind(self) -> str:
-        return self.meta["kind"]
+    def kind(self) -> str | None:
+        return self.meta.get("kind")
 
 
 def instance_meta(g: Graph, **fields: Any) -> dict[str, Any]:
@@ -91,27 +91,26 @@ def from_model_json(text: str) -> EncodedProblem:
     try:
         penalties = _penalties_from_meta(metadata)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(
-            f"penalty record does not fit kind {metadata.get('kind')!r}: {exc}"
-        ) from exc
+        raise ParseError(f"metadata does not fit kind {metadata.get('kind')!r}: {exc}") from exc
     registry = tuple(roles[i] for i in range(num_vars))
     return EncodedProblem(poly, registry, penalties, metadata)
 
 
 def _penalties_from_meta(metadata: dict) -> Any:
     record = metadata.get("penalties")
-    if record is None:
-        return None
     kind = metadata.get("kind", "")
     # Late imports: the encoder modules depend on this one.
+    if kind in ("log_mgc", "log_general"):
+        from .logenc import LexPenalties
+
+        _check_log_meta(metadata)
+        return LexPenalties(p=tuple(int(x) for x in record["p"]), a_adjacency=int(record["a_adjacency"]))
+    if record is None:
+        return None
     if kind in ("onehot_mgc", "onehot_gc"):
         from .onehot import OneHotPenalties
 
         return OneHotPenalties(**_intify(record))
-    if kind in ("log_mgc", "log_general"):
-        from .logenc import LexPenalties
-
-        return LexPenalties(p=tuple(int(x) for x in record["p"]), a_adjacency=int(record["a_adjacency"]))
     if kind == "quadratized_log":
         from .quadratize import QuadratizationPenalties
 
@@ -121,3 +120,20 @@ def _penalties_from_meta(metadata: dict) -> Any:
 
 def _intify(record: Mapping[str, Any]) -> dict[str, int]:
     return {k: int(v) for k, v in record.items()}
+
+
+def _check_log_meta(metadata: Mapping[str, Any]) -> None:
+    """The fields a logarithmic encoding is re-derived from must be present and integral;
+    its penalty record is read by the caller."""
+    if not all(type(metadata.get(k)) is int for k in ("n", "L")):
+        raise ValueError("n and L must be integers")
+    edges = metadata.get("edges")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
+    ):
+        raise ValueError("edges must be a list of integer pairs")
+    if metadata["kind"] == "log_general":
+        for name in ("alpha", "beta"):
+            costs = metadata.get(name)
+            if not isinstance(costs, dict) or not all(type(costs.get(f"{u}-{v}")) is int for u, v in edges):
+                raise ValueError(f"{name} needs an integer entry for every edge")

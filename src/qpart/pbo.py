@@ -71,12 +71,6 @@ class Polynomial:
     def coefficient(self, vars_: Iterable[int]) -> int:
         return self._terms.get(tuple(sorted(set(vars_))), 0)
 
-    def variables(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for key in self._terms:
-            out.update(key)
-        return tuple(sorted(out))
-
     def num_variables(self) -> int:
         """1 + the largest variable id appearing in any term (0 for constants)."""
         top = -1

@@ -80,11 +80,11 @@ def quadratize(
     `penalties` only to study under-penalized gadgets; the default tiers
     are provably sufficient.
     """
+    weights, const = edge_weights(prob)
     n = prob.meta["n"]
     l = prob.meta["L"]
     edges = [tuple(e) for e in prob.meta["edges"]]
     pen: LexPenalties = prob.penalties
-    weights, const = edge_weights(prob)
 
     # Rebuild the HUBO from structure; a mismatch means the input was
     # hand-edited or corrupted in transit, so it is bad input, not a bug.

@@ -1,15 +1,22 @@
 """CLI pipeline: subcommands, exit codes, determinism, golden help."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_graph
 
 from qpart.cli import build_parser, main
-from qpart.logenc import encode_mgc_log
+from qpart.graphs import Graph, serialize_graph
+from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
 from qpart.model import from_model_json, to_model_json
 from qpart.onehot import encode_mgc_onehot
 
@@ -154,7 +161,16 @@ def _set_first_id(value):
     return corrupt
 
 
-# Model JSON whose parts disagree: (encoding, mutation of the parsed document).
+K3 = complete_graph(3)
+K3_SPEC = PartitionSpec(alpha=dict.fromkeys(K3.edges, 0), beta=dict.fromkeys(K3.edges, 2), gap=2)
+K3_MODELS = {
+    "log": lambda: encode_mgc_log(K3, 4),
+    "onehot": lambda: encode_mgc_onehot(K3, 3),
+    "general": lambda: encode_general(K3, K3_SPEC, 2),
+}
+
+# Model JSON whose parts disagree or do not fit its kind: (encoding,
+# mutation of the parsed document).
 MODEL_DEFECTS = {
     "kind_edited": ("log", lambda doc: doc["metadata"].update(kind="onehot_mgc")),
     "penalty_key_removed": ("onehot", lambda doc: doc["metadata"]["penalties"].pop("a_link")),
@@ -162,6 +178,12 @@ MODEL_DEFECTS = {
     "id_past_end": ("onehot", lambda doc: doc["variables"][0].update(id=doc["num_vars"])),
     "duplicate_id": ("log", _set_first_id(1)),
     "missing_id": ("log", lambda doc: doc["variables"].pop()),
+    "n_missing": ("log", lambda doc: doc["metadata"].pop("n")),
+    "edges_not_a_list": ("log", lambda doc: doc["metadata"].update(edges=5)),
+    "edges_not_int_pairs": ("log", lambda doc: doc["metadata"].update(edges=[["a", "b"]])),
+    "penalties_null": ("log", lambda doc: doc["metadata"].update(penalties=None)),
+    "alpha_missing": ("general", lambda doc: doc["metadata"].pop("alpha")),
+    "alpha_empty": ("general", lambda doc: doc["metadata"].update(alpha={})),
 }
 
 
@@ -203,9 +225,7 @@ class TestExitCodes:
     def test_anneal_with_coefficient_beyond_float_range(self, encoding, tmp_path, capsys):
         # x0's linear coefficient becomes 2**1100: raising x0 is an uphill
         # change no float can hold, which the annealer must reject
-        k3 = complete_graph(3)
-        prob = encode_mgc_log(k3, 4) if encoding == "log" else encode_mgc_onehot(k3, 3)
-        doc = json.loads(to_model_json(prob))
+        doc = json.loads(to_model_json(K3_MODELS[encoding]()))
         (term,) = [t for t in doc["terms"] if t["vars"] == [0]]
         term["coeff"] = str(2**1100)
         model = tmp_path / "model.json"
@@ -219,15 +239,70 @@ class TestExitCodes:
     @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
     def test_inconsistent_model_exits_2(self, defect, command, tmp_path, capsys):
         encoding, corrupt = MODEL_DEFECTS[defect]
-        k3 = complete_graph(3)
-        prob = encode_mgc_log(k3, 4) if encoding == "log" else encode_mgc_onehot(k3, 3)
-        doc = json.loads(to_model_json(prob))
+        doc = json.loads(to_model_json(K3_MODELS[encoding]()))
         corrupt(doc)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         code, _, err = run([command, "--in", str(model)], capsys)
         assert code == 2
         assert "Traceback" not in err
+
+
+# Replacement values are small, so no mutant asks for a large graph or model.
+SMALL_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.text("ab-", max_size=3),
+    st.none(),
+    st.lists(st.integers(-3, 12), max_size=3),
+    st.dictionaries(st.text("01-", max_size=3), st.integers(-3, 12), max_size=2),
+)
+DELETE = object()
+FUZZ_INPUTS = {
+    "graph": json.loads(serialize_graph(Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3))), "json")),
+    **{encoding: json.loads(to_model_json(build())) for encoding, build in K3_MODELS.items()},
+}
+FUZZ_COMMANDS = (
+    ["encode"],
+    ["encode", "--encoding", "onehot"],
+    ["solve", "--exact"],
+    ["solve", "--runs", "2", "--sweeps", "3"],
+    ["quadratize"],
+    ["gates"],
+)
+
+
+def mutate(data, doc):
+    """Delete the value at a random path of `doc`, or replace it with a small one."""
+    node = doc
+    while node:
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        value = data.draw(st.one_of(st.just(DELETE), SMALL_VALUES))
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+        return
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutated_json_exits_cleanly(data):
+    doc = copy.deepcopy(FUZZ_INPUTS[data.draw(st.sampled_from(sorted(FUZZ_INPUTS)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(data, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        Path(path).write_text(json.dumps(doc))
+        for command in FUZZ_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*command, "--in", path, "--out", os.path.join(tmp, "out.json")])
+            assert code in (0, 2, 3), (command, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 def test_help_lists_every_flag_with_default():

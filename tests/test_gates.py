@@ -41,7 +41,7 @@ class TestIsingExpand:
 
     def test_xnor_is_half_plus_half_zz(self):
         sp = ising_expand(XNOR)
-        assert sp.terms == {(): (1, 1), (0, 1): (1, 1)}
+        assert sp.terms == {(): Fraction(1, 2), (0, 1): Fraction(1, 2)}
         assert sp.coefficient(()) == Fraction(1, 2)
         assert sp.coefficient((0, 1)) == Fraction(1, 2)
         assert sp.coefficient((0,)) == 0
@@ -49,15 +49,16 @@ class TestIsingExpand:
     def test_substitution_round_trip(self):
         # evaluating the spin form at Z = 1 - 2x reproduces the original
         rng = random.Random(17)
-        for _ in range(1000):
-            items = [
-                (tuple(rng.sample(range(6), rng.randint(0, 4))), rng.randint(-30, 30))
-                for _ in range(rng.randint(0, 6))
-            ]
-            p = Polynomial(items)
-            sp = ising_expand(p)
-            bits = tuple(rng.randint(0, 1) for _ in range(6))
-            assert sp.evaluate_bits(bits) == p.evaluate(bits)
+        for max_vars, bound in ((4, 30), (6, 1 << 70)):
+            for _ in range(1000):
+                items = [
+                    (tuple(rng.sample(range(6), rng.randint(0, max_vars))), rng.randint(-bound, bound))
+                    for _ in range(rng.randint(0, 6))
+                ]
+                p = Polynomial(items)
+                sp = ising_expand(p)
+                bits = tuple(rng.randint(0, 1) for _ in range(6))
+                assert sp.evaluate_bits(bits) == p.evaluate(bits)
 
 
 class TestOracle:

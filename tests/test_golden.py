@@ -16,6 +16,7 @@ import itertools
 
 import pytest
 
+from qpart.gates import cnot_count_oracle, ising_expand
 from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
 from qpart.model import to_model_json
@@ -225,3 +226,46 @@ def test_energy_golden_names_cover_every_input():
 def test_energy_vector_bytes_pinned(name):
     poly, num_vars = golden_energy_inputs()[name]
     assert energy_digest(energy_vector(poly, num_vars)) == ENERGY_SHA256[name]
+
+
+def gate_digest(poly):
+    """SHA-256 over the oracle's report and every spin coefficient of the expansion."""
+    sp = ising_expand(poly)
+    pairs = sorted((key, str(sp.coefficient(key))) for key in sp.terms)
+    text = cnot_count_oracle(poly).to_json() + repr(pairs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded with the (numerator, shift) dyadic oracle, before the expansion
+# moved to integers scaled by 2**degree.
+GATE_SHA256 = {
+    "log_general_L1": "1b89990ee8f901ded30074933400e3cefb2ac3957047027f5c13150cbf916b6c",
+    "log_general_L2": "3e0c6f8301361dc6be1774622a468f94ac7e56ab5d400fe7867d4276cea43317",
+    "log_general_L3": "62d2ac17b55912487dbe72a7111d8e3052d8a8d46c1d4895fd17886219254592",
+    "log_general_L4": "e1228439ce6c7b07edc09671a8dedc49052a85f19864471e95a1801a7431d586",
+    "log_general_unconstrained_L3": "20e46b2e4fa0484be0d679aff50448ffc209a4b52420265b2dacaa8de196c998",
+    "log_mgc_L1": "ca644d1d8a110a650871d70b52af61034782cab91fa701cf25f5afdcbcceb826",
+    "log_mgc_L2": "37020c1f4e6b378d88206e3e877c56a8e44019f05581884aa8804320dc962d0d",
+    "log_mgc_L3": "9335516e861104d3e0943ace46323199ff36e738cee581009c1606daac9c2b28",
+    "log_mgc_L4": "946dd2b31461d5dc873c7a6783ade8283c41d867691558570ea9667938fd7ba0",
+    "onehot_gc_c3": "e75989b3080d5ee5f4c48148136b9751d7628b967dab6f5d74f3e80a3d29defe",
+    "onehot_mgc_c4": "4bf881a41fbff164da3a57fbbf7c252b5840353d85af82669fe2b4ce6822c9d5",
+    "quadratized_log_general_L1": "1b89990ee8f901ded30074933400e3cefb2ac3957047027f5c13150cbf916b6c",
+    "quadratized_log_general_L2": "897e796aa16f42e75b559ab2d8ee60abdbd65cb4bf33eb9ea2db70443847f974",
+    "quadratized_log_general_L3": "f38234c9d7d32585dcddba53831da53fba6cf1beb808c8886eb0788e78b27bc0",
+    "quadratized_log_general_L4": "dde936d564243128fbfda7d7ab6c90eed8ec76f6a80a8aaee2c497fc2de9ac7b",
+    "quadratized_log_general_unconstrained_L3": "3869f5c02a12d9a9bb13cf4aa00e2d99fb1d4b1c8e31bb652f59be46dbbddd89",
+    "quadratized_log_mgc_L1": "ca644d1d8a110a650871d70b52af61034782cab91fa701cf25f5afdcbcceb826",
+    "quadratized_log_mgc_L2": "ff0e1f799051942ebd86a84fd25d00e01223a2317b221dbea9de67593829c58b",
+    "quadratized_log_mgc_L3": "8c8a3b55abe93183550da339fc2f73ce06bea04b88e0f43af000f634bd31ec84",
+    "quadratized_log_mgc_L4": "f4746aad6ede87d2576c678b19aaee795a61de3ec2775544eadcfbefb18d2c5a",
+}
+
+
+def test_gate_golden_names_cover_every_model(models):
+    assert set(models) == set(GATE_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(GATE_SHA256))
+def test_gate_oracle_pinned(models, name):
+    assert gate_digest(models[name].polynomial) == GATE_SHA256[name]
