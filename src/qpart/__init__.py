@@ -20,16 +20,10 @@ from .graphs import (
 from .model import EncodedProblem, from_model_json, to_model_json
 from .pbo import Polynomial, ground_states
 from .onehot import encode_mgc_onehot, onehot_penalties
-from .logenc import (
-    PartitionSpec,
-    encode_general,
-    encode_mgc_log,
-    lex_compare,
-    lex_penalties,
-)
+from .logenc import PartitionSpec, encode_general, encode_mgc_log, lex_penalties
 from .quadratize import quadratize, qubit_advantage_predicate, verify_quadratization
 from .gates import cnot_count_log_closed, cnot_count_onehot_closed, cnot_count_oracle
-from .solve import AnnealParams, anneal, solve_exact, success_probability
+from .solve import AnnealParams, anneal, solve_exact
 from .bench import BenchInstance, TimingModel, km_median, run_suite, tts
 
 __version__ = "0.1.0"
@@ -57,7 +51,6 @@ __all__ = [
     "greedy_coloring",
     "ground_states",
     "km_median",
-    "lex_compare",
     "lex_penalties",
     "onehot_penalties",
     "parse_graph",
@@ -66,7 +59,6 @@ __all__ = [
     "run_suite",
     "serialize_graph",
     "solve_exact",
-    "success_probability",
     "to_model_json",
     "tts",
     "verify_quadratization",

@@ -15,7 +15,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
+from .errors import ResourceLimitError
 from .pbo import Bits, Polynomial, Term
+
+# Subset additions ising_expand may make: a term over T variables adds into
+# all 2**|T| subsets of T. perfbench's n=64, c=16 log model needs about
+# 6.5 M (2 s) and an n=40, L=5 log model (m=390) about 23 M, so both stay
+# in reach; a degree-40 term in a 1 KB file would need 2**40. Log models
+# share most subsets between monomials, but one term's subsets are all
+# distinct spin terms, so a single degree-25 term still costs gigabytes.
+MAX_SUBSET_ADDS = 1 << 25
 
 
 class SpinPolynomial:
@@ -59,6 +68,11 @@ def ising_expand(p: Polynomial) -> SpinPolynomial:
     A term c * x_T expands to c / 2**|T| * sum over subsets S of T of
     (-1)**|S| Z_S; every coefficient is kept scaled by 2**degree.
     """
+    adds = sum(1 << len(key) for key, _ in p.items())
+    if adds > MAX_SUBSET_ADDS:
+        raise ResourceLimitError(
+            f"the Ising expansion needs {adds} subset additions, over the limit of {MAX_SUBSET_ADDS}"
+        )
     shift = p.degree()
     acc: dict[Term, int] = {}
     for key, coeff in p.items():

@@ -10,17 +10,14 @@ small labels without any dedicated counting register.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
-from .errors import DimensionError, InvalidInstanceError
+from .errors import DimensionError
 from .graphs import Coloring, Graph, brooks_upper_bound
 from .model import EncodedProblem, instance_meta
-from .pbo import Bits, Polynomial, Term, energy_vector, index_to_bits
+from .pbo import Bits, Polynomial, Term
 
 
 @dataclass(frozen=True)
@@ -29,13 +26,6 @@ class LexPenalties:
 
     p: tuple[int, ...]
     a_adjacency: int
-
-    def satisfies_bounds(self, n: int) -> bool:
-        """Strict hierarchy: P_{k+1} > n * sum(P_1..P_k), and A > n * sum(P)."""
-        for k in range(len(self.p) - 1):
-            if self.p[k + 1] <= n * sum(self.p[: k + 1]):
-                return False
-        return self.a_adjacency > n * sum(self.p)
 
     @property
     def total(self) -> int:
@@ -47,7 +37,9 @@ class PartitionSpec:
     """Per-edge costs: alpha when labels agree, beta when they differ.
 
     gap is the feasibility gap of the hard constraints, or None when every
-    assignment is feasible ("unconstrained" in JSON).
+    assignment is feasible. A log_general model's metadata records the
+    same costs as "u-v"-keyed alpha/beta maps, and a None gap as
+    "unconstrained".
     """
 
     alpha: Mapping[tuple[int, int], int]
@@ -60,32 +52,6 @@ class PartitionSpec:
         alpha = {e: 1 for e in g.edges}
         beta = {e: 0 for e in g.edges}
         return PartitionSpec(alpha=alpha, beta=beta, gap=1)
-
-    def to_json(self) -> str:
-        doc = {
-            "alpha": {f"{u}-{v}": int(c) for (u, v), c in sorted(self.alpha.items())},
-            "beta": {f"{u}-{v}": int(c) for (u, v), c in sorted(self.beta.items())},
-            "gap": "unconstrained" if self.gap is None else int(self.gap),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> PartitionSpec:
-        doc = json.loads(text)
-
-        def parse_edge_map(obj: Mapping[str, int]) -> dict[tuple[int, int], int]:
-            out = {}
-            for key, val in obj.items():
-                u, v = (int(x) for x in key.split("-"))
-                out[(min(u, v), max(u, v))] = int(val)
-            return out
-
-        gap = doc.get("gap", "unconstrained")
-        return PartitionSpec(
-            alpha=parse_edge_map(doc["alpha"]),
-            beta=parse_edge_map(doc["beta"]),
-            gap=None if gap == "unconstrained" else int(gap),
-        )
 
 
 def bits_for_colors(c: int) -> int:
@@ -132,16 +98,18 @@ def log_hubo_terms(
         for v in range(n):
             yield (bit_var(v, k, l),), ladder[k - 1]
     yield (), constant
+    weighted = [(e, w) for e, w in zip(edges, weights) if w]
+    if not weighted:
+        return
     template = []
     for factors in itertools.product(_XNOR_FACTORS, repeat=l):
         u_bits = tuple(k for k, (_, a, _) in enumerate(factors) if a)
         v_bits = tuple(k for k, (_, _, b) in enumerate(factors) if b)
         template.append((math.prod(c for c, _, _ in factors), u_bits, v_bits))
-    for (u, v), weight in zip(edges, weights):
-        if weight:
-            lo, hi = min(u, v) * l, max(u, v) * l
-            for coeff, u_bits, v_bits in template:
-                yield tuple(lo + k for k in u_bits) + tuple(hi + k for k in v_bits), weight * coeff
+    for (u, v), weight in weighted:
+        lo, hi = min(u, v) * l, max(u, v) * l
+        for coeff, u_bits, v_bits in template:
+            yield tuple(lo + k for k in u_bits) + tuple(hi + k for k in v_bits), weight * coeff
 
 
 def partition_weights(
@@ -165,15 +133,6 @@ def edge_weights(prob: EncodedProblem) -> tuple[list[int], int]:
             beta={(u, v): int(prob.meta["beta"][f"{u}-{v}"]) for u, v in edges},
         )
     return partition_weights(edges, spec, prob.penalties.a_adjacency)
-
-
-def edge_agreement_product(u: int, v: int, l: int) -> Polynomial:
-    """Product of per-bit XNORs: 1 iff the two vertices carry equal bitstrings."""
-    return Polynomial(log_hubo_terms(0, (0,) * l, 0, [(u, v)], [1]))
-
-
-def lexicographic_polynomial(n: int, pen: LexPenalties) -> Polynomial:
-    return Polynomial(log_hubo_terms(n, pen.p))
 
 
 def _log_polynomial(g: Graph, ladder: Sequence[int], a_partition: int, spec: PartitionSpec) -> Polynomial:
@@ -232,38 +191,11 @@ def encode_general(g: Graph, spec: PartitionSpec, l: int) -> EncodedProblem:
 LOG_KINDS = ("log_mgc", "log_general")
 
 
-def _require_log(prob: EncodedProblem) -> tuple[int, int]:
-    if prob.kind in LOG_KINDS + ("quadratized_log",):
-        return prob.meta["n"], prob.meta["L"]
-    raise ValueError(f"expected a logarithmic encoding, got kind {prob.kind!r}")
-
-
-def index_population(prob: EncodedProblem, assignment: Bits) -> tuple[int, ...]:
-    """s_k = number of vertices whose k-th bit is set, k = 1..L."""
-    n, l = _require_log(prob)
-    if len(assignment) < n * l:
-        raise DimensionError(f"assignment length {len(assignment)} < {n * l} vertex bits")
-    return population_of_bits(assignment, n, l)
-
-
-def population_of_bits(bits: Bits, n: int, l: int) -> tuple[int, ...]:
-    """Index population of a raw bit vector laid out as n blocks of l bits."""
-    return tuple(sum(bits[v * l + (k - 1)] for v in range(n)) for k in range(1, l + 1))
-
-
-def lex_compare(s: tuple[int, ...], t: tuple[int, ...]) -> int:
-    """-1, 0, or 1: compares index populations from the most significant bit down."""
-    if len(s) != len(t):
-        raise DimensionError(f"population lengths differ: {len(s)} vs {len(t)}")
-    for k in range(len(s) - 1, -1, -1):
-        if s[k] != t[k]:
-            return -1 if s[k] < t[k] else 1
-    return 0
-
-
 def decode_log(prob: EncodedProblem, assignment: Bits) -> Coloring:
     """Read each vertex's bits positionally; every bitstring is a valid label."""
-    n, l = _require_log(prob)
+    if prob.kind not in LOG_KINDS + ("quadratized_log",):
+        raise ValueError(f"expected a logarithmic encoding, got kind {prob.kind!r}")
+    n, l = prob.meta["n"], prob.meta["L"]
     if len(assignment) < n * l:
         raise DimensionError(f"assignment length {len(assignment)} < {n * l} vertex bits")
     labels = tuple(
@@ -271,41 +203,3 @@ def decode_log(prob: EncodedProblem, assignment: Bits) -> Coloring:
         for v in range(n)
     )
     return Coloring(labels)
-
-
-def adjacency_energy(prob: EncodedProblem, assignment: Bits) -> int:
-    """Number of edges whose endpoints carry equal bitstrings (0 = feasible)."""
-    n, l = _require_log(prob)
-    count = 0
-    for u, v in (tuple(e) for e in prob.meta["edges"]):
-        if all(
-            assignment[bit_var(u, k, l)] == assignment[bit_var(v, k, l)]
-            for k in range(1, l + 1)
-        ):
-            count += 1
-    return count
-
-
-def feasibility_gap_bruteforce(
-    g: Graph,
-    spec: PartitionSpec,
-    l: int,
-    feasible: Callable[[Bits], bool],
-) -> int | None:
-    """Minimum partition energy over infeasible assignments minus the feasible minimum.
-
-    Evaluated with a unit partition penalty, and `feasible` is called once
-    per assignment. Returns None when every assignment is feasible (no hard
-    constraints); raises InvalidInstanceError when none is, and
-    energy_vector's ResourceLimitError past its variable limit.
-    """
-    nv = g.n * l
-    energies = energy_vector(_log_polynomial(g, (0,) * l, 1, spec), nv)
-    mask = np.fromiter(
-        (feasible(index_to_bits(i, nv)) for i in range(1 << nv)), dtype=bool, count=1 << nv
-    )
-    if mask.all():
-        return None
-    if not mask.any():
-        raise InvalidInstanceError("no feasible assignment exists; the gap is undefined")
-    return int(energies[~mask].min()) - int(energies[mask].min())

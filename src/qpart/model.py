@@ -125,13 +125,17 @@ def _intify(record: Mapping[str, Any]) -> dict[str, int]:
 def _check_log_meta(metadata: Mapping[str, Any]) -> None:
     """The fields a logarithmic encoding is re-derived from must be present and integral;
     its penalty record is read by the caller."""
-    if not all(type(metadata.get(k)) is int for k in ("n", "L")):
-        raise ValueError("n and L must be integers")
+    n, l = metadata.get("n"), metadata.get("L")
+    if not (type(n) is int and type(l) is int and n >= 1 and l >= 1):
+        raise ValueError("n and L must be positive integers")
     edges = metadata.get("edges")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
     ):
         raise ValueError("edges must be a list of integer pairs")
+    # quadratize's term-count bound relies on each edge being one distinct pair.
+    if not all(0 <= u < v < n for u, v in edges) or len({tuple(e) for e in edges}) != len(edges):
+        raise ValueError(f"edges must be distinct pairs u < v of vertices 0..{n - 1}")
     if metadata["kind"] == "log_general":
         for name in ("alpha", "beta"):
             costs = metadata.get(name)

@@ -24,27 +24,6 @@ class OneHotPenalties:
     a_adjacency: int
     a_onehot: int
 
-    def satisfies_bounds(self, m: int, c: int) -> bool:
-        """The sufficiency inequalities for edge count m and color bound c."""
-        return (
-            self.a_link > 1
-            and self.a_adjacency > self.a_link * c
-            and self.a_onehot > self.a_adjacency * m + self.a_link * c
-        )
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    """Ground-state properties checked directly on an assignment."""
-
-    indicator_faithful: bool
-    proper_coloring: bool
-    one_hot_satisfied: bool
-    colors_used: int
-
-    def all_satisfied(self) -> bool:
-        return self.indicator_faithful and self.proper_coloring and self.one_hot_satisfied
-
 
 def onehot_penalties(n: int, m: int, c: int) -> OneHotPenalties:
     """The explicit sufficient choice: a_link=n+1, a_adj=(n+1)c+1, a_onehot=a_adj(m+1)+a_link*c."""
@@ -129,19 +108,15 @@ def encode_gc_onehot(g: Graph, c: int) -> EncodedProblem:
     return EncodedProblem(Polynomial(_coloring_terms(g, c, pen)), registry, pen, meta)
 
 
-def _check_assignment(prob: EncodedProblem, assignment: Bits) -> tuple[int, int]:
+def decode_onehot(prob: EncodedProblem, assignment: Bits) -> Coloring | list[int]:
+    """The coloring, if every vertex has exactly one color bit; else the violators."""
     if prob.kind != "onehot_mgc":
         raise ValueError(f"expected a one-hot encoding, got kind {prob.kind!r}")
     if len(assignment) != prob.num_variables:
         raise DimensionError(
             f"assignment length {len(assignment)} != {prob.num_variables} variables"
         )
-    return prob.meta["n"], prob.meta["c_num"]
-
-
-def decode_onehot(prob: EncodedProblem, assignment: Bits) -> Coloring | list[int]:
-    """The coloring, if every vertex has exactly one color bit; else the violators."""
-    n, c = _check_assignment(prob, assignment)
+    n, c = prob.meta["n"], prob.meta["c_num"]
     labels = []
     violations = []
     for v in range(n):
@@ -153,28 +128,3 @@ def decode_onehot(prob: EncodedProblem, assignment: Bits) -> Coloring | list[int
     if violations:
         return violations
     return Coloring(tuple(labels))
-
-
-def check_properties_onehot(prob: EncodedProblem, assignment: Bits) -> PropertyReport:
-    n, c = _check_assignment(prob, assignment)
-    edges = [tuple(e) for e in prob.meta["edges"]]
-
-    usage = [sum(assignment[x_var(v, col, c)] for v in range(n)) for col in range(c)]
-    indicator_faithful = all(
-        (assignment[y_var(col, n, c)] == 1) == (usage[col] >= 1) for col in range(c)
-    )
-    proper = all(
-        not (assignment[x_var(u, col, c)] and assignment[x_var(v, col, c)])
-        for u, v in edges
-        for col in range(c)
-    )
-    one_hot = all(
-        sum(assignment[x_var(v, col, c)] for col in range(c)) == 1 for v in range(n)
-    )
-    colors_used = sum(assignment[y_var(col, n, c)] for col in range(c))
-    return PropertyReport(
-        indicator_faithful=indicator_faithful,
-        proper_coloring=proper,
-        one_hot_satisfied=one_hot,
-        colors_used=colors_used,
-    )

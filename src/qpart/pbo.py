@@ -49,27 +49,8 @@ class Polynomial:
                     canon[key] = new
         self._terms = canon
 
-    @classmethod
-    def zero(cls) -> Polynomial:
-        return cls()
-
-    @classmethod
-    def constant(cls, c: int) -> Polynomial:
-        return cls({(): c})
-
-    @classmethod
-    def variable(cls, v: int) -> Polynomial:
-        return cls({(v,): 1})
-
-    @property
-    def terms(self) -> dict[Term, int]:
-        return dict(self._terms)
-
     def items(self) -> Iterator[tuple[Term, int]]:
         return iter(self._terms.items())
-
-    def coefficient(self, vars_: Iterable[int]) -> int:
-        return self._terms.get(tuple(sorted(set(vars_))), 0)
 
     def num_variables(self) -> int:
         """1 + the largest variable id appearing in any term (0 for constants)."""
@@ -81,9 +62,6 @@ class Polynomial:
 
     def degree(self) -> int:
         return max((len(k) for k in self._terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def evaluate(self, assignment: Iterable[int]) -> int:
         bits = tuple(assignment)
@@ -97,60 +75,8 @@ class Polynomial:
                 total += coeff
         return total
 
-    def add_scaled(self, other: Polynomial, scale: int) -> Polynomial:
-        """self + scale * other, in canonical form."""
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = out.get(key, 0) + scale * coeff
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-        result = Polynomial.__new__(Polynomial)
-        result._terms = out
-        return result
-
-    def scale(self, c: int) -> Polynomial:
-        if c == 0:
-            return Polynomial.zero()
-        result = Polynomial.__new__(Polynomial)
-        result._terms = {k: c * v for k, v in self._terms.items()}
-        return result
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        return self.add_scaled(other, 1)
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self.add_scaled(other, -1)
-
-    def __neg__(self) -> Polynomial:
-        return self.scale(-1)
-
-    def __mul__(self, other: Polynomial | int) -> Polynomial:
-        if isinstance(other, int):
-            return self.scale(other)
-        out: dict[Term, int] = {}
-        for k1, c1 in self._terms.items():
-            s1 = set(k1)
-            for k2, c2 in other._terms.items():
-                key = tuple(sorted(s1 | set(k2)))
-                new = out.get(key, 0) + c1 * c2
-                if new == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = new
-        result = Polynomial.__new__(Polynomial)
-        result._terms = out
-        return result
-
-    def __rmul__(self, other: int) -> Polynomial:
-        return self.scale(other)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         if not self._terms:

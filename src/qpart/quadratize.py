@@ -35,14 +35,6 @@ class QuadratizationPenalties:
     m_stage1: int
     m_stage2: int
 
-    def satisfies_bounds(self, coeff_bound: int, n: int, lex_total: int) -> bool:
-        slack = coeff_bound + n * lex_total
-        return (
-            self.m_stage1 > slack
-            and self.m_stage2 > slack
-            and self.m_product >= 3 * self.m_stage1
-        )
-
 
 @dataclass(frozen=True)
 class QuadratizedProblem:
@@ -88,8 +80,17 @@ def quadratize(
 
     # Rebuild the HUBO from structure; a mismatch means the input was
     # hand-edited or corrupted in transit, so it is bad input, not a bug.
-    rebuilt = Polynomial(log_hubo_terms(n, pen.p, const, edges, weights))
-    if rebuilt != prob.polynomial or len(pen.p) != l:
+    # The rebuild costs 4^L per weighted edge, so cheap checks go first:
+    # each edge of nonzero weight yields (2^L - 1)^2 monomials over bits
+    # of both its endpoints, which no other (distinct) edge or ladder
+    # term can produce or cancel.
+    if (
+        len(pen.p) != l
+        or n * l > prob.num_variables
+        or sum(1 for _ in prob.polynomial.items())
+        < sum(1 for w in weights if w) * ((1 << l) - 1) ** 2
+        or Polynomial(log_hubo_terms(n, pen.p, const, edges, weights)) != prob.polynomial
+    ):
         raise InvalidInstanceError("encoding metadata does not reproduce its polynomial")
 
     coeff_bound = max((abs(w) for w in weights), default=0)

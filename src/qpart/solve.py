@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
@@ -213,11 +212,3 @@ def _local_field_kernel(p: Polynomial, nv: int) -> _Kernel:
                         flip_delta[w] -= j
 
     return run_sweeps
-
-
-def success_probability(samples: SampleSet, target: int) -> Fraction:
-    """Exact fraction of runs at or below the target energy."""
-    if samples.runs == 0:
-        raise ValueError("empty sample set")
-    hits = sum(1 for s in samples.samples if s.energy <= target)
-    return Fraction(hits, samples.runs)

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
+import numpy as np
+
+from qpart.errors import InvalidInstanceError
 from qpart.graphs import Graph
+from qpart.logenc import log_hubo_terms, partition_weights
+from qpart.onehot import x_var, y_var
+from qpart.pbo import Polynomial, energy_vector, index_to_bits
 
 
 def complete_graph(n: int) -> Graph:
@@ -66,3 +73,110 @@ def proper_label_assignments(g: Graph, num_labels: int):
     for labels in itertools.product(range(num_labels), repeat=g.n):
         if all(labels[u] != labels[v] for u, v in g.edges):
             yield labels
+
+
+# Term-dict algebra: {sorted variable tuple: int}, zero entries dropped. An
+# independent reference for the builders, which write their terms out directly.
+
+
+def add_scaled(a, b, scale=1):
+    """a + scale * b."""
+    out = dict(a)
+    for key, coeff in b.items():
+        out[key] = out.get(key, 0) + scale * coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def multiply(a, b):
+    """a * b with x*x = x."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(sorted(set(k1) | set(k2)))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def edge_agreement_product(u, v, l):
+    """Product of per-bit XNORs: 1 iff the two vertices carry equal bitstrings."""
+    return Polynomial(log_hubo_terms(0, (0,) * l, 0, [(u, v)], [1]))
+
+
+def population_of_bits(bits, n, l):
+    """Index population s_k: vertices whose k-th bit is set, k = 1..L, of n blocks of l bits."""
+    return tuple(sum(bits[v * l + (k - 1)] for v in range(n)) for k in range(1, l + 1))
+
+
+def feasibility_gap_bruteforce(g, spec, l, feasible):
+    """Minimum partition energy (unit penalty) over infeasible assignments minus the
+    feasible minimum; None when every assignment is feasible, InvalidInstanceError
+    when none is, and energy_vector's ResourceLimitError past its variable limit."""
+    nv = g.n * l
+    weights, constant = partition_weights(g.edges, spec, 1)
+    poly = Polynomial(log_hubo_terms(g.n, (0,) * l, constant, g.edges, weights))
+    energies = energy_vector(poly, nv)
+    mask = np.fromiter(
+        (feasible(index_to_bits(i, nv)) for i in range(1 << nv)), dtype=bool, count=1 << nv
+    )
+    if mask.all():
+        return None
+    if not mask.any():
+        raise InvalidInstanceError("no feasible assignment exists; the gap is undefined")
+    return int(energies[~mask].min()) - int(energies[mask].min())
+
+
+@dataclass(frozen=True)
+class PropertyReport:
+    """Ground-state properties of a one-hot assignment, checked directly."""
+
+    indicator_faithful: bool
+    proper_coloring: bool
+    one_hot_satisfied: bool
+    colors_used: int
+
+    def all_satisfied(self):
+        return self.indicator_faithful and self.proper_coloring and self.one_hot_satisfied
+
+
+def check_properties_onehot(prob, assignment):
+    n, c = prob.meta["n"], prob.meta["c_num"]
+    usage = [sum(assignment[x_var(v, col, c)] for v in range(n)) for col in range(c)]
+    return PropertyReport(
+        indicator_faithful=all(
+            (assignment[y_var(col, n, c)] == 1) == (usage[col] >= 1) for col in range(c)
+        ),
+        proper_coloring=all(
+            not (assignment[x_var(u, col, c)] and assignment[x_var(v, col, c)])
+            for u, v in prob.meta["edges"]
+            for col in range(c)
+        ),
+        one_hot_satisfied=all(
+            sum(assignment[x_var(v, col, c)] for col in range(c)) == 1 for v in range(n)
+        ),
+        colors_used=sum(assignment[y_var(col, n, c)] for col in range(c)),
+    )
+
+
+# The sufficient penalty bounds each encoder's closed form must meet.
+
+
+def lex_bounds_hold(pen, n):
+    """Strict hierarchy: P_{k+1} > n * sum(P_1..P_k), and A > n * sum(P)."""
+    ladder_ok = all(pen.p[k + 1] > n * sum(pen.p[: k + 1]) for k in range(len(pen.p) - 1))
+    return ladder_ok and pen.a_adjacency > n * sum(pen.p)
+
+
+def onehot_bounds_hold(pen, m, c):
+    """The sufficiency inequalities for edge count m and color bound c."""
+    return (
+        pen.a_link > 1
+        and pen.a_adjacency > pen.a_link * c
+        and pen.a_onehot > pen.a_adjacency * m + pen.a_link * c
+    )
+
+
+def quadratization_bounds_hold(pen, coeff_bound, n, lex_total):
+    """Each gadget tier exceeds the rest of the Hamiltonian, coeff_bound + n * lex_total,
+    and m_product >= 3 * m_stage1 (see QuadratizationPenalties)."""
+    slack = coeff_bound + n * lex_total
+    return pen.m_stage1 > slack and pen.m_stage2 > slack and pen.m_product >= 3 * pen.m_stage1

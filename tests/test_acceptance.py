@@ -9,7 +9,7 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import connected_graphs_up_to_iso
+from conftest import check_properties_onehot, connected_graphs_up_to_iso, population_of_bits
 
 from qpart.bench import (
     BenchInstance,
@@ -22,16 +22,8 @@ from qpart.bench import (
 )
 from qpart.gates import cnot_count_log_closed, cnot_count_onehot_closed, cnot_count_oracle
 from qpart.graphs import chromatic_number_exact, generate_random_connected
-from qpart.logenc import (
-    adjacency_energy,
-    bits_for_colors,
-    decode_log,
-    encode_mgc_log,
-    index_population,
-    lex_compare,
-    population_of_bits,
-)
-from qpart.onehot import check_properties_onehot, encode_mgc_onehot
+from qpart.logenc import bits_for_colors, decode_log, encode_mgc_log
+from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import ground_states
 from qpart.quadratize import quadratize, qubit_advantage_predicate, verify_quadratization
 from qpart.solve import AnnealParams
@@ -87,14 +79,12 @@ def test_criterion_2_log_ground_states():
                         feasible_pops.append(population_of_bits(raw, g.n, l))
                 _, states = ground_states(prob.polynomial, prob.num_variables)
                 if feasible_pops:
-                    best = feasible_pops[0]
-                    for pop in feasible_pops[1:]:
-                        if lex_compare(pop, best) == -1:
-                            best = pop
+                    # populations compare from the most significant bit down
+                    best = min(feasible_pops, key=lambda s: s[::-1])
                     for bits in states:
-                        if adjacency_energy(prob, bits) != 0:
+                        if not decode_log(prob, bits).is_proper(g):
                             ok = False
-                        if index_population(prob, bits) != best:
+                        if population_of_bits(bits, g.n, l) != best:
                             ok = False
                 checked += 1
     report(2, "log ground states feasible and lex-minimal", ok, f"{checked} encodings")

@@ -2,11 +2,14 @@
 
 import contextlib
 import copy
+import importlib
 import io
+import itertools
 import json
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph
 
+from qpart import gates, logenc
 from qpart.cli import build_parser, main
 from qpart.graphs import Graph, serialize_graph
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
@@ -161,6 +165,15 @@ def _set_first_id(value):
     return corrupt
 
 
+def _zero_bits(doc):
+    """L = 0, an empty ladder and the polynomial such metadata rebuilds to: one
+    constant per edge (quadratize used to fail on it with an IndexError)."""
+    meta = doc["metadata"]
+    meta.update(L=0)
+    meta["penalties"]["p"] = []
+    doc["terms"] = [{"vars": [], "coeff": str(len(meta["edges"]) * meta["penalties"]["a_adjacency"])}]
+
+
 K3 = complete_graph(3)
 K3_SPEC = PartitionSpec(alpha=dict.fromkeys(K3.edges, 0), beta=dict.fromkeys(K3.edges, 2), gap=2)
 K3_MODELS = {
@@ -184,7 +197,49 @@ MODEL_DEFECTS = {
     "penalties_null": ("log", lambda doc: doc["metadata"].update(penalties=None)),
     "alpha_missing": ("general", lambda doc: doc["metadata"].pop("alpha")),
     "alpha_empty": ("general", lambda doc: doc["metadata"].update(alpha={})),
+    "L_zero": ("log", _zero_bits),
+    "edge_reversed": ("log", lambda doc: doc["metadata"]["edges"][0].reverse()),
+    "edge_repeated": ("log", lambda doc: doc["metadata"]["edges"].append([0, 1])),
+    "edge_past_n": ("log", lambda doc: doc["metadata"]["edges"].append([1, 3])),
 }
+
+K2 = complete_graph(2)
+K2_UNWEIGHTED = PartitionSpec(alpha={(0, 1): 1}, beta={(0, 1): 1}, gap=None)
+
+
+def _raise_bit_count(doc):
+    """Metadata L of 40 with a matching ladder and a registry of n * L variables."""
+    meta = doc["metadata"]
+    meta["L"] = 40
+    meta["penalties"]["p"] = [(meta["n"] + 1) ** k for k in range(40)]
+    doc["num_vars"] = meta["n"] * 40
+    doc["variables"] = [{"id": i, "role": f"x{i}"} for i in range(doc["num_vars"])]
+
+
+# Metadata that asks quadratize's rebuild for a runaway term stream, each
+# stopped by one check: n * L past the registry (an n * L ladder); fewer
+# terms than the edge's cross monomials (a 4^L edge); no edge of nonzero
+# weight, where only the rebuild finds the mismatch (no 4^L template).
+METADATA_TAMPERS = {
+    "vertex_count": (
+        lambda: encode_general(K2, K2_UNWEIGHTED, 2),
+        lambda doc: doc["metadata"].update(n=10**9),
+    ),
+    "bit_count": (lambda: encode_mgc_log(K2, 4), _raise_bit_count),
+    "zero_weight_edge": (lambda: encode_general(K2, K2_UNWEIGHTED, 2), _raise_bit_count),
+}
+
+
+def _bounded(iterate, limit):
+    """Wrap an iterator factory so a runaway expansion fails the test instead of hanging it."""
+
+    def wrapper(*args, **kwargs):
+        for count, item in enumerate(iterate(*args, **kwargs)):
+            if count == limit:
+                raise RuntimeError(f"more than {limit} items")
+            yield item
+
+    return wrapper
 
 
 
@@ -219,6 +274,41 @@ class TestExitCodes:
         code, _, err = run(["quadratize", "--in", str(model)], capsys)
         assert code == 2
         assert "does not reproduce its polynomial" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tamper", sorted(METADATA_TAMPERS))
+    def test_tampered_metadata_exits_2_before_expanding(self, tamper, tmp_path, capsys, monkeypatch):
+        # Past 10^5 items the rebuild's term stream, or the product over
+        # per-bit factors that makes its 4^L template, fails the test.
+        build, corrupt = METADATA_TAMPERS[tamper]
+        stream = _bounded(logenc.log_hubo_terms, 10**5)
+        monkeypatch.setattr(importlib.import_module("qpart.quadratize"), "log_hubo_terms", stream)
+        monkeypatch.setattr(
+            logenc, "itertools", SimpleNamespace(product=_bounded(itertools.product, 10**5))
+        )
+        doc = json.loads(to_model_json(build()))
+        corrupt(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code, _, err = run(["quadratize", "--in", str(model)], capsys)
+        assert code == 2
+        assert "does not reproduce its polynomial" in err
+        assert "Traceback" not in err
+
+    def test_gates_past_subset_limit_exits_3(self, tmp_path, capsys, monkeypatch):
+        # one degree-40 term: 2**40 subsets, stopped after 10^5 per subset size
+        monkeypatch.setattr(gates, "combinations", _bounded(itertools.combinations, 10**5))
+        doc = {
+            "num_vars": 40,
+            "variables": [{"id": i, "role": f"x{i}"} for i in range(40)],
+            "terms": [{"vars": list(range(40)), "coeff": "1"}],
+            "metadata": {},
+        }
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code, _, err = run(["gates", "--in", str(model)], capsys)
+        assert code == 3
+        assert "resource limit" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("encoding", ["log", "onehot"])

@@ -15,6 +15,7 @@ import hashlib
 import itertools
 
 import pytest
+from conftest import add_scaled, multiply
 
 from qpart.gates import cnot_count_oracle, ising_expand
 from qpart.graphs import Graph, generate_random_connected
@@ -94,18 +95,18 @@ def test_model_json_bytes_pinned(models, name):
 
 
 def reference_general(g, spec, l, a):
-    """encode_general's polynomial built with Polynomial algebra alone."""
-    ladder = [(g.n + 1) ** k for k in range(l)]
-    poly = Polynomial([((v * l + k,), ladder[k]) for k in range(l) for v in range(g.n)])
-    one = Polynomial.constant(1)
+    """encode_general's polynomial built with term-dict algebra alone."""
+    poly = {(v * l + k,): (g.n + 1) ** k for k in range(l) for v in range(g.n)}
+    one = {(): 1}
     for u, v in g.edges:
         agree = one
         for k in range(l):
-            xu, xv = Polynomial.variable(u * l + k), Polynomial.variable(v * l + k)
-            agree = agree * (xu * xv * 2 - xu - xv + one)
-        cost = agree * spec.alpha[(u, v)] + (one - agree) * spec.beta[(u, v)]
-        poly = poly.add_scaled(cost, a)
-    return poly
+            xu, xv = u * l + k, v * l + k
+            agree = multiply(agree, {(xu, xv): 2, (xu,): -1, (xv,): -1, (): 1})
+        alpha, beta = spec.alpha[(u, v)], spec.beta[(u, v)]
+        cost = add_scaled(add_scaled({}, agree, alpha), add_scaled(one, agree, -1), beta)
+        poly = add_scaled(poly, cost, a)
+    return Polynomial(poly)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])

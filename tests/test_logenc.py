@@ -3,7 +3,15 @@
 import itertools
 
 import pytest
-from conftest import complete_graph, connected_graphs_up_to_iso, path_graph
+from conftest import (
+    complete_graph,
+    connected_graphs_up_to_iso,
+    edge_agreement_product,
+    feasibility_gap_bruteforce,
+    lex_bounds_hold,
+    path_graph,
+    population_of_bits,
+)
 
 from qpart.errors import DimensionError, InvalidInstanceError, ResourceLimitError
 from qpart.graphs import Graph
@@ -11,14 +19,9 @@ from qpart.logenc import (
     PartitionSpec,
     bits_for_colors,
     decode_log,
-    edge_agreement_product,
     encode_general,
     encode_mgc_log,
-    feasibility_gap_bruteforce,
-    index_population,
-    lex_compare,
     lex_penalties,
-    population_of_bits,
 )
 from qpart.pbo import ENUMERATION_MAX_VARS, ground_states
 
@@ -46,7 +49,7 @@ class TestLexPenalties:
     def test_bounds_hold_on_grid(self):
         for n in range(1, 15):
             for l in range(1, 6):
-                assert lex_penalties(n, l).satisfies_bounds(n)
+                assert lex_bounds_hold(lex_penalties(n, l), n)
 
     def test_bits_for_colors(self):
         assert [bits_for_colors(c) for c in (1, 2, 3, 4, 5, 8, 9)] == [1, 1, 2, 2, 3, 3, 4]
@@ -61,7 +64,7 @@ class TestEncoding:
         energy, states = ground_states(prob.polynomial, prob.num_variables)
         assert energy == 5
         for bits in states:
-            assert index_population(prob, bits) == (1, 1)
+            assert population_of_bits(bits, 3, 2) == (1, 1)
             coloring = decode_log(prob, bits)
             assert coloring.is_proper(K3)
             assert set(coloring.labels) == {0, 1, 2}
@@ -97,39 +100,31 @@ class TestEncoding:
 
 class TestIndexPopulation:
     def test_all_zeros(self):
-        prob = encode_mgc_log(K3, 4)
-        assert index_population(prob, (0,) * 6) == (0, 0)
+        assert population_of_bits((0,) * 6, 3, 2) == (0, 0)
 
     def test_all_ones(self):
-        prob = encode_mgc_log(K3, 4)
-        assert index_population(prob, (1,) * 6) == (3, 3)
+        assert population_of_bits((1,) * 6, 3, 2) == (3, 3)
 
-    def test_wrong_kind_rejected(self):
-        from qpart.onehot import encode_mgc_onehot
 
-        prob = encode_mgc_onehot(K3, 3)
-        with pytest.raises(ValueError):
-            index_population(prob, (0,) * 12)
+# Index populations (s_1..s_L) compare lexicographically from the most
+# significant bit s_L down, i.e. as the reversed tuples.
 
 
 class TestLexCompare:
     def test_most_significant_bit_decides(self):
         # s has the high bit unused, t uses it: s is smaller
-        assert lex_compare((1, 0), (0, 1)) == -1
-        assert lex_compare((0, 1), (1, 0)) == 1
+        assert (1, 0)[::-1] < (0, 1)[::-1]
+        assert not (0, 1)[::-1] < (1, 0)[::-1]
 
     def test_equal(self):
-        assert lex_compare((2, 3), (2, 3)) == 0
+        assert (2, 3)[::-1] == (2, 3)[::-1]
 
     def test_lower_bits_ignored_when_high_differs(self):
-        assert lex_compare((5, 2), (0, 3)) == -1
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            lex_compare((1,), (1, 2))
+        assert (5, 2)[::-1] < (0, 3)[::-1]
 
     def test_order_embedding_exhaustive(self):
-        # lexicographic energy orders population vectors exactly as lex_compare
+        # lexicographic energy orders population vectors exactly as the
+        # most-significant-first comparison does
         for n in range(1, 7):
             for l in (1, 2, 3):
                 pen = lex_penalties(n, l)
@@ -137,13 +132,8 @@ class TestLexCompare:
                 energy = {s: sum(pk * sk for pk, sk in zip(pen.p, s)) for s in pops}
                 for s in pops:
                     for t in pops:
-                        cmp = lex_compare(s, t)
-                        if cmp == -1:
-                            assert energy[s] < energy[t]
-                        elif cmp == 0:
-                            assert energy[s] == energy[t]
-                        else:
-                            assert energy[s] > energy[t]
+                        assert (energy[s] < energy[t]) == (s[::-1] < t[::-1])
+                        assert (energy[s] == energy[t]) == (s == t)
 
 
 class TestDecodeLog:
@@ -206,15 +196,6 @@ class TestGeneralPartition:
         with pytest.raises(ValueError):
             encode_general(K3, PartitionSpec(alpha={}, beta={}, gap=1), 2)
 
-    def test_spec_json_round_trip(self):
-        spec = PartitionSpec.mgc(P3)
-        parsed = PartitionSpec.from_json(spec.to_json())
-        assert parsed.alpha == dict(spec.alpha)
-        assert parsed.beta == dict(spec.beta)
-        assert parsed.gap == 1
-        unconstrained = PartitionSpec(alpha={(0, 1): 1}, beta={(0, 1): 0}, gap=None)
-        assert PartitionSpec.from_json(unconstrained.to_json()).gap is None
-
 
 class TestFeasibilityGap:
     @staticmethod
@@ -273,10 +254,7 @@ def test_ground_population_is_lex_minimum_over_feasible_set():
                 ]
                 if not feasible_pops:
                     continue
-                best = feasible_pops[0]
-                for pop in feasible_pops[1:]:
-                    if lex_compare(pop, best) == -1:
-                        best = pop
+                best = min(feasible_pops, key=lambda s: s[::-1])
                 _, states = ground_states(prob.polynomial, prob.num_variables)
                 for bits in states:
-                    assert index_population(prob, bits) == best
+                    assert population_of_bits(bits, g.n, l) == best

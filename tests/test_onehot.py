@@ -1,12 +1,17 @@
 """One-hot QUBO encoding: penalties, ground states, decoding, property checks."""
 
 import pytest
-from conftest import complete_graph, connected_graphs_up_to_iso, path_graph
+from conftest import (
+    check_properties_onehot,
+    complete_graph,
+    connected_graphs_up_to_iso,
+    onehot_bounds_hold,
+    path_graph,
+)
 
 from qpart.errors import DimensionError
 from qpart.graphs import Coloring, Graph, brooks_upper_bound, chromatic_number_exact
 from qpart.onehot import (
-    check_properties_onehot,
     decode_onehot,
     encode_mgc_onehot,
     onehot_penalties,
@@ -32,7 +37,7 @@ class TestPenalties:
         for n in range(1, 12):
             for m in (0, 1, n, 3 * n):
                 for c in range(1, n + 2):
-                    assert onehot_penalties(n, m, c).satisfies_bounds(m, c)
+                    assert onehot_bounds_hold(onehot_penalties(n, m, c), m, c)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, path_graph, quadratization_bounds_hold
 
 from qpart.errors import InvalidInstanceError
 from qpart.graphs import Graph
@@ -123,7 +123,7 @@ class TestPenaltyRecord:
             hubo = encode_mgc_log(g, c)
             quad = quadratize(hubo)
             pen = hubo.penalties
-            assert quad.penalties.satisfies_bounds(pen.a_adjacency, g.n, pen.total)
+            assert quadratization_bounds_hold(quad.penalties, pen.a_adjacency, g.n, pen.total)
 
     def test_matches_closed_form_for_default_ladder(self):
         # with the explicit ladder, the tier equals 2((n+1)^L - 1) + 2

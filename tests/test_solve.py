@@ -18,7 +18,6 @@ from qpart.solve import (
     SampleSet,
     anneal,
     solve_exact,
-    success_probability,
 )
 
 P3 = path_graph(3)
@@ -37,13 +36,13 @@ class TestSolveExact:
         assert result.min_energy == 5
 
     def test_degenerate_zero_polynomial(self):
-        result = solve_exact(Polynomial.zero(), num_vars=3)
+        result = solve_exact(Polynomial(), num_vars=3)
         assert result.min_energy == 0
         assert len(result.argmin) == 8
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
-            solve_exact(Polynomial.zero(), num_vars=25)
+            solve_exact(Polynomial(), num_vars=25)
 
 
 class TestAnneal:
@@ -94,7 +93,7 @@ class TestAnneal:
                         AnnealParams(runs=16, sweeps=sweeps, seed=seed),
                         prob.num_variables,
                     )
-                    total += success_probability(ss, emin)
+                    total += Fraction(sum(e <= emin for e in ss.energies()), ss.runs)
                 means.append(total / 20)
             assert all(a <= b for a, b in zip(means, means[1:])), means
 
@@ -212,24 +211,6 @@ class TestHugeEnergyChanges:
         ss = anneal(poly, self.PARAMS)
         assert ss.energies() == [0] * self.PARAMS.runs
         assert ss == solve._anneal_with(naive_kernel(poly, 3), poly, self.PARAMS, 3)
-
-
-class TestSuccessProbability:
-    def _samples(self, energies):
-        return SampleSet(tuple(Sample(bits=(0,), energy=e) for e in energies))
-
-    def test_all_hits(self):
-        assert success_probability(self._samples([1, 1, 1]), 1) == 1
-
-    def test_no_hits(self):
-        assert success_probability(self._samples([2, 3]), 1) == 0
-
-    def test_three_of_four(self):
-        assert success_probability(self._samples([1, 1, 0, 5]), 1) == Fraction(3, 4)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            success_probability(SampleSet(()), 0)
 
 
 class TestSampleSetJson:
