@@ -45,14 +45,9 @@ class TimingModel:
         return self.t_anneal + self.t_readout + self.t_thermalize
 
     @staticmethod
-    def for_qubits(num_qubits: int, t_programming: float = 0.0) -> TimingModel:
+    def for_qubits(num_qubits: int) -> TimingModel:
         """Nominal constants with readout time growing with the qubit count."""
-        return TimingModel(
-            t_programming=t_programming,
-            t_anneal=20.0,
-            t_readout=40.0 + num_qubits,
-            t_thermalize=1000.0,
-        )
+        return TimingModel(t_readout=40.0 + num_qubits)
 
 
 def tts(p_s: Fraction | float, timing: TimingModel) -> float | None:
@@ -218,7 +213,6 @@ def _decoded_quality(decode: Callable, prob, samples: SampleSet, g: Graph) -> li
 def run_suite(
     instances: Iterable[BenchInstance],
     anneal_params: AnnealParams,
-    timing: TimingModel | None = None,
     group_by: str = "n",
 ) -> BenchReport:
     """Encode, anneal, and score every instance under both encodings.
@@ -234,7 +228,7 @@ def run_suite(
     failures: list[tuple[str, str]] = []
     for inst in instances:
         try:
-            records.extend(_bench_one(inst, anneal_params, timing))
+            records.extend(_bench_one(inst, anneal_params))
         except InternalInvariantError:
             raise
         except Exception as exc:  # noqa: BLE001 - suite must survive bad instances
@@ -259,9 +253,7 @@ def run_suite(
     )
 
 
-def _bench_one(
-    inst: BenchInstance, params: AnnealParams, timing: TimingModel | None
-) -> list[BenchRecord]:
+def _bench_one(inst: BenchInstance, params: AnnealParams) -> list[BenchRecord]:
     g = inst.graph
     c = inst.colors if inst.colors is not None else brooks_upper_bound(g)
     l = bits_for_colors(c)
@@ -293,7 +285,7 @@ def _bench_one(
         else:
             hits = sum(1 for q in quality if q is not None and q <= best)
             p_s = Fraction(hits, params.runs)
-        tm = timing if timing is not None else TimingModel.for_qubits(qubits_post)
+        tm = TimingModel.for_qubits(qubits_post)
         value = tts(p_s, tm)
         t_censor = params.runs * tm.t_run
         records.append(

@@ -10,63 +10,33 @@ as an int scaled by 2**degree and cancellation is detected exactly.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
 
 from .errors import ResourceLimitError
-from .pbo import Bits, Polynomial, Term
+from .pbo import Polynomial, Term
 
 # Subset additions ising_expand may make: a term over T variables adds into
 # all 2**|T| subsets of T. perfbench's n=64, c=16 log model needs about
 # 6.5 M (2 s) and an n=40, L=5 log model (m=390) about 23 M, so both stay
-# in reach; a degree-40 term in a 1 KB file would need 2**40. Log models
-# share most subsets between monomials, but one term's subsets are all
-# distinct spin terms, so a single degree-25 term still costs gigabytes.
+# in reach; a degree-40 term in a 1 KB file would need 2**40.
 MAX_SUBSET_ADDS = 1 << 25
+# Spin terms ising_expand may hold, at about 260 B each. Log models share
+# most subsets between monomials (the n=64, c=16 model holds about 228 k,
+# an n=40, c=32 one about 376 k), but one term's subsets are all distinct,
+# so a single degree-25 term within MAX_SUBSET_ADDS would need about 9 GB.
+MAX_SPIN_TERMS = 1 << 20
 
 
-class SpinPolynomial:
-    """Multilinear polynomial in spin (Z) variables with coefficients num / 2**shift."""
-
-    __slots__ = ("_terms", "_shift")
-
-    def __init__(self, terms: dict[Term, int], shift: int):
-        self._terms = {k: v for k, v in terms.items() if v}
-        self._shift = shift
-
-    @property
-    def terms(self) -> dict[Term, Fraction]:
-        return {k: Fraction(v, 1 << self._shift) for k, v in self._terms.items()}
-
-    def coefficient(self, vars_: Iterable[int]) -> Fraction:
-        return Fraction(self._terms.get(tuple(sorted(set(vars_))), 0), 1 << self._shift)
-
-    def locality_histogram(self) -> dict[int, int]:
-        """Counts of nonzero k-local terms for k >= 2 (constants and fields dropped)."""
-        hist: dict[int, int] = {}
-        for key in self._terms:
-            k = len(key)
-            if k >= 2:
-                hist[k] = hist.get(k, 0) + 1
-        return dict(sorted(hist.items()))
-
-    def evaluate_bits(self, bits: Bits) -> Fraction:
-        """Evaluate at Z_j = 1 - 2*x_j; must reproduce the source polynomial."""
-        total = 0
-        for key, num in self._terms.items():
-            for v in key:
-                num *= 1 - 2 * bits[v]
-            total += num
-        return Fraction(total, 1 << self._shift)
-
-
-def ising_expand(p: Polynomial) -> SpinPolynomial:
+def ising_expand(p: Polynomial) -> dict[Term, int]:
     """Exact substitution x_j = (1 - Z_j)/2 with multilinear expansion.
 
     A term c * x_T expands to c / 2**|T| * sum over subsets S of T of
-    (-1)**|S| Z_S; every coefficient is kept scaled by 2**degree.
+    (-1)**|S| Z_S; every coefficient is kept scaled by 2**degree, and
+    zero coefficients are dropped. Each term's subsets are counted as new
+    spin terms before it is expanded, so the expansion never holds more
+    than MAX_SPIN_TERMS.
     """
     adds = sum(1 << len(key) for key, _ in p.items())
     if adds > MAX_SUBSET_ADDS:
@@ -77,12 +47,16 @@ def ising_expand(p: Polynomial) -> SpinPolynomial:
     acc: dict[Term, int] = {}
     for key, coeff in p.items():
         t = len(key)
+        if len(acc) + (1 << t) > MAX_SPIN_TERMS:
+            raise ResourceLimitError(
+                f"the Ising expansion may hold more than {MAX_SPIN_TERMS} spin terms"
+            )
         scaled = coeff << (shift - t)
         for size in range(t + 1):
             signed = -scaled if size % 2 else scaled
             for subset in combinations(key, size):
                 acc[subset] = acc.get(subset, 0) + signed
-    return SpinPolynomial(acc, shift)
+    return {k: v for k, v in acc.items() if v}
 
 
 @dataclass(frozen=True)
@@ -100,7 +74,8 @@ class GateReport:
 
 def cnot_count_oracle(p: Polynomial) -> GateReport:
     """Expansion-based count: 2(k-1) CNOTs per surviving k-local Z term, k >= 2."""
-    hist = ising_expand(p).locality_histogram()
+    localities = Counter(len(key) for key in ising_expand(p))
+    hist = {k: count for k, count in sorted(localities.items()) if k >= 2}
     cnot = sum(count * 2 * (k - 1) for k, count in hist.items())
     return GateReport(cnot_count=cnot, term_histogram=hist)
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InternalInvariantError, InvalidInstanceError
 from .logenc import LexPenalties, bit_var, bits_for_colors, edge_weights, log_hubo_terms
 from .model import EncodedProblem
-from .pbo import Polynomial, energy_vector, index_to_bits
+from .pbo import Polynomial, energy_vector
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,6 @@ class QuadratizedProblem:
     """A degree <= 2 rewrite of a logarithmic encoding, originals preserved in place."""
 
     problem: EncodedProblem
-    penalties: QuadratizationPenalties
     num_original_vars: int
     aux_product: int
     aux_agreement: int
@@ -58,19 +57,20 @@ def quadratization_penalties(coeff_bound: int, n: int, lex_total: int) -> Quadra
     return QuadratizationPenalties(m_product=3 * m, m_stage1=m, m_stage2=m)
 
 
-def quadratize(
-    prob: EncodedProblem,
-    penalties: QuadratizationPenalties | None = None,
-) -> QuadratizedProblem:
+def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     """Rewrite a logarithmic encoding as a QUBO whose aux-minimized energy matches.
 
     With L = 1 the input is already quadratic and passes through
     unchanged. Otherwise each edge contributes L product gadgets, L
     agreement gadgets, and a Rosenberg chain of L-2 links; the degree-2L
     adjacency monomial becomes the quadratic product of the chain head
-    with the last agreement bit (just y1*y2 when L = 2). Pass explicit
-    `penalties` only to study under-penalized gadgets; the default tiers
-    are provably sufficient.
+    with the last agreement bit (just y1*y2 when L = 2).
+
+    That allocates m*(3L-2) auxiliaries for L >= 2, not the published
+    m*(2L-2): a three-variable quadratic gadget computing XNOR exactly
+    does not exist, so each edge-bit needs both a product and an
+    agreement auxiliary; the published count assumes a quadratic gadget
+    that the squared-penalty form does not deliver.
     """
     weights, const = edge_weights(prob)
     n = prob.meta["n"]
@@ -94,14 +94,13 @@ def quadratize(
         raise InvalidInstanceError("encoding metadata does not reproduce its polynomial")
 
     coeff_bound = max((abs(w) for w in weights), default=0)
-    if penalties is None:
-        penalties = quadratization_penalties(coeff_bound, n, pen.total)
+    penalties = quadratization_penalties(coeff_bound, n, pen.total)
 
     num_original = n * l
     if l == 1:
         meta = _quadratized_meta(prob, num_original, 0, 0, 0)
         out = EncodedProblem(prob.polynomial, prob.registry, penalties, meta)
-        return QuadratizedProblem(out, penalties, num_original, 0, 0, 0)
+        return QuadratizedProblem(out, num_original, 0, 0, 0)
 
     terms = list(log_hubo_terms(n, pen.p, const))
     registry = list(prob.registry)
@@ -176,7 +175,7 @@ def quadratize(
         raise InternalInvariantError("quadratization produced a term of degree > 2")
     meta = _quadratized_meta(prob, num_original, aux_w, aux_y, aux_b)
     out = EncodedProblem(poly, tuple(registry), penalties, meta)
-    return QuadratizedProblem(out, penalties, num_original, aux_w, aux_y, aux_b)
+    return QuadratizedProblem(out, num_original, aux_w, aux_y, aux_b)
 
 
 def _quadratized_meta(prob: EncodedProblem, num_original: int, aux_w: int, aux_y: int, aux_b: int) -> dict:
@@ -225,25 +224,10 @@ def manifold_extension(quad: QuadratizedProblem, original_bits: tuple[int, ...])
 
 
 def aux_count_paper(m: int, l: int) -> int:
-    """The published auxiliary count m*(2l-2); see aux_count_actual for the built one."""
+    """The published auxiliary count m*(2l-2); quadratize's docstring gives the built one."""
     if l < 1:
         raise ValueError(f"bit count must be >= 1, got {l}")
     return m * (2 * l - 2)
-
-
-def aux_count_actual(m: int, l: int) -> int:
-    """Auxiliaries the construction really allocates: m*(3l-2) for l >= 2, else 0.
-
-    A three-variable quadratic gadget computing XNOR exactly does not
-    exist, so each edge-bit needs both a product and an agreement
-    auxiliary; the published 2l-2 count assumes a quadratic gadget that
-    the squared-penalty form does not deliver.
-    """
-    if l < 1:
-        raise ValueError(f"bit count must be >= 1, got {l}")
-    if l == 1:
-        return 0
-    return m * (3 * l - 2)
 
 
 def qubit_advantage_predicate(n: int, m: int, c: int) -> tuple[bool, int, int]:
@@ -277,8 +261,6 @@ class QuadratizationReport:
     ground_projection_matches: bool
     hubo_min: int
     qubo_min: int
-    num_original_assignments: int
-    mismatched_assignments: tuple[tuple[int, ...], ...]
 
     @property
     def passed(self) -> bool:
@@ -298,8 +280,6 @@ def verify_quadratization(hubo: EncodedProblem, quad: QuadratizedProblem) -> Qua
     hubo_energies = energy_vector(hubo.polynomial, n_orig)
 
     matches = bool(np.array_equal(min_ext, hubo_energies))
-    mism = np.flatnonzero(min_ext != hubo_energies)[:8]
-    mismatched = tuple(index_to_bits(int(i), n_orig) for i in mism)
 
     hubo_min = int(hubo_energies.min())
     qubo_min = int(qubo_energies.min())
@@ -313,6 +293,4 @@ def verify_quadratization(hubo: EncodedProblem, quad: QuadratizedProblem) -> Qua
         ground_projection_matches=projection_ok,
         hubo_min=hubo_min,
         qubo_min=qubo_min,
-        num_original_assignments=1 << n_orig,
-        mismatched_assignments=mismatched,
     )

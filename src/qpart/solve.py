@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DimensionError, ParseError
+from .errors import DimensionError
 from .pbo import Bits, Polynomial, bits_to_index, ground_states, index_to_bits
 
 
@@ -52,12 +52,6 @@ class SampleSet:
     def runs(self) -> int:
         return len(self.samples)
 
-    def energies(self) -> list[int]:
-        return [s.energy for s in self.samples]
-
-    def best(self) -> Sample:
-        return min(self.samples, key=lambda s: s.energy)
-
     def to_json(self) -> str:
         doc = {
             "runs": self.runs,
@@ -67,18 +61,6 @@ class SampleSet:
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> SampleSet:
-        try:
-            doc = json.loads(text)
-            samples = tuple(
-                Sample(bits=tuple(int(ch) for ch in s["bits"]), energy=int(s["energy"]))
-                for s in doc["samples"]
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed sample-set JSON: {exc}") from exc
-        return SampleSet(samples)
 
 
 @dataclass(frozen=True)

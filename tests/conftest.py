@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from qpart.errors import InvalidInstanceError
+from qpart.gates import ising_expand
 from qpart.graphs import Graph
 from qpart.logenc import log_hubo_terms, partition_weights
 from qpart.onehot import x_var, y_var
@@ -180,3 +182,27 @@ def quadratization_bounds_hold(pen, coeff_bound, n, lex_total):
     and m_product >= 3 * m_stage1 (see QuadratizationPenalties)."""
     slack = coeff_bound + n * lex_total
     return pen.m_stage1 > slack and pen.m_stage2 > slack and pen.m_product >= 3 * pen.m_stage1
+
+
+def aux_count_actual(m, l):
+    """Auxiliaries the quadratization allocates: m*(3l-2) for l >= 2, else 0
+    (quadratize's docstring says why it is not the published m*(2l-2))."""
+    return 0 if l == 1 else m * (3 * l - 2)
+
+
+# The Ising expansion keeps each spin coefficient as an int scaled by 2**degree.
+
+
+def spin_terms(p):
+    """Nonzero spin coefficients of p under x = (1 - Z)/2, as exact fractions."""
+    return {key: Fraction(v, 1 << p.degree()) for key, v in ising_expand(p).items()}
+
+
+def evaluate_spin(p, bits):
+    """The spin form of p at Z_j = 1 - 2*x_j; it must reproduce p.evaluate(bits)."""
+    total = 0
+    for key, num in ising_expand(p).items():
+        for v in key:
+            num *= 1 - 2 * bits[v]
+        total += num
+    return Fraction(total, 1 << p.degree())

@@ -1,6 +1,7 @@
 """The public API: every exported name resolves, and nothing public exists for the tests alone."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import qpart
@@ -15,7 +16,6 @@ ALLOWED_UNREFERENCED = {
     "encode_general": "the paper's general label-symmetric partitioning class",
     "encode_gc_onehot": "the decision-version baseline; the onehot_gc model kind depends on it",
     "greedy_coloring": "the colour bound a --colors greedy option would use",
-    "aux_count_actual": "the README cites it for the auxiliaries the construction builds",
 }
 
 
@@ -47,5 +47,27 @@ def test_every_public_definition_has_a_caller():
             for defined, used in stmts[caller]
             if (caller, defined) != (path, name)
         )
+    )
+    assert unreferenced == []
+
+
+def attribute_uses(node):
+    """How often each name is used as an attribute (`x.name`) inside `node`."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def test_every_public_method_has_a_caller():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    uses = sum((attribute_uses(tree) for tree in trees.values()), Counter())
+    unreferenced = sorted(
+        f"{path.name}:{cls.name}.{method.name}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+        # uses inside the method's own body do not count
+        if uses[method.name] == attribute_uses(method)[method.name]
     )
     assert unreferenced == []

@@ -296,20 +296,23 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_gates_past_subset_limit_exits_3(self, tmp_path, capsys, monkeypatch):
-        # one degree-40 term: 2**40 subsets, stopped after 10^5 per subset size
+        # one degree-40 term needs 2**40 subset additions; one degree-25 term
+        # stays within the additions but would hold 2**25 spin terms. Either
+        # expansion is stopped after 10^5 subsets per subset size.
         monkeypatch.setattr(gates, "combinations", _bounded(itertools.combinations, 10**5))
-        doc = {
-            "num_vars": 40,
-            "variables": [{"id": i, "role": f"x{i}"} for i in range(40)],
-            "terms": [{"vars": list(range(40)), "coeff": "1"}],
-            "metadata": {},
-        }
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
-        code, _, err = run(["gates", "--in", str(model)], capsys)
-        assert code == 3
-        assert "resource limit" in err
-        assert "Traceback" not in err
+        for degree in (40, 25):
+            doc = {
+                "num_vars": degree,
+                "variables": [{"id": i, "role": f"x{i}"} for i in range(degree)],
+                "terms": [{"vars": list(range(degree)), "coeff": "1"}],
+                "metadata": {},
+            }
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(doc))
+            code, _, err = run(["gates", "--in", str(model)], capsys)
+            assert code == 3, degree
+            assert "resource limit" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("encoding", ["log", "onehot"])
     def test_anneal_with_coefficient_beyond_float_range(self, encoding, tmp_path, capsys):

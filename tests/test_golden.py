@@ -15,9 +15,9 @@ import hashlib
 import itertools
 
 import pytest
-from conftest import add_scaled, multiply
+from conftest import add_scaled, multiply, spin_terms
 
-from qpart.gates import cnot_count_oracle, ising_expand
+from qpart.gates import cnot_count_oracle
 from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
 from qpart.model import to_model_json
@@ -231,8 +231,7 @@ def test_energy_vector_bytes_pinned(name):
 
 def gate_digest(poly):
     """SHA-256 over the oracle's report and every spin coefficient of the expansion."""
-    sp = ising_expand(poly)
-    pairs = sorted((key, str(sp.coefficient(key))) for key in sp.terms)
+    pairs = sorted((key, str(coeff)) for key, coeff in spin_terms(poly).items())
     text = cnot_count_oracle(poly).to_json() + repr(pairs)
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -1,9 +1,10 @@
 """HUBO-to-QUBO reduction: gadget exactness, penalties, auxiliary accounting."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
-from conftest import complete_graph, path_graph, quadratization_bounds_hold
+from conftest import aux_count_actual, complete_graph, path_graph, quadratization_bounds_hold
 
 from qpart.errors import InvalidInstanceError
 from qpart.graphs import Graph
@@ -12,7 +13,6 @@ from qpart.model import EncodedProblem
 from qpart.onehot import encode_mgc_onehot
 from qpart.quadratize import (
     QuadratizationPenalties,
-    aux_count_actual,
     aux_count_paper,
     manifold_extension,
     quadratization_penalties,
@@ -41,7 +41,7 @@ class TestQuadratize:
         report = verify_quadratization(hubo, quad)
         assert report.min_over_aux_matches
         assert report.ground_projection_matches
-        assert report.num_original_assignments == 16
+        assert 1 << quad.num_original_vars == 16
 
     def test_single_edge_three_bits_aux_count(self):
         hubo = encode_mgc_log(K2, 8)
@@ -90,13 +90,15 @@ class TestVerification:
         assert report.passed
         assert report.hubo_min == report.qubo_min
 
-    def test_sabotaged_stage1_penalty_detected(self):
+    def test_sabotaged_stage1_penalty_detected(self, monkeypatch):
         hubo = encode_mgc_log(K2, 4)
-        good = quadratize(hubo).penalties
+        good = quadratize(hubo).problem.penalties
         bad = QuadratizationPenalties(
             m_product=good.m_product, m_stage1=1, m_stage2=good.m_stage2
         )
-        report = verify_quadratization(hubo, quadratize(hubo, penalties=bad))
+        module = importlib.import_module("qpart.quadratize")
+        monkeypatch.setattr(module, "quadratization_penalties", lambda *_: bad)
+        report = verify_quadratization(hubo, quadratize(hubo))
         assert not report.ground_projection_matches
 
     def test_ground_energy_preserved(self):
@@ -123,7 +125,9 @@ class TestPenaltyRecord:
             hubo = encode_mgc_log(g, c)
             quad = quadratize(hubo)
             pen = hubo.penalties
-            assert quadratization_bounds_hold(quad.penalties, pen.a_adjacency, g.n, pen.total)
+            assert quadratization_bounds_hold(
+                quad.problem.penalties, pen.a_adjacency, g.n, pen.total
+            )
 
     def test_matches_closed_form_for_default_ladder(self):
         # with the explicit ladder, the tier equals 2((n+1)^L - 1) + 2
