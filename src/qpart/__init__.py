@@ -23,7 +23,7 @@ from .onehot import encode_mgc_onehot, onehot_penalties
 from .logenc import PartitionSpec, encode_general, encode_mgc_log, lex_penalties
 from .quadratize import quadratize, qubit_advantage_predicate, verify_quadratization
 from .gates import cnot_count_log_closed, cnot_count_onehot_closed, cnot_count_oracle
-from .solve import AnnealParams, anneal, solve_exact
+from .solve import AnnealParams, anneal
 from .bench import BenchInstance, TimingModel, km_median, run_suite, tts
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __all__ = [
     "qubit_advantage_predicate",
     "run_suite",
     "serialize_graph",
-    "solve_exact",
     "to_model_json",
     "tts",
     "verify_quadratization",

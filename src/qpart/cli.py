@@ -18,8 +18,9 @@ from .graphs import brooks_upper_bound, generate_random_connected, parse_graph, 
 from .logenc import encode_mgc_log
 from .model import from_model_json, to_model_json
 from .onehot import encode_mgc_onehot
+from .pbo import ground_states
 from .quadratize import quadratize, qubit_advantage_predicate
-from .solve import AnnealParams, anneal, solve_exact
+from .solve import AnnealParams, anneal
 
 
 def _read(path: str) -> str:
@@ -64,11 +65,11 @@ def cmd_quadratize(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     prob = from_model_json(_read(args.input))
     if args.exact:
-        result = solve_exact(prob.polynomial, prob.num_variables)
+        emin, states = ground_states(prob.polynomial, prob.num_variables)
         doc = {
-            "method": result.method,
-            "min_energy": str(result.min_energy),
-            "argmin": ["".join(str(b) for b in bits) for bits in result.argmin],
+            "method": "exhaustive",
+            "min_energy": str(emin),
+            "argmin": ["".join(str(b) for b in bits) for bits in states],
         }
         _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 0

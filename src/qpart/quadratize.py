@@ -9,6 +9,8 @@ violated constraint costs more than the rest of the Hamiltonian can repay.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +43,14 @@ class QuadratizedProblem:
     """A degree <= 2 rewrite of a logarithmic encoding, originals preserved in place."""
 
     problem: EncodedProblem
-    num_original_vars: int
-    aux_product: int
-    aux_agreement: int
-    aux_chain: int
+
+    @property
+    def num_original_vars(self) -> int:
+        return self.problem.meta["num_original"]
 
     @property
     def total_aux(self) -> int:
-        return self.aux_product + self.aux_agreement + self.aux_chain
+        return self.problem.num_variables - self.num_original_vars
 
 
 def quadratization_penalties(coeff_bound: int, n: int, lex_total: int) -> QuadratizationPenalties:
@@ -64,7 +66,9 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     unchanged. Otherwise each edge contributes L product gadgets, L
     agreement gadgets, and a Rosenberg chain of L-2 links; the degree-2L
     adjacency monomial becomes the quadratic product of the chain head
-    with the last agreement bit (just y1*y2 when L = 2).
+    with the last agreement bit (just y1*y2 when L = 2). The originals
+    keep ids 0..nL-1, and edge e, in metadata order, owns the 3L-2 ids
+    from nL + e(3L-2): w[e][1..L], then y[e][1..L], then b[e][1..L-2].
 
     That allocates m*(3L-2) auxiliaries for L >= 2, not the published
     m*(2L-2): a three-variable quadratic gadget computing XNOR exactly
@@ -86,7 +90,7 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     # term can produce or cancel.
     if (
         len(pen.p) != l
-        or n * l > prob.num_variables
+        or n * l != prob.num_variables
         or sum(1 for _ in prob.polynomial.items())
         < sum(1 for w in weights if w) * ((1 << l) - 1) ** 2
         or Polynomial(log_hubo_terms(n, pen.p, const, edges, weights)) != prob.polynomial
@@ -95,98 +99,64 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
 
     coeff_bound = max((abs(w) for w in weights), default=0)
     penalties = quadratization_penalties(coeff_bound, n, pen.total)
-
-    num_original = n * l
     if l == 1:
-        meta = _quadratized_meta(prob, num_original, 0, 0, 0)
-        out = EncodedProblem(prob.polynomial, prob.registry, penalties, meta)
-        return QuadratizedProblem(out, num_original, 0, 0, 0)
+        out = EncodedProblem(prob.polynomial, prob.registry, penalties, _quadratized_meta(prob, 0))
+        return QuadratizedProblem(out)
 
     terms = list(log_hubo_terms(n, pen.p, const))
     registry = list(prob.registry)
-    aux_w = aux_y = aux_b = 0
-    next_id = num_original
-    m_p, m_1, m_2 = penalties.m_product, penalties.m_stage1, penalties.m_stage2
-
-    for e_idx, ((u, v), weight) in enumerate(zip(edges, weights)):
-        w_ids = []
-        y_ids = []
-        for k in range(1, l + 1):
-            w_ids.append(next_id)
-            registry.append(f"w[{e_idx}][{k}]")
-            next_id += 1
-        for k in range(1, l + 1):
-            y_ids.append(next_id)
-            registry.append(f"y[{e_idx}][{k}]")
-            next_id += 1
-        aux_w += l
-        aux_y += l
-
-        for k in range(1, l + 1):
-            xu, xv = bit_var(u, k, l), bit_var(v, k, l)
-            w, y = w_ids[k - 1], y_ids[k - 1]
-            # w = xu * xv  (Rosenberg product gadget, >= 0, zero iff exact)
-            terms += [
-                ((xu, xv), m_p),
-                ((w, xu), -2 * m_p),
-                ((w, xv), -2 * m_p),
-                ((w,), 3 * m_p),
-            ]
+    m_1 = penalties.m_stage1
+    for e, ((u, v), weight) in enumerate(zip(edges, weights)):
+        # First ids of the edge's three families: w[e][k] is w + k - 1, and so on.
+        w = n * l + e * (3 * l - 2)
+        y, b = w + l, w + 2 * l
+        for role, size in (("w", l), ("y", l), ("b", l - 2)):
+            registry += [f"{role}[{e}][{k}]" for k in range(1, size + 1)]
+        for k in range(l):
+            xu, xv = bit_var(u, k + 1, l), bit_var(v, k + 1, l)
+            terms += _product_gadget(w + k, xu, xv, penalties.m_product)
             # y = XNOR(xu, xv) given w; zero on the w-manifold iff y is correct
             terms += [
                 ((), m_1),
-                ((y,), -m_1),
+                ((y + k,), -m_1),
                 ((xu,), -m_1),
                 ((xv,), -m_1),
-                ((w,), 2 * m_1),
-                ((y, xu), 2 * m_1),
-                ((y, xv), 2 * m_1),
-                ((y, w), -4 * m_1),
+                ((w + k,), 2 * m_1),
+                ((y + k, xu), 2 * m_1),
+                ((y + k, xv), 2 * m_1),
+                ((y + k, w + k), -4 * m_1),
             ]
-
-        if l == 2:
-            product_var_pair: tuple[int, ...] = (y_ids[0], y_ids[1])
-        else:
-            # Prefix-product chain over y_1..y_{L-1}; the replaced monomial
-            # is the quadratic product of the chain head with y_L.
-            chain_ids = []
-            for i in range(1, l - 1):
-                chain_ids.append(next_id)
-                registry.append(f"b[{e_idx}][{i}]")
-                next_id += 1
-            aux_b += l - 2
-            prev = y_ids[0]
-            for i, b in enumerate(chain_ids):
-                nxt = y_ids[i + 1]
-                terms += [
-                    ((prev, nxt), m_2),
-                    ((b, prev), -2 * m_2),
-                    ((b, nxt), -2 * m_2),
-                    ((b,), 3 * m_2),
-                ]
-                prev = b
-            product_var_pair = (chain_ids[-1], y_ids[-1])
-
+        # Prefix-product chain over y_1..y_{L-1}; the replaced monomial is
+        # the quadratic product of the chain head with y_L.
+        head = y
+        for i in range(l - 2):
+            terms += _product_gadget(b + i, head, y + i + 1, penalties.m_stage2)
+            head = b + i
         if weight:
-            terms.append((product_var_pair, weight))
+            terms.append(((head, y + l - 1), weight))
 
     poly = Polynomial(terms)
     if poly.degree() > 2:
         raise InternalInvariantError("quadratization produced a term of degree > 2")
-    meta = _quadratized_meta(prob, num_original, aux_w, aux_y, aux_b)
-    out = EncodedProblem(poly, tuple(registry), penalties, meta)
-    return QuadratizedProblem(out, num_original, aux_w, aux_y, aux_b)
+    meta = _quadratized_meta(prob, len(edges))
+    return QuadratizedProblem(EncodedProblem(poly, tuple(registry), penalties, meta))
 
 
-def _quadratized_meta(prob: EncodedProblem, num_original: int, aux_w: int, aux_y: int, aux_b: int) -> dict:
+def _product_gadget(z: int, a: int, b: int, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """Rosenberg's m*(ab - 2za - 2zb + 3z): >= 0 on binary inputs, zero iff z = a*b."""
+    return [((a, b), m), ((z, a), -2 * m), ((z, b), -2 * m), ((z,), 3 * m)]
+
+
+def _quadratized_meta(prob: EncodedProblem, gadget_edges: int) -> dict:
+    n, l = prob.meta["n"], prob.meta["L"]
     meta = dict(prob.meta)
     meta.update(
         {
             "kind": "quadratized_log",
             "base_kind": prob.kind,
-            "num_original": num_original,
-            "backmap": list(range(num_original)),
-            "aux_counts": {"w": aux_w, "y": aux_y, "b": aux_b},
+            "num_original": n * l,
+            "backmap": list(range(n * l)),
+            "aux_counts": {"w": gadget_edges * l, "y": gadget_edges * l, "b": gadget_edges * (l - 2)},
             "base_penalties": {"p": list(prob.penalties.p), "a_adjacency": prob.penalties.a_adjacency},
         }
     )
@@ -201,25 +171,15 @@ def manifold_extension(quad: QuadratizedProblem, original_bits: tuple[int, ...])
     the QUBO energy equals the HUBO energy of the original assignment.
     """
     prob = quad.problem
-    n, l = prob.meta["n"], prob.meta["L"]
-    edges = [tuple(e) for e in prob.meta["edges"]]
+    l = prob.meta["L"]
     bits = list(original_bits[: quad.num_original_vars])
     if l == 1:
         return tuple(bits)
-    for u, v in edges:
-        w_vals = []
-        y_vals = []
-        for k in range(1, l + 1):
-            xu, xv = bits[bit_var(u, k, l)], bits[bit_var(v, k, l)]
-            w_vals.append(xu * xv)
-            y_vals.append(1 if xu == xv else 0)
-        bits.extend(w_vals)
-        bits.extend(y_vals)
-        if l >= 3:
-            prefix = y_vals[0]
-            for k in range(1, l - 1):
-                prefix *= y_vals[k]
-                bits.append(prefix)
+    for u, v in prob.meta["edges"]:
+        pairs = [(bits[bit_var(u, k, l)], bits[bit_var(v, k, l)]) for k in range(1, l + 1)]
+        y = [int(xu == xv) for xu, xv in pairs]
+        bits += [xu * xv for xu, xv in pairs] + y
+        bits += list(itertools.accumulate(y, operator.mul))[1 : l - 1]
     return tuple(bits)
 
 
@@ -244,6 +204,8 @@ def qubit_advantage_predicate(n: int, m: int, c: int) -> tuple[bool, int, int]:
     """
     if c < 2:
         raise ValueError(f"color bound must be >= 2, got {c}")
+    if n < 1 or m < 0:
+        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     l = bits_for_colors(c)
     onehot_count = (n + 1) * c
     log_count = n * l + aux_count_paper(m, l)
@@ -259,8 +221,6 @@ class QuadratizationReport:
 
     min_over_aux_matches: bool
     ground_projection_matches: bool
-    hubo_min: int
-    qubo_min: int
 
     @property
     def passed(self) -> bool:
@@ -281,16 +241,9 @@ def verify_quadratization(hubo: EncodedProblem, quad: QuadratizedProblem) -> Qua
 
     matches = bool(np.array_equal(min_ext, hubo_energies))
 
-    hubo_min = int(hubo_energies.min())
-    qubo_min = int(qubo_energies.min())
-    hubo_ground = set(np.flatnonzero(hubo_energies == hubo_min).tolist())
-    qubo_ground = np.flatnonzero(qubo_energies == qubo_min)
+    hubo_ground = set(np.flatnonzero(hubo_energies == hubo_energies.min()).tolist())
+    qubo_ground = np.flatnonzero(qubo_energies == qubo_energies.min())
     projected = set((qubo_ground & ((1 << n_orig) - 1)).tolist())
     projection_ok = projected == hubo_ground
 
-    return QuadratizationReport(
-        min_over_aux_matches=matches,
-        ground_projection_matches=projection_ok,
-        hubo_min=hubo_min,
-        qubo_min=qubo_min,
-    )
+    return QuadratizationReport(min_over_aux_matches=matches, ground_projection_matches=projection_ok)

@@ -1,4 +1,4 @@
-"""Exact solving and a seeded single-bit-flip Metropolis annealer.
+"""A seeded single-bit-flip Metropolis annealer.
 
 The annealer is the classical stand-in for hardware sampling: one final
 state per run, a geometric inverse-temperature ramp, and per-run RNG
@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionError
-from .pbo import Bits, Polynomial, bits_to_index, ground_states, index_to_bits
+from .pbo import Bits, Polynomial, bits_to_index, index_to_bits
 
 
 @dataclass(frozen=True)
@@ -61,19 +61,6 @@ class SampleSet:
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    min_energy: int
-    argmin: tuple[Bits, ...]
-    method: str
-
-
-def solve_exact(p: Polynomial, num_vars: int | None = None) -> SolveResult:
-    """Exhaustive optimum with the complete argmin set."""
-    emin, states = ground_states(p, num_vars)
-    return SolveResult(min_energy=emin, argmin=tuple(states), method="exhaustive")
 
 
 def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> SampleSet:

@@ -71,3 +71,24 @@ def test_every_public_method_has_a_caller():
         if uses[method.name] == attribute_uses(method)[method.name]
     )
     assert unreferenced == []
+
+
+def test_every_public_field_is_read():
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    reads = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{path.name}:{cls.name}.{field.target.id}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        if field.target.id not in reads
+    )
+    assert unread == []

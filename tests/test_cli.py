@@ -134,6 +134,13 @@ class TestQubits:
         assert code == 0
         assert json.loads(out)["advantage"] is False
 
+    def test_negative_counts_exit_2(self, capsys):
+        for n, m in (("-5", "3"), ("4", "-3")):
+            code, out, err = run(["qubits", "--n", n, "--m", m, "--colors", "4"], capsys)
+            assert code == 2
+            assert out == ""
+            assert "Traceback" not in err
+
 
 class TestBench:
     def test_small_suite_outputs(self, tmp_path, capsys):

@@ -8,9 +8,10 @@ from conftest import aux_count_actual, complete_graph, path_graph, quadratizatio
 
 from qpart.errors import InvalidInstanceError
 from qpart.graphs import Graph
-from qpart.logenc import encode_mgc_log, lex_penalties
+from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log, lex_penalties
 from qpart.model import EncodedProblem
 from qpart.onehot import encode_mgc_onehot
+from qpart.pbo import ground_states
 from qpart.quadratize import (
     QuadratizationPenalties,
     aux_count_paper,
@@ -36,7 +37,7 @@ class TestQuadratize:
     def test_k2_two_bits(self):
         hubo = encode_mgc_log(K2, 4)
         quad = quadratize(hubo)
-        assert (quad.aux_product, quad.aux_agreement, quad.aux_chain) == (2, 2, 0)
+        assert quad.problem.meta["aux_counts"] == {"w": 2, "y": 2, "b": 0}
         assert quad.problem.num_variables == 8
         report = verify_quadratization(hubo, quad)
         assert report.min_over_aux_matches
@@ -47,7 +48,7 @@ class TestQuadratize:
         hubo = encode_mgc_log(K2, 8)
         quad = quadratize(hubo)
         assert quad.total_aux == 7
-        assert (quad.aux_product, quad.aux_agreement, quad.aux_chain) == (3, 3, 1)
+        assert quad.problem.meta["aux_counts"] == {"w": 3, "y": 3, "b": 1}
 
     def test_degree_bounded_everywhere(self):
         for g in (K2, P3, complete_graph(3)):
@@ -81,6 +82,14 @@ class TestQuadratize:
         with pytest.raises(InvalidInstanceError):
             quadratize(tampered)
 
+    def test_rejects_registry_longer_than_bits(self):
+        # auxiliary ids start right after the n*L originals, so an extra
+        # variable would shift every auxiliary role by one
+        hubo = encode_mgc_log(K2, 4)
+        padded = EncodedProblem(hubo.polynomial, hubo.registry + ("extra",), hubo.penalties, hubo.meta)
+        with pytest.raises(InvalidInstanceError):
+            quadratize(padded)
+
 
 class TestVerification:
     def test_p3_two_bits(self):
@@ -88,7 +97,8 @@ class TestVerification:
         quad = quadratize(hubo)
         report = verify_quadratization(hubo, quad)
         assert report.passed
-        assert report.hubo_min == report.qubo_min
+        hubo_min, _ = ground_states(hubo.polynomial, hubo.num_variables)
+        assert ground_states(quad.problem.polynomial, quad.problem.num_variables)[0] == hubo_min
 
     def test_sabotaged_stage1_penalty_detected(self, monkeypatch):
         hubo = encode_mgc_log(K2, 4)
@@ -103,14 +113,19 @@ class TestVerification:
 
     def test_ground_energy_preserved(self):
         hubo = encode_mgc_log(P3, 4)
-        report = verify_quadratization(hubo, quadratize(hubo))
-        assert report.hubo_min == 1  # coloring 0,1,0 costs one low bit
+        quad = quadratize(hubo)
+        assert verify_quadratization(hubo, quad).passed
+        # coloring 0,1,0 costs one low bit
+        assert ground_states(quad.problem.polynomial, quad.problem.num_variables)[0] == 1
 
     def test_on_manifold_energy_equality(self):
         import itertools
 
-        for g, c in ((K2, 8), (P3, 4)):
-            hubo = encode_mgc_log(g, c)
+        # one alpha = beta edge (zero weight: gadgets but no product term)
+        # and one beta > alpha edge (negative weight)
+        spec = PartitionSpec(alpha={(0, 1): 1, (1, 2): 0}, beta={(0, 1): 1, (1, 2): 2})
+        hubos = [encode_mgc_log(g, c) for g, c in ((K2, 2), (K2, 8), (P3, 4), (K2, 16))]
+        for hubo in hubos + [encode_general(P3, spec, 2)]:
             quad = quadratize(hubo)
             for original in itertools.product((0, 1), repeat=quad.num_original_vars):
                 extended = manifold_extension(quad, original)
@@ -187,8 +202,9 @@ class TestQubitAdvantage:
         assert log_count > onehot_count
 
     def test_rejects_trivial_color_bound(self):
-        with pytest.raises(ValueError):
-            qubit_advantage_predicate(4, 3, 1)
+        for n, m, c in ((4, 3, 1), (-5, 3, 4), (0, 3, 4), (4, -3, 4)):
+            with pytest.raises(ValueError):
+                qubit_advantage_predicate(n, m, c)
 
 
 def test_general_partition_quadratization_with_negative_weights():

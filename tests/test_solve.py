@@ -17,7 +17,6 @@ from qpart.solve import (
     Sample,
     SampleSet,
     anneal,
-    solve_exact,
 )
 
 P3 = path_graph(3)
@@ -30,23 +29,23 @@ def energies(ss):
 
 class TestSolveExact:
     def test_single_variable(self):
-        result = solve_exact(Polynomial({(0,): 1}))
-        assert result.min_energy == 0
-        assert result.argmin == ((0,),)
+        min_energy, argmin = ground_states(Polynomial({(0,): 1}))
+        assert min_energy == 0
+        assert argmin == [(0,)]
 
     def test_log_k3(self):
         prob = encode_mgc_log(K3, 4)
-        result = solve_exact(prob.polynomial, prob.num_variables)
-        assert result.min_energy == 5
+        min_energy, _ = ground_states(prob.polynomial, prob.num_variables)
+        assert min_energy == 5
 
     def test_degenerate_zero_polynomial(self):
-        result = solve_exact(Polynomial(), num_vars=3)
-        assert result.min_energy == 0
-        assert len(result.argmin) == 8
+        min_energy, argmin = ground_states(Polynomial(), num_vars=3)
+        assert min_energy == 0
+        assert len(argmin) == 8
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
-            solve_exact(Polynomial(), num_vars=25)
+            ground_states(Polynomial(), num_vars=25)
 
 
 class TestAnneal:
