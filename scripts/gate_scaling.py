@@ -22,6 +22,8 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=40, help="vertices (edges set equal)")
     ap.add_argument("--colors", default="4,8,16,32,64", help="comma-separated color bounds")
     args = ap.parse_args()
+    if args.n < 3:
+        ap.error("--n must be at least 3: a simple graph on fewer vertices has fewer than n edges")
 
     n = m = args.n
     print(f"n = m = {n}")

@@ -91,7 +91,9 @@ def log_hubo_terms(
     weight * prod_k XNOR(x[u][k], x[v][k]) for each edge. An edge's 4^L
     product monomials are written out directly, one XNOR factor chosen
     per bit, under sorted keys: every bit of the lower vertex precedes
-    every bit of the higher one.
+    every bit of the higher one. Each key is the concatenation of two
+    per-vertex tuples, the ids of a subset of each endpoint's bits,
+    tabulated once per vertex by subset bitmask.
     """
     l = len(ladder)
     for k in range(1, l + 1):
@@ -103,13 +105,17 @@ def log_hubo_terms(
         return
     template = []
     for factors in itertools.product(_XNOR_FACTORS, repeat=l):
-        u_bits = tuple(k for k, (_, a, _) in enumerate(factors) if a)
-        v_bits = tuple(k for k, (_, _, b) in enumerate(factors) if b)
-        template.append((math.prod(c for c, _, _ in factors), u_bits, v_bits))
+        u_mask = sum(1 << k for k, (_, a, _) in enumerate(factors) if a)
+        v_mask = sum(1 << k for k, (_, _, b) in enumerate(factors) if b)
+        template.append((math.prod(c for c, _, _ in factors), u_mask, v_mask))
+    subsets = {
+        x: [tuple(x * l + k for k in range(l) if mask >> k & 1) for mask in range(1 << l)]
+        for x in {x for e, _ in weighted for x in e}
+    }
     for (u, v), weight in weighted:
-        lo, hi = min(u, v) * l, max(u, v) * l
-        for coeff, u_bits, v_bits in template:
-            yield tuple(lo + k for k in u_bits) + tuple(hi + k for k in v_bits), weight * coeff
+        lo, hi = subsets[min(u, v)], subsets[max(u, v)]
+        for coeff, u_mask, v_mask in template:
+            yield lo[u_mask] + hi[v_mask], weight * coeff
 
 
 def partition_weights(
@@ -137,7 +143,7 @@ def edge_weights(prob: EncodedProblem) -> tuple[list[int], int]:
 
 def _log_polynomial(g: Graph, ladder: Sequence[int], a_partition: int, spec: PartitionSpec) -> Polynomial:
     weights, constant = partition_weights(g.edges, spec, a_partition)
-    return Polynomial(log_hubo_terms(g.n, ladder, constant, g.edges, weights))
+    return Polynomial._from_canonical(log_hubo_terms(g.n, ladder, constant, g.edges, weights))
 
 
 def _registry(n: int, l: int) -> tuple[str, ...]:

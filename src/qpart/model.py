@@ -6,6 +6,7 @@ strings so arbitrary-size penalties survive a round trip exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
@@ -51,40 +52,58 @@ def instance_meta(g: Graph, **fields: Any) -> dict[str, Any]:
 
 
 def to_model_json(prob: EncodedProblem) -> str:
-    terms = [
-        {"vars": list(key), "coeff": str(coeff)}
-        for key, coeff in sorted(prob.polynomial.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    """The model as `json.dumps(doc, indent=2, sort_keys=True)` writes it, plus a newline.
+
+    The terms are written one format string each; the rest of the document
+    goes through `json.dumps`. Sorted keys put "terms" between "num_vars"
+    and "variables", so the terms are spliced in between those two parts.
+    """
+    terms = sorted(prob.polynomial.items(), key=lambda kv: (len(kv[0]), kv[0]))
     metadata = dict(prob.meta)
     if prob.penalties is not None:
         metadata["penalties"] = asdict(prob.penalties)
-    doc = {
-        "num_vars": prob.num_variables,
-        "variables": [{"id": i, "role": r} for i, r in enumerate(prob.registry)],
-        "terms": terms,
-        "metadata": metadata,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    head = json.dumps({"metadata": metadata, "num_vars": prob.num_variables}, indent=2, sort_keys=True)
+    tail = json.dumps(
+        {"variables": [{"id": i, "role": r} for i, r in enumerate(prob.registry)]}, indent=2, sort_keys=True
+    )
+    body = ",\n".join([_term_json(key, coeff) for key, coeff in terms])
+    body = f"[\n{body}\n  ]" if terms else "[]"
+    # head ends with the top-level "\n}", and tail starts with the top-level "{\n"
+    return f'{head[:-2]},\n  "terms": {body},\n{tail[2:]}\n'
+
+
+def _term_json(key: tuple[int, ...], coeff: int) -> str:
+    """One entry of the terms list, indented as an element of a top-level list."""
+    if not key:
+        return f'    {{\n      "coeff": "{coeff}",\n      "vars": []\n    }}'
+    ids = ",\n        ".join(map(str, key))
+    return f'    {{\n      "coeff": "{coeff}",\n      "vars": [\n        {ids}\n      ]\n    }}'
 
 
 def from_model_json(text: str) -> EncodedProblem:
+    """Parse model JSON; variable ids must be JSON integers, and coefficients
+    JSON integers or decimal strings (booleans and floats are rejected)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid model JSON: {exc.msg}", line=exc.lineno) from exc
     try:
-        num_vars = int(doc["num_vars"])
+        num_vars = _json_int(doc["num_vars"])
         roles: dict[int, str] = {}
         for entry in doc["variables"]:
-            i = int(entry["id"])
+            i = _json_int(entry["id"])
             if not 0 <= i < num_vars or i in roles:
                 raise ValueError(f"variable id {i} is out of range 0..{num_vars - 1} or repeated")
             roles[i] = str(entry["role"])
         if len(roles) != num_vars:
             raise ValueError(f"variables list {len(roles)} ids but num_vars is {num_vars}")
-        poly = Polynomial(
-            (tuple(int(v) for v in t["vars"]), int(t["coeff"])) for t in doc["terms"]
-        )
+        ids = [t["vars"] for t in doc["terms"]]
+        coeffs = [t["coeff"] for t in doc["terms"]]
+        if not set(map(type, itertools.chain.from_iterable(ids))) <= {int}:
+            raise ValueError("term variable ids must be integers")
+        if not set(map(type, coeffs)) <= {int, str}:
+            raise ValueError("term coefficients must be integers or decimal strings")
+        poly = Polynomial(zip(ids, map(int, coeffs)))
         metadata = dict(doc.get("metadata", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model JSON: {exc}") from exc
@@ -94,6 +113,12 @@ def from_model_json(text: str) -> EncodedProblem:
         raise ParseError(f"metadata does not fit kind {metadata.get('kind')!r}: {exc}") from exc
     registry = tuple(roles[i] for i in range(num_vars))
     return EncodedProblem(poly, registry, penalties, metadata)
+
+
+def _json_int(value: Any) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _penalties_from_meta(metadata: dict) -> Any:

@@ -35,19 +35,42 @@ class Polynomial:
         canon: dict[Term, int] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
+            get = canon.get
             for vars_, coeff in items:
                 coeff = int(coeff)
                 if coeff == 0:
                     continue
-                key = tuple(sorted(set(int(v) for v in vars_)))
-                if any(v < 0 for v in key):
+                key = tuple(sorted(set(map(int, vars_))))
+                if key and key[0] < 0:
                     raise ValueError(f"negative variable id in term {key}")
-                new = canon.get(key, 0) + coeff
+                new = get(key, 0) + coeff
                 if new == 0:
-                    canon.pop(key, None)
+                    del canon[key]
                 else:
                     canon[key] = new
         self._terms = canon
+
+    @classmethod
+    def _from_canonical(cls, terms: Iterable[tuple[Term, int]]) -> Polynomial:
+        """Sum a term stream whose keys are already canonical: sorted tuples of
+        distinct, non-negative ids, as the encoders' builders write them.
+
+        The same map, in the same order, as the constructor builds from
+        that stream, without re-canonicalizing each key. The keys are not
+        checked, so only streams the program writes itself come through here.
+        """
+        canon: dict[Term, int] = {}
+        get = canon.get
+        for key, coeff in terms:
+            if coeff:
+                new = get(key, 0) + coeff
+                if new:
+                    canon[key] = new
+                else:
+                    del canon[key]
+        poly = cls.__new__(cls)
+        poly._terms = canon
+        return poly
 
     def items(self) -> Iterator[tuple[Term, int]]:
         return iter(self._terms.items())

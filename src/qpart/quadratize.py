@@ -93,7 +93,8 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
         or n * l != prob.num_variables
         or sum(1 for _ in prob.polynomial.items())
         < sum(1 for w in weights if w) * ((1 << l) - 1) ** 2
-        or Polynomial(log_hubo_terms(n, pen.p, const, edges, weights)) != prob.polynomial
+        or Polynomial._from_canonical(log_hubo_terms(n, pen.p, const, edges, weights))
+        != prob.polynomial
     ):
         raise InvalidInstanceError("encoding metadata does not reproduce its polynomial")
 
@@ -204,8 +205,8 @@ def qubit_advantage_predicate(n: int, m: int, c: int) -> tuple[bool, int, int]:
     """
     if c < 2:
         raise ValueError(f"color bound must be >= 2, got {c}")
-    if n < 1 or m < 0:
-        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
+    if n < 1 or not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"need n >= 1 and 0 <= m <= n(n-1)/2, got n={n}, m={m}")
     l = bits_for_colors(c)
     onehot_count = (n + 1) * c
     log_count = n * l + aux_count_paper(m, l)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -206,3 +206,24 @@ def evaluate_spin(p, bits):
             num *= 1 - 2 * bits[v]
         total += num
     return Fraction(total, 1 << p.degree())
+
+
+# The model JSON document, built as a dict for `json.dumps(indent=2, sort_keys=True)`.
+
+
+def model_doc(prob):
+    """The document whose `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` is
+    `to_model_json(prob)`: terms ordered by degree, then by key; coefficients
+    as decimal strings; the penalty record inside the metadata."""
+    metadata = dict(prob.meta)
+    if prob.penalties is not None:
+        metadata["penalties"] = asdict(prob.penalties)
+    return {
+        "num_vars": prob.num_variables,
+        "variables": [{"id": i, "role": r} for i, r in enumerate(prob.registry)],
+        "terms": [
+            {"vars": list(key), "coeff": str(coeff)}
+            for key, coeff in sorted(prob.polynomial.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        ],
+        "metadata": metadata,
+    }

@@ -135,7 +135,7 @@ class TestQubits:
         assert json.loads(out)["advantage"] is False
 
     def test_negative_counts_exit_2(self, capsys):
-        for n, m in (("-5", "3"), ("4", "-3")):
+        for n, m in (("-5", "3"), ("4", "-3"), ("2", "100")):
             code, out, err = run(["qubits", "--n", n, "--m", m, "--colors", "4"], capsys)
             assert code == 2
             assert out == ""
@@ -168,6 +168,13 @@ class TestBench:
 def _set_first_id(value):
     def corrupt(doc):
         doc["variables"][0]["id"] = value
+
+    return corrupt
+
+
+def _set_first_var(value):
+    def corrupt(doc):
+        doc["terms"][-1]["vars"][0] = value
 
     return corrupt
 
@@ -208,6 +215,11 @@ MODEL_DEFECTS = {
     "edge_reversed": ("log", lambda doc: doc["metadata"]["edges"][0].reverse()),
     "edge_repeated": ("log", lambda doc: doc["metadata"]["edges"].append([0, 1])),
     "edge_past_n": ("log", lambda doc: doc["metadata"]["edges"].append([1, 3])),
+    # numbers that int() would truncate or read as 1
+    "float_var_id": ("log", _set_first_var(0.9)),
+    "bool_var_id": ("log", _set_first_var(True)),
+    "float_coeff": ("log", lambda doc: doc["terms"][-1].update(coeff=2.7)),
+    "float_registry_id": ("onehot", _set_first_id(0.5)),
 }
 
 K2 = complete_graph(2)

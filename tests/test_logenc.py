@@ -12,6 +12,8 @@ from conftest import (
     path_graph,
     population_of_bits,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpart.errors import DimensionError, InvalidInstanceError, ResourceLimitError
 from qpart.graphs import Graph
@@ -22,8 +24,9 @@ from qpart.logenc import (
     encode_general,
     encode_mgc_log,
     lex_penalties,
+    log_hubo_terms,
 )
-from qpart.pbo import ENUMERATION_MAX_VARS, ground_states
+from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, ground_states
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -96,6 +99,39 @@ class TestEncoding:
     def test_rejects_nonpositive_colors(self):
         with pytest.raises(ValueError):
             encode_mgc_log(K3, 0)
+
+
+@st.composite
+def term_stream_args(draw):
+    """log_hubo_terms arguments: any ladder, constant, edge subset and edge
+    weights over n <= 6 vertices and L <= 4 bits, zero and negative included."""
+    n = draw(st.integers(1, 6))
+    l = draw(st.integers(1, 4))
+    coeffs = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # either endpoint order: the stream sorts each edge's keys itself
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    weights = draw(st.lists(coeffs, min_size=len(edges), max_size=len(edges)))
+    return n, l, draw(st.lists(coeffs, min_size=l, max_size=l)), draw(coeffs), edges, weights
+
+
+class TestTermStream:
+    @given(term_stream_args())
+    @settings(max_examples=60, deadline=None)
+    def test_keys_are_canonical(self, args):
+        n, l, ladder, constant, edges, weights = args
+        for key, _ in log_hubo_terms(n, ladder, constant, edges, weights):
+            assert all(a < b for a, b in zip(key, key[1:]))
+            assert all(0 <= v < n * l for v in key)
+
+    @given(term_stream_args())
+    @settings(max_examples=60, deadline=None)
+    def test_trusted_build_matches_constructor(self, args):
+        n, l, ladder, constant, edges, weights = args
+        stream = list(log_hubo_terms(n, ladder, constant, edges, weights))
+        trusted = Polynomial._from_canonical(stream)
+        assert list(trusted.items()) == list(Polynomial(stream).items())
 
 
 class TestIndexPopulation:

@@ -3,11 +3,13 @@
 import json
 
 import pytest
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, model_doc, path_graph
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpart.errors import ParseError
 from qpart.logenc import LexPenalties, encode_mgc_log
-from qpart.model import from_model_json, to_model_json
+from qpart.model import EncodedProblem, from_model_json, to_model_json
 from qpart.onehot import OneHotPenalties, encode_gc_onehot, encode_mgc_onehot
 from qpart.pbo import Polynomial
 from qpart.quadratize import QuadratizationPenalties, quadratize
@@ -56,6 +58,45 @@ class TestRoundTrip:
     def test_byte_stable(self):
         prob = encode_mgc_log(complete_graph(3), 4)
         assert to_model_json(prob) == to_model_json(prob)
+
+
+COEFFS = st.integers(-3, 3) | st.integers(-(2**200), 2**200)
+# quotes, backslashes, control and non-ASCII characters, which json.dumps escapes
+TEXT = st.text(st.sampled_from('xy[]0"\\\n\t\x00é→\u2028\U0001f600'), max_size=5) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+# "terms" and "variables" inside the metadata must not disturb the top level
+METADATA = st.dictionaries(
+    st.sampled_from(["terms", "variables", "num_vars", "kind"]) | TEXT, JSON_VALUES, max_size=4
+)
+PENALTIES = (
+    st.none()
+    | st.builds(OneHotPenalties, COEFFS, COEFFS, COEFFS)
+    | st.builds(LexPenalties, st.lists(COEFFS, max_size=3).map(tuple), COEFFS)
+)
+
+
+@st.composite
+def problems(draw):
+    num_vars = draw(st.integers(0, 6))
+    keys = st.lists(st.integers(0, max(num_vars - 1, 0)), max_size=num_vars, unique=True).map(
+        lambda ids: tuple(sorted(ids))
+    )
+    terms = draw(st.dictionaries(keys, COEFFS.filter(bool), max_size=8))
+    registry = tuple(draw(st.lists(TEXT, min_size=num_vars, max_size=num_vars)))
+    return EncodedProblem(Polynomial(terms), registry, draw(PENALTIES), draw(METADATA))
+
+
+class TestWriter:
+    @given(problems())
+    @example(EncodedProblem(Polynomial(), (), None, {}))
+    @example(EncodedProblem(Polynomial({(): -(2**100)}), ("a",), None, {"terms": [], "x": [[1, [2]], {}]}))
+    @settings(max_examples=100, deadline=None)
+    def test_layout_is_json_dumps(self, prob):
+        assert to_model_json(prob) == json.dumps(model_doc(prob), indent=2, sort_keys=True) + "\n"
 
 
 class TestValidation:

@@ -11,7 +11,7 @@ from qpart.graphs import Graph
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log, lex_penalties
 from qpart.model import EncodedProblem
 from qpart.onehot import encode_mgc_onehot
-from qpart.pbo import ground_states
+from qpart.pbo import Polynomial, ground_states
 from qpart.quadratize import (
     QuadratizationPenalties,
     aux_count_paper,
@@ -79,6 +79,21 @@ class TestQuadratize:
     def test_rejects_metadata_bit_count_disagreeing_with_ladder(self):
         hubo = encode_mgc_log(P3, 4)
         tampered = EncodedProblem(hubo.polynomial, hubo.registry, hubo.penalties, {**hubo.meta, "L": 3})
+        with pytest.raises(InvalidInstanceError):
+            quadratize(tampered)
+
+    @pytest.mark.parametrize("tamper", ["edge_coeff_off_by_one", "extra_key", "term_deleted"])
+    def test_rejects_polynomial_metadata_does_not_rebuild(self, tamper):
+        # one term map edit each; every other key and coefficient is intact
+        hubo = encode_mgc_log(P3, 4)
+        terms = dict(hubo.polynomial.items())
+        if tamper == "edge_coeff_off_by_one":
+            terms[(0, 1, 2, 3)] += 1  # edge (0, 1)'s top monomial
+        elif tamper == "extra_key":
+            terms[(0, 4)] = 1  # bits of vertices 0 and 2, which share no edge
+        else:
+            del terms[(1, 2)]
+        tampered = EncodedProblem(Polynomial(terms), hubo.registry, hubo.penalties, hubo.meta)
         with pytest.raises(InvalidInstanceError):
             quadratize(tampered)
 
@@ -188,7 +203,7 @@ class TestQubitAdvantage:
     def test_matches_exact_rational_threshold(self):
         for n in range(2, 30, 3):
             for c in (3, 4, 8, 16):
-                for m in range(0, 3 * n, 2):
+                for m in range(0, min(3 * n, n * (n - 1) // 2 + 1), 2):
                     advantage, _, onehot_count = qubit_advantage_predicate(n, m, c)
                     l = max(1, (c - 1).bit_length())
                     expected = m < Fraction(onehot_count - l, 2 * (l - 1))
@@ -202,7 +217,10 @@ class TestQubitAdvantage:
         assert log_count > onehot_count
 
     def test_rejects_trivial_color_bound(self):
-        for n, m, c in ((4, 3, 1), (-5, 3, 4), (0, 3, 4), (4, -3, 4)):
+        cases = [(4, 3, 1), (-5, 3, 4), (0, 3, 4), (4, -3, 4)]
+        # more edges than a simple graph on n vertices has
+        cases += [(n, m, c) for n, m in ((2, 2), (2, 4), (5, 12), (5, 14)) for c in (3, 4, 8, 16)]
+        for n, m, c in cases:
             with pytest.raises(ValueError):
                 qubit_advantage_predicate(n, m, c)
 
