@@ -245,12 +245,16 @@ def _parse_json(text: str) -> Graph:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError("graph JSON must be an object with 'n' and 'edges'")
+    # JSON ints only: a bool, float or string is rejected, never coerced.
+    n, edges = obj["n"], obj["edges"]
+    if type(n) is not int or not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
+    ):
+        raise ParseError("graph JSON needs an integer 'n' and 'edges' as a list of integer pairs")
     try:
-        return Graph(int(obj["n"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidInstanceError):
-            raise ParseError(str(exc)) from exc
-        raise ParseError(f"malformed graph JSON: {exc}") from exc
+        return Graph(n, tuple((u, v) for u, v in edges))
+    except InvalidInstanceError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_dimacs(text: str) -> Graph:

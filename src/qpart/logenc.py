@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import DimensionError
 from .graphs import Coloring, Graph, brooks_upper_bound
 from .model import EncodedProblem, instance_meta
-from .pbo import Bits, Polynomial, Term
+from .pbo import Bits, Polynomial, Term, check_build_terms
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,8 @@ def edge_weights(prob: EncodedProblem) -> tuple[list[int], int]:
 
 def _log_polynomial(g: Graph, ladder: Sequence[int], a_partition: int, spec: PartitionSpec) -> Polynomial:
     weights, constant = partition_weights(g.edges, spec, a_partition)
+    l = len(ladder)
+    check_build_terms(g.n * l + 1 + sum(1 for w in weights if w) * 4**l)
     return Polynomial._from_canonical(log_hubo_terms(g.n, ladder, constant, g.edges, weights))
 
 

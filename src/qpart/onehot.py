@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import DimensionError
 from .graphs import Coloring, Graph, brooks_upper_bound
 from .model import EncodedProblem, instance_meta
-from .pbo import Bits, Polynomial
+from .pbo import Bits, Polynomial, check_build_terms
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,11 @@ def x_var(v: int, color: int, c: int) -> int:
 def y_var(color: int, n: int, c: int) -> int:
     """Variable id of the color-usage indicator y[color]."""
     return n * c + color
+
+
+def _coloring_term_count(g: Graph, c: int) -> int:
+    """How many terms _coloring_terms yields: 1 + c + c(c-1)/2 per vertex, c per edge."""
+    return g.n * (1 + c + c * (c - 1) // 2) + g.m * c
 
 
 def _coloring_terms(g: Graph, c: int, pen: OneHotPenalties) -> list[tuple[tuple[int, ...], int]]:
@@ -78,6 +83,8 @@ def encode_mgc_onehot(g: Graph, c: int | None = None) -> EncodedProblem:
         raise ValueError(f"color count must be >= 1, got {c}")
     n = g.n
     pen = onehot_penalties(n, g.m, c)
+    # the coloring terms, then c usage terms and 2c link terms per vertex
+    check_build_terms(_coloring_term_count(g, c) + c + 2 * n * c)
     terms = _coloring_terms(g, c, pen)
 
     for col in range(c):
@@ -103,6 +110,7 @@ def encode_gc_onehot(g: Graph, c: int) -> EncodedProblem:
     if c < 1:
         raise ValueError(f"color count must be >= 1, got {c}")
     pen = onehot_penalties(g.n, g.m, c)
+    check_build_terms(_coloring_term_count(g, c))
     registry = tuple(f"x[{v}][{col}]" for v in range(g.n) for col in range(c))
     meta = instance_meta(g, kind="onehot_gc", c_num=c, L=None)
     return EncodedProblem(Polynomial(_coloring_terms(g, c, pen)), registry, pen, meta)

@@ -14,6 +14,11 @@ import numpy as np
 from .errors import DimensionError, ResourceLimitError
 
 ENUMERATION_MAX_VARS = 24
+# Terms an encoder may stream into one polynomial, counted before it
+# builds any. A build holds about 350 B per term (the 2**20-term log model
+# of K2 at 1024 colours peaks at 354 MiB), so the largest allowed model
+# takes about 0.7 GB; perfbench's n=64, c=16 log model streams 258 k terms.
+MAX_BUILD_TERMS = 1 << 21
 
 Term = tuple[int, ...]
 Bits = tuple[int, ...]
@@ -110,6 +115,14 @@ class Polynomial:
             parts.append(f"{self._terms[key]}*{mono}")
         tail = " + ..." if len(self._terms) > 8 else ""
         return f"Polynomial({' + '.join(parts)}{tail})"
+
+
+def check_build_terms(count: int) -> None:
+    """Raise ResourceLimitError when an encoding would stream more than MAX_BUILD_TERMS terms."""
+    if count > MAX_BUILD_TERMS:
+        raise ResourceLimitError(
+            f"the encoding needs {count} terms, over the limit of {MAX_BUILD_TERMS}"
+        )
 
 
 def index_to_bits(index: int, num_vars: int) -> Bits:

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionError
-from .pbo import Bits, Polynomial, bits_to_index, index_to_bits
+from .pbo import Bits, Polynomial, bits_to_index
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,15 @@ class SampleSet:
 def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> SampleSet:
     """One final-state sample per run under Metropolis single-bit-flip dynamics.
 
-    Models of degree <= 2 anneal with incremental local fields, HUBOs with
-    per-term evaluation; both make the same draws and the same exact
-    integer energy changes, so a given seed gives the same samples.
+    Every degree anneals with stored flip energies, so an attempted flip
+    costs one lookup and each energy change is an exact integer.
     """
     nv = p.num_variables() if num_vars is None else num_vars
     if nv < p.num_variables():
         raise DimensionError(f"num_vars={nv} is smaller than the polynomial's variable span")
     if nv < 1:
         raise ValueError("annealing needs at least one variable")
-    kernel = _local_field_kernel if p.degree() <= 2 else _per_term_kernel
-    return _anneal_with(kernel(p, nv), p, params, nv)
+    return _anneal_with(_flip_energy_kernel(p, nv), p, params, nv)
 
 
 # A kernel applies one run's sweep draws to its state `x` in place.
@@ -110,56 +108,41 @@ def _sweep_draws(
         yield beta, zip(targets.tolist(), uniforms.tolist())
 
 
-def _per_term_kernel(p: Polynomial, nv: int) -> _Kernel:
-    """Each attempted flip sums the terms containing the site; any degree.
-    The run's state is also kept as one int bitmask, so a term counts
-    when the mask of its other variables is all set."""
-    by_var: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for key, coeff in p.items():
-        for v in key:
-            by_var[v].append((coeff, sum(1 << u for u in key if u != v)))
-    exp = math.exp
-
-    def run_sweeps(x, draws):
-        xs = bits_to_index(x)
-        for beta, flips in draws:
-            for v, u in flips:
-                acc = 0
-                for coeff, m in by_var[v]:
-                    if xs & m == m:
-                        acc += coeff
-                delta = -acc if xs >> v & 1 else acc
-                try:
-                    if delta > 0 and u >= exp(-beta * delta):
-                        continue
-                except OverflowError:  # delta is past float range, so exp(...) is 0.0
-                    continue
-                xs ^= 1 << v
-        x[:] = index_to_bits(xs, nv)
-
-    return run_sweeps
-
-
-def _local_field_kernel(p: Polynomial, nv: int) -> _Kernel:
-    """Degree <= 2 only. The local field h[v] + sum_w J[v][w] x[w] is the
-    energy change of raising x[v]; each run keeps it per variable, signed
-    by x[v] so that it is the change of flipping v (as dwave-neal's sweep
-    kernel does), and only an accepted flip updates its neighbours'.
+def _flip_energy_kernel(p: Polynomial, nv: int) -> _Kernel:
+    """Any degree. Each run keeps every variable's flip energy: its local
+    field (the energy change of raising it), signed by x[v] as dwave-neal's
+    sweep kernel does. An attempted flip only reads it; an accepted flip of
+    v moves the flip energies of the variables that share a term with v.
     Python ints keep every delta exact."""
     h = [0] * nv
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    # Per variable v and term T of 3 or more variables: (coeff, mask of T - v, T).
+    larger: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nv)]
     for key, coeff in p.items():
         if len(key) == 1:
             h[key[0]] = coeff
         elif len(key) == 2:
             a, b = key
-            nbrs[a].append((b, coeff))
-            nbrs[b].append((a, coeff))
+            pairs[a].append((b, coeff))
+            pairs[b].append((a, coeff))
+        elif key:
+            mask = sum(1 << u for u in key)
+            for v in key:
+                larger[v].append((coeff, mask ^ 1 << v, key))
     exp = math.exp
 
     def run_sweeps(x, draws):
+        # The unset variables as one int, read only at the bits of variables
+        # in `larger`, so it is toggled for those alone.
+        unset = bits_to_index(1 - b for b in x)
         flip_delta = [
-            (h[v] + sum(j for w, j in nbrs[v] if x[w])) * (1 - 2 * x[v]) for v in range(nv)
+            (
+                h[v]
+                + sum(j for w, j in pairs[v] if x[w])
+                + sum(c for c, m, _ in larger[v] if not m & unset)
+            )
+            * (1 - 2 * x[v])
+            for v in range(nv)
         ]
         for beta, flips in draws:
             for v, u in flips:
@@ -174,10 +157,23 @@ def _local_field_kernel(p: Polynomial, nv: int) -> _Kernel:
                 x[v] = 1 - old
                 # w's field moves by +-J, which raises w's flip delta
                 # by J exactly when x[w] equals the old x[v].
-                for w, j in nbrs[v]:
+                for w, j in pairs[v]:
                     if x[w] == old:
                         flip_delta[w] += j
                     else:
                         flip_delta[w] -= j
+                if not larger[v]:
+                    continue
+                unset ^= 1 << v
+                # w in T - v sees c in its field only when all of T - v - w
+                # is set: every w if none of T - v is missing, the missing
+                # one if exactly one is, none otherwise.
+                for c, m, key in larger[v]:
+                    missing = m & unset
+                    if missing & (missing - 1):
+                        continue
+                    for w in (missing.bit_length() - 1,) if missing else key:
+                        if w != v:
+                            flip_delta[w] += c if x[w] == old else -c
 
     return run_sweeps

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph
 
-from qpart import gates, logenc
+from qpart import gates, logenc, onehot
 from qpart.cli import build_parser, main
 from qpart.graphs import Graph, serialize_graph
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
@@ -358,6 +358,35 @@ class TestExitCodes:
         code, _, err = run([command, "--in", str(model)], capsys)
         assert code == 2
         assert "Traceback" not in err
+
+    def test_non_integer_graph_json_exits_2(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n": 3.7, "edges": [[0, 1.9], [1, 2]]}')
+        code, _, err = run(["encode", "--in", str(graph)], capsys)
+        assert code == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "encoding, module, builder",
+        [("log", logenc, "log_hubo_terms"), ("onehot", onehot, "_coloring_terms")],
+        ids=["log", "onehot"],
+    )
+    def test_encode_past_term_limit_exits_3(self, encoding, module, builder, tmp_path, capsys, monkeypatch):
+        # K2 at 4096 colours needs 4**12 log terms or about 4096**2 one-hot
+        # terms; the count is refused before the term builder runs.
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the term builder ran")
+
+        monkeypatch.setattr(module, builder, refuse)
+        graph = tmp_path / "g.json"
+        graph.write_text(serialize_graph(complete_graph(2), "json"))
+        model = tmp_path / "model.json"
+        argv = ["encode", "--in", str(graph), "--encoding", encoding, "--colors", "4096"]
+        code, _, err = run([*argv, "--out", str(model)], capsys)
+        assert code == 3
+        assert "resource limit" in err
+        assert "Traceback" not in err
+        assert not model.exists()
 
 
 # Replacement values are small, so no mutant asks for a large graph or model.

@@ -147,17 +147,20 @@ def golden_anneal_inputs():
     models = {f"onehot_mgc_c{c}": encode_mgc_onehot(GRAPH, c) for c in (3, 4)}
     for l in (1, 2, 3):
         models[f"quadratized_log_mgc_L{l}"] = quadratize(encode_mgc_log(GRAPH, 1 << l)).problem
-    models["log_mgc_L2_degree4"] = encode_mgc_log(GRAPH, 4)
+    for l in (2, 3, 4):
+        models[f"log_mgc_L{l}_degree{2 * l}"] = encode_mgc_log(GRAPH, 1 << l)
     inputs = {name: (prob.polynomial, prob.num_variables) for name, prob in models.items()}
     inputs["hand_qubo"] = (HAND_QUBO, 8)
     return inputs
 
 
-# Recorded with the per-term kernel on every input; the local-field kernel
-# must reproduce them.
+# Recorded with the per-term kernel on every input; the one flip-energy
+# kernel must reproduce them.
 ANNEAL_SHA256 = {
     "hand_qubo": "3b849a0ea35711971ff9add7e0dc31e2fe1e974eb308333050f8d7e8866cf394",
     "log_mgc_L2_degree4": "208ba500d7847e8386dea76a244e878a9b939a3a0e9d31612e5d9dd3c19c63df",
+    "log_mgc_L3_degree6": "60b0dd28ddded9a7cea96b044e29c558bbedfd82ac2fe147209cac4ac0bae2ba",
+    "log_mgc_L4_degree8": "c309e500e8bba5f1efe26004ccb1dc86333ec38d412ee7182a553f31ee6862ab",
     "onehot_mgc_c3": "241122909cec9e8f7fcf12ba6af1f86bcb4a89aa01b411a751e2e61487fa3b27",
     "onehot_mgc_c4": "acd49fc615a8fe3f3ed7d8ae1fb2ad02ed42db9b80b99f154d5d7b009097b9bd",
     "quadratized_log_mgc_L1": "0a7ebfb9da6fa82dd31b11dcc773fb0051642ea427146dcbb33bd00d51af3e8e",

@@ -212,6 +212,26 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_graph('{"n": 2}', "json")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3.7, "edges": [[0, 1.9], [1, 2]]}',
+            '{"n": 3.0, "edges": []}',
+            '{"n": true, "edges": []}',
+            '{"n": "3", "edges": []}',
+            '{"n": 3, "edges": [[0, true]]}',
+            '{"n": 3, "edges": [[0, 1.0]]}',
+            '{"n": "3", "edges": [["0", "1"]]}',
+            '{"n": 3, "edges": [[0, 1, 2]]}',
+            '{"n": 3, "edges": ["01"]}',
+            '{"n": 3, "edges": {"0": 1}}',
+            '{"n": null, "edges": []}',
+        ],
+    )
+    def test_parse_error_non_integer_json(self, text):
+        with pytest.raises(ParseError):
+            parse_graph(text, "json")
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             serialize_graph(Graph(1, ()), "graphml")

@@ -114,48 +114,29 @@ class TestAnneal:
             anneal(prob.polynomial, AnnealParams(runs=1, sweeps=1), prob.num_variables - 1)
 
 
+# Small, 2**70-sized and 2**1100-sized coefficients; a 2**1100 one puts
+# every energy change it enters past float range.
+COEFFS = st.one_of(
+    st.integers(-30, 30), st.integers(-(2**70), 2**70), st.sampled_from([2**1100, -(2**1100)])
+)
+
+
 @st.composite
 def qubos(draw):
-    """A random QUBO with small or 2**70-sized coefficients, and a num_vars
-    at or up to two past its span."""
+    """A random polynomial of degree 0-2, and a num_vars at or up to two past its span."""
     nv = draw(st.integers(1, 8))
-    coeffs = st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70))
     keys = st.lists(st.integers(0, nv - 1), max_size=2)
-    poly = Polynomial(draw(st.lists(st.tuples(keys, coeffs), max_size=16)))
+    poly = Polynomial(draw(st.lists(st.tuples(keys, COEFFS), max_size=16)))
     return poly, nv + draw(st.integers(0, 2))
-
-
-class TestKernels:
-    """The local-field kernel against the per-term reference, draw for draw."""
-
-    @given(
-        qubos(),
-        st.integers(1, 4),
-        st.integers(1, 24),
-        st.integers(0, 2**32),
-        st.sampled_from([(0.01, 10.0), (0.5, 2.0), (1.0, 100.0)]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_local_field_matches_per_term(self, qubo, runs, sweeps, seed, betas):
-        poly, nv = qubo
-        params = AnnealParams(runs, sweeps, betas[0], betas[1], seed)
-        fields = solve._anneal_with(solve._local_field_kernel(poly, nv), poly, params, nv)
-        terms = solve._anneal_with(solve._per_term_kernel(poly, nv), poly, params, nv)
-        assert fields == terms
-        assert anneal(poly, params, nv) == fields
 
 
 @st.composite
 def hubos(draw):
-    """A random polynomial, nearly always of degree 3 or 4, with small,
-    2**70-sized or 2**1100-sized coefficients, and a num_vars at or up to
-    two past its span."""
+    """A random polynomial, nearly always of degree 3 or 4, and a num_vars
+    at or up to two past its span."""
     nv = draw(st.integers(4, 8))
-    coeffs = st.one_of(
-        st.integers(-30, 30), st.integers(-(2**70), 2**70), st.sampled_from([2**1100, -(2**1100)])
-    )
     keys = st.lists(st.integers(0, nv - 1), max_size=4)
-    items = draw(st.lists(st.tuples(keys, coeffs), max_size=16))
+    items = draw(st.lists(st.tuples(keys, COEFFS), max_size=16))
     top = draw(st.lists(st.integers(0, nv - 1), min_size=draw(st.integers(3, 4)), max_size=4, unique=True))
     items.append((top, draw(st.integers(1, 30))))
     return Polynomial(items), nv + draw(st.integers(0, 2))
@@ -179,22 +160,22 @@ def naive_kernel(p, nv):
     return run_sweeps
 
 
-class TestHuboKernel:
-    """The HUBO kernel against full re-evaluation, draw for draw."""
+class TestKernel:
+    """The annealer against full re-evaluation, draw for draw, on every degree."""
 
+    @pytest.mark.parametrize("models", [qubos(), hubos()], ids=["degree_0_2", "degree_3_4"])
     @given(
-        hubos(),
+        st.data(),
         st.integers(1, 4),
-        st.integers(1, 16),
+        st.integers(1, 24),
         st.integers(0, 2**32),
         st.sampled_from([(0.01, 10.0), (0.5, 2.0), (1.0, 100.0)]),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_naive_reevaluation(self, hubo, runs, sweeps, seed, betas):
-        poly, nv = hubo
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_reevaluation(self, models, data, runs, sweeps, seed, betas):
+        poly, nv = data.draw(models)
         params = AnnealParams(runs, sweeps, betas[0], betas[1], seed)
         naive = solve._anneal_with(naive_kernel(poly, nv), poly, params, nv)
-        assert solve._anneal_with(solve._per_term_kernel(poly, nv), poly, params, nv) == naive
         assert anneal(poly, params, nv) == naive
 
 
