@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, InvalidInstanceError
 from .graphs import Coloring, Graph, brooks_upper_bound
 from .model import EncodedProblem, instance_meta
 from .pbo import Bits, Polynomial, Term, check_build_terms
@@ -126,19 +126,72 @@ def partition_weights(
     return weights, sum(a_partition * spec.beta[e] for e in edges)
 
 
-def edge_weights(prob: EncodedProblem) -> tuple[list[int], int]:
-    """partition_weights of a logarithmic encoding, re-derived from its metadata."""
-    if prob.kind not in LOG_KINDS:
-        raise ValueError(f"expected a logarithmic encoding, got kind {prob.kind!r}")
-    edges = [tuple(e) for e in prob.meta["edges"]]
-    if prob.kind == "log_mgc":
-        spec = PartitionSpec(alpha=dict.fromkeys(edges, 1), beta=dict.fromkeys(edges, 0))
-    else:
-        spec = PartitionSpec(
-            alpha={(u, v): int(prob.meta["alpha"][f"{u}-{v}"]) for u, v in edges},
-            beta={(u, v): int(prob.meta["beta"][f"{u}-{v}"]) for u, v in edges},
+@dataclass(frozen=True)
+class LogLayout:
+    """log_hubo_terms' arguments for a log model; weights and constant per partition_weights."""
+
+    n: int
+    ladder: tuple[int, ...]
+    constant: int
+    edges: list[tuple[int, int]]
+    weights: list[int]
+
+
+def log_layout(meta: Mapping[str, Any], pen: LexPenalties) -> LogLayout:
+    """The layout a log model's metadata and penalty record describe.
+
+    Raises InvalidInstanceError, a ValueError, unless n and L are positive
+    ints, the ladder has L entries, the edges are distinct int pairs u < v
+    of vertices 0..n-1, and a log_general model has int alpha and beta
+    entries, keyed "u-v", for every edge.
+    """
+    if meta.get("kind") not in LOG_KINDS:
+        raise InvalidInstanceError(f"expected a logarithmic encoding, got kind {meta.get('kind')!r}")
+    n, l, edges = meta.get("n"), meta.get("L"), meta.get("edges")
+    if not (type(n) is int and type(l) is int and n >= 1 and l >= 1 and len(pen.p) == l):
+        raise InvalidInstanceError("n and L must be positive integers, with L ladder entries")
+    # The exact check's term-count floor relies on each edge being one pair u < v, listed once.
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int and 0 <= e[0] < e[1] < n
+        for e in edges
+    ):
+        raise InvalidInstanceError(f"edges must be integer pairs u < v of vertices 0..{n - 1}")
+    edges = [(u, v) for u, v in edges]
+    if len(set(edges)) != len(edges):
+        raise InvalidInstanceError("edges must be distinct")
+    costs = {"alpha": dict.fromkeys(edges, 1), "beta": dict.fromkeys(edges, 0)}
+    if meta["kind"] == "log_general":
+        for name in costs:
+            given = meta.get(name)
+            if not isinstance(given, dict) or not all(type(given.get(f"{u}-{v}")) is int for u, v in edges):
+                raise InvalidInstanceError(f"{name} needs an integer entry for every edge")
+            costs[name] = {(u, v): given[f"{u}-{v}"] for u, v in edges}
+    weights, constant = partition_weights(edges, PartitionSpec(**costs), pen.a_adjacency)
+    return LogLayout(n, pen.p, constant, edges, weights)
+
+
+def checked_log_layout(prob: EncodedProblem) -> LogLayout:
+    """log_layout of a log model, checked to rebuild its polynomial exactly.
+
+    A mismatch means the model was hand-edited or corrupted in transit,
+    so it is bad input: InvalidInstanceError. The rebuild costs 4^L per
+    weighted edge, so cheap checks go first: the n * L bits must be the
+    whole registry, and each edge of nonzero weight yields (2^L - 1)^2
+    monomials over bits of both its endpoints, which no other (distinct)
+    edge or ladder term can produce or cancel.
+    """
+    layout = log_layout(prob.meta, prob.penalties)
+    l = len(layout.ladder)
+    floor = sum(1 for w in layout.weights if w) * ((1 << l) - 1) ** 2
+    if (
+        layout.n * l != prob.num_variables
+        or sum(1 for _ in prob.polynomial.items()) < floor
+        or prob.polynomial != Polynomial._from_canonical(
+            log_hubo_terms(layout.n, layout.ladder, layout.constant, layout.edges, layout.weights)
         )
-    return partition_weights(edges, spec, prob.penalties.a_adjacency)
+    ):
+        raise InvalidInstanceError("encoding metadata does not reproduce its polynomial")
+    return layout
 
 
 def _log_polynomial(g: Graph, ladder: Sequence[int], a_partition: int, spec: PartitionSpec) -> Polynomial:

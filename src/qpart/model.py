@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
@@ -81,8 +82,10 @@ def _term_json(key: tuple[int, ...], coeff: int) -> str:
 
 
 def from_model_json(text: str) -> EncodedProblem:
-    """Parse model JSON; variable ids must be JSON integers, and coefficients
-    JSON integers or decimal strings (booleans and floats are rejected)."""
+    """Parse model JSON; variable ids must be JSON integers, strictly
+    increasing within each term, and coefficients and penalty values JSON
+    integers (coefficients may also be decimal strings); booleans and
+    floats are rejected."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -97,13 +100,15 @@ def from_model_json(text: str) -> EncodedProblem:
             roles[i] = str(entry["role"])
         if len(roles) != num_vars:
             raise ValueError(f"variables list {len(roles)} ids but num_vars is {num_vars}")
-        ids = [t["vars"] for t in doc["terms"]]
+        keys = [tuple(t["vars"]) for t in doc["terms"]]
         coeffs = [t["coeff"] for t in doc["terms"]]
-        if not set(map(type, itertools.chain.from_iterable(ids))) <= {int}:
+        if not set(map(type, itertools.chain.from_iterable(keys))) <= {int}:
             raise ValueError("term variable ids must be integers")
+        if not all(map(_canonical, keys)):
+            raise ValueError("term variable ids must be non-negative and strictly increasing")
         if not set(map(type, coeffs)) <= {int, str}:
             raise ValueError("term coefficients must be integers or decimal strings")
-        poly = Polynomial(zip(ids, map(int, coeffs)))
+        poly = Polynomial._from_canonical(zip(keys, map(int, coeffs)))
         metadata = dict(doc.get("metadata", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model JSON: {exc}") from exc
@@ -113,6 +118,11 @@ def from_model_json(text: str) -> EncodedProblem:
         raise ParseError(f"metadata does not fit kind {metadata.get('kind')!r}: {exc}") from exc
     registry = tuple(roles[i] for i in range(num_vars))
     return EncodedProblem(poly, registry, penalties, metadata)
+
+
+def _canonical(key: tuple[int, ...]) -> bool:
+    """Whether a term's ids are non-negative and strictly increasing, as to_model_json writes them."""
+    return not key or key[0] >= 0 and all(map(operator.lt, key, key[1:]))
 
 
 def _json_int(value: Any) -> int:
@@ -126,13 +136,14 @@ def _penalties_from_meta(metadata: dict) -> Any:
     kind = metadata.get("kind", "")
     # Late imports: the encoder modules depend on this one.
     if kind in ("log_mgc", "log_general"):
-        from .logenc import LexPenalties
+        from .logenc import LexPenalties, log_layout
 
-        _check_log_meta(metadata)
-        return LexPenalties(p=tuple(int(x) for x in record["p"]), a_adjacency=int(record["a_adjacency"]))
+        pen = LexPenalties(p=tuple(map(_json_int, record["p"])), a_adjacency=_json_int(record["a_adjacency"]))
+        log_layout(metadata, pen)
+        return pen
     if record is None:
         return None
-    if kind in ("onehot_mgc", "onehot_gc"):
+    if kind == "onehot_mgc":
         from .onehot import OneHotPenalties
 
         return OneHotPenalties(**_intify(record))
@@ -144,25 +155,4 @@ def _penalties_from_meta(metadata: dict) -> Any:
 
 
 def _intify(record: Mapping[str, Any]) -> dict[str, int]:
-    return {k: int(v) for k, v in record.items()}
-
-
-def _check_log_meta(metadata: Mapping[str, Any]) -> None:
-    """The fields a logarithmic encoding is re-derived from must be present and integral;
-    its penalty record is read by the caller."""
-    n, l = metadata.get("n"), metadata.get("L")
-    if not (type(n) is int and type(l) is int and n >= 1 and l >= 1):
-        raise ValueError("n and L must be positive integers")
-    edges = metadata.get("edges")
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in edges
-    ):
-        raise ValueError("edges must be a list of integer pairs")
-    # quadratize's term-count bound relies on each edge being one distinct pair.
-    if not all(0 <= u < v < n for u, v in edges) or len({tuple(e) for e in edges}) != len(edges):
-        raise ValueError(f"edges must be distinct pairs u < v of vertices 0..{n - 1}")
-    if metadata["kind"] == "log_general":
-        for name in ("alpha", "beta"):
-            costs = metadata.get(name)
-            if not isinstance(costs, dict) or not all(type(costs.get(f"{u}-{v}")) is int for u, v in edges):
-                raise ValueError(f"{name} needs an integer entry for every edge")
+    return {k: _json_int(v) for k, v in record.items()}

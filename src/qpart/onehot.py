@@ -45,11 +45,6 @@ def y_var(color: int, n: int, c: int) -> int:
     return n * c + color
 
 
-def _coloring_term_count(g: Graph, c: int) -> int:
-    """How many terms _coloring_terms yields: 1 + c + c(c-1)/2 per vertex, c per edge."""
-    return g.n * (1 + c + c * (c - 1) // 2) + g.m * c
-
-
 def _coloring_terms(g: Graph, c: int, pen: OneHotPenalties) -> list[tuple[tuple[int, ...], int]]:
     """A_onehot * sum_v (1 - sum_c x)^2 + A_adjacency * sum_edges sum_c x_u x_v, expanded."""
     terms: list[tuple[tuple[int, ...], int]] = []
@@ -83,8 +78,8 @@ def encode_mgc_onehot(g: Graph, c: int | None = None) -> EncodedProblem:
         raise ValueError(f"color count must be >= 1, got {c}")
     n = g.n
     pen = onehot_penalties(n, g.m, c)
-    # the coloring terms, then c usage terms and 2c link terms per vertex
-    check_build_terms(_coloring_term_count(g, c) + c + 2 * n * c)
+    # coloring terms: 1 + c + c(c-1)/2 per vertex and c per edge; then c usage and 2nc link terms
+    check_build_terms(n * (1 + c + c * (c - 1) // 2) + g.m * c + c + 2 * n * c)
     terms = _coloring_terms(g, c, pen)
 
     for col in range(c):
@@ -99,21 +94,6 @@ def encode_mgc_onehot(g: Graph, c: int | None = None) -> EncodedProblem:
     registry += [f"y[{col}]" for col in range(c)]
     meta = instance_meta(g, kind="onehot_mgc", c_num=c, L=None)
     return EncodedProblem(Polynomial(terms), tuple(registry), pen, meta)
-
-
-def encode_gc_onehot(g: Graph, c: int) -> EncodedProblem:
-    """Decision-version QUBO: ground energy is zero iff a proper c-coloring exists.
-
-    The minimization encoding minus the usage register and its link term.
-    Internal building block; the CLI only exposes the minimization form.
-    """
-    if c < 1:
-        raise ValueError(f"color count must be >= 1, got {c}")
-    pen = onehot_penalties(g.n, g.m, c)
-    check_build_terms(_coloring_term_count(g, c))
-    registry = tuple(f"x[{v}][{col}]" for v in range(g.n) for col in range(c))
-    meta = instance_meta(g, kind="onehot_gc", c_num=c, L=None)
-    return EncodedProblem(Polynomial(_coloring_terms(g, c, pen)), registry, pen, meta)
 
 
 def decode_onehot(prob: EncodedProblem, assignment: Bits) -> Coloring | list[int]:

@@ -62,7 +62,7 @@ class Polynomial:
 
         The same map, in the same order, as the constructor builds from
         that stream, without re-canonicalizing each key. The keys are not
-        checked, so only streams the program writes itself come through here.
+        checked: only the encoders' builders and the model reader, which checks them, call this.
         """
         canon: dict[Term, int] = {}
         get = canon.get

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantError, InvalidInstanceError
-from .logenc import LexPenalties, bit_var, bits_for_colors, edge_weights, log_hubo_terms
+from .errors import InternalInvariantError
+from .logenc import bit_var, bits_for_colors, checked_log_layout, log_hubo_terms
 from .model import EncodedProblem
 from .pbo import Polynomial, energy_vector
 
@@ -76,35 +76,14 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     agreement auxiliary; the published count assumes a quadratic gadget
     that the squared-penalty form does not deliver.
     """
-    weights, const = edge_weights(prob)
-    n = prob.meta["n"]
-    l = prob.meta["L"]
-    edges = [tuple(e) for e in prob.meta["edges"]]
-    pen: LexPenalties = prob.penalties
-
-    # Rebuild the HUBO from structure; a mismatch means the input was
-    # hand-edited or corrupted in transit, so it is bad input, not a bug.
-    # The rebuild costs 4^L per weighted edge, so cheap checks go first:
-    # each edge of nonzero weight yields (2^L - 1)^2 monomials over bits
-    # of both its endpoints, which no other (distinct) edge or ladder
-    # term can produce or cancel.
-    if (
-        len(pen.p) != l
-        or n * l != prob.num_variables
-        or sum(1 for _ in prob.polynomial.items())
-        < sum(1 for w in weights if w) * ((1 << l) - 1) ** 2
-        or Polynomial._from_canonical(log_hubo_terms(n, pen.p, const, edges, weights))
-        != prob.polynomial
-    ):
-        raise InvalidInstanceError("encoding metadata does not reproduce its polynomial")
-
-    coeff_bound = max((abs(w) for w in weights), default=0)
-    penalties = quadratization_penalties(coeff_bound, n, pen.total)
+    layout = checked_log_layout(prob)
+    n, l, edges, weights = layout.n, len(layout.ladder), layout.edges, layout.weights
+    penalties = quadratization_penalties(max(map(abs, weights), default=0), n, sum(layout.ladder))
     if l == 1:
         out = EncodedProblem(prob.polynomial, prob.registry, penalties, _quadratized_meta(prob, 0))
         return QuadratizedProblem(out)
 
-    terms = list(log_hubo_terms(n, pen.p, const))
+    terms = list(log_hubo_terms(n, layout.ladder, layout.constant))
     registry = list(prob.registry)
     m_1 = penalties.m_stage1
     for e, ((u, v), weight) in enumerate(zip(edges, weights)):
@@ -149,19 +128,16 @@ def _product_gadget(z: int, a: int, b: int, m: int) -> list[tuple[tuple[int, ...
 
 
 def _quadratized_meta(prob: EncodedProblem, gadget_edges: int) -> dict:
-    n, l = prob.meta["n"], prob.meta["L"]
-    meta = dict(prob.meta)
-    meta.update(
-        {
-            "kind": "quadratized_log",
-            "base_kind": prob.kind,
-            "num_original": n * l,
-            "backmap": list(range(n * l)),
-            "aux_counts": {"w": gadget_edges * l, "y": gadget_edges * l, "b": gadget_edges * (l - 2)},
-            "base_penalties": {"p": list(prob.penalties.p), "a_adjacency": prob.penalties.a_adjacency},
-        }
-    )
-    return meta
+    l = len(prob.penalties.p)
+    return {
+        **prob.meta,
+        "kind": "quadratized_log",
+        "base_kind": prob.kind,
+        "num_original": prob.num_variables,
+        "backmap": list(range(prob.num_variables)),
+        "aux_counts": {"w": gadget_edges * l, "y": gadget_edges * l, "b": gadget_edges * (l - 2)},
+        "base_penalties": {"p": list(prob.penalties.p), "a_adjacency": prob.penalties.a_adjacency},
+    }
 
 
 def manifold_extension(quad: QuadratizedProblem, original_bits: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import importlib
 import io
 import itertools
 import json
@@ -179,6 +178,11 @@ def _set_first_var(value):
     return corrupt
 
 
+def _repeat_first_var(doc):
+    ids = doc["terms"][-1]["vars"]
+    ids[1] = ids[0]
+
+
 def _zero_bits(doc):
     """L = 0, an empty ladder and the polynomial such metadata rebuilds to: one
     constant per edge (quadratize used to fail on it with an IndexError)."""
@@ -220,6 +224,11 @@ MODEL_DEFECTS = {
     "bool_var_id": ("log", _set_first_var(True)),
     "float_coeff": ("log", lambda doc: doc["terms"][-1].update(coeff=2.7)),
     "float_registry_id": ("onehot", _set_first_id(0.5)),
+    "bool_penalty": ("log", lambda doc: doc["metadata"]["penalties"].update(p=[True, 4])),
+    "float_penalty": ("onehot", lambda doc: doc["metadata"]["penalties"].update(a_link=4.9)),
+    # term ids the general constructor would silently sort or merge
+    "unsorted_vars": ("log", lambda doc: doc["terms"][-1]["vars"].reverse()),
+    "repeated_var": ("log", _repeat_first_var),
 }
 
 K2 = complete_graph(2)
@@ -235,10 +244,11 @@ def _raise_bit_count(doc):
     doc["variables"] = [{"id": i, "role": f"x{i}"} for i in range(doc["num_vars"])]
 
 
-# Metadata that asks quadratize's rebuild for a runaway term stream, each
+# Metadata that asks the exact check in logenc for a runaway rebuild, each
 # stopped by one check: n * L past the registry (an n * L ladder); fewer
 # terms than the edge's cross monomials (a 4^L edge); no edge of nonzero
-# weight, where only the rebuild finds the mismatch (no 4^L template).
+# weight, where only the rebuild finds the mismatch (no 4^L template), so
+# that case must have read the bounded stream.
 METADATA_TAMPERS = {
     "vertex_count": (
         lambda: encode_general(K2, K2_UNWEIGHTED, 2),
@@ -300,19 +310,26 @@ class TestExitCodes:
         # Past 10^5 items the rebuild's term stream, or the product over
         # per-bit factors that makes its 4^L template, fails the test.
         build, corrupt = METADATA_TAMPERS[tamper]
-        stream = _bounded(logenc.log_hubo_terms, 10**5)
-        monkeypatch.setattr(importlib.import_module("qpart.quadratize"), "log_hubo_terms", stream)
-        monkeypatch.setattr(
-            logenc, "itertools", SimpleNamespace(product=_bounded(itertools.product, 10**5))
-        )
         doc = json.loads(to_model_json(build()))
         corrupt(doc)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
+        bounded, calls = _bounded(logenc.log_hubo_terms, 10**5), []
+
+        def stream(*args, **kwargs):
+            calls.append(args)
+            return bounded(*args, **kwargs)
+
+        monkeypatch.setattr(logenc, "log_hubo_terms", stream)
+        monkeypatch.setattr(
+            logenc, "itertools", SimpleNamespace(product=_bounded(itertools.product, 10**5))
+        )
         code, _, err = run(["quadratize", "--in", str(model)], capsys)
         assert code == 2
         assert "does not reproduce its polynomial" in err
         assert "Traceback" not in err
+        if tamper == "zero_weight_edge":
+            assert calls, "the rebuild no longer reads logenc.log_hubo_terms"
 
     def test_gates_past_subset_limit_exits_3(self, tmp_path, capsys, monkeypatch):
         # one degree-40 term needs 2**40 subset additions; one degree-25 term

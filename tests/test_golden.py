@@ -21,7 +21,7 @@ from qpart.gates import cnot_count_oracle
 from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
 from qpart.model import to_model_json
-from qpart.onehot import encode_gc_onehot, encode_mgc_onehot
+from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import Polynomial, energy_vector
 from qpart.quadratize import quadratize
 from qpart.solve import AnnealParams, anneal
@@ -51,7 +51,6 @@ def golden_models():
     for name, prob in list(models.items()):
         models[f"quadratized_{name}"] = quadratize(prob).problem
     models["onehot_mgc_c4"] = encode_mgc_onehot(GRAPH, 4)
-    models["onehot_gc_c3"] = encode_gc_onehot(GRAPH, 3)
     return models
 
 
@@ -65,7 +64,6 @@ GOLDEN_SHA256 = {
     "log_mgc_L2": "f9254727f5e588c6c8b79f95e6b475241a83e58a75fe78378b11c86233954a95",
     "log_mgc_L3": "643f1add3b11e7b0367b516826f95abb5c4c51221d559152ce8ef083cf035ff1",
     "log_mgc_L4": "d03e41b062cdb7eb3f476ecc17d213003d4e766578f3fa6b5e05ec9e14584cd3",
-    "onehot_gc_c3": "5b8fd96400377c29fe75d0c3f21f924fc3d3182286bed2728e809e4fedae6e0e",
     "onehot_mgc_c4": "40fafec450c29bcce260a1a01008c3550338bb6cfd2fa809dbf942811dbcb0ed",
     "quadratized_log_general_L1": "52f60b4b163604cff2246bb8d61a88024a6ab7703d337978616e61455509b4a8",
     "quadratized_log_general_L2": "6a758191e1f838d88f4e99d4d86b42b2158d899587273b738ebeba9f2e1dd9e9",
@@ -251,7 +249,6 @@ GATE_SHA256 = {
     "log_mgc_L2": "37020c1f4e6b378d88206e3e877c56a8e44019f05581884aa8804320dc962d0d",
     "log_mgc_L3": "9335516e861104d3e0943ace46323199ff36e738cee581009c1606daac9c2b28",
     "log_mgc_L4": "946dd2b31461d5dc873c7a6783ade8283c41d867691558570ea9667938fd7ba0",
-    "onehot_gc_c3": "e75989b3080d5ee5f4c48148136b9751d7628b967dab6f5d74f3e80a3d29defe",
     "onehot_mgc_c4": "4bf881a41fbff164da3a57fbbf7c252b5840353d85af82669fe2b4ce6822c9d5",
     "quadratized_log_general_L1": "1b89990ee8f901ded30074933400e3cefb2ac3957047027f5c13150cbf916b6c",
     "quadratized_log_general_L2": "897e796aa16f42e75b559ab2d8ee60abdbd65cb4bf33eb9ea2db70443847f974",

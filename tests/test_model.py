@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qpart.errors import ParseError
 from qpart.logenc import LexPenalties, encode_mgc_log
 from qpart.model import EncodedProblem, from_model_json, to_model_json
-from qpart.onehot import OneHotPenalties, encode_gc_onehot, encode_mgc_onehot
+from qpart.onehot import OneHotPenalties, encode_mgc_onehot
 from qpart.pbo import Polynomial
 from qpart.quadratize import QuadratizationPenalties, quadratize
 
@@ -24,14 +24,6 @@ class TestRoundTrip:
         assert isinstance(parsed.penalties, OneHotPenalties)
         assert parsed.penalties == prob.penalties
         assert parsed.meta["kind"] == "onehot_mgc"
-
-    def test_onehot_gc(self):
-        prob = encode_gc_onehot(complete_graph(3), 3)
-        text = to_model_json(prob)
-        parsed = from_model_json(text)
-        assert isinstance(parsed.penalties, OneHotPenalties)
-        assert parsed.penalties == prob.penalties
-        assert to_model_json(parsed) == text
 
     def test_log(self):
         prob = encode_mgc_log(path_graph(3), 4)

@@ -121,17 +121,6 @@ class TestDecoding:
         assert report.colors_used == 0
 
 
-class TestDecisionVersion:
-    def test_zero_energy_iff_colorable(self):
-        from qpart.onehot import encode_gc_onehot
-
-        for g, c, colorable in ((K3, 3, True), (K3, 2, False), (P3, 2, True)):
-            prob = encode_gc_onehot(g, c)
-            assert prob.num_variables == g.n * c
-            energy, _ = ground_states(prob.polynomial, prob.num_variables)
-            assert (energy == 0) == colorable
-
-
 def test_theorem_ground_state_properties_small_family():
     # every ground state of every connected graph on <= 3 vertices satisfies
     # the four penalty-theorem properties with energy equal to chi

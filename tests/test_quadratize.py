@@ -1,5 +1,6 @@
 """HUBO-to-QUBO reduction: gadget exactness, penalties, auxiliary accounting."""
 
+import copy
 import importlib
 from fractions import Fraction
 
@@ -24,6 +25,9 @@ from qpart.quadratize import (
 
 K2 = complete_graph(2)
 P3 = path_graph(3)
+# one alpha = beta edge (zero weight: gadgets but no product term) and one
+# beta > alpha edge (negative weight)
+P3_SPEC = PartitionSpec(alpha={(0, 1): 1, (1, 2): 0}, beta={(0, 1): 1, (1, 2): 2})
 
 
 class TestQuadratize:
@@ -97,6 +101,23 @@ class TestQuadratize:
         with pytest.raises(InvalidInstanceError):
             quadratize(tampered)
 
+    @pytest.mark.parametrize(
+        "build, edit",
+        [
+            (lambda: encode_mgc_log(P3, 4), lambda meta: meta["edges"][0].reverse()),
+            (lambda: encode_mgc_log(P3, 4), lambda meta: meta.update(edges=[["0", "1"], ["1", "2"]])),
+            (lambda: encode_general(P3, P3_SPEC, 2), lambda meta: meta.pop("alpha")),
+        ],
+        ids=["edge_reversed", "string_edge_ids", "general_without_alpha"],
+    )
+    def test_rejects_metadata_the_model_reader_rejects(self, build, edit):
+        # the same rules as the JSON loader, on a model that never was JSON
+        hubo = build()
+        meta = copy.deepcopy(dict(hubo.meta))
+        edit(meta)
+        with pytest.raises(InvalidInstanceError):
+            quadratize(EncodedProblem(hubo.polynomial, hubo.registry, hubo.penalties, meta))
+
     def test_rejects_registry_longer_than_bits(self):
         # auxiliary ids start right after the n*L originals, so an extra
         # variable would shift every auxiliary role by one
@@ -136,11 +157,8 @@ class TestVerification:
     def test_on_manifold_energy_equality(self):
         import itertools
 
-        # one alpha = beta edge (zero weight: gadgets but no product term)
-        # and one beta > alpha edge (negative weight)
-        spec = PartitionSpec(alpha={(0, 1): 1, (1, 2): 0}, beta={(0, 1): 1, (1, 2): 2})
         hubos = [encode_mgc_log(g, c) for g, c in ((K2, 2), (K2, 8), (P3, 4), (K2, 16))]
-        for hubo in hubos + [encode_general(P3, spec, 2)]:
+        for hubo in hubos + [encode_general(P3, P3_SPEC, 2)]:
             quad = quadratize(hubo)
             for original in itertools.product((0, 1), repeat=quad.num_original_vars):
                 extended = manifold_extension(quad, original)
