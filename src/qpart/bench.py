@@ -10,39 +10,35 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
 from .graphs import Coloring, Graph, brooks_upper_bound
 from .logenc import bits_for_colors, decode_log, encode_mgc_log
 from .onehot import decode_onehot, encode_mgc_onehot
 from .quadratize import quadratize
-from .solve import AnnealParams, SampleSet, anneal
+from .solve import AnnealParams, anneal
 
 Z_95 = 1.96
+T_ANNEAL = 20.0
+T_THERMALIZE = 1000.0
 
 
 @dataclass(frozen=True)
 class TimingModel:
-    """Per-run timing constants in microseconds; pure configuration."""
+    """Per-run time in microseconds: a fixed anneal and thermalization plus the readout."""
 
-    t_programming: float = 0.0
-    t_anneal: float = 20.0
-    t_readout: float = 40.0
-    t_thermalize: float = 1000.0
-
-    def __post_init__(self):
-        for name in ("t_programming", "t_anneal", "t_readout", "t_thermalize"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+    t_readout: float
 
     @property
     def t_run(self) -> float:
-        return self.t_anneal + self.t_readout + self.t_thermalize
+        return T_ANNEAL + self.t_readout + T_THERMALIZE
 
     @staticmethod
     def for_qubits(num_qubits: int) -> TimingModel:
@@ -57,15 +53,14 @@ def tts(p_s: Fraction | float, timing: TimingModel) -> float | None:
     the run multiplier to a single run rather than the formula's limit of
     zero runs.
     """
-    p = Fraction(p_s) if not isinstance(p_s, Fraction) else p_s
+    p = Fraction(p_s)
     if p < 0 or p > 1:
         raise ValueError(f"success probability must lie in [0, 1], got {p_s}")
     if p == 0:
         return None
     if p == 1:
-        return timing.t_programming + timing.t_run
-    ratio = math.log(0.5) / math.log(1.0 - float(p))
-    return timing.t_programming + timing.t_run * ratio
+        return timing.t_run
+    return timing.t_run * (math.log(0.5) / math.log(1.0 - float(p)))
 
 
 @dataclass(frozen=True)
@@ -101,25 +96,16 @@ def km_median(observations: Sequence[SurvivalObservation]) -> SurvivalEstimate:
     """
     if not observations:
         raise ValueError("km_median needs at least one observation")
-    obs = sorted(
-        ((Fraction(o.time), o.censored) for o in observations), key=lambda t: (t[0], t[1])
-    )
+    obs = sorted((Fraction(o.time), o.censored) for o in observations)
     at_risk = len(obs)
     survival = Fraction(1)
     greenwood_sum = Fraction(0)
     curve: list[tuple[Fraction, Fraction, Fraction]] = []
 
-    i = 0
-    while i < len(obs):
-        t = obs[i][0]
-        d = 0
-        c = 0
-        while i < len(obs) and obs[i][0] == t:
-            if obs[i][1]:
-                c += 1
-            else:
-                d += 1
-            i += 1
+    for t, tied in itertools.groupby(obs, key=operator.itemgetter(0)):
+        flags = [censored for _, censored in tied]
+        c = sum(flags)
+        d = len(flags) - c
         if d > 0:
             if d == at_risk:
                 survival = Fraction(0)
@@ -131,16 +117,9 @@ def km_median(observations: Sequence[SurvivalObservation]) -> SurvivalEstimate:
             curve.append((t, survival, variance))
         at_risk -= d + c
 
-    median = None
-    for t, s, _ in curve:
-        if s <= Fraction(1, 2):
-            median = t
-            break
-    if median is None:
-        horizon = max(t for t, _ in obs)
-        estimate_median, lower_bound = horizon, True
-    else:
-        estimate_median, lower_bound = median, False
+    median, lower_bound = next(
+        ((t, False) for t, s, _ in curve if s <= Fraction(1, 2)), (obs[-1][0], True)
+    )
 
     ci_low = None
     ci_high = None
@@ -152,7 +131,7 @@ def km_median(observations: Sequence[SurvivalObservation]) -> SurvivalEstimate:
             ci_high = float(t)
 
     return SurvivalEstimate(
-        median=estimate_median,
+        median=median,
         median_is_lower_bound=lower_bound,
         ci_low=ci_low,
         ci_high=ci_high,
@@ -180,7 +159,6 @@ class BenchRecord:
     qubits_post: int
     p_s: Fraction
     tts_value: float | None
-    censored: bool
     t_censor: float
     density: float
 
@@ -190,7 +168,6 @@ class BenchReport:
     records: tuple[BenchRecord, ...]
     groups: tuple[tuple[str, str, str, SurvivalEstimate], ...]  # (group_by, key, encoding, estimate)
     failures: tuple[tuple[str, str], ...]
-    notes: tuple[str, ...]
 
 
 METHODOLOGY_NOTES = (
@@ -198,16 +175,6 @@ METHODOLOGY_NOTES = (
     "Qubit counts are logical; no minor embedding is performed, so timings are not comparable to QPU wall-clock results.",
     "A run succeeds when its decoded solution is a proper coloring using no more colors than the best feasible solution found across both encodings of the instance.",
 )
-
-
-def _decoded_quality(decode: Callable, prob, samples: SampleSet, g: Graph) -> list[int | None]:
-    """Color count per sample for feasible decodes, None for infeasible ones."""
-    out: list[int | None] = []
-    for s in samples.samples:
-        decoded = decode(prob, s.bits)
-        feasible = isinstance(decoded, Coloring) and decoded.is_proper(g)
-        out.append(decoded.distinct_count() if feasible else None)
-    return out
 
 
 def run_suite(
@@ -237,57 +204,52 @@ def run_suite(
     grouped: dict[tuple[str, str], list[SurvivalObservation]] = {}
     for rec in records:
         key = str(rec.n) if group_by == "n" else f"{rec.density:.2f}"
-        time = Fraction(rec.t_censor) if rec.censored else Fraction(rec.tts_value)
+        censored = rec.tts_value is None
+        time = Fraction(rec.t_censor) if censored else Fraction(rec.tts_value)
         grouped.setdefault((key, rec.encoding), []).append(
-            SurvivalObservation(time=time, censored=rec.censored)
+            SurvivalObservation(time=time, censored=censored)
         )
     groups = tuple(
         (group_by, key, encoding, km_median(obs))
         for (key, encoding), obs in sorted(grouped.items())
     )
-    return BenchReport(
-        records=tuple(records),
-        groups=groups,
-        failures=tuple(failures),
-        notes=METHODOLOGY_NOTES,
-    )
+    return BenchReport(records=tuple(records), groups=groups, failures=tuple(failures))
 
 
 def _bench_one(inst: BenchInstance, params: AnnealParams) -> list[BenchRecord]:
+    """One record per encoding, each scored against the best colour count either one decoded.
+
+    Each arm is (model as encoded, model as annealed, decoder): one-hot is
+    annealed as encoded, the log model in its quadratized form.
+    """
     g = inst.graph
     c = inst.colors if inst.colors is not None else brooks_upper_bound(g)
     l = bits_for_colors(c)
-    density = (
-        inst.density
-        if inst.density is not None
-        else g.m / (g.n * (g.n - 1) / 2)
-    )
+    pairs = g.n * (g.n - 1) / 2
+    density = inst.density if inst.density is not None else (g.m / pairs if pairs else 0.0)
 
     onehot_prob = encode_mgc_onehot(g, c)
     log_prob = encode_mgc_log(g, c)
-    quad = quadratize(log_prob)
-
-    onehot_samples = anneal(onehot_prob.polynomial, params, onehot_prob.num_variables)
-    quad_samples = anneal(quad.problem.polynomial, params, quad.problem.num_variables)
-
-    onehot_quality = _decoded_quality(decode_onehot, onehot_prob, onehot_samples, g)
-    log_quality = _decoded_quality(decode_log, quad.problem, quad_samples, g)
-    feasible_counts = [q for q in onehot_quality + log_quality if q is not None]
-    best = min(feasible_counts) if feasible_counts else None
+    arms = {
+        "onehot": (onehot_prob, onehot_prob, decode_onehot),
+        "log": (log_prob, quadratize(log_prob).problem, decode_log),
+    }
+    # colour count of each sample's decoded coloring, None where it is not proper
+    quality: dict[str, list[int | None]] = {}
+    for encoding, (_, annealed, decode) in arms.items():
+        quality[encoding] = []
+        for s in anneal(annealed.polynomial, params, annealed.num_variables).samples:
+            decoded = decode(annealed, s.bits)
+            feasible = isinstance(decoded, Coloring) and decoded.is_proper(g)
+            quality[encoding].append(decoded.distinct_count() if feasible else None)
+    best = min((q for counts in quality.values() for q in counts if q is not None), default=None)
 
     records = []
-    for encoding, quality, qubits_pre, qubits_post in (
-        ("onehot", onehot_quality, (g.n + 1) * c, (g.n + 1) * c),
-        ("log", log_quality, g.n * l, quad.problem.num_variables),
-    ):
-        if best is None:
-            p_s = Fraction(0)
-        else:
-            hits = sum(1 for q in quality if q is not None and q <= best)
-            p_s = Fraction(hits, params.runs)
-        tm = TimingModel.for_qubits(qubits_post)
-        value = tts(p_s, tm)
-        t_censor = params.runs * tm.t_run
+    for encoding, (encoded, annealed, _) in arms.items():
+        # with no feasible sample every q is None, so no hit compares against best
+        hits = sum(1 for q in quality[encoding] if q is not None and q <= best)
+        p_s = Fraction(hits, params.runs)
+        tm = TimingModel.for_qubits(annealed.num_variables)
         records.append(
             BenchRecord(
                 instance_id=inst.instance_id,
@@ -296,12 +258,11 @@ def _bench_one(inst: BenchInstance, params: AnnealParams) -> list[BenchRecord]:
                 m=g.m,
                 c=c,
                 l=l,
-                qubits_pre=qubits_pre,
-                qubits_post=qubits_post,
+                qubits_pre=encoded.num_variables,
+                qubits_post=annealed.num_variables,
                 p_s=p_s,
-                tts_value=value,
-                censored=value is None,
-                t_censor=t_censor,
+                tts_value=tts(p_s, tm),
+                t_censor=params.runs * tm.t_run,
                 density=density,
             )
         )
@@ -340,7 +301,7 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
                 r.qubits_post,
                 repr(float(r.p_s)),
                 "" if r.tts_value is None else repr(r.tts_value),
-                "true" if r.censored else "false",
+                "true" if r.tts_value is None else "false",
             ]
         )
     return buf.getvalue()
@@ -348,7 +309,7 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
 
 def report_to_json(report: BenchReport) -> str:
     doc = {
-        "notes": list(report.notes),
+        "notes": list(METHODOLOGY_NOTES),
         "failures": [{"instance_id": i, "error": e} for i, e in report.failures],
         "records": [
             {
@@ -362,7 +323,7 @@ def report_to_json(report: BenchReport) -> str:
                 "qubits_post": r.qubits_post,
                 "p_s": str(r.p_s),
                 "tts": r.tts_value,
-                "censored": r.censored,
+                "censored": r.tts_value is None,
                 "t_censor": r.t_censor,
                 "density": r.density,
             }

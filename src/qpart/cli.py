@@ -38,6 +38,16 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _anneal_params(args: argparse.Namespace) -> AnnealParams:
+    return AnnealParams(
+        runs=args.runs,
+        sweeps=args.sweeps,
+        beta_start=args.beta_start,
+        beta_end=args.beta_end,
+        seed=args.seed,
+    )
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     g = generate_random_connected(args.n, args.density, args.seed)
     _write(args.out, serialize_graph(g, args.format))
@@ -73,14 +83,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         }
         _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 0
-    params = AnnealParams(
-        runs=args.runs,
-        sweeps=args.sweeps,
-        beta_start=args.beta_start,
-        beta_end=args.beta_end,
-        seed=args.seed,
-    )
-    samples = anneal(prob.polynomial, params, prob.num_variables)
+    samples = anneal(prob.polynomial, _anneal_params(args), prob.num_variables)
     _write(args.out, samples.to_json())
     return 0
 
@@ -111,6 +114,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--density needs at least one value")
     if args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError(f"need 2 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     instances = []
     span = args.n_max - args.n_min + 1
     for i in range(args.count):
@@ -125,14 +130,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 colors=args.colors,
             )
         )
-    params = AnnealParams(
-        runs=args.runs,
-        sweeps=args.sweeps,
-        beta_start=args.beta_start,
-        beta_end=args.beta_end,
-        seed=args.seed,
-    )
-    report = run_suite(instances, params, group_by=args.group_by)
+    report = run_suite(instances, _anneal_params(args), group_by=args.group_by)
     if args.out_csv:
         _write(args.out_csv, records_to_csv(report.records))
     if args.out_json:

@@ -84,7 +84,7 @@ def _term_json(key: tuple[int, ...], coeff: int) -> str:
 def from_model_json(text: str) -> EncodedProblem:
     """Parse model JSON; variable ids must be JSON integers, strictly
     increasing within each term, and coefficients and penalty values JSON
-    integers (coefficients may also be decimal strings); booleans and
+    integers (coefficients may also be ASCII decimal strings); booleans and
     floats are rejected."""
     try:
         doc = json.loads(text)
@@ -108,6 +108,10 @@ def from_model_json(text: str) -> EncodedProblem:
             raise ValueError("term variable ids must be non-negative and strictly increasing")
         if not set(map(type, coeffs)) <= {int, str}:
             raise ValueError("term coefficients must be integers or decimal strings")
+        # int() also reads spaces, underscores and non-ASCII digits; empty strings it rejects
+        digits = "".join(c.removeprefix("-") for c in coeffs if type(c) is str)
+        if not (digits.isascii() and (digits.isdigit() or not digits)):
+            raise ValueError("coefficient strings must be ASCII decimal integers")
         poly = Polynomial._from_canonical(zip(keys, map(int, coeffs)))
         metadata = dict(doc.get("metadata", {}))
     except (KeyError, TypeError, ValueError) as exc:

@@ -204,15 +204,19 @@ def test_criterion_6_qubit_crossover_predicate():
 def test_criterion_7_tts_and_km_units():
     """TTS closed-form anchors and Kaplan-Meier reference values."""
     ok = True
-    tm = TimingModel(t_programming=10, t_anneal=1, t_readout=1, t_thermalize=0)
+    tm = TimingModel.for_qubits(37)
     value = tts(Fraction(1, 2), tm)
-    if value is None or abs(value - 12.0) > 1e-9 * 12.0:
+    if value is None or abs(value - tm.t_run) > 1e-9 * tm.t_run:
         ok = False
     if tts(Fraction(0), tm) is not None:
         ok = False
-    tm0 = TimingModel(t_programming=0, t_anneal=1, t_readout=0, t_thermalize=0)
-    value = tts(Fraction(3, 4), tm0)
-    if value is None or abs(value - 0.5) > 1e-9 * 0.5:
+    value = tts(Fraction(3, 4), tm)
+    if value is None or abs(value - tm.t_run / 2) > 1e-9 * tm.t_run / 2:
+        ok = False
+    if tts(Fraction(1), tm) != tm.t_run:
+        ok = False
+    grid = [tts(Fraction(k, 100), tm) for k in range(1, 100)]
+    if any(a < b for a, b in zip(grid, grid[1:])):
         ok = False
 
     rng = random.Random(99)
@@ -266,7 +270,7 @@ def test_criterion_8_end_to_end_pipeline():
     group_ns = {key for _, key, _, _ in result.groups}
     if group_ns != {str(n) for n in range(4, 11)}:
         ok = False
-    solved = sum(1 for r in result.records if not r.censored)
+    solved = sum(1 for r in result.records if r.tts_value is not None)
     report(
         8,
         "end-to-end benchmark pipeline",

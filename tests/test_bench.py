@@ -20,6 +20,7 @@ from qpart.bench import (
     tts,
 )
 from qpart.errors import InternalInvariantError
+from qpart.graphs import Graph
 from qpart.solve import AnnealParams
 
 
@@ -28,38 +29,32 @@ def obs(*pairs):
 
 
 class TestTts:
+    TM = TimingModel.for_qubits(37)
+
     def test_ratio_one_at_half(self):
-        tm = TimingModel(t_programming=10, t_anneal=1, t_readout=1, t_thermalize=0)
-        assert tts(Fraction(1, 2), tm) == pytest.approx(12.0, rel=1e-9)
+        assert tts(Fraction(1, 2), self.TM) == pytest.approx(self.TM.t_run, rel=1e-9)
 
     def test_analytic_value(self):
-        tm = TimingModel(t_programming=0, t_anneal=1, t_readout=0, t_thermalize=0)
-        assert tts(Fraction(3, 4), tm) == pytest.approx(0.5, rel=1e-9)
+        # log(1/2) / log(1/4) = 1/2: half a run
+        assert tts(Fraction(3, 4), self.TM) == pytest.approx(self.TM.t_run / 2, rel=1e-9)
 
     def test_zero_is_censored(self):
-        tm = TimingModel()
-        assert tts(0, tm) is None
-        assert tts(Fraction(0), tm) is None
+        assert tts(0, self.TM) is None
+        assert tts(Fraction(0), self.TM) is None
 
     def test_one_clamps_to_single_run(self):
-        tm = TimingModel(t_programming=5, t_anneal=2, t_readout=3, t_thermalize=0)
-        assert tts(1, tm) == 10
+        assert tts(1, self.TM) == self.TM.t_run
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            tts(1.5, TimingModel())
+            tts(1.5, self.TM)
         with pytest.raises(ValueError):
-            tts(-0.1, TimingModel())
+            tts(-0.1, self.TM)
 
     def test_monotone_nonincreasing_in_p(self):
-        tm = TimingModel(t_programming=1, t_anneal=1, t_readout=1, t_thermalize=1)
         grid = [Fraction(k, 100) for k in range(1, 100)]
-        values = [tts(p, tm) for p in grid]
+        values = [tts(p, self.TM) for p in grid]
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_timing_model_validation(self):
-        with pytest.raises(ValueError):
-            TimingModel(t_anneal=-1)
 
     def test_default_readout_tracks_qubits(self):
         tm = TimingModel.for_qubits(37)
@@ -150,10 +145,19 @@ class TestRunSuite:
             [BenchInstance("k3", complete_graph(3), colors=2)],
             AnnealParams(runs=6, sweeps=32, seed=0),
         )
-        assert all(r.censored for r in report.records)
+        assert all(r.tts_value is None for r in report.records)
         assert all(r.p_s == 0 for r in report.records)
         for _, _, _, est in report.groups:
             assert est.median_is_lower_bound
+
+    def test_one_vertex_graph_without_density(self):
+        # n(n-1)/2 = 0 pairs: the density is 0, not a division by zero
+        report = run_suite([BenchInstance("k1", Graph(1, ()))], AnnealParams(runs=4, sweeps=8, seed=0))
+        assert report.failures == ()
+        assert [(r.encoding, r.density, r.p_s) for r in report.records] == [
+            ("onehot", 0.0, 1),
+            ("log", 0.0, 1),
+        ]
 
     def test_csv_columns_and_rows(self):
         report = run_suite(

@@ -163,6 +163,13 @@ class TestBench:
         code, _, _ = run(["bench", "--count", "1", "--density", ""], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exits_2(self, count, capsys):
+        code, out, err = run(["bench", "--count", count], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--count" in err
+
 
 def _set_first_id(value):
     def corrupt(doc):
@@ -174,6 +181,16 @@ def _set_first_id(value):
 def _set_first_var(value):
     def corrupt(doc):
         doc["terms"][-1]["vars"][0] = value
+
+    return corrupt
+
+
+def _edit_constant(edit):
+    """Rewrite the constant term's coefficient string; int() reads every edit as the same value."""
+
+    def corrupt(doc):
+        term = doc["terms"][0]
+        term["coeff"] = edit(term["coeff"])
 
     return corrupt
 
@@ -226,6 +243,10 @@ MODEL_DEFECTS = {
     "float_registry_id": ("onehot", _set_first_id(0.5)),
     "bool_penalty": ("log", lambda doc: doc["metadata"]["penalties"].update(p=[True, 4])),
     "float_penalty": ("onehot", lambda doc: doc["metadata"]["penalties"].update(a_link=4.9)),
+    # coefficient strings int() reads but that are not ASCII decimal text
+    "spaced_coeff": ("log", _edit_constant(lambda c: f" {c} ")),
+    "underscore_coeff": ("log", _edit_constant(lambda c: f"{c[0]}_{c[1:]}")),
+    "non_ascii_coeff": ("log", _edit_constant(lambda c: c.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")))),
     # term ids the general constructor would silently sort or merge
     "unsorted_vars": ("log", lambda doc: doc["terms"][-1]["vars"].reverse()),
     "repeated_var": ("log", _repeat_first_var),

@@ -8,7 +8,9 @@ are SHA-256 of `SampleSet.to_json` output, so a change to the annealer
 that alters a random draw, an acceptance decision or a final energy
 changes one. The energy-vector digests cover the dtype and every entry of
 `energy_vector`, so a change to exhaustive evaluation that alters one
-energy or the int64/object choice changes one.
+energy or the int64/object choice changes one. The bench digests cover the
+CSV and JSON that `qpart bench` writes, so a change to scoring, timing or
+Kaplan-Meier aggregation that alters one number changes one.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import itertools
 import pytest
 from conftest import add_scaled, multiply, spin_terms
 
+from qpart import cli
 from qpart.gates import cnot_count_oracle
 from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
@@ -269,3 +272,19 @@ def test_gate_golden_names_cover_every_model(models):
 @pytest.mark.parametrize("name", sorted(GATE_SHA256))
 def test_gate_oracle_pinned(models, name):
     assert gate_digest(models[name].polynomial) == GATE_SHA256[name]
+
+
+# A small suite with an L=1 passthrough, quadratized L=2 arms, a p_s = 1
+# clamp and a censored arm on each encoding.
+BENCH_ARGV = ["bench", "--count", "6", "--n-min", "3", "--n-max", "6", "--runs", "8", "--sweeps", "20", "--seed", "0"]
+BENCH_SHA256 = {
+    "csv": "d23e978001334c884f5867bf757e126641dadb24b76a02953b406f933889eaef",
+    "json": "06ab664acac0c7ecdca8544b84448690d3fcea3ffc83138f51cbd617b0ee1191",
+}
+
+
+def test_bench_bytes_pinned(tmp_path):
+    paths = {kind: tmp_path / f"bench.{kind}" for kind in BENCH_SHA256}
+    assert cli.main(BENCH_ARGV + ["--out-csv", str(paths["csv"]), "--out-json", str(paths["json"])]) == 0
+    digests = {kind: hashlib.sha256(path.read_bytes()).hexdigest() for kind, path in paths.items()}
+    assert digests == BENCH_SHA256
