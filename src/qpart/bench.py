@@ -49,16 +49,16 @@ class TimingModel:
 def tts(p_s: Fraction | float, timing: TimingModel) -> float | None:
     """Expected time to hit the target with 50% confidence; None when censored.
 
-    p_s = 0 cannot be extrapolated and is right-censored. p_s = 1 clamps
-    the run multiplier to a single run rather than the formula's limit of
-    zero runs.
+    p_s = 0 cannot be extrapolated and is right-censored. The run
+    multiplier log(1/2) / log(1 - p) is clamped to at least one run, so
+    TTS never grows with p and every p_s >= 1/2 gives t_run.
     """
     p = Fraction(p_s)
     if p < 0 or p > 1:
         raise ValueError(f"success probability must lie in [0, 1], got {p_s}")
     if p == 0:
         return None
-    if p == 1:
+    if p >= Fraction(1, 2):
         return timing.t_run
     return timing.t_run * (math.log(0.5) / math.log(1.0 - float(p)))
 

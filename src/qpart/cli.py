@@ -116,6 +116,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"need 2 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.colors is not None and args.colors < 1:
+        raise ValueError(f"--colors must be at least 1, got {args.colors}")
     instances = []
     span = args.n_max - args.n_min + 1
     for i in range(args.count):

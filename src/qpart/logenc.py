@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, InvalidInstanceError
-from .graphs import Coloring, Graph, brooks_upper_bound
+from .graphs import Coloring, Graph
 from .model import EncodedProblem, instance_meta
 from .pbo import Bits, Polynomial, Term, check_build_terms
 
@@ -205,10 +205,8 @@ def _registry(n: int, l: int) -> tuple[str, ...]:
     return tuple(f"x[{v}][{k}]" for v in range(n) for k in range(1, l + 1))
 
 
-def encode_mgc_log(g: Graph, c: int | None = None) -> EncodedProblem:
+def encode_mgc_log(g: Graph, c: int) -> EncodedProblem:
     """Build the logarithmic minimum-coloring HUBO over n*L variables, degree 2L."""
-    if c is None:
-        c = brooks_upper_bound(g)
     l = bits_for_colors(c)
     pen = lex_penalties(g.n, l)
     poly = _log_polynomial(g, pen.p, pen.a_adjacency, PartitionSpec.mgc(g))

@@ -85,7 +85,7 @@ def from_model_json(text: str) -> EncodedProblem:
     """Parse model JSON; variable ids must be JSON integers, strictly
     increasing within each term, and coefficients and penalty values JSON
     integers (coefficients may also be ASCII decimal strings); booleans and
-    floats are rejected."""
+    floats are rejected. Roles must be strings and metadata an object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -97,7 +97,9 @@ def from_model_json(text: str) -> EncodedProblem:
             i = _json_int(entry["id"])
             if not 0 <= i < num_vars or i in roles:
                 raise ValueError(f"variable id {i} is out of range 0..{num_vars - 1} or repeated")
-            roles[i] = str(entry["role"])
+            roles[i] = entry["role"]
+            if type(roles[i]) is not str:
+                raise ValueError(f"variable {i} needs a string role, got {roles[i]!r}")
         if len(roles) != num_vars:
             raise ValueError(f"variables list {len(roles)} ids but num_vars is {num_vars}")
         keys = [tuple(t["vars"]) for t in doc["terms"]]
@@ -113,7 +115,9 @@ def from_model_json(text: str) -> EncodedProblem:
         if not (digits.isascii() and (digits.isdigit() or not digits)):
             raise ValueError("coefficient strings must be ASCII decimal integers")
         poly = Polynomial._from_canonical(zip(keys, map(int, coeffs)))
-        metadata = dict(doc.get("metadata", {}))
+        metadata = doc.get("metadata", {})
+        if type(metadata) is not dict:
+            raise ValueError("metadata must be a JSON object")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model JSON: {exc}") from exc
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError
-from .graphs import Coloring, Graph, brooks_upper_bound
+from .graphs import Coloring, Graph
 from .model import EncodedProblem, instance_meta
 from .pbo import Bits, Polynomial, check_build_terms
 
@@ -62,7 +62,7 @@ def _coloring_terms(g: Graph, c: int, pen: OneHotPenalties) -> list[tuple[tuple[
     return terms
 
 
-def encode_mgc_onehot(g: Graph, c: int | None = None) -> EncodedProblem:
+def encode_mgc_onehot(g: Graph, c: int) -> EncodedProblem:
     """Build the one-hot minimum-coloring QUBO over (n+1)*c variables.
 
     H = A_onehot * sum_v (1 - sum_c x)^2
@@ -70,10 +70,9 @@ def encode_mgc_onehot(g: Graph, c: int | None = None) -> EncodedProblem:
       + sum_c y_c
       + A_link * sum_v sum_c x_vc (1 - y_c)
 
-    fully expanded to canonical multilinear form.
+    fully expanded, every key written sorted: x[v][c] ids grow with (v, c),
+    edges have u < v, and every y id follows every x id.
     """
-    if c is None:
-        c = brooks_upper_bound(g)
     if c < 1:
         raise ValueError(f"color count must be >= 1, got {c}")
     n = g.n
@@ -93,7 +92,7 @@ def encode_mgc_onehot(g: Graph, c: int | None = None) -> EncodedProblem:
     registry = [f"x[{v}][{col}]" for v in range(n) for col in range(c)]
     registry += [f"y[{col}]" for col in range(c)]
     meta = instance_meta(g, kind="onehot_mgc", c_num=c, L=None)
-    return EncodedProblem(Polynomial(terms), tuple(registry), pen, meta)
+    return EncodedProblem(Polynomial._from_canonical(terms), tuple(registry), pen, meta)
 
 
 def decode_onehot(prob: EncodedProblem, assignment: Bits) -> Coloring | list[int]:

@@ -7,6 +7,7 @@ no floating point enters an energy computation.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -15,9 +16,10 @@ from .errors import DimensionError, ResourceLimitError
 
 ENUMERATION_MAX_VARS = 24
 # Terms an encoder may stream into one polynomial, counted before it
-# builds any. A build holds about 350 B per term (the 2**20-term log model
-# of K2 at 1024 colours peaks at 354 MiB), so the largest allowed model
-# takes about 0.7 GB; perfbench's n=64, c=16 log model streams 258 k terms.
+# builds any: about 350 B per term in the polynomial (K2's 2**20-term log
+# model at 1024 colours peaks at 354 MiB), more with `qpart encode`'s
+# registry and JSON text (256 MiB for the 200,001 terms of a 10**5-vertex
+# edgeless graph at 4 colours), so a model near the limit takes over 2 GB.
 MAX_BUILD_TERMS = 1 << 21
 
 Term = tuple[int, ...]
@@ -37,23 +39,9 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Iterable[int], int] | Iterable[tuple[Iterable[int], int]] | None = None):
-        canon: dict[Term, int] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            get = canon.get
-            for vars_, coeff in items:
-                coeff = int(coeff)
-                if coeff == 0:
-                    continue
-                key = tuple(sorted(set(map(int, vars_))))
-                if key and key[0] < 0:
-                    raise ValueError(f"negative variable id in term {key}")
-                new = get(key, 0) + coeff
-                if new == 0:
-                    del canon[key]
-                else:
-                    canon[key] = new
-        self._terms = canon
+        items = () if terms is None else terms.items() if isinstance(terms, Mapping) else terms
+        # operator.index takes ints only: floats, strings and Fractions raise TypeError
+        self._terms = _accumulate((_canonical_key(vars_), operator.index(coeff)) for vars_, coeff in items)
 
     @classmethod
     def _from_canonical(cls, terms: Iterable[tuple[Term, int]]) -> Polynomial:
@@ -64,17 +52,8 @@ class Polynomial:
         that stream, without re-canonicalizing each key. The keys are not
         checked: only the encoders' builders and the model reader, which checks them, call this.
         """
-        canon: dict[Term, int] = {}
-        get = canon.get
-        for key, coeff in terms:
-            if coeff:
-                new = get(key, 0) + coeff
-                if new:
-                    canon[key] = new
-                else:
-                    del canon[key]
         poly = cls.__new__(cls)
-        poly._terms = canon
+        poly._terms = _accumulate(terms)
         return poly
 
     def items(self) -> Iterator[tuple[Term, int]]:
@@ -115,6 +94,27 @@ class Polynomial:
             parts.append(f"{self._terms[key]}*{mono}")
         tail = " + ..." if len(self._terms) > 8 else ""
         return f"Polynomial({' + '.join(parts)}{tail})"
+
+
+def _canonical_key(vars_: Iterable[int]) -> Term:
+    key = tuple(sorted(set(map(operator.index, vars_))))
+    if key and key[0] < 0:
+        raise ValueError(f"negative variable id in term {key}")
+    return key
+
+
+def _accumulate(terms: Iterable[tuple[Term, int]]) -> dict[Term, int]:
+    """Sum the coefficients of equal keys, dropping every sum that is zero."""
+    canon: dict[Term, int] = {}
+    get = canon.get
+    for key, coeff in terms:
+        if coeff:
+            new = get(key, 0) + coeff
+            if new:
+                canon[key] = new
+            else:
+                del canon[key]
+    return canon
 
 
 def check_build_terms(count: int) -> None:

@@ -102,20 +102,20 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
                 ((xu,), -m_1),
                 ((xv,), -m_1),
                 ((w + k,), 2 * m_1),
-                ((y + k, xu), 2 * m_1),
-                ((y + k, xv), 2 * m_1),
-                ((y + k, w + k), -4 * m_1),
+                ((xu, y + k), 2 * m_1),
+                ((xv, y + k), 2 * m_1),
+                ((w + k, y + k), -4 * m_1),
             ]
-        # Prefix-product chain over y_1..y_{L-1}; the replaced monomial is
-        # the quadratic product of the chain head with y_L.
+        # Prefix-product chain over y_1..y_{L-1}; the replaced monomial is the
+        # quadratic product of the chain head (y_1, then a b after every y) with y_L.
         head = y
         for i in range(l - 2):
-            terms += _product_gadget(b + i, head, y + i + 1, penalties.m_stage2)
+            terms += _product_gadget(b + i, *sorted((head, y + i + 1)), penalties.m_stage2)
             head = b + i
         if weight:
-            terms.append(((head, y + l - 1), weight))
+            terms.append((tuple(sorted((head, y + l - 1))), weight))
 
-    poly = Polynomial(terms)
+    poly = Polynomial._from_canonical(terms)
     if poly.degree() > 2:
         raise InternalInvariantError("quadratization produced a term of degree > 2")
     meta = _quadratized_meta(prob, len(edges))
@@ -123,8 +123,8 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
 
 
 def _product_gadget(z: int, a: int, b: int, m: int) -> list[tuple[tuple[int, ...], int]]:
-    """Rosenberg's m*(ab - 2za - 2zb + 3z): >= 0 on binary inputs, zero iff z = a*b."""
-    return [((a, b), m), ((z, a), -2 * m), ((z, b), -2 * m), ((z,), 3 * m)]
+    """Rosenberg's m*(ab - 2az - 2bz + 3z), keys sorted for a < b < z: >= 0, zero iff z = a*b."""
+    return [((a, b), m), ((a, z), -2 * m), ((b, z), -2 * m), ((z,), 3 * m)]
 
 
 def _quadratized_meta(prob: EncodedProblem, gadget_edges: int) -> dict:

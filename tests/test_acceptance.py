@@ -21,7 +21,7 @@ from qpart.bench import (
     tts,
 )
 from qpart.gates import cnot_count_log_closed, cnot_count_onehot_closed, cnot_count_oracle
-from qpart.graphs import chromatic_number_exact, generate_random_connected
+from qpart.graphs import brooks_upper_bound, chromatic_number_exact, generate_random_connected
 from qpart.logenc import bits_for_colors, decode_log, encode_mgc_log
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import ground_states
@@ -102,7 +102,7 @@ def test_criterion_3_color_count_agreement():
     findings = []
     for idx, g in enumerate(suite):
         chi = chromatic_number_exact(g)
-        prob = encode_mgc_log(g)  # Brooks default
+        prob = encode_mgc_log(g, brooks_upper_bound(g))
         _, states = ground_states(prob.polynomial, prob.num_variables)
         for bits in states:
             used = decode_log(prob, bits).distinct_count()
@@ -210,12 +210,13 @@ def test_criterion_7_tts_and_km_units():
         ok = False
     if tts(Fraction(0), tm) is not None:
         ok = False
-    value = tts(Fraction(3, 4), tm)
-    if value is None or abs(value - tm.t_run / 2) > 1e-9 * tm.t_run / 2:
+    value = tts(Fraction(1, 4), tm)
+    expect = tm.t_run * math.log(0.5) / math.log(0.75)
+    if value is None or abs(value - expect) > 1e-9 * expect:
         ok = False
-    if tts(Fraction(1), tm) != tm.t_run:
+    if tts(Fraction(3, 4), tm) != tm.t_run or tts(Fraction(1), tm) != tm.t_run:
         ok = False
-    grid = [tts(Fraction(k, 100), tm) for k in range(1, 100)]
+    grid = [tts(Fraction(k, 100), tm) for k in range(1, 101)]
     if any(a < b for a, b in zip(grid, grid[1:])):
         ok = False
 

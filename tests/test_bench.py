@@ -35,8 +35,10 @@ class TestTts:
         assert tts(Fraction(1, 2), self.TM) == pytest.approx(self.TM.t_run, rel=1e-9)
 
     def test_analytic_value(self):
-        # log(1/2) / log(1/4) = 1/2: half a run
-        assert tts(Fraction(3, 4), self.TM) == pytest.approx(self.TM.t_run / 2, rel=1e-9)
+        expect = self.TM.t_run * math.log(0.5) / math.log(0.75)
+        assert tts(Fraction(1, 4), self.TM) == pytest.approx(expect, rel=1e-9)
+        # the formula gives log(1/2) / log(1/4) = half a run, clamped to one
+        assert tts(Fraction(3, 4), self.TM) == self.TM.t_run
 
     def test_zero_is_censored(self):
         assert tts(0, self.TM) is None
@@ -52,7 +54,7 @@ class TestTts:
             tts(-0.1, self.TM)
 
     def test_monotone_nonincreasing_in_p(self):
-        grid = [Fraction(k, 100) for k in range(1, 100)]
+        grid = [Fraction(k, 100) for k in range(1, 101)]
         values = [tts(p, self.TM) for p in grid]
         assert all(a >= b for a, b in zip(values, values[1:]))
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph
 
-from qpart import gates, logenc, onehot
+from qpart import gates, graphs, logenc, onehot
 from qpart.cli import build_parser, main
 from qpart.graphs import Graph, serialize_graph
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
@@ -170,6 +170,18 @@ class TestBench:
         assert out == ""
         assert "--count" in err
 
+    @pytest.mark.parametrize("colors", ["0", "-2"])
+    def test_colors_below_one_exits_2(self, colors, capsys):
+        code, out, err = run(["bench", "--count", "1", "--colors", colors], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--colors" in err
+
+
+def _refuse(*args, **kwargs):
+    """Stand-in for a builder that must not run: it would allocate too much."""
+    raise RuntimeError("the builder ran")
+
 
 def _set_first_id(value):
     def corrupt(doc):
@@ -250,6 +262,9 @@ MODEL_DEFECTS = {
     # term ids the general constructor would silently sort or merge
     "unsorted_vars": ("log", lambda doc: doc["terms"][-1]["vars"].reverse()),
     "repeated_var": ("log", _repeat_first_var),
+    # JSON types str() or dict() would coerce
+    "role_not_string": ("onehot", lambda doc: doc["variables"][0].update(role=[1, 2])),
+    "metadata_not_object": ("onehot", lambda doc: doc.update(metadata=[["kind", "x"]])),
 }
 
 K2 = complete_graph(2)
@@ -309,6 +324,24 @@ class TestExitCodes:
         code, _, err = run(["solve", "--in", str(model), "--exact"], capsys)
         assert code == 3
         assert "resource limit" in err
+
+    def test_gen_past_vertex_limit_exits_3(self, capsys, monkeypatch):
+        # n(n-1)/2 pairs at n = 20000 would take over 20 GB; refused before any are listed
+        monkeypatch.setattr(graphs, "_random_spanning_tree", _refuse)
+        code, out, err = run(["gen", "--n", "20000"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+
+    def test_edgeless_graph_of_many_vertices_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Brooks' bound needs a connected graph; too few edges decide that without adjacency sets
+        monkeypatch.setattr(Graph, "adjacency", _refuse)
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n": 100000000, "edges": []}')
+        code, _, err = run(["encode", "--in", str(graph)], capsys)
+        assert code == 2
+        assert "connected" in err
+        assert "Traceback" not in err
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -412,10 +445,7 @@ class TestExitCodes:
     def test_encode_past_term_limit_exits_3(self, encoding, module, builder, tmp_path, capsys, monkeypatch):
         # K2 at 4096 colours needs 4**12 log terms or about 4096**2 one-hot
         # terms; the count is refused before the term builder runs.
-        def refuse(*args, **kwargs):
-            raise RuntimeError("the term builder ran")
-
-        monkeypatch.setattr(module, builder, refuse)
+        monkeypatch.setattr(module, builder, _refuse)
         graph = tmp_path / "g.json"
         graph.write_text(serialize_graph(complete_graph(2), "json"))
         model = tmp_path / "model.json"

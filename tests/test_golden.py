@@ -274,12 +274,12 @@ def test_gate_oracle_pinned(models, name):
     assert gate_digest(models[name].polynomial) == GATE_SHA256[name]
 
 
-# A small suite with an L=1 passthrough, quadratized L=2 arms, a p_s = 1
-# clamp and a censored arm on each encoding.
+# A small suite with an L=1 passthrough, quadratized L=2 arms, the one-run
+# clamp at p_s = 0.875 and p_s = 1, and a censored arm on each encoding.
 BENCH_ARGV = ["bench", "--count", "6", "--n-min", "3", "--n-max", "6", "--runs", "8", "--sweeps", "20", "--seed", "0"]
 BENCH_SHA256 = {
-    "csv": "d23e978001334c884f5867bf757e126641dadb24b76a02953b406f933889eaef",
-    "json": "06ab664acac0c7ecdca8544b84448690d3fcea3ffc83138f51cbd617b0ee1191",
+    "csv": "2d18c3c32a989598fb58ddb55ec672f31125f80397d89ab4730aadf3b8880574",
+    "json": "ff6cf888423edb059a559150195bd49b79cb118fef0f8fa2cecf8f17609a3898",
 }
 
 

@@ -10,7 +10,7 @@ from conftest import (
 )
 
 from qpart.errors import DimensionError
-from qpart.graphs import Coloring, Graph, brooks_upper_bound, chromatic_number_exact
+from qpart.graphs import Coloring, Graph, chromatic_number_exact
 from qpart.onehot import (
     decode_onehot,
     encode_mgc_onehot,
@@ -79,10 +79,6 @@ class TestEncoding:
         prob = encode_mgc_onehot(Graph(1, ()), 1)
         energy, _ = ground_states(prob.polynomial, prob.num_variables)
         assert energy == 1
-
-    def test_default_colors_is_brooks(self):
-        prob = encode_mgc_onehot(K3)
-        assert prob.meta["c_num"] == brooks_upper_bound(K3) == 3
 
     def test_rejects_nonpositive_colors(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +142,15 @@ class TestCanonicalForm:
             [((0, 0), 1), ((1,), 2), ((1, 0), -1), ((1,), -1), ((2,), 0), ((2, 1), 3), ((1, 2), -3)]
         )
         assert a == b and dict(a.items()) == dict(b.items())
+
+    @pytest.mark.parametrize(
+        "terms",
+        [{(0,): 1.5}, {(1.9, 2): 3}, {(4,): "7"}, {("4",): 7}, {(0,): Fraction(2)}],
+        ids=["float_coeff", "float_id", "str_coeff", "str_id", "fraction_coeff"],
+    )
+    def test_rejects_non_integer_ids_and_coefficients(self, terms):
+        with pytest.raises(TypeError):
+            Polynomial(terms)
 
 
 class TestGroundStates:

@@ -70,6 +70,16 @@ class TestQuadratize:
         quad3 = quadratize(encode_mgc_log(K2, 8))
         assert "b[0][1]" in quad3.problem.registry
 
+    def test_builders_write_canonical_keys(self):
+        # both builders sum their terms without sorting a key, so each must be written increasing
+        models = [encode_mgc_onehot(g, c) for g in (P3, complete_graph(4)) for c in (1, 3)]
+        for l in (2, 3, 4):
+            models.append(quadratize(encode_mgc_log(complete_graph(4), 1 << l)).problem)
+            models.append(quadratize(encode_general(P3, P3_SPEC, l)).problem)
+        for prob in models:
+            for key, _ in prob.polynomial.items():
+                assert all(a < b for a, b in zip(key, key[1:])), (prob.kind, key)
+
     def test_deterministic(self):
         a = quadratize(encode_mgc_log(P3, 4))
         b = quadratize(encode_mgc_log(P3, 4))
