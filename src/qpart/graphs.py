@@ -124,8 +124,10 @@ def generate_random_connected(n: int, density: float, seed: int) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree_set
     ]
     rng.shuffle(extra_pool)
-    edges = list(tree) + extra_pool[: target - len(tree)]
-    return Graph(n, tuple(edges))
+    edges = tuple(tree + extra_pool[: target - len(tree)])
+    # Free the unused pairs before Graph copies and sorts the edges.
+    del tree_set, extra_pool
+    return Graph(n, edges)
 
 
 def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:

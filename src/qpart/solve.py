@@ -4,10 +4,16 @@ The annealer is the classical stand-in for hardware sampling: one final
 state per run, a geometric inverse-temperature ramp, and per-run RNG
 streams derived from (seed, run index) so results are independent of
 execution order.
+
+After its initial state, each run draws its flips in blocks of whole
+sweeps (`DRAW_BLOCK`), all the block's sites, then all its uniforms u. A
+flip of exact energy change delta is accepted when delta <= 0 or delta <
+-ln(u)/beta, which is u < exp(-beta*delta), compared exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,9 +38,10 @@ class AnnealParams:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-        if not (0 < self.beta_start < self.beta_end):
+        # A finite ratio keeps every beta of the ramp finite.
+        if not (0 < self.beta_start < self.beta_end and self.beta_end / self.beta_start < math.inf):
             raise ValueError(
-                f"need 0 < beta_start < beta_end, got {self.beta_start}, {self.beta_end}"
+                f"need 0 < beta_start < beta_end with a finite ratio, got {self.beta_start}, {self.beta_end}"
             )
 
 
@@ -67,7 +74,8 @@ def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> 
     """One final-state sample per run under Metropolis single-bit-flip dynamics.
 
     Every degree anneals with stored flip energies, so an attempted flip
-    costs one lookup and each energy change is an exact integer.
+    costs one lookup and one comparison of the exact integer energy change
+    with its precomputed threshold -ln(u)/beta.
     """
     nv = p.num_variables() if num_vars is None else num_vars
     if nv < p.num_variables():
@@ -77,35 +85,44 @@ def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> 
     return _anneal_with(_flip_energy_kernel(p, nv), p, params, nv)
 
 
-# A kernel applies one run's sweep draws to its state `x` in place.
-_Kernel = Callable[[list[int], Iterator[tuple[float, Iterator[tuple[int, float]]]]], None]
+# Most draws one block takes; a block still holds at least one sweep.
+DRAW_BLOCK = 1 << 12
+
+# A kernel applies one run's (site, threshold) draws to its state `x` in place.
+_Kernel = Callable[[list[int], Iterator[tuple[int, float]]], None]
 
 
-def _anneal_with(run_sweeps: _Kernel, p: Polynomial, params: AnnealParams, nv: int) -> SampleSet:
-    """Draw each run's initial state and sweeps; `run_sweeps` applies them to the state."""
+def _anneal_with(run_flips: _Kernel, p: Polynomial, params: AnnealParams, nv: int) -> SampleSet:
+    """Draw each run's initial state and flips; `run_flips` applies them to the state."""
     sweeps = params.sweeps
     denom = max(sweeps - 1, 1)
     ratio = params.beta_end / params.beta_start
-    betas = [params.beta_start * ratio ** (t / denom) for t in range(sweeps)]
+    betas = np.array([params.beta_start * ratio ** (t / denom) for t in range(sweeps)])
 
     samples = []
     for run in range(params.runs):
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(run,)))
         x = rng.integers(0, 2, size=nv).tolist()
-        run_sweeps(x, _sweep_draws(rng, betas, nv))
+        run_flips(x, _flip_draws(rng, betas, nv))
         bits = tuple(x)
         samples.append(Sample(bits=bits, energy=p.evaluate(bits)))
     return SampleSet(tuple(samples))
 
 
-def _sweep_draws(
-    rng: np.random.Generator, betas: list[float], nv: int
-) -> Iterator[tuple[float, Iterator[tuple[int, float]]]]:
-    """Per sweep: beta and the (site, uniform) pairs, drawn sites first."""
-    for beta in betas:
-        targets = rng.integers(0, nv, size=nv)
-        uniforms = rng.random(size=nv)
-        yield beta, zip(targets.tolist(), uniforms.tolist())
+def _flip_draws(rng: np.random.Generator, betas: np.ndarray, nv: int) -> Iterator[tuple[int, float]]:
+    """(site, -ln(u)/beta) per attempted flip, drawn in blocks of whole
+    sweeps: a block's sites first, then its uniforms. Each block is drawn
+    when the one before it is used up; chaining the blocks' iterators keeps
+    a Python frame out of every draw."""
+    block = max(DRAW_BLOCK // nv, 1)
+
+    def draw(start: int) -> Iterator[tuple[int, float]]:
+        block_betas = np.repeat(betas[start : start + block], nv)
+        sites = rng.integers(0, nv, size=block_betas.size)
+        thresholds = -np.log(rng.random(size=block_betas.size)) / block_betas
+        return zip(sites.tolist(), thresholds.tolist())
+
+    return itertools.chain.from_iterable(map(draw, range(0, len(betas), block)))
 
 
 def _flip_energy_kernel(p: Polynomial, nv: int) -> _Kernel:
@@ -129,9 +146,8 @@ def _flip_energy_kernel(p: Polynomial, nv: int) -> _Kernel:
             mask = sum(1 << u for u in key)
             for v in key:
                 larger[v].append((coeff, mask ^ 1 << v, key))
-    exp = math.exp
 
-    def run_sweeps(x, draws):
+    def run_flips(x, draws):
         # The unset variables as one int, read only at the bits of variables
         # in `larger`, so it is toggled for those alone.
         unset = bits_to_index(1 - b for b in x)
@@ -144,36 +160,32 @@ def _flip_energy_kernel(p: Polynomial, nv: int) -> _Kernel:
             * (1 - 2 * x[v])
             for v in range(nv)
         ]
-        for beta, flips in draws:
-            for v, u in flips:
-                delta = flip_delta[v]
-                try:
-                    if delta > 0 and u >= exp(-beta * delta):
-                        continue
-                except OverflowError:  # delta is past float range, so exp(...) is 0.0
+        for v, threshold in draws:
+            delta = flip_delta[v]
+            if delta > 0 and delta >= threshold:
+                continue
+            flip_delta[v] = -delta
+            old = x[v]
+            x[v] = 1 - old
+            # w's field moves by +-J, which raises w's flip delta
+            # by J exactly when x[w] equals the old x[v].
+            for w, j in pairs[v]:
+                if x[w] == old:
+                    flip_delta[w] += j
+                else:
+                    flip_delta[w] -= j
+            if not larger[v]:
+                continue
+            unset ^= 1 << v
+            # w in T - v sees c in its field only when all of T - v - w
+            # is set: every w if none of T - v is missing, the missing
+            # one if exactly one is, none otherwise.
+            for c, m, key in larger[v]:
+                missing = m & unset
+                if missing & (missing - 1):
                     continue
-                flip_delta[v] = -delta
-                old = x[v]
-                x[v] = 1 - old
-                # w's field moves by +-J, which raises w's flip delta
-                # by J exactly when x[w] equals the old x[v].
-                for w, j in pairs[v]:
-                    if x[w] == old:
-                        flip_delta[w] += j
-                    else:
-                        flip_delta[w] -= j
-                if not larger[v]:
-                    continue
-                unset ^= 1 << v
-                # w in T - v sees c in its field only when all of T - v - w
-                # is set: every w if none of T - v is missing, the missing
-                # one if exactly one is, none otherwise.
-                for c, m, key in larger[v]:
-                    missing = m & unset
-                    if missing & (missing - 1):
-                        continue
-                    for w in (missing.bit_length() - 1,) if missing else key:
-                        if w != v:
-                            flip_delta[w] += c if x[w] == old else -c
+                for w in (missing.bit_length() - 1,) if missing else key:
+                    if w != v:
+                        flip_delta[w] += c if x[w] == old else -c
 
-    return run_sweeps
+    return run_flips

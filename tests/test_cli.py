@@ -404,6 +404,19 @@ class TestExitCodes:
             assert "resource limit" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "betas",
+        [["--beta-end", "inf"], ["--beta-start", "1e-300", "--beta-end", "1e300"]],
+        ids=["infinite_beta_end", "ratio_overflows"],
+    )
+    def test_beta_schedule_past_float_range_exits_2(self, betas, k3_file, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        run(["encode", "--in", str(k3_file), "--encoding", "onehot", "--out", str(model)], capsys)
+        code, out, err = run(["solve", "--in", str(model), "--runs", "2", "--sweeps", "3", *betas], capsys)
+        assert code == 2
+        assert out == ""
+        assert "beta" in err
+
     @pytest.mark.parametrize("encoding", ["log", "onehot"])
     def test_anneal_with_coefficient_beyond_float_range(self, encoding, tmp_path, capsys):
         # x0's linear coefficient becomes 2**1100: raising x0 is an uphill

