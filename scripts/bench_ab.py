@@ -16,6 +16,11 @@ and `result` is that file without its spans: a traced run's per-layer
 metrics already sum them, and the spans of ten `suite` runs alone take
 megabytes.
 
+After merging it prints a summary to stderr: for each run stem (the
+stem without `-pair<i>`) and each end-to-end metric of BENCHMARK.json,
+each side's median and quartiles over its pairs, and how many pairs the
+change won, ties counting for neither side.
+
 This process reads no result until the last run has ended, so that it
 stays small: perfbench's `peak_rss_mb` is `ru_maxrss`, and on Linux a
 process started from this one reads at least this one's peak RSS there.
@@ -28,6 +33,7 @@ import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -69,6 +75,44 @@ def merge(results: dict[str, Path]) -> dict[str, dict[str, dict]]:
     return merged
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Lower quartile, median and upper quartile, by linear interpolation."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summary(merged: dict[str, dict[str, dict]], end_to_end: list[dict]) -> str:
+    """One line per run stem and end-to-end metric: each side's median
+    (quartiles) and the pairs the change won, out of the pairs both sides
+    report the metric for."""
+    runs: dict[str, dict[str, dict[str, dict]]] = {}  # stem -> side -> pair -> result
+    for side, results in merged.items():
+        for key, result in results.items():
+            stem, pair = key.rsplit("-pair", 1)
+            runs.setdefault(stem, {s: {} for s in SIDES})[side][pair] = result
+    lines = []
+    for stem, sides in sorted(runs.items()):
+        for metric in end_to_end:
+            name = metric["name"]
+            values = {
+                side: {pair: r["metrics"][name]["value"] for pair, r in results.items() if name in r.get("metrics", {})}
+                for side, results in sides.items()
+            }
+            if not all(values.values()):
+                continue
+            sign = 1 if metric["better"] == "lower" else -1
+            pairs = values["parent"].keys() & values["change"].keys()
+            won = sum(1 for i in pairs if sign * values["change"][i] < sign * values["parent"][i])
+            parts = []
+            for side in SIDES:
+                q1, median, q3 = quartiles(list(values[side].values()))
+                parts.append(f"{side} {median:.4g} ({q1:.4g}-{q3:.4g})")
+            lines.append(f"{stem} {name} [{metric['unit']}]: {', '.join(parts)}; change won {won}/{len(pairs)} pairs")
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="commit of the parent side")
@@ -98,6 +142,7 @@ def main(argv: list[str] | None = None) -> int:
                     shutil.move(out, results[side] / f"{out.stem}-pair{i:02d}.json")
         merged = merge(results)
     args.out.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
+    print(summary(merged, spec["end_to_end"]), file=sys.stderr)
     return 0
 
 

@@ -174,24 +174,55 @@ def checked_log_layout(prob: EncodedProblem) -> LogLayout:
     """log_layout of a log model, checked to rebuild its polynomial exactly.
 
     A mismatch means the model was hand-edited or corrupted in transit,
-    so it is bad input: InvalidInstanceError. The rebuild costs 4^L per
-    weighted edge, so cheap checks go first: the n * L bits must be the
-    whole registry, and each edge of nonzero weight yields (2^L - 1)^2
-    monomials over bits of both its endpoints, which no other (distinct)
-    edge or ladder term can produce or cancel.
+    so it is bad input: InvalidInstanceError. The n * L bits must be the
+    whole registry before the rebuild runs.
     """
     layout = log_layout(prob.meta, prob.penalties)
-    l = len(layout.ladder)
-    floor = sum(1 for w in layout.weights if w) * ((1 << l) - 1) ** 2
-    if (
-        layout.n * l != prob.num_variables
-        or sum(1 for _ in prob.polynomial.items()) < floor
-        or prob.polynomial != Polynomial._from_canonical(
-            log_hubo_terms(layout.n, layout.ladder, layout.constant, layout.edges, layout.weights)
-        )
-    ):
+    if layout.n * len(layout.ladder) != prob.num_variables or not _rebuilds(layout, prob.polynomial):
         raise InvalidInstanceError("encoding metadata does not reproduce its polynomial")
     return layout
+
+
+def recover_log_layout(p: Polynomial, num_vars: int) -> LogLayout | None:
+    """The layout of a log HUBO read from its polynomial alone, over
+    num_vars = n * L variables with L = degree / 2; None unless the
+    layout rebuilds `p` exactly.
+
+    Each weighted edge (u, v) is the one top-degree term over all bits of
+    u and v, with coefficient w * 2^L; every other monomial of its
+    agreement product has a lower degree. The XNOR expansion puts -w on
+    each bit of both endpoints and +w on the constant, so the ladder is
+    vertex 0's linear coefficients plus its incident weights, and the
+    constant is the constant term minus the sum of the weights.
+    """
+    degree = p.degree()
+    l = degree // 2
+    if degree % 2 or not l or num_vars % l:
+        return None
+    edges, weights = [], []
+    for key, coeff in p.items():
+        if len(key) == degree:
+            edges.append((key[0] // l, key[-1] // l))
+            weights.append(coeff >> l)
+    terms = dict(p.items())
+    incident = sum(w for e, w in zip(edges, weights) if e[0] == 0)
+    ladder = tuple(terms.get((bit_var(0, k, l),), 0) + incident for k in range(1, l + 1))
+    layout = LogLayout(num_vars // l, ladder, terms.get((), 0) - sum(weights), edges, weights)
+    return layout if _rebuilds(layout, p) else None
+
+
+def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
+    """Whether log_hubo_terms(layout) sum to `p` exactly.
+
+    The rebuild costs 4^L per weighted edge, so a cheap count goes first:
+    each edge of nonzero weight yields (2^L - 1)^2 monomials over bits of
+    both its endpoints, which no other (distinct) edge or ladder term can
+    produce or cancel, so `p` holds at least that many terms.
+    """
+    floor = sum(1 for w in layout.weights if w) * ((1 << len(layout.ladder)) - 1) ** 2
+    return sum(1 for _ in p.items()) >= floor and p == Polynomial._from_canonical(
+        log_hubo_terms(layout.n, layout.ladder, layout.constant, layout.edges, layout.weights)
+    )
 
 
 def _log_polynomial(g: Graph, ladder: Sequence[int], a_partition: int, spec: PartitionSpec) -> Polynomial:

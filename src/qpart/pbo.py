@@ -15,6 +15,11 @@ import numpy as np
 from .errors import DimensionError, ResourceLimitError
 
 ENUMERATION_MAX_VARS = 24
+# energy_vector runs the passes over its low ZETA_ROW_BITS variables only on
+# the rows of 2**ZETA_ROW_BITS entries that hold a term, gathering at most
+# ZETA_CHUNK_BYTES of them at once.
+ZETA_ROW_BITS = 12
+ZETA_CHUNK_BYTES = 8 << 20
 # Terms an encoder may stream into one polynomial, counted before it
 # builds any: about 350 B per term in the polynomial (K2's 2**20-term log
 # model at 1024 colours peaks at 354 MiB), more with `qpart encode`'s
@@ -160,12 +165,36 @@ def energy_vector(p: Polynomial, num_vars: int) -> np.ndarray:
         )
     bound = sum(abs(c) for c in p._terms.values())
     energies = np.zeros(1 << num_vars, dtype=np.int64 if bound < 2**62 else object)
+    low = min(num_vars, ZETA_ROW_BITS)
+    rows = energies.reshape(-1, 1 << low)
+    held = set()
     for key, coeff in p._terms.items():
-        energies[sum(1 << v for v in key)] = coeff
-    for v in range(num_vars):
+        mask = sum(1 << v for v in key)
+        energies[mask] = coeff
+        held.add(mask >> low)
+    # The passes over the low bits stay within a row of 2**low entries, and
+    # a row that holds no term stays zero under them; they are also the
+    # slow passes, their inner stride being short. So they run on the rows
+    # that hold a term, gathered a chunk at a time, and the passes over the
+    # high bits run on the whole array.
+    held = sorted(held)
+    chunk = max(ZETA_CHUNK_BYTES // rows[0].nbytes, 1)
+    for start in range(0, len(held), chunk):
+        index = held[start : start + chunk]
+        block = rows[index]
+        _zeta_passes(block, range(low))
+        rows[index] = block
+        del block  # before the next chunk is gathered
+    _zeta_passes(energies, range(low, num_vars))
+    return energies
+
+
+def _zeta_passes(energies: np.ndarray, variables: Iterable[int]) -> None:
+    """Add each entry without bit v into its partner with bit v, in place,
+    for each v: one subset-sum pass per variable."""
+    for v in variables:
         view = energies.reshape(-1, 2, 1 << v)
         view[:, 1, :] += view[:, 0, :]
-    return energies
 
 
 def ground_states(p: Polynomial, num_vars: int | None = None) -> tuple[int, list[Bits]]:

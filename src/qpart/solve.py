@@ -9,6 +9,10 @@ After its initial state, each run draws its flips in blocks of whole
 sweeps (`DRAW_BLOCK`), all the block's sites, then all its uniforms u. A
 flip of exact energy change delta is accepted when delta <= 0 or delta <
 -ln(u)/beta, which is u < exp(-beta*delta), compared exactly.
+
+Two kernels apply the flips, both with exact integer deltas, so they give
+the same samples: a log HUBO whose layout the polynomial proves anneals on
+per-vertex label tables, and every other model on stored flip energies.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionError
+from .logenc import LogLayout, recover_log_layout
 from .pbo import Bits, Polynomial, bits_to_index
 
 
@@ -73,16 +78,21 @@ class SampleSet:
 def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> SampleSet:
     """One final-state sample per run under Metropolis single-bit-flip dynamics.
 
-    Every degree anneals with stored flip energies, so an attempted flip
-    costs one lookup and one comparison of the exact integer energy change
-    with its precomputed threshold -ln(u)/beta.
+    An attempted flip costs a lookup or two and one comparison of the exact
+    integer energy change with its precomputed threshold -ln(u)/beta. A
+    polynomial of degree above 2 that logenc.recover_log_layout reads as a
+    log HUBO anneals on label tables; any other anneals with stored flip
+    energies.
     """
     nv = p.num_variables() if num_vars is None else num_vars
     if nv < p.num_variables():
         raise DimensionError(f"num_vars={nv} is smaller than the polynomial's variable span")
     if nv < 1:
         raise ValueError("annealing needs at least one variable")
-    return _anneal_with(_flip_energy_kernel(p, nv), p, params, nv)
+    layout = recover_log_layout(p, nv) if p.degree() > 2 else None
+    if layout is None:
+        return _anneal_with(_flip_energy_kernel(p, nv), p.evaluate, params, nv)
+    return _anneal_with(*_label_kernel(layout), params, nv)
 
 
 # Most draws one block takes; a block still holds at least one sweep.
@@ -92,8 +102,9 @@ DRAW_BLOCK = 1 << 12
 _Kernel = Callable[[list[int], Iterator[tuple[int, float]]], None]
 
 
-def _anneal_with(run_flips: _Kernel, p: Polynomial, params: AnnealParams, nv: int) -> SampleSet:
-    """Draw each run's initial state and flips; `run_flips` applies them to the state."""
+def _anneal_with(run_flips: _Kernel, energy: Callable[[Bits], int], params: AnnealParams, nv: int) -> SampleSet:
+    """Draw each run's initial state and flips; `run_flips` applies them to
+    the state, and `energy` gives the final state's exact energy."""
     sweeps = params.sweeps
     denom = max(sweeps - 1, 1)
     ratio = params.beta_end / params.beta_start
@@ -105,7 +116,7 @@ def _anneal_with(run_flips: _Kernel, p: Polynomial, params: AnnealParams, nv: in
         x = rng.integers(0, 2, size=nv).tolist()
         run_flips(x, _flip_draws(rng, betas, nv))
         bits = tuple(x)
-        samples.append(Sample(bits=bits, energy=p.evaluate(bits)))
+        samples.append(Sample(bits=bits, energy=energy(bits)))
     return SampleSet(tuple(samples))
 
 
@@ -189,3 +200,54 @@ def _flip_energy_kernel(p: Polynomial, nv: int) -> _Kernel:
                         flip_delta[w] += c if x[w] == old else -c
 
     return run_flips
+
+
+def _label_kernel(layout: LogLayout) -> tuple[_Kernel, Callable[[Bits], int]]:
+    """Log HUBOs whose layout rebuilds the polynomial exactly. Each run keeps
+    every vertex's label and its table T_v[a] = ladder(a) + W_v[a], where
+    ladder(a) is the ladder energy of label a and W_v[a] the summed weight
+    of v's neighbours that carry label a. Moving v from label a to b
+    changes the energy by exactly T_v[b] - T_v[a], whatever L is; an
+    accepted move shifts entries a and b of each neighbour's table by its
+    edge weight. The energy function reads the same layout in O(nL + m)."""
+    n, l = layout.n, len(layout.ladder)
+    ladder = [sum(p for k, p in enumerate(layout.ladder) if a >> k & 1) for a in range(1 << l)]
+    weighted = [(u, v, w) for (u, v), w in zip(layout.edges, layout.weights)]
+    # Bit k of vertex v is variable v * l + k (logenc.bit_var).
+    sites = [(i // l, 1 << i % l) for i in range(n * l)]
+
+    def labels(x):
+        return [sum(x[v * l + k] << k for k in range(l)) for v in range(n)]
+
+    def run_flips(x, draws):
+        label = labels(x)
+        table = [ladder.copy() for _ in range(n)]
+        near: list[list[tuple[list[int], int]]] = [[] for _ in range(n)]
+        for u, v, w in weighted:
+            table[u][label[v]] += w
+            table[v][label[u]] += w
+            near[u].append((table[v], w))
+            near[v].append((table[u], w))
+        for i, threshold in draws:
+            v, bit = sites[i]
+            a = label[v]
+            b = a ^ bit
+            t = table[v]
+            delta = t[b] - t[a]
+            if delta > 0 and delta >= threshold:
+                continue
+            label[v] = b
+            for t, w in near[v]:
+                t[a] -= w
+                t[b] += w
+        x[:] = [a >> k & 1 for a in label for k in range(l)]
+
+    def energy(bits):
+        label = labels(bits)
+        return (
+            layout.constant
+            + sum(ladder[a] for a in label)
+            + sum(w for u, v, w in weighted if label[u] == label[v])
+        )
+
+    return run_flips, energy

@@ -127,6 +127,20 @@ def feasibility_gap_bruteforce(g, spec, l, feasible):
     return int(energies[~mask].min()) - int(energies[mask].min())
 
 
+def zeta_oracle(p, num_vars):
+    """energy_vector as one in-place subset-sum pass per variable over the
+    whole array, each coefficient placed at its term's bitmask first: the
+    reference for energy_vector's split into term rows and high passes."""
+    bound = sum(abs(c) for _, c in p.items())
+    energies = np.zeros(1 << num_vars, dtype=np.int64 if bound < 2**62 else object)
+    for key, coeff in p.items():
+        energies[sum(1 << v for v in key)] = coeff
+    for v in range(num_vars):
+        view = energies.reshape(-1, 2, 1 << v)
+        view[:, 1, :] += view[:, 0, :]
+    return energies
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     """Ground-state properties of a one-hot assignment, checked directly."""

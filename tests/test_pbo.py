@@ -2,17 +2,20 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import add_scaled, multiply
+from conftest import add_scaled, multiply, zeta_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpart.errors import DimensionError, ResourceLimitError
 from qpart.pbo import (
     ENUMERATION_MAX_VARS,
+    ZETA_CHUNK_BYTES,
+    ZETA_ROW_BITS,
     Polynomial,
     bits_to_index,
     energy_vector,
@@ -267,3 +270,73 @@ class TestEnergyVector:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             energy_vector(Polynomial(), ENUMERATION_MAX_VARS + 1)
+
+
+# Small and 2**70-sized coefficients; the latter take the object dtype.
+WIDE_COEFFS = st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def wide_polynomials(draw):
+    """Past the low-bit row: 13-21 variables, terms of degree <= 4 anywhere,
+    so some rows hold terms and most do not."""
+    nv = draw(st.integers(ZETA_ROW_BITS + 1, 21))
+    keys = st.lists(st.integers(0, nv - 1), max_size=4)
+    return Polynomial(draw(st.lists(st.tuples(keys, WIDE_COEFFS), max_size=12))), nv
+
+
+def term_rows(p):
+    return {sum(1 << v for v in key) >> ZETA_ROW_BITS for key, _ in p.items()}
+
+
+class TestEnergyVectorRows:
+    """energy_vector's low-bit passes on term rows only, against the
+    transform that runs every pass over the whole array."""
+
+    @given(wide_polynomials())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_whole_array_transform(self, case):
+        p, nv = case
+        vec = energy_vector(p, nv)
+        expected = zeta_oracle(p, nv)
+        assert vec.dtype == expected.dtype
+        assert vec.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "object"])
+    def test_more_term_rows_than_one_chunk(self, scale):
+        nv = 21
+        rng = random.Random(scale)
+        # a random high part (row) and up to three low bits per term
+        items = [
+            (
+                [v for v in range(ZETA_ROW_BITS, nv) if rng.getrandbits(1)] + rng.sample(range(ZETA_ROW_BITS), rng.randint(0, 3)),
+                scale * rng.randint(-30, 30),
+            )
+            for _ in range(500)
+        ]
+        p = Polynomial(items)
+        assert len(term_rows(p)) > ZETA_CHUNK_BYTES // (8 << ZETA_ROW_BITS)
+        vec = energy_vector(p, nv)
+        expected = zeta_oracle(p, nv)
+        assert vec.dtype == expected.dtype == (object if scale > 1 else np.int64)
+        assert vec.tolist() == expected.tolist()
+
+    def test_empty_polynomial_past_the_row(self):
+        assert not energy_vector(Polynomial(), ZETA_ROW_BITS + 2).any()
+
+    def test_extra_memory_is_one_chunk(self):
+        # A term in every row, and lower-degree terms. At 20 variables the
+        # whole int64 array is one chunk, so 21 tell a chunk from all rows.
+        nv = 21
+        rng = random.Random(0)
+        items = [([v for v in range(nv) if row << ZETA_ROW_BITS >> v & 1], 1000) for row in range(1 << nv - ZETA_ROW_BITS)]
+        items += [(rng.sample(range(nv), rng.randint(0, 4)), rng.randint(-9, 9)) for _ in range(2000)]
+        p = Polynomial(items)
+        assert len(term_rows(p)) == 1 << nv - ZETA_ROW_BITS
+        tracemalloc.start()
+        try:
+            vec = energy_vector(p, nv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= vec.nbytes + ZETA_CHUNK_BYTES + (1 << 20)

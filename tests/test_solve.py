@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpart import solve
 from qpart.errors import DimensionError, ResourceLimitError
-from qpart.logenc import encode_mgc_log
+from qpart.graphs import Graph
+from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
+from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import Polynomial, ground_states
+from qpart.quadratize import quadratize
 from qpart.solve import (
     AnnealParams,
     Sample,
@@ -206,8 +209,87 @@ class TestKernel:
     def test_matches_naive_reevaluation(self, models, data, runs, sweeps, seed, betas):
         poly, nv = data.draw(models)
         params = AnnealParams(runs, sweeps, betas[0], betas[1], seed)
-        naive = solve._anneal_with(naive_kernel(poly, nv), poly, params, nv)
+        naive = solve._anneal_with(naive_kernel(poly, nv), poly.evaluate, params, nv)
         assert anneal(poly, params, nv) == naive
+
+
+@st.composite
+def log_models(draw):
+    """A log model on n <= 6 vertices at L = 2..4: minimum colouring, or
+    general partitioning with costs that make edge weights zero or negative."""
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))))
+    l = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        return encode_mgc_log(g, draw(st.integers((1 << l - 1) + 1, 1 << l)))
+    costs = st.integers(-3, 3)
+    spec = PartitionSpec(
+        alpha={e: draw(costs) for e in g.edges},
+        beta={e: draw(costs) for e in g.edges},
+        gap=draw(st.one_of(st.none(), st.integers(1, 3))),
+    )
+    return encode_general(g, spec, l)
+
+
+class TestLabelKernel:
+    """Log HUBOs anneal on label tables, sample for sample as the flip-energy
+    kernel does; every other model keeps the flip-energy kernel."""
+
+    @given(log_models(), st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_flip_energy_kernel(self, prob, runs, sweeps, seed):
+        p, nv = prob.polynomial, prob.num_variables
+        params = AnnealParams(runs, sweeps, seed=seed)
+        ss = anneal(p, params, nv)
+        assert ss == solve._anneal_with(solve._flip_energy_kernel(p, nv), p.evaluate, params, nv)
+        assert all(s.energy == p.evaluate(s.bits) for s in ss.samples)
+
+    def test_chosen_for_log_models(self, monkeypatch):
+        def refuse(p, nv):
+            raise AssertionError("flip-energy kernel called for a log model")
+
+        monkeypatch.setattr(solve, "_flip_energy_kernel", refuse)
+        for c in (4, 8, 16):
+            prob = encode_mgc_log(cycle_graph(5), c)
+            anneal(prob.polynomial, AnnealParams(runs=2, sweeps=5), prob.num_variables)
+
+
+def off_by_one(p):
+    """p with its largest-degree term's coefficient raised by 1."""
+    items = list(p.items())
+    top = max(range(len(items)), key=lambda i: len(items[i][0]))
+    key, coeff = items[top]
+    items[top] = (key, coeff + 1)
+    return Polynomial(items)
+
+
+def model(prob):
+    return prob.polynomial, prob.num_variables
+
+
+LOG_CYCLE = encode_mgc_log(cycle_graph(4), 4)  # L = 2
+FALLBACKS = {
+    "log_coefficient_off_by_one": (off_by_one(LOG_CYCLE.polynomial), LOG_CYCLE.num_variables),
+    "log_padding_variables": (LOG_CYCLE.polynomial, LOG_CYCLE.num_variables + 2),
+    "degree_3_hubo": (Polynomial({(0,): 3, (1, 2): -2, (0, 1, 2): -5, (2, 3, 4): 4, (1, 4): 1}), 5),
+    "onehot_qubo": model(encode_mgc_onehot(P3, 2)),
+    "quadratized_qubo": model(quadratize(encode_mgc_log(P3, 4)).problem),
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACKS))
+def test_other_models_keep_the_flip_energy_kernel(name, monkeypatch):
+    p, nv = FALLBACKS[name]
+
+    def refuse(layout):
+        raise AssertionError("label kernel called for a model it does not describe")
+
+    monkeypatch.setattr(solve, "_label_kernel", refuse)
+    if p.degree() <= 2:
+        monkeypatch.setattr(solve, "recover_log_layout", refuse)
+    params = AnnealParams(runs=3, sweeps=10, seed=2)
+    assert anneal(p, params, nv) == solve._anneal_with(naive_kernel(p, nv), p.evaluate, params, nv)
 
 
 class TestFlipDraws:
@@ -255,7 +337,7 @@ class TestHugeEnergyChanges:
         poly = Polynomial({(0, 1, 2): 2**1100})
         ss = anneal(poly, self.PARAMS)
         assert energies(ss) == [0] * self.PARAMS.runs
-        assert ss == solve._anneal_with(naive_kernel(poly, 3), poly, self.PARAMS, 3)
+        assert ss == solve._anneal_with(naive_kernel(poly, 3), poly.evaluate, self.PARAMS, 3)
 
 
 class TestSampleSetJson:
