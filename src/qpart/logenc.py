@@ -186,7 +186,7 @@ def checked_log_layout(prob: EncodedProblem) -> LogLayout:
 def recover_log_layout(p: Polynomial, num_vars: int) -> LogLayout | None:
     """The layout of a log HUBO read from its polynomial alone, over
     num_vars = n * L variables with L = degree / 2; None unless the
-    layout rebuilds `p` exactly.
+    layout rebuilds `p` exactly. num_vars must cover p's variable span.
 
     Each weighted edge (u, v) is the one top-degree term over all bits of
     u and v, with coefficient w * 2^L; every other monomial of its
