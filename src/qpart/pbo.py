@@ -53,9 +53,9 @@ class Polynomial:
         """Sum a term stream whose keys are already canonical: sorted tuples of
         distinct, non-negative ids, as the encoders' builders write them.
 
-        The same map, in the same order, as the constructor builds from
-        that stream, without re-canonicalizing each key. The keys are not
-        checked: only the encoders' builders and the model reader, which checks them, call this.
+        The same map, in the same order, as the constructor builds from that stream,
+        without re-canonicalizing each key. The keys are not checked: only the builders,
+        the quadratization proof and the model reader, which checks them, call this.
         """
         poly = cls.__new__(cls)
         poly._terms = _accumulate(terms)

@@ -13,8 +13,6 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InternalInvariantError
 from .logenc import bit_var, bits_for_colors, checked_log_layout, log_hubo_terms
 from .model import EncodedProblem
@@ -194,33 +192,45 @@ def qubit_advantage_predicate(n: int, m: int, c: int) -> tuple[bool, int, int]:
 
 @dataclass(frozen=True)
 class QuadratizationReport:
-    """Outcome of exhaustively checking a quadratization against its HUBO."""
+    """Whether a quadratization is exact; if so, its ground states project onto the HUBO's."""
 
-    min_over_aux_matches: bool
-    ground_projection_matches: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.min_over_aux_matches and self.ground_projection_matches
+    passed: bool
 
 
 def verify_quadratization(hubo: EncodedProblem, quad: QuadratizedProblem) -> QuadratizationReport:
-    """Exhaustively check energy equality under aux-minimization and ground-state projection."""
+    """Prove that the QUBO, minimized over its auxiliaries, is the HUBO at every assignment.
+
+    Auxiliaries sharing a term form a block, and the minimum over a block's auxiliaries is a
+    function of its originals: enumerated once per distinct relabelled block, Moebius-transformed
+    into monomials and added to the auxiliary-free terms, it must give the HUBO exactly. An MGC
+    edge block has 5L-2 variables, so L <= 5 is proved at any size; L = 6 raises ResourceLimitError.
+    """
     n_orig = quad.num_original_vars
-    n_total = quad.problem.num_variables
-    n_aux = n_total - n_orig
+    parent: dict[int, int] = {}  # union-find over the auxiliaries
 
-    qubo_energies = energy_vector(quad.problem.polynomial, n_total)
-    # Index layout is aux_high | orig_low, so each row of the reshape fixes
-    # the auxiliary bits and sweeps the originals.
-    min_ext = qubo_energies.reshape(1 << n_aux, 1 << n_orig).min(axis=0)
-    hubo_energies = energy_vector(hubo.polynomial, n_orig)
+    def find(a: int) -> int:
+        while parent.setdefault(a, a) != a:
+            parent[a] = a = parent[parent[a]]
+        return a
 
-    matches = bool(np.array_equal(min_ext, hubo_energies))
-
-    hubo_ground = set(np.flatnonzero(hubo_energies == hubo_energies.min()).tolist())
-    qubo_ground = np.flatnonzero(qubo_energies == qubo_energies.min())
-    projected = set((qubo_ground & ((1 << n_orig) - 1)).tolist())
-    projection_ok = projected == hubo_ground
-
-    return QuadratizationReport(min_over_aux_matches=matches, ground_projection_matches=projection_ok)
+    for key, _ in quad.problem.polynomial.items():
+        for v in key:
+            if v >= n_orig:
+                parent[find(v)] = find(key[-1])
+    reduced, blocks, minima = [], {}, {}  # keys are sorted, so an auxiliary, if any, is last
+    for key, coeff in quad.problem.polynomial.items():
+        (blocks.setdefault(find(key[-1]), []) if key and key[-1] >= n_orig else reduced).append((key, coeff))
+    for block in blocks.values():
+        block_vars = sorted({v for key, _ in block for v in key})  # originals first
+        k = sum(v < n_orig for v in block_vars)
+        signature = (k, tuple(sorted((tuple(map(block_vars.index, key)), c) for key, c in block)))
+        if signature not in minima:
+            f = energy_vector(Polynomial._from_canonical(signature[1]), len(block_vars))
+            f = f.reshape(-1, 1 << k).min(axis=0).astype(object)
+            for v in range(k):  # the inverse of energy_vector's subset-sum passes
+                view = f.reshape(-1, 2, 1 << v)
+                view[:, 1, :] -= view[:, 0, :]
+            subsets = [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
+            minima[signature] = [(subsets[mask], int(c)) for mask, c in enumerate(f) if c]
+        reduced += [(tuple(map(block_vars.__getitem__, local)), c) for local, c in minima[signature]]
+    return QuadratizationReport(Polynomial._from_canonical(reduced) == hubo.polynomial)

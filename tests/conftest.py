@@ -198,6 +198,22 @@ def quadratization_bounds_hold(pen, coeff_bound, n, lex_total):
     return pen.m_stage1 > slack and pen.m_stage2 > slack and pen.m_product >= 3 * pen.m_stage1
 
 
+def quadratization_exact_by_enumeration(hubo, quad):
+    """The exhaustive reference for verify_quadratization, up to 24 variables in all:
+    whether the QUBO's energies, minimized over the auxiliaries, equal the HUBO's at
+    every original assignment. Where they do, the QUBO's ground states must project
+    onto exactly the HUBO's ground set; that consequence is asserted too."""
+    n_orig = quad.num_original_vars
+    qubo = energy_vector(quad.problem.polynomial, quad.problem.num_variables)
+    hubo_energies = energy_vector(hubo.polynomial, n_orig)
+    # Index layout is aux_high | orig_low, so each row fixes the auxiliaries.
+    matches = bool(np.array_equal(qubo.reshape(-1, 1 << n_orig).min(axis=0), hubo_energies))
+    projected = set((np.flatnonzero(qubo == qubo.min()) & ((1 << n_orig) - 1)).tolist())
+    hubo_ground = set(np.flatnonzero(hubo_energies == hubo_energies.min()).tolist())
+    assert not matches or projected == hubo_ground
+    return matches
+
+
 def aux_count_actual(m, l):
     """Auxiliaries the quadratization allocates: m*(3l-2) for l >= 2, else 0
     (quadratize's docstring says why it is not the published m*(2l-2))."""

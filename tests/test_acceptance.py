@@ -128,6 +128,7 @@ def test_criterion_4_quadratization_exactness():
         (path_graph(3), 4),       # path, L=2: 14 qubits
         (path_graph(3), 8),       # path, L=3: 23 qubits
         (path_graph(4), 4),       # longer path, L=2: 20 qubits
+        (complete_graph(3), 8),   # triangle, L=3: 30 qubits, past exhaustive reach
     ]
     ok = True
     details = []

@@ -1,20 +1,28 @@
 """HUBO-to-QUBO reduction: gadget exactness, penalties, auxiliary accounting."""
 
 import copy
+import dataclasses
 import importlib
 from fractions import Fraction
 
 import pytest
-from conftest import aux_count_actual, complete_graph, path_graph, quadratization_bounds_hold
+from conftest import (
+    aux_count_actual,
+    complete_graph,
+    path_graph,
+    quadratization_bounds_hold,
+    quadratization_exact_by_enumeration,
+)
 
-from qpart.errors import InvalidInstanceError
-from qpart.graphs import Graph
-from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log, lex_penalties
+from qpart.errors import InvalidInstanceError, ResourceLimitError
+from qpart.graphs import Graph, generate_random_connected
+from qpart.logenc import PartitionSpec, bit_var, encode_general, encode_mgc_log, lex_penalties
 from qpart.model import EncodedProblem
 from qpart.onehot import encode_mgc_onehot
-from qpart.pbo import Polynomial, ground_states
+from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, ground_states
 from qpart.quadratize import (
     QuadratizationPenalties,
+    QuadratizedProblem,
     aux_count_paper,
     manifold_extension,
     quadratization_penalties,
@@ -25,6 +33,7 @@ from qpart.quadratize import (
 
 K2 = complete_graph(2)
 P3 = path_graph(3)
+K3 = complete_graph(3)
 # one alpha = beta edge (zero weight: gadgets but no product term) and one
 # beta > alpha edge (negative weight)
 P3_SPEC = PartitionSpec(alpha={(0, 1): 1, (1, 2): 0}, beta={(0, 1): 1, (1, 2): 2})
@@ -43,9 +52,7 @@ class TestQuadratize:
         quad = quadratize(hubo)
         assert quad.problem.meta["aux_counts"] == {"w": 2, "y": 2, "b": 0}
         assert quad.problem.num_variables == 8
-        report = verify_quadratization(hubo, quad)
-        assert report.min_over_aux_matches
-        assert report.ground_projection_matches
+        assert verify_quadratization(hubo, quad).passed
         assert 1 << quad.num_original_vars == 16
 
     def test_single_edge_three_bits_aux_count(self):
@@ -155,7 +162,7 @@ class TestVerification:
         module = importlib.import_module("qpart.quadratize")
         monkeypatch.setattr(module, "quadratization_penalties", lambda *_: bad)
         report = verify_quadratization(hubo, quadratize(hubo))
-        assert not report.ground_projection_matches
+        assert not report.passed
 
     def test_ground_energy_preserved(self):
         hubo = encode_mgc_log(P3, 4)
@@ -175,6 +182,99 @@ class TestVerification:
                 assert quad.problem.polynomial.evaluate(extended) == hubo.polynomial.evaluate(
                     original
                 )
+
+
+def with_terms(quad, added, new_aux=0):
+    """quad plus the `added` terms, over its variables and `new_aux` new auxiliaries."""
+    prob = quad.problem
+    terms = dict(prob.polynomial.items())
+    for key, coeff in added.items():
+        terms[key] = terms.get(key, 0) + coeff
+    registry = prob.registry + tuple(f"z[{i}]" for i in range(new_aux))
+    return QuadratizedProblem(EncodedProblem(Polynomial(terms), registry, prob.penalties, prob.meta))
+
+
+# On P3 at c = 4 the originals are 0..5 and w[0][1], w[1][1] are 6 and 10.
+# A unit Rosenberg gadget z = w[0][1]*w[1][1] on a new auxiliary 14 is zero
+# at its best z, so it couples the two edges and leaves the minimum alone.
+COUPLING_GADGET = {(6, 10): 1, (6, 14): -2, (10, 14): -2, (14,): 3}
+# On K2 at c = 4 (8 variables): two new blocks with the same relabelled terms
+# but one original (min over z of x0 - x0*z is 0) and none (min of 1 - z*z' is 0).
+TWIN_BLOCKS = {(0,): 1, (0, 8): -1, (): 1, (9, 10): -1}
+
+# name: (HUBO builder, edit of the true penalty tiers, edit of the QUBO, whether the proof passes)
+PROOF_CASES = {
+    **{
+        f"mgc_{name}_c{c}": (lambda g=g, c=c: encode_mgc_log(g, c), None, None, True)
+        for name, g in (("K2", K2), ("P3", P3), ("K3", K3))
+        for c in (2, 4, 8)
+        if (name, c) != ("K3", 8)  # 30 variables, past enumeration
+    },
+    **{f"general_P3_L{l}": (lambda l=l: encode_general(P3, P3_SPEC, l), None, None, True) for l in (1, 2, 3)},
+    "product_tier_equal_to_stage1": (
+        lambda: encode_mgc_log(P3, 8), lambda t: dataclasses.replace(t, m_product=t.m_stage1), None, False
+    ),
+    "stage1_tier_one": (lambda: encode_mgc_log(P3, 8), lambda t: dataclasses.replace(t, m_stage1=1), None, False),
+    "stage2_tier_one_L3": (lambda: encode_mgc_log(P3, 8), lambda t: dataclasses.replace(t, m_stage2=1), None, False),
+    # at L = 2 there is no chain link, so the stage-2 tier guards nothing
+    "stage2_tier_one_L2": (lambda: encode_mgc_log(P3, 4), lambda t: dataclasses.replace(t, m_stage2=1), None, True),
+    "edges_coupled_by_term": (lambda: encode_mgc_log(P3, 4), None, lambda q: with_terms(q, {(6, 10): 1}), False),
+    "edges_coupled_by_gadget": (
+        lambda: encode_mgc_log(P3, 4), None, lambda q: with_terms(q, COUPLING_GADGET, 1), True
+    ),
+    "twin_blocks_of_different_originals": (
+        lambda: encode_mgc_log(K2, 4), None, lambda q: with_terms(q, TWIN_BLOCKS, 3), True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PROOF_CASES))
+def test_proof_agrees_with_enumeration(monkeypatch, name):
+    make_hubo, edit_tiers, edit_quad, expected = PROOF_CASES[name]
+    if edit_tiers:
+        module = importlib.import_module("qpart.quadratize")
+        monkeypatch.setattr(module, "quadratization_penalties", lambda *a: edit_tiers(quadratization_penalties(*a)))
+    hubo = make_hubo()
+    quad = quadratize(hubo)
+    if edit_quad:
+        quad = edit_quad(quad)
+    assert quad.problem.num_variables <= ENUMERATION_MAX_VARS
+    assert quadratization_exact_by_enumeration(hubo, quad) is expected
+    assert verify_quadratization(hubo, quad).passed is expected
+
+
+RANDOM_12 = generate_random_connected(12, 0.5, 0)
+
+
+class TestProofBeyondEnumeration:
+    def test_passes(self):
+        for g, c, size in ((K3, 8, 30), (RANDOM_12, 16, 378)):
+            hubo = encode_mgc_log(g, c)
+            quad = quadratize(hubo)
+            assert quad.problem.num_variables == size
+            assert verify_quadratization(hubo, quad).passed
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    @pytest.mark.parametrize("family", ["ladder", "w_gadget", "y_gadget", "b_link", "edge_product"])
+    def test_rejects_one_coefficient_edit(self, family, delta):
+        hubo = encode_mgc_log(RANDOM_12, 16)
+        quad = quadratize(hubo)
+        ids = quad.problem.registry.index
+        key = {
+            "ladder": (bit_var(0, 1, 4),),
+            "w_gadget": (ids("w[0][1]"),),
+            "y_gadget": (ids("y[0][1]"),),
+            "b_link": (ids("b[0][1]"),),
+            "edge_product": (ids("y[0][4]"), ids("b[0][2]")),  # y ids precede b ids
+        }[family]
+        assert key in dict(quad.problem.polynomial.items())
+        assert not verify_quadratization(hubo, with_terms(quad, {key: delta})).passed
+
+    def test_block_past_enumeration_limit_raises(self):
+        # one edge at L = 6: a block of 5L - 2 = 28 variables
+        hubo = encode_mgc_log(K2, 64)
+        with pytest.raises(ResourceLimitError):
+            verify_quadratization(hubo, quadratize(hubo))
 
 
 class TestPenaltyRecord:
