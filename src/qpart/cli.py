@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+
 from .bench import BenchInstance, records_to_csv, report_to_json, run_suite
 from .errors import InternalInvariantError, ResourceLimitError
 from .gates import cnot_count_oracle
@@ -38,14 +40,28 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _add_anneal_flags(
+    p: argparse.ArgumentParser,
+    seed_help: str = "RNG seed",
+    runs_help: str = "annealing runs",
+    seed_first: bool = False,
+    **defaults: int,
+) -> None:
+    """Add --runs, --sweeps, --beta-start, --beta-end and --seed (first or
+    last), defaulting to AnnealParams' fields, with `defaults` overriding them."""
+    d = AnnealParams(**defaults)
+    if seed_first:
+        p.add_argument("--seed", type=int, default=d.seed, help=seed_help)
+    p.add_argument("--runs", type=int, default=d.runs, help=runs_help)
+    p.add_argument("--sweeps", type=int, default=d.sweeps, help="sweeps per run")
+    p.add_argument("--beta-start", type=float, default=d.beta_start, help="initial inverse temperature")
+    p.add_argument("--beta-end", type=float, default=d.beta_end, help="final inverse temperature")
+    if not seed_first:
+        p.add_argument("--seed", type=int, default=d.seed, help=seed_help)
+
+
 def _anneal_params(args: argparse.Namespace) -> AnnealParams:
-    return AnnealParams(
-        runs=args.runs,
-        sweeps=args.sweeps,
-        beta_start=args.beta_start,
-        beta_end=args.beta_end,
-        seed=args.seed,
-    )
+    return AnnealParams(**{f.name: getattr(args, f.name) for f in fields(AnnealParams)})
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -180,11 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("solve", "solve a model exactly or by simulated annealing", cmd_solve)
     p.add_argument("--in", dest="input", required=True, help="model JSON path")
     p.add_argument("--exact", action="store_true", help="exhaustive solve (<= 24 variables)")
-    p.add_argument("--runs", type=int, default=100, help="annealing runs")
-    p.add_argument("--sweeps", type=int, default=1000, help="sweeps per run")
-    p.add_argument("--beta-start", type=float, default=0.01, help="initial inverse temperature")
-    p.add_argument("--beta-end", type=float, default=10.0, help="final inverse temperature")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    _add_anneal_flags(p)
     p.add_argument("--out", default="-", help="result JSON output path")
 
     p = add("gates", "CNOT count report for one phase-separation layer", cmd_gates)
@@ -205,11 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--density", default="0.2,0.5,0.8", help="comma-separated edge densities to cycle"
     )
     p.add_argument("--colors", type=int, default=None, help="color bound (default: Brooks)")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--runs", type=int, default=50, help="annealing runs per record")
-    p.add_argument("--sweeps", type=int, default=200, help="sweeps per run")
-    p.add_argument("--beta-start", type=float, default=0.01, help="initial inverse temperature")
-    p.add_argument("--beta-end", type=float, default=10.0, help="final inverse temperature")
+    _add_anneal_flags(p, "base RNG seed", "annealing runs per record", seed_first=True, runs=50, sweeps=200)
     p.add_argument("--group-by", choices=["n", "density"], default="n", help="aggregation key")
     p.add_argument("--out-csv", default=None, help="CSV output path")
     p.add_argument("--out-json", default=None, help="JSON report output path")

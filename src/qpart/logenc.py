@@ -27,10 +27,6 @@ class LexPenalties:
     p: tuple[int, ...]
     a_adjacency: int
 
-    @property
-    def total(self) -> int:
-        return sum(self.p)
-
 
 @dataclass(frozen=True)
 class PartitionSpec:
@@ -61,17 +57,27 @@ def bits_for_colors(c: int) -> int:
     return max(1, (c - 1).bit_length())
 
 
-def lex_penalties(n: int, l: int) -> LexPenalties:
-    """The explicit sufficient ladder P_k = (n+1)^(k-1) with A = n*sum(P)+1."""
+def lex_penalties(n: int, l: int, gap: int | None = 1) -> LexPenalties:
+    """The explicit sufficient ladder P_k = (n+1)^(k-1) with partition penalty
+    A = floor(n*sum(P)/gap) + 1, the smallest integer strictly above
+    n*sum(P)/gap, for a finite feasibility gap, and A = 1 when the problem
+    has no hard constraints (gap None). Minimum coloring has gap 1."""
     if n < 1 or l < 1:
         raise ValueError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
-    p = tuple((n + 1) ** (k - 1) for k in range(1, l + 1))
-    return LexPenalties(p=p, a_adjacency=n * sum(p) + 1)
+    if gap is not None and gap < 1:
+        raise ValueError(f"feasibility gap must be a positive integer, got {gap}")
+    p = tuple((n + 1) ** k for k in range(l))
+    return LexPenalties(p=p, a_adjacency=1 if gap is None else n * sum(p) // gap + 1)
 
 
 def bit_var(v: int, k: int, l: int) -> int:
-    """Variable id of bit k (1-based, least significant first) of vertex v."""
-    return v * l + (k - 1)
+    """Variable id of bit k (0-based, least significant first) of vertex v."""
+    return v * l + k
+
+
+def vertex_labels(bits: Bits, n: int, l: int) -> list[int]:
+    """Each vertex's label: its L bits read as a binary number, least significant first."""
+    return [sum(bits[bit_var(v, k, l)] << k for k in range(l)) for v in range(n)]
 
 
 # Per-bit factors of XNOR(a, b) = 2ab - a - b + 1 as (coeff, takes a, takes b).
@@ -96,9 +102,9 @@ def log_hubo_terms(
     tabulated once per vertex by subset bitmask.
     """
     l = len(ladder)
-    for k in range(1, l + 1):
+    for k in range(l):
         for v in range(n):
-            yield (bit_var(v, k, l),), ladder[k - 1]
+            yield (bit_var(v, k, l),), ladder[k]
     yield (), constant
     weighted = [(e, w) for e, w in zip(edges, weights) if w]
     if not weighted:
@@ -109,7 +115,7 @@ def log_hubo_terms(
         v_mask = sum(1 << k for k, (_, _, b) in enumerate(factors) if b)
         template.append((math.prod(c for c, _, _ in factors), u_mask, v_mask))
     subsets = {
-        x: [tuple(x * l + k for k in range(l) if mask >> k & 1) for mask in range(1 << l)]
+        x: [tuple(bit_var(x, k, l) for k in range(l) if mask >> k & 1) for mask in range(1 << l)]
         for x in {x for e, _ in weighted for x in e}
     }
     for (u, v), weight in weighted:
@@ -206,7 +212,7 @@ def recover_log_layout(p: Polynomial, num_vars: int) -> LogLayout | None:
             weights.append(coeff >> l)
     terms = dict(p.items())
     incident = sum(w for e, w in zip(edges, weights) if e[0] == 0)
-    ladder = tuple(terms.get((bit_var(0, k, l),), 0) + incident for k in range(1, l + 1))
+    ladder = tuple(terms.get((bit_var(0, k, l),), 0) + incident for k in range(l))
     layout = LogLayout(num_vars // l, ladder, terms.get((), 0) - sum(weights), edges, weights)
     return layout if _rebuilds(layout, p) else None
 
@@ -225,57 +231,39 @@ def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
     )
 
 
-def _log_polynomial(g: Graph, ladder: Sequence[int], a_partition: int, spec: PartitionSpec) -> Polynomial:
-    weights, constant = partition_weights(g.edges, spec, a_partition)
-    l = len(ladder)
+def _encode_log(g: Graph, spec: PartitionSpec, l: int, **meta: Any) -> EncodedProblem:
+    """The log HUBO of `spec` over n*L variables, degree 2L, with the ladder and
+    partition penalty of lex_penalties(n, L, spec.gap); `meta` names the kind."""
+    pen = lex_penalties(g.n, l, spec.gap)
+    weights, constant = partition_weights(g.edges, spec, pen.a_adjacency)
     check_build_terms(g.n * l + 1 + sum(1 for w in weights if w) * 4**l)
-    return Polynomial._from_canonical(log_hubo_terms(g.n, ladder, constant, g.edges, weights))
-
-
-def _registry(n: int, l: int) -> tuple[str, ...]:
-    return tuple(f"x[{v}][{k}]" for v in range(n) for k in range(1, l + 1))
+    poly = Polynomial._from_canonical(log_hubo_terms(g.n, pen.p, constant, g.edges, weights))
+    # Roles count bits from 1, as the model file format has them.
+    registry = tuple(f"x[{v}][{k + 1}]" for v in range(g.n) for k in range(l))
+    return EncodedProblem(poly, registry, pen, instance_meta(g, L=l, **meta))
 
 
 def encode_mgc_log(g: Graph, c: int) -> EncodedProblem:
-    """Build the logarithmic minimum-coloring HUBO over n*L variables, degree 2L."""
-    l = bits_for_colors(c)
-    pen = lex_penalties(g.n, l)
-    poly = _log_polynomial(g, pen.p, pen.a_adjacency, PartitionSpec.mgc(g))
-    meta = instance_meta(g, kind="log_mgc", c_num=c, L=l)
-    return EncodedProblem(poly, _registry(g.n, l), pen, meta)
+    """Build the logarithmic minimum-coloring HUBO: the gap-1 case of encode_general."""
+    return _encode_log(g, PartitionSpec.mgc(g), bits_for_colors(c), kind="log_mgc", c_num=c)
 
 
 def encode_general(g: Graph, spec: PartitionSpec, l: int) -> EncodedProblem:
-    """Build the general partition HUBO: weighted agreement costs plus the lexicographic ladder.
-
-    The partition penalty is the smallest integer strictly above
-    n * sum(P) / gap for a finite feasibility gap, and 1 when the problem
-    has no hard constraints.
-    """
-    if l < 1:
-        raise ValueError(f"bit count must be >= 1, got {l}")
+    """Build the general partition HUBO: weighted agreement costs plus the lexicographic ladder,
+    with the partition penalty lex_penalties gives for spec.gap."""
     missing = [e for e in g.edges if e not in spec.alpha or e not in spec.beta]
     if missing:
         raise ValueError(f"partition spec is missing costs for edges {missing}")
-    pen_base = lex_penalties(g.n, l)
-    if spec.gap is None:
-        a_partition = 1
-    else:
-        if spec.gap < 1:
-            raise ValueError(f"feasibility gap must be a positive integer, got {spec.gap}")
-        a_partition = (g.n * pen_base.total) // spec.gap + 1
-    pen = LexPenalties(p=pen_base.p, a_adjacency=a_partition)
-    poly = _log_polynomial(g, pen.p, a_partition, spec)
-    meta = instance_meta(
+    return _encode_log(
         g,
+        spec,
+        l,
         kind="log_general",
         c_num=None,
-        L=l,
         alpha={f"{u}-{v}": spec.alpha[(u, v)] for u, v in g.edges},
         beta={f"{u}-{v}": spec.beta[(u, v)] for u, v in g.edges},
         gap="unconstrained" if spec.gap is None else spec.gap,
     )
-    return EncodedProblem(poly, _registry(g.n, l), pen, meta)
 
 
 LOG_KINDS = ("log_mgc", "log_general")
@@ -288,8 +276,4 @@ def decode_log(prob: EncodedProblem, assignment: Bits) -> Coloring:
     n, l = prob.meta["n"], prob.meta["L"]
     if len(assignment) < n * l:
         raise DimensionError(f"assignment length {len(assignment)} < {n * l} vertex bits")
-    labels = tuple(
-        sum((1 << (k - 1)) * assignment[bit_var(v, k, l)] for k in range(1, l + 1))
-        for v in range(n)
-    )
-    return Coloring(labels)
+    return Coloring(tuple(vertex_labels(assignment, n, l)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import Any, Mapping
 
 from .errors import ParseError
@@ -24,6 +24,8 @@ class EncodedProblem:
     registry[i] names variable i ("x[v][c]", "y[c]", "x[v][k]", "w[e][k]",
     ...); meta records the encoding kind and enough of the source instance
     (n, edges, color bound, bit count) to decode and re-derive structure.
+    penalties is the encoding's penalty record, kept out of meta: model JSON
+    writes it as metadata["penalties"], and the reader moves it back here.
     """
 
     polynomial: Polynomial
@@ -62,7 +64,7 @@ def to_model_json(prob: EncodedProblem) -> str:
     terms = sorted(prob.polynomial.items(), key=lambda kv: (len(kv[0]), kv[0]))
     metadata = dict(prob.meta)
     if prob.penalties is not None:
-        metadata["penalties"] = asdict(prob.penalties)
+        metadata["penalties"] = asdict(prob.penalties) if is_dataclass(prob.penalties) else prob.penalties
     head = json.dumps({"metadata": metadata, "num_vars": prob.num_variables}, indent=2, sort_keys=True)
     tail = json.dumps(
         {"variables": [{"id": i, "role": r} for i, r in enumerate(prob.registry)]}, indent=2, sort_keys=True
@@ -121,7 +123,7 @@ def from_model_json(text: str) -> EncodedProblem:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model JSON: {exc}") from exc
     try:
-        penalties = _penalties_from_meta(metadata)
+        penalties = _penalties_from_meta(metadata, metadata.pop("penalties", None))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"metadata does not fit kind {metadata.get('kind')!r}: {exc}") from exc
     registry = tuple(roles[i] for i in range(num_vars))
@@ -139,8 +141,9 @@ def _json_int(value: Any) -> int:
     return value
 
 
-def _penalties_from_meta(metadata: dict) -> Any:
-    record = metadata.get("penalties")
+def _penalties_from_meta(metadata: dict, record: Any) -> Any:
+    """The penalty record of a model of this metadata's kind; a kind this
+    module does not know keeps the record as read."""
     kind = metadata.get("kind", "")
     # Late imports: the encoder modules depend on this one.
     if kind in ("log_mgc", "log_general"):

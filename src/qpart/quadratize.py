@@ -91,7 +91,7 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
         for role, size in (("w", l), ("y", l), ("b", l - 2)):
             registry += [f"{role}[{e}][{k}]" for k in range(1, size + 1)]
         for k in range(l):
-            xu, xv = bit_var(u, k + 1, l), bit_var(v, k + 1, l)
+            xu, xv = bit_var(u, k, l), bit_var(v, k, l)
             terms += _product_gadget(w + k, xu, xv, penalties.m_product)
             # y = XNOR(xu, xv) given w; zero on the w-manifold iff y is correct
             terms += [
@@ -151,7 +151,7 @@ def manifold_extension(quad: QuadratizedProblem, original_bits: tuple[int, ...])
     if l == 1:
         return tuple(bits)
     for u, v in prob.meta["edges"]:
-        pairs = [(bits[bit_var(u, k, l)], bits[bit_var(v, k, l)]) for k in range(1, l + 1)]
+        pairs = [(bits[bit_var(u, k, l)], bits[bit_var(v, k, l)]) for k in range(l)]
         y = [int(xu == xv) for xu, xv in pairs]
         bits += [xu * xv for xu, xv in pairs] + y
         bits += list(itertools.accumulate(y, operator.mul))[1 : l - 1]

@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionError
-from .logenc import LogLayout, recover_log_layout
+from .logenc import LogLayout, recover_log_layout, vertex_labels
 from .pbo import Bits, Polynomial, bits_to_index
 
 
@@ -216,11 +216,8 @@ def _label_kernel(layout: LogLayout) -> tuple[_Kernel, Callable[[Bits], int]]:
     # Bit k of vertex v is variable v * l + k (logenc.bit_var).
     sites = [(i // l, 1 << i % l) for i in range(n * l)]
 
-    def labels(x):
-        return [sum(x[v * l + k] << k for k in range(l)) for v in range(n)]
-
     def run_flips(x, draws):
-        label = labels(x)
+        label = vertex_labels(x, n, l)
         table = [ladder.copy() for _ in range(n)]
         near: list[list[tuple[list[int], int]]] = [[] for _ in range(n)]
         for u, v, w in weighted:
@@ -243,7 +240,7 @@ def _label_kernel(layout: LogLayout) -> tuple[_Kernel, Callable[[Bits], int]]:
         x[:] = [a >> k & 1 for a in label for k in range(l)]
 
     def energy(bits):
-        label = labels(bits)
+        label = vertex_labels(bits, n, l)
         return (
             layout.constant
             + sum(ladder[a] for a in label)

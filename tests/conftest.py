@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -247,7 +247,7 @@ def model_doc(prob):
     as decimal strings; the penalty record inside the metadata."""
     metadata = dict(prob.meta)
     if prob.penalties is not None:
-        metadata["penalties"] = asdict(prob.penalties)
+        metadata["penalties"] = asdict(prob.penalties) if is_dataclass(prob.penalties) else prob.penalties
     return {
         "num_vars": prob.num_variables,
         "variables": [{"id": i, "role": r} for i, r in enumerate(prob.registry)],

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpart.errors import ParseError
-from qpart.logenc import LexPenalties, encode_mgc_log
+from qpart.logenc import LexPenalties, PartitionSpec, encode_general, encode_mgc_log
 from qpart.model import EncodedProblem, from_model_json, to_model_json
 from qpart.onehot import OneHotPenalties, encode_mgc_onehot
 from qpart.pbo import Polynomial
@@ -52,6 +52,28 @@ class TestRoundTrip:
         assert to_model_json(prob) == to_model_json(prob)
 
 
+P3_SPEC = PartitionSpec(alpha={(0, 1): 2, (1, 2): 0}, beta={(0, 1): 0, (1, 2): 3}, gap=2)
+MODELS = {
+    "onehot": lambda: encode_mgc_onehot(complete_graph(3), 3),
+    "log_mgc": lambda: encode_mgc_log(path_graph(3), 4),
+    "log_general": lambda: encode_general(path_graph(3), P3_SPEC, 2),
+    "quadratized": lambda: quadratize(encode_mgc_log(path_graph(3), 4)).problem,
+    "unknown_kind": lambda: EncodedProblem(Polynomial({(0,): 1}), ("a",), {"tier": [1, "2"]}, {"kind": "other"}),
+}
+
+
+@pytest.mark.parametrize("name", list(MODELS))
+def test_read_model_equals_written_model(name):
+    """The penalty record lives in `penalties` alone, whether built or read."""
+    prob = MODELS[name]()
+    text = to_model_json(prob)
+    parsed = from_model_json(text)
+    assert parsed == prob
+    assert to_model_json(parsed) == text
+    if name.startswith("log"):
+        assert "penalties" not in quadratize(parsed).problem.meta
+
+
 COEFFS = st.integers(-3, 3) | st.integers(-(2**200), 2**200)
 # quotes, backslashes, control and non-ASCII characters, which json.dumps escapes
 TEXT = st.text(st.sampled_from('xy[]0"\\\n\t\x00é→\u2028\U0001f600'), max_size=5) | st.text(max_size=3)
@@ -68,6 +90,7 @@ PENALTIES = (
     st.none()
     | st.builds(OneHotPenalties, COEFFS, COEFFS, COEFFS)
     | st.builds(LexPenalties, st.lists(COEFFS, max_size=3).map(tuple), COEFFS)
+    | st.dictionaries(TEXT, JSON_VALUES, max_size=3)  # the record of a kind qpart does not know
 )
 
 

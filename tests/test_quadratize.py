@@ -261,7 +261,7 @@ class TestProofBeyondEnumeration:
         quad = quadratize(hubo)
         ids = quad.problem.registry.index
         key = {
-            "ladder": (bit_var(0, 1, 4),),
+            "ladder": (bit_var(0, 0, 4),),
             "w_gadget": (ids("w[0][1]"),),
             "y_gadget": (ids("y[0][1]"),),
             "b_link": (ids("b[0][1]"),),
@@ -284,14 +284,14 @@ class TestPenaltyRecord:
             quad = quadratize(hubo)
             pen = hubo.penalties
             assert quadratization_bounds_hold(
-                quad.problem.penalties, pen.a_adjacency, g.n, pen.total
+                quad.problem.penalties, pen.a_adjacency, g.n, sum(pen.p)
             )
 
     def test_matches_closed_form_for_default_ladder(self):
         # with the explicit ladder, the tier equals 2((n+1)^L - 1) + 2
         for n, l in ((2, 2), (3, 2), (4, 3)):
             pen = lex_penalties(n, l)
-            tiers = quadratization_penalties(pen.a_adjacency, n, pen.total)
+            tiers = quadratization_penalties(pen.a_adjacency, n, sum(pen.p))
             assert tiers.m_stage1 == 2 * ((n + 1) ** l - 1) + 2
             assert tiers.m_product == 3 * tiers.m_stage1
 

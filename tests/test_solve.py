@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qpart import solve
 from qpart.errors import DimensionError, ResourceLimitError
 from qpart.graphs import Graph
-from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
+from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log, recover_log_layout
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import Polynomial, ground_states
 from qpart.quadratize import quadratize
@@ -327,17 +327,27 @@ class TestHugeEnergyChanges:
 
     PARAMS = AnnealParams(runs=8, sweeps=20, seed=4)
 
-    def test_local_field_kernel(self):
+    def test_flip_energy_kernel_pair_terms(self):
         poly = Polynomial({(0,): 2**1100, (0, 1): -1})
         ss = anneal(poly, self.PARAMS)
         # x0 = 1 costs 2**1100 - 1 or 2**1100: every run ends at x0 = 0
         assert energies(ss) == [0] * self.PARAMS.runs
 
-    def test_per_term_kernel(self):
+    def test_flip_energy_kernel_larger_terms(self):
         poly = Polynomial({(0, 1, 2): 2**1100})
         ss = anneal(poly, self.PARAMS)
         assert energies(ss) == [0] * self.PARAMS.runs
         assert ss == solve._anneal_with(naive_kernel(poly, 3), poly.evaluate, self.PARAMS, 3)
+
+    def test_label_kernel(self):
+        # agreeing labels on either edge cost 2**1100; L = 2 gives four labels
+        spec = PartitionSpec(alpha={(0, 1): 2**1100, (1, 2): 2**1100}, beta={(0, 1): 0, (1, 2): 0}, gap=None)
+        prob = encode_general(P3, spec, 2)
+        p, nv = prob.polynomial, prob.num_variables
+        assert recover_log_layout(p, nv) is not None
+        ss = anneal(p, self.PARAMS, nv)
+        assert ss == solve._anneal_with(solve._flip_energy_kernel(p, nv), p.evaluate, self.PARAMS, nv)
+        assert max(energies(ss)) < 2**1100
 
 
 class TestSampleSetJson:
