@@ -144,11 +144,11 @@ def _json_int(value: Any) -> int:
 def _penalties_from_meta(metadata: dict, record: Any) -> Any:
     """The penalty record of a model of this metadata's kind; a kind this
     module does not know keeps the record as read."""
-    kind = metadata.get("kind", "")
     # Late imports: the encoder modules depend on this one.
-    if kind in ("log_mgc", "log_general"):
-        from .logenc import LexPenalties, log_layout
+    from .logenc import LOG_KINDS, LexPenalties, log_layout
 
+    kind = metadata.get("kind", "")
+    if kind in LOG_KINDS:
         pen = LexPenalties(p=tuple(map(_json_int, record["p"])), a_adjacency=_json_int(record["a_adjacency"]))
         log_layout(metadata, pen)
         return pen

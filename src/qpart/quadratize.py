@@ -44,7 +44,7 @@ class QuadratizedProblem:
 
     @property
     def num_original_vars(self) -> int:
-        return self.problem.meta["num_original"]
+        return self.problem.meta["n"] * self.problem.meta["L"]
 
     @property
     def total_aux(self) -> int:
@@ -77,9 +77,9 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     layout = checked_log_layout(prob)
     n, l, edges, weights = layout.n, len(layout.ladder), layout.edges, layout.weights
     penalties = quadratization_penalties(max(map(abs, weights), default=0), n, sum(layout.ladder))
+    meta = {**prob.meta, "kind": "quadratized_log", "base_kind": prob.kind}
     if l == 1:
-        out = EncodedProblem(prob.polynomial, prob.registry, penalties, _quadratized_meta(prob, 0))
-        return QuadratizedProblem(out)
+        return QuadratizedProblem(EncodedProblem(prob.polynomial, prob.registry, penalties, meta))
 
     terms = list(log_hubo_terms(n, layout.ladder, layout.constant))
     registry = list(prob.registry)
@@ -116,26 +116,12 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     poly = Polynomial._from_canonical(terms)
     if poly.degree() > 2:
         raise InternalInvariantError("quadratization produced a term of degree > 2")
-    meta = _quadratized_meta(prob, len(edges))
     return QuadratizedProblem(EncodedProblem(poly, tuple(registry), penalties, meta))
 
 
 def _product_gadget(z: int, a: int, b: int, m: int) -> list[tuple[tuple[int, ...], int]]:
     """Rosenberg's m*(ab - 2az - 2bz + 3z), keys sorted for a < b < z: >= 0, zero iff z = a*b."""
     return [((a, b), m), ((a, z), -2 * m), ((b, z), -2 * m), ((z,), 3 * m)]
-
-
-def _quadratized_meta(prob: EncodedProblem, gadget_edges: int) -> dict:
-    l = len(prob.penalties.p)
-    return {
-        **prob.meta,
-        "kind": "quadratized_log",
-        "base_kind": prob.kind,
-        "num_original": prob.num_variables,
-        "backmap": list(range(prob.num_variables)),
-        "aux_counts": {"w": gadget_edges * l, "y": gadget_edges * l, "b": gadget_edges * (l - 2)},
-        "base_penalties": {"p": list(prob.penalties.p), "a_adjacency": prob.penalties.a_adjacency},
-    }
 
 
 def manifold_extension(quad: QuadratizedProblem, original_bits: tuple[int, ...]) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from qpart.graphs import Graph, serialize_graph
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
 from qpart.model import from_model_json, to_model_json
 from qpart.onehot import encode_mgc_onehot
+from qpart.quadratize import QuadratizedProblem, quadratize, verify_quadratization
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,6 +96,31 @@ class TestEncodeSolvePipeline:
         prob = from_model_json(quad.read_text())
         assert prob.polynomial.degree() <= 2
         assert prob.meta["kind"] == "quadratized_log"
+
+    @pytest.mark.parametrize("colors", [2, 8])
+    def test_reads_quadratized_model_with_restated_metadata(self, colors, tmp_path, capsys):
+        # older writers also recorded num_original, backmap, aux_counts and
+        # base_penalties, each a restatement of the HUBO; such files still run
+        hubo = encode_mgc_log(K3, colors)
+        text = to_model_json(quadratize(hubo).problem)
+        doc = json.loads(text)
+        meta = doc["metadata"]
+        n_l, l = meta["n"] * meta["L"], meta["L"]
+        gadget_edges = meta["m"] if l > 1 else 0
+        meta.update(
+            num_original=n_l,
+            backmap=list(range(n_l)),
+            aux_counts={"w": gadget_edges * l, "y": gadget_edges * l, "b": gadget_edges * (l - 2)},
+            base_penalties={"p": list(hubo.penalties.p), "a_adjacency": hubo.penalties.a_adjacency},
+        )
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        new.write_text(text)
+        old.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert verify_quadratization(hubo, QuadratizedProblem(from_model_json(old.read_text()))).passed
+        for command in (["solve", "--seed", "0", "--runs", "5", "--sweeps", "20"], ["gates"]):
+            outputs = [run([*command, "--in", str(path)], capsys) for path in (new, old)]
+            assert outputs[0][0] == 0
+            assert outputs[0] == outputs[1]
 
     def test_anneal_solve(self, k3_file, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -227,6 +253,7 @@ K3_MODELS = {
     "log": lambda: encode_mgc_log(K3, 4),
     "onehot": lambda: encode_mgc_onehot(K3, 3),
     "general": lambda: encode_general(K3, K3_SPEC, 2),
+    "quadratized": lambda: quadratize(encode_mgc_log(K3, 4)).problem,
 }
 
 # Model JSON whose parts disagree or do not fit its kind: (encoding,
@@ -265,6 +292,10 @@ MODEL_DEFECTS = {
     # JSON types str() or dict() would coerce
     "role_not_string": ("onehot", lambda doc: doc["variables"][0].update(role=[1, 2])),
     "metadata_not_object": ("onehot", lambda doc: doc.update(metadata=[["kind", "x"]])),
+    # a quadratized model's tiers record; 32.0 is the true m_stage2 as a float
+    "tier_removed": ("quadratized", lambda doc: doc["metadata"]["penalties"].pop("m_stage1")),
+    "float_tier": ("quadratized", lambda doc: doc["metadata"]["penalties"].update(m_stage2=32.0)),
+    "penalties_string": ("quadratized", lambda doc: doc["metadata"].update(penalties="m_product=96")),
 }
 
 K2 = complete_graph(2)

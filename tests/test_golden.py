@@ -68,15 +68,15 @@ GOLDEN_SHA256 = {
     "log_mgc_L3": "643f1add3b11e7b0367b516826f95abb5c4c51221d559152ce8ef083cf035ff1",
     "log_mgc_L4": "d03e41b062cdb7eb3f476ecc17d213003d4e766578f3fa6b5e05ec9e14584cd3",
     "onehot_mgc_c4": "40fafec450c29bcce260a1a01008c3550338bb6cfd2fa809dbf942811dbcb0ed",
-    "quadratized_log_general_L1": "52f60b4b163604cff2246bb8d61a88024a6ab7703d337978616e61455509b4a8",
-    "quadratized_log_general_L2": "6a758191e1f838d88f4e99d4d86b42b2158d899587273b738ebeba9f2e1dd9e9",
-    "quadratized_log_general_L3": "be7b2cf01297036ef4ebcb6fb408b71e28bcb9045e07f3dbc11f280abd9c03a9",
-    "quadratized_log_general_L4": "c6548ed9e8f8a0d9a0fd076248fb1d6635e7268035ed31b02a7bfccb469b21f5",
-    "quadratized_log_general_unconstrained_L3": "360e92d3afbf2a301de55ef26d99d81231cfa842494d0cb151da51c977d8eb7b",
-    "quadratized_log_mgc_L1": "a29a719027a36e2e320941e3471b3ec99248f87ef36cad9b3c0648cf08183cd0",
-    "quadratized_log_mgc_L2": "c9011d76171f1e9e36c44e03a48c063e6d5b43bbbb95a38875e63bcf22085236",
-    "quadratized_log_mgc_L3": "ae65d52a4155348065c706a174404d7a6a69491fdca2f4d9a1b4a519f290f901",
-    "quadratized_log_mgc_L4": "59320d657956020a6da531c82a77110428971802befa5a58e0b7e4fc1339d106",
+    "quadratized_log_general_L1": "01cf9fd19f59dd9d4955b72fb8f6cbdc3def270ca531b2d0a9b7aef5eecbe6f7",
+    "quadratized_log_general_L2": "a21865362ae4ade88a7771ebecfc5ca6032a3d0c5af0285d2197448df1759237",
+    "quadratized_log_general_L3": "fe4192734111095a1a633361a06100e210a1f5a5c2dd711c5544806939c7f364",
+    "quadratized_log_general_L4": "772f1d5e1d47c94f7092c7eb167d6028c606556e9538ace736bd7f99852f72f1",
+    "quadratized_log_general_unconstrained_L3": "054fac54408f09f205f581c891a4aa2f5f90d086e6c728ea3a4a44e534f8e0ec",
+    "quadratized_log_mgc_L1": "c0dab7563a6bed71cc997148135ae172dfcb0ca99f7dd34c38c89bd3339ba4b0",
+    "quadratized_log_mgc_L2": "1fa0afba50055de34e899f01decd6c1175e83cbdcb225ab58c20802b1352269b",
+    "quadratized_log_mgc_L3": "8ac0d94304219dcb20794ed724fbeed1801737ca0ff5cdf93d55f8f31ab9c65c",
+    "quadratized_log_mgc_L4": "df01c80a7630cf6aaa991e1ff57f86737e883a4d7901b1ec9f431960f024b55e",
 }
 
 

@@ -17,7 +17,7 @@ from conftest import (
 from qpart.errors import InvalidInstanceError, ResourceLimitError
 from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import PartitionSpec, bit_var, encode_general, encode_mgc_log, lex_penalties
-from qpart.model import EncodedProblem
+from qpart.model import EncodedProblem, from_model_json, to_model_json
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, ground_states
 from qpart.quadratize import (
@@ -37,6 +37,12 @@ K3 = complete_graph(3)
 # one alpha = beta edge (zero weight: gadgets but no product term) and one
 # beta > alpha edge (negative weight)
 P3_SPEC = PartitionSpec(alpha={(0, 1): 1, (1, 2): 0}, beta={(0, 1): 1, (1, 2): 2})
+K3_SPEC = PartitionSpec(alpha=dict.fromkeys(K3.edges, 0), beta=dict.fromkeys(K3.edges, 2), gap=2)
+
+
+def role_counts(quad):
+    """How many auxiliaries of each family the registry names."""
+    return {role: sum(r.startswith(f"{role}[") for r in quad.problem.registry) for role in "wyb"}
 
 
 class TestQuadratize:
@@ -50,7 +56,7 @@ class TestQuadratize:
     def test_k2_two_bits(self):
         hubo = encode_mgc_log(K2, 4)
         quad = quadratize(hubo)
-        assert quad.problem.meta["aux_counts"] == {"w": 2, "y": 2, "b": 0}
+        assert role_counts(quad) == {"w": 2, "y": 2, "b": 0}
         assert quad.problem.num_variables == 8
         assert verify_quadratization(hubo, quad).passed
         assert 1 << quad.num_original_vars == 16
@@ -59,7 +65,7 @@ class TestQuadratize:
         hubo = encode_mgc_log(K2, 8)
         quad = quadratize(hubo)
         assert quad.total_aux == 7
-        assert quad.problem.meta["aux_counts"] == {"w": 3, "y": 3, "b": 1}
+        assert role_counts(quad) == {"w": 3, "y": 3, "b": 1}
 
     def test_degree_bounded_everywhere(self):
         for g in (K2, P3, complete_graph(3)):
@@ -73,9 +79,24 @@ class TestQuadratize:
         roles = quad.problem.registry
         assert roles[: quad.num_original_vars] == hubo.registry
         assert "w[0][1]" in roles and "y[0][2]" in roles
-        assert quad.problem.meta["backmap"] == list(range(4))
         quad3 = quadratize(encode_mgc_log(K2, 8))
         assert "b[0][1]" in quad3.problem.registry
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(lambda l=l: encode_mgc_log(K3, 1 << l) for l in (1, 2, 3, 4)),
+            lambda: encode_general(K3, K3_SPEC, 2),
+            lambda: encode_mgc_log(Graph(3, ()), 4),
+        ],
+        ids=["mgc_L1", "mgc_L2", "mgc_L3", "mgc_L4", "general_L2", "edgeless_c4"],
+    )
+    def test_metadata_is_the_hubo_metadata_plus_kinds(self, build):
+        # the QUBO, the registry and the HUBO's own metadata describe the rest
+        hubo = build()
+        prob = quadratize(hubo).problem
+        assert prob.meta == {**hubo.meta, "kind": "quadratized_log", "base_kind": hubo.kind}
+        assert from_model_json(to_model_json(prob)) == prob
 
     def test_builders_write_canonical_keys(self):
         # both builders sum their terms without sorting a key, so each must be written increasing
