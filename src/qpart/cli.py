@@ -15,9 +15,9 @@ from dataclasses import fields
 
 from .bench import BenchInstance, records_to_csv, report_to_json, run_suite
 from .errors import InternalInvariantError, ResourceLimitError
-from .gates import cnot_count_oracle
+from .gates import cnot_count_log_closed, cnot_count_onehot_closed, cnot_count_oracle
 from .graphs import brooks_upper_bound, generate_random_connected, parse_graph, serialize_graph
-from .logenc import encode_mgc_log
+from .logenc import bits_for_colors, encode_mgc_log
 from .model import from_model_json, to_model_json
 from .onehot import encode_mgc_onehot
 from .pbo import ground_states
@@ -114,7 +114,9 @@ def cmd_qubits(args: argparse.Namespace) -> int:
     advantage, log_count, onehot_count = qubit_advantage_predicate(args.n, args.m, args.colors)
     doc = {
         "advantage": advantage,
+        "log_cnot": cnot_count_log_closed(args.m, bits_for_colors(args.colors)),
         "log_qubits": log_count,
+        "onehot_cnot": cnot_count_onehot_closed(args.n, args.m, args.colors),
         "onehot_qubits": onehot_count,
         "n": args.n,
         "m": args.m,
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="model JSON path")
     p.add_argument("--out", default="-", help="report JSON output path")
 
-    p = add("qubits", "qubit-count comparison of the two encodings", cmd_qubits)
+    p = add("qubits", "qubit and CNOT counts of the two encodings", cmd_qubits)
     p.add_argument("--n", type=int, required=True, help="number of vertices")
     p.add_argument("--m", type=int, required=True, help="number of edges")
     p.add_argument("--colors", type=int, required=True, help="color bound")

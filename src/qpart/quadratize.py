@@ -68,11 +68,11 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     keep ids 0..nL-1, and edge e, in metadata order, owns the 3L-2 ids
     from nL + e(3L-2): w[e][1..L], then y[e][1..L], then b[e][1..L-2].
 
-    That allocates m*(3L-2) auxiliaries for L >= 2, not the published
-    m*(2L-2): a three-variable quadratic gadget computing XNOR exactly
-    does not exist, so each edge-bit needs both a product and an
-    agreement auxiliary; the published count assumes a quadratic gadget
-    that the squared-penalty form does not deliver.
+    That allocates m*(3L-2) auxiliaries for L >= 2. The published
+    m*(2L-2) counts the L product and L-2 chain auxiliaries per edge;
+    this construction also adds one agreement auxiliary y per edge-bit,
+    which the published count leaves out. ROADMAP item 5 tracks a
+    construction at the published count.
     """
     layout = checked_log_layout(prob)
     n, l, edges, weights = layout.n, len(layout.ladder), layout.edges, layout.weights

@@ -160,11 +160,32 @@ class TestQubits:
         assert json.loads(out)["advantage"] is False
 
     def test_negative_counts_exit_2(self, capsys):
-        for n, m in (("-5", "3"), ("4", "-3"), ("2", "100")):
-            code, out, err = run(["qubits", "--n", n, "--m", m, "--colors", "4"], capsys)
+        bad = [(n, m, "4") for n, m in (("-5", "3"), ("4", "-3"), ("2", "100"))]
+        bad += [("4", "6", c) for c in ("1", "0", "-3")]
+        for n, m, c in bad:
+            code, out, err = run(["qubits", "--n", n, "--m", m, "--colors", c], capsys)
             assert code == 2
             assert out == ""
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "g, c",
+        [
+            (complete_graph(4), 4),
+            (graphs.generate_random_connected(8, 0.3, 1), 2),
+            (graphs.generate_random_connected(8, 0.3, 1), 4),
+            (graphs.generate_random_connected(5, 0.6, 3), 8),
+        ],
+        ids=["K4-c4", "n8-c2", "n8-c4", "n5-c8"],
+    )
+    def test_cnot_counts_match_oracle(self, g, c, capsys):
+        argv = ["qubits", "--n", str(g.n), "--m", str(g.m), "--colors", str(c)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        oracle = gates.cnot_count_oracle
+        assert doc["log_cnot"] == oracle(encode_mgc_log(g, c).polynomial).cnot_count
+        assert doc["onehot_cnot"] == oracle(encode_mgc_onehot(g, c).polynomial).cnot_count
 
 
 class TestBench:
