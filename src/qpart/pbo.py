@@ -81,11 +81,7 @@ class Polynomial:
             raise DimensionError(
                 f"assignment of length {len(bits)} does not cover {self.num_variables()} variables"
             )
-        total = 0
-        for key, coeff in self._terms.items():
-            if all(bits[v] for v in key):
-                total += coeff
-        return total
+        return sum(coeff for key, coeff in self._terms.items() if all(map(bits.__getitem__, key)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self._terms == other._terms
@@ -135,16 +131,8 @@ def index_to_bits(index: int, num_vars: int) -> Bits:
     return tuple((index >> v) & 1 for v in range(num_vars))
 
 
-def bits_to_index(bits: Iterable[int]) -> int:
-    out = 0
-    for v, b in enumerate(bits):
-        if b:
-            out |= 1 << v
-    return out
-
-
 def energy_vector(p: Polynomial, num_vars: int) -> np.ndarray:
-    """Energies of all 2**num_vars assignments, indexed by bits_to_index.
+    """Energies of all 2**num_vars assignments; bit v of an index is x_v.
 
     A term contributes exactly at the indices that have all of its bits
     set, i.e. at the supersets of its bitmask. So each coefficient, the

@@ -2,17 +2,27 @@
 
 The annealer is the classical stand-in for hardware sampling: one final
 state per run, a geometric inverse-temperature ramp, and per-run RNG
-streams derived from (seed, run index) so results are independent of
-execution order.
+streams derived from (seed, run index), so a run's sample depends neither
+on the other runs nor on how the draws are blocked.
 
-After its initial state, each run draws its flips in blocks of whole
-sweeps (`DRAW_BLOCK`), all the block's sites, then all its uniforms u. A
-flip of exact energy change delta is accepted when delta <= 0 or delta <
--ln(u)/beta, which is u < exp(-beta*delta), compared exactly.
+Run r draws from `SeedSequence(seed, spawn_key=(r,))`: its initial state,
+then one uniform u per (sweep, variable id). A sweep visits every variable
+once, in a fixed order. A flip of exact energy change delta is accepted
+when delta < max(-ln(u)/beta, 1); delta is an integer, so that is
+delta <= 0 or u < exp(-beta*delta), compared exactly.
 
-Two kernels apply the flips, both with exact integer deltas, so they give
-the same samples: a log HUBO whose layout the polynomial proves anneals on
-per-vertex label tables, and every other model on stored flip energies.
+Two kernels apply the flips, both with exact integer deltas:
+
+- a log HUBO whose layout the polynomial proves anneals on per-vertex
+  label tables, run by run, visiting its bits in id order;
+- every other model anneals all runs at once on colour classes. A greedy
+  colouring of the interaction graph, with every term a clique, splits
+  the variables into classes that share no term, so the flips of one
+  class are independent given the rest and apply together. A sweep visits
+  the classes in colour order, which is the order the flips take effect.
+  The fields are float64 when every variable's |h_v| plus the |c_T| of its
+  larger terms stays below 2**53, which keeps every partial sum an exact
+  integer, and Python ints (numpy dtype object) otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .logenc import LogLayout, recover_log_layout, vertex_labels
-from .pbo import Bits, Polynomial, bits_to_index
+from .pbo import Bits, Polynomial
 
 
 @dataclass(frozen=True)
@@ -78,11 +88,10 @@ class SampleSet:
 def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> SampleSet:
     """One final-state sample per run under Metropolis single-bit-flip dynamics.
 
-    An attempted flip costs a lookup or two and one comparison of the exact
-    integer energy change with its precomputed threshold -ln(u)/beta. A
-    polynomial of degree above 2 that logenc.recover_log_layout reads as a
-    log HUBO anneals on label tables; any other anneals with stored flip
-    energies.
+    An attempted flip compares the exact integer energy change with its
+    threshold. A polynomial of degree above 2 that logenc.recover_log_layout
+    reads as a log HUBO anneals on label tables; any other anneals on colour
+    classes.
     """
     nv = p.num_variables() if num_vars is None else num_vars
     if nv < p.num_variables():
@@ -91,113 +100,133 @@ def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> 
         raise ValueError("annealing needs at least one variable")
     layout = recover_log_layout(p, nv) if p.degree() > 2 else None
     if layout is None:
-        return _anneal_with(_flip_energy_kernel(p, nv), p.evaluate, params, nv)
+        return _anneal_with(_class_kernel(p, nv), p.evaluate, params, nv)
     return _anneal_with(*_label_kernel(layout), params, nv)
 
 
-# Most draws one block takes; a block still holds at least one sweep.
-DRAW_BLOCK = 1 << 12
+# Most draws one block of thresholds holds over all runs; a block still
+# holds at least one sweep of every run.
+DRAW_BLOCK = 1 << 14
 
-# A kernel applies one run's (site, threshold) draws to its state `x` in place.
-_Kernel = Callable[[list[int], Iterator[tuple[int, float]]], None]
+# A kernel applies blocks of thresholds, shaped (runs, sweeps, variable id),
+# to the runs' states, a (runs, nv) bool array, in place.
+_Kernel = Callable[[np.ndarray, Iterator[np.ndarray]], None]
 
 
-def _anneal_with(run_flips: _Kernel, energy: Callable[[Bits], int], params: AnnealParams, nv: int) -> SampleSet:
-    """Draw each run's initial state and flips; `run_flips` applies them to
-    the state, and `energy` gives the final state's exact energy."""
+def _anneal_with(kernel: _Kernel, energy: Callable[[Bits], int], params: AnnealParams, nv: int) -> SampleSet:
+    """Draw each run's initial state and thresholds; `kernel` applies them
+    to the states, and `energy` gives each final state's exact energy."""
     sweeps = params.sweeps
     denom = max(sweeps - 1, 1)
     ratio = params.beta_end / params.beta_start
     betas = np.array([params.beta_start * ratio ** (t / denom) for t in range(sweeps)])
 
-    samples = []
-    for run in range(params.runs):
-        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(run,)))
-        x = rng.integers(0, 2, size=nv).tolist()
-        run_flips(x, _flip_draws(rng, betas, nv))
-        bits = tuple(x)
-        samples.append(Sample(bits=bits, energy=energy(bits)))
-    return SampleSet(tuple(samples))
+    rngs = [np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(run,))) for run in range(params.runs)]
+    x = np.array([rng.integers(0, 2, size=nv) for rng in rngs], dtype=bool)
+    kernel(x, _thresholds(rngs, betas, nv))
+    return SampleSet(tuple(Sample(bits=bits, energy=energy(bits)) for bits in map(tuple, x.view(np.uint8).tolist())))
 
 
-def _flip_draws(rng: np.random.Generator, betas: np.ndarray, nv: int) -> Iterator[tuple[int, float]]:
-    """(site, -ln(u)/beta) per attempted flip, drawn in blocks of whole
-    sweeps: a block's sites first, then its uniforms. Each block is drawn
-    when the one before it is used up; chaining the blocks' iterators keeps
-    a Python frame out of every draw."""
-    block = max(DRAW_BLOCK // nv, 1)
+def _thresholds(rngs: list[np.random.Generator], betas: np.ndarray, nv: int) -> Iterator[np.ndarray]:
+    """Blocks of whole sweeps of max(-ln(u)/beta, 1), shaped (runs, sweeps,
+    variable id), from each run's uniforms in (sweep, variable id) order.
+    Every block is written into one buffer, so a block is valid only until
+    the next one is drawn."""
+    sweeps = len(betas)
+    block = min(max(DRAW_BLOCK // (len(rngs) * nv), 1), sweeps)
+    buf = np.empty((len(rngs), block, nv))
+    neg_betas = -betas[:, None]
+    for start in range(0, sweeps, block):
+        thresholds = buf[:, : sweeps - start]
+        for rng, run_block in zip(rngs, thresholds):
+            rng.random(out=run_block)
+        np.log(thresholds, out=thresholds)
+        thresholds /= neg_betas[start : start + block]
+        # Energy changes are integers: delta < max(t, 1) is delta <= 0 or delta < t.
+        np.maximum(thresholds, 1.0, out=thresholds)
+        yield thresholds
 
-    def draw(start: int) -> Iterator[tuple[int, float]]:
-        block_betas = np.repeat(betas[start : start + block], nv)
-        sites = rng.integers(0, nv, size=block_betas.size)
-        thresholds = -np.log(rng.random(size=block_betas.size)) / block_betas
-        return zip(sites.tolist(), thresholds.tolist())
 
-    return itertools.chain.from_iterable(map(draw, range(0, len(betas), block)))
+def _colour_classes(p: Polynomial, nv: int) -> list[list[int]]:
+    """A greedy colouring of the interaction graph, with every term a clique,
+    as its classes in colour order: no term holds two variables of one class.
+    Variables take the least colour no coloured neighbour holds, most
+    neighbours first (Welsh-Powell), ties by id; each class lists its
+    members by id."""
+    near: list[set[int]] = [set() for _ in range(nv)]
+    for key, _ in p.items():
+        if len(key) > 1:
+            for v in key:
+                near[v].update(key)
+    colours: dict[int, int] = {}
+    for v in sorted(range(nv), key=lambda v: -len(near[v])):
+        taken = {colours.get(w) for w in near[v]}
+        colours[v] = next(c for c in itertools.count() if c not in taken)
+    classes: list[list[int]] = [[] for _ in range(max(colours.values()) + 1)]
+    for v in range(nv):
+        classes[colours[v]].append(v)
+    return classes
 
 
-def _flip_energy_kernel(p: Polynomial, nv: int) -> _Kernel:
-    """Any degree. Each run keeps every variable's flip energy: its local
-    field (the energy change of raising it), signed by x[v] as dwave-neal's
-    sweep kernel does. An attempted flip only reads it; an accepted flip of
-    v moves the flip energies of the variables that share a term with v.
-    Python ints keep every delta exact."""
+def _class_kernel(p: Polynomial, nv: int) -> _Kernel:
+    """Any model, all runs at once, one colour class at a time. The state
+    keeps the classes as contiguous column blocks, plus a last column held
+    at 1. Variable v's field h_v + sum over its larger terms T of
+    c_T * prod(x[T - v]) is one gather of the other members' columns
+    (padded with the column of ones) and one np.add.reduceat per class, in
+    O(terms + runs * nv) memory. A variable in no larger term gathers one
+    entry of coefficient 0, so no segment of the reduceat is empty."""
+    classes = _colour_classes(p, nv)
+    order = np.array([v for members in classes for v in members])
+    column = dict(zip(order.tolist(), range(nv)))
     h = [0] * nv
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    # Per variable v and term T of 3 or more variables: (coeff, mask of T - v, T).
-    larger: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nv)]
+    # Per variable: (coefficient, the columns of the term's other members).
+    larger: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nv)]
     for key, coeff in p.items():
         if len(key) == 1:
             h[key[0]] = coeff
-        elif len(key) == 2:
-            a, b = key
-            pairs[a].append((b, coeff))
-            pairs[b].append((a, coeff))
         elif key:
-            mask = sum(1 << u for u in key)
             for v in key:
-                larger[v].append((coeff, mask ^ 1 << v, key))
+                larger[v].append((coeff, tuple(column[w] for w in key if w != v)))
+    exact_in_float = max(abs(h[v]) + sum(abs(c) for c, _ in larger[v]) for v in range(nv)) < 1 << 53
+    dtype = float if exact_in_float else object
 
-    def run_flips(x, draws):
-        # The unset variables as one int, read only at the bits of variables
-        # in `larger`, so it is toggled for those alone.
-        unset = bits_to_index(1 - b for b in x)
-        flip_delta = [
+    # Per class: its state columns, its variable ids, and its fields' gather
+    # columns, coefficients, segment starts and linear terms.
+    steps = []
+    start = 0
+    for members in classes:
+        terms = [larger[v] or [(0, ())] for v in members]
+        flat = [term for member_terms in terms for term in member_terms]
+        width = max(1, *(len(others) for _, others in flat))
+        gather = np.array([others + (nv,) * (width - len(others)) for _, others in flat])
+        steps.append(
             (
-                h[v]
-                + sum(j for w, j in pairs[v] if x[w])
-                + sum(c for c, m, _ in larger[v] if not m & unset)
+                slice(start, start + len(members)),
+                np.array(members),
+                gather[:, 0] if width == 1 else gather,
+                np.array([c for c, _ in flat], dtype=dtype),
+                np.cumsum([0] + [len(member_terms) for member_terms in terms[:-1]]),
+                np.array([h[v] for v in members], dtype=dtype),
             )
-            * (1 - 2 * x[v])
-            for v in range(nv)
-        ]
-        for v, threshold in draws:
-            delta = flip_delta[v]
-            if delta > 0 and delta >= threshold:
-                continue
-            flip_delta[v] = -delta
-            old = x[v]
-            x[v] = 1 - old
-            # w's field moves by +-J, which raises w's flip delta
-            # by J exactly when x[w] equals the old x[v].
-            for w, j in pairs[v]:
-                if x[w] == old:
-                    flip_delta[w] += j
-                else:
-                    flip_delta[w] -= j
-            if not larger[v]:
-                continue
-            unset ^= 1 << v
-            # w in T - v sees c in its field only when all of T - v - w
-            # is set: every w if none of T - v is missing, the missing
-            # one if exactly one is, none otherwise.
-            for c, m, key in larger[v]:
-                missing = m & unset
-                if missing & (missing - 1):
-                    continue
-                for w in (missing.bit_length() - 1,) if missing else key:
-                    if w != v:
-                        flip_delta[w] += c if x[w] == old else -c
+        )
+        start += len(members)
+
+    def run_flips(x, blocks):
+        state = np.ones((len(x), nv + 1), dtype=bool)
+        state[:, :nv] = x[:, order]
+        plan = [(state[:, cols], *rest) for cols, *rest in steps]
+        for block in blocks:
+            for sweep in block.transpose(1, 0, 2):
+                for bits, ids, gather, coeffs, starts, linear in plan:
+                    on = state.take(gather, axis=1)
+                    if on.ndim == 3:
+                        on = on.all(axis=2)
+                    field = np.add.reduceat(on * coeffs, starts, axis=1)
+                    field += linear
+                    # The energy change of flipping x is (1 - 2x) * field.
+                    bits ^= np.where(bits, -field, field) < sweep.take(ids, axis=1)
+        x[:, order] = state[:, :nv]
 
     return run_flips
 
@@ -216,8 +245,8 @@ def _label_kernel(layout: LogLayout) -> tuple[_Kernel, Callable[[Bits], int]]:
     # Bit k of vertex v is variable v * l + k (logenc.bit_var).
     sites = [(i // l, 1 << i % l) for i in range(n * l)]
 
-    def run_flips(x, draws):
-        label = vertex_labels(x, n, l)
+    def run_state(bits):
+        label = vertex_labels(bits, n, l)
         table = [ladder.copy() for _ in range(n)]
         near: list[list[tuple[list[int], int]]] = [[] for _ in range(n)]
         for u, v, w in weighted:
@@ -225,19 +254,24 @@ def _label_kernel(layout: LogLayout) -> tuple[_Kernel, Callable[[Bits], int]]:
             table[v][label[u]] += w
             near[u].append((table[v], w))
             near[v].append((table[u], w))
-        for i, threshold in draws:
-            v, bit = sites[i]
-            a = label[v]
-            b = a ^ bit
-            t = table[v]
-            delta = t[b] - t[a]
-            if delta > 0 and delta >= threshold:
-                continue
-            label[v] = b
-            for t, w in near[v]:
-                t[a] -= w
-                t[b] += w
-        x[:] = [a >> k & 1 for a in label for k in range(l)]
+        return label, table, near
+
+    def run_flips(x, blocks):
+        runs = [run_state(bits) for bits in x.view(np.uint8).tolist()]
+        for block in blocks:
+            for (label, table, near), run_block in zip(runs, block):
+                for thresholds in run_block.tolist():
+                    for (v, bit), threshold in zip(sites, thresholds):
+                        a = label[v]
+                        b = a ^ bit
+                        t = table[v]
+                        if t[b] - t[a] >= threshold:
+                            continue
+                        label[v] = b
+                        for t, w in near[v]:
+                            t[a] -= w
+                            t[b] += w
+        x[:] = [[a >> k & 1 for a in label for k in range(l)] for label, _, _ in runs]
 
     def energy(bits):
         label = vertex_labels(bits, n, l)

@@ -127,6 +127,11 @@ def feasibility_gap_bruteforce(g, spec, l, feasible):
     return int(energies[~mask].min()) - int(energies[mask].min())
 
 
+def bits_to_index(bits):
+    """The index of an assignment in energy_vector: bit v is x_v."""
+    return sum(1 << v for v, b in enumerate(bits) if b)
+
+
 def zeta_oracle(p, num_vars):
     """energy_vector as one in-place subset-sum pass per variable over the
     whole array, each coefficient placed at its term's bitmask first: the

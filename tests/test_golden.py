@@ -155,17 +155,18 @@ def golden_anneal_inputs():
     return inputs
 
 
-# Recorded with the flip-energy kernel reading each run's block draws.
+# Recorded with fixed-order sweeps: colour classes for QUBOs, label tables
+# for log HUBOs.
 ANNEAL_SHA256 = {
-    "hand_qubo": "06a68d68b2d3d11d7990dd177d3a4f0b0dec76d25e69612f1a49338b5d08b72c",
-    "log_mgc_L2_degree4": "234f2da659dd0af9ffd2cd824b97e1a0895c05ffb30bfca57c0e8e83747cbdba",
-    "log_mgc_L3_degree6": "560a8e726a42c0f5ae40c2c7dd84e861a1e31e85aea0b9a821b82ee720254528",
-    "log_mgc_L4_degree8": "8e6be1870caaa320b780cabb7b988cbb88a29a12500c49e3e002288a058fbadf",
-    "onehot_mgc_c3": "de3dc7b79b40c0146dc99ddfee11a8ab0aeef5c421f4e69f7ca9b8545be8ac16",
-    "onehot_mgc_c4": "901430d1f6153a5c76eeb0cc2ed36cef82b5a467277d6c148a56c614b48e6f44",
-    "quadratized_log_mgc_L1": "c57acf989c359a2fa5493d939ff9ffde9b6e98ec55c452e947783a9f5dd0bc02",
-    "quadratized_log_mgc_L2": "ff55762741ff4277858ebbb69c748639e6cc3cb9ac308dffa497519371d19159",
-    "quadratized_log_mgc_L3": "6798b888100eb66e5e0e4349f83b65bfa40bf72c89c5b224f8ec73086741690a",
+    "hand_qubo": "956630b77201126ccbbf2f4234c7cea2e7f5fbe8a3082a719262c35ff911eb44",
+    "log_mgc_L2_degree4": "d490067b778d44a9bbd544c01baaab2a15e6e328a2aca3615a07928c4354fa92",
+    "log_mgc_L3_degree6": "e36a33ba28d3b6ab9ad4b7723b0f4e13b26b846c2c3287c977a8464f00f8f275",
+    "log_mgc_L4_degree8": "80cb54f75617242d0eadadf8b130d4477c6b0ff5221b3edf2991f32d63db6cde",
+    "onehot_mgc_c3": "f6f4f15eeab95cb713ad6e8aa7af1a7aaf864d451f0fea9a92a92dd24b7d2acc",
+    "onehot_mgc_c4": "8873293aeffff18ae37c588a2c9a3080e17aa224f0ddfe98ed101c36cdb1bd6b",
+    "quadratized_log_mgc_L1": "9f00663e1f80694db0814c6be949cd56c913ccff6ba36461e1e92bb7506b8c15",
+    "quadratized_log_mgc_L2": "33a54d961d2f257b2398079854d8fa56ab9f98fb965ce6ce2ea4906520c33676",
+    "quadratized_log_mgc_L3": "11087d8bb16657d488c2a0ce0c8d15466a500e42eda346438c255ca05243c342",
 }
 
 
@@ -274,11 +275,11 @@ def test_gate_oracle_pinned(models, name):
 
 
 # A small suite with an L=1 passthrough, quadratized L=2 arms, the one-run
-# clamp at p_s = 0.875 and p_s = 1, and a censored arm on each encoding.
+# clamp at p_s = 0.5 and p_s = 1, and a censored arm on each encoding.
 BENCH_ARGV = ["bench", "--count", "6", "--n-min", "3", "--n-max", "6", "--runs", "8", "--sweeps", "20", "--seed", "0"]
 BENCH_SHA256 = {
-    "csv": "c42f6f1c4212fde69b79f0b33c9c037fbeb079443d29b2e4608d4b7b683df037",
-    "json": "430c1e1f5385f5ce4a9c1121a91dc2d8b5edc6a7fefc6738be2e097017beaca0",
+    "csv": "1ed9ca70bbc73cec8bb969902bdc1e1736a842689fc809eeba79c48cc83f47e1",
+    "json": "dffb285acf5a5c8130a241bdfcbbcab5520ff304c9c486ad1b02c08fe7b0ddb3",
 }
 
 

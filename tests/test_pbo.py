@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import add_scaled, multiply, zeta_oracle
+from conftest import add_scaled, bits_to_index, multiply, zeta_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from qpart.pbo import (
     ZETA_CHUNK_BYTES,
     ZETA_ROW_BITS,
     Polynomial,
-    bits_to_index,
     energy_vector,
     ground_states,
     index_to_bits,

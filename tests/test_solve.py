@@ -159,15 +159,24 @@ def hubos(draw):
     return Polynomial(items), nv + draw(st.integers(0, 2))
 
 
-def naive_kernel(p, nv):
-    """Each flip's energy change by evaluating the whole polynomial twice."""
+def naive_kernel(p, nv, order=None):
+    """Each flip's energy change by evaluating the whole polynomial twice,
+    one run and one variable at a time. A sweep visits the variables in
+    `order`, by default the colour classes' order the class kernel follows;
+    a flip is accepted when its change is below its threshold."""
+    if order is None:
+        order = [v for members in solve._colour_classes(p, nv) for v in members]
 
-    def run_flips(x, draws):
-        for v, threshold in draws:
-            flipped = x[:v] + [1 - x[v]] + x[v + 1 :]
-            delta = p.evaluate(flipped) - p.evaluate(x)
-            if delta <= 0 or delta < threshold:
-                x[v] = 1 - x[v]
+    def run_flips(x, blocks):
+        for block in blocks:
+            for run, run_block in zip(x, block.tolist()):
+                bits = run.view(np.uint8).tolist()
+                for thresholds in run_block:
+                    for v in order:
+                        flipped = bits[:v] + [1 - bits[v]] + bits[v + 1 :]
+                        if p.evaluate(flipped) - p.evaluate(bits) < thresholds[v]:
+                            bits[v] = 1 - bits[v]
+                run[:] = bits
 
     return run_flips
 
@@ -182,14 +191,11 @@ class Pinned:
         return self.model
 
 
-# Runs of several draw blocks: 12 variables give blocks of DRAW_BLOCK // 12
-# sweeps, two full and a short last one; past DRAW_BLOCK variables a block
-# is one sweep (with seed 6, the second run starts with variable DRAW_BLOCK
-# unset, so a kernel that never flips it differs).
+# Runs of several draw blocks: 2 runs of 12 variables give blocks of
+# DRAW_BLOCK // 24 sweeps, two full and a short last one.
 MULTI_BLOCK = Pinned(
     (Polynomial({(): 1, (0,): 3, (1,): -2, (0, 1): -4, (2, 3): 5, (3, 7): 2, (1, 4, 5): 7, (6, 7, 8, 9): -6, (9, 10, 11): 4}), 12)
 )
-BLOCK_PER_SWEEP = Pinned((Polynomial({(0,): 1, (0, 1): -3, (1, 2, 3): 2, (solve.DRAW_BLOCK,): -1}), solve.DRAW_BLOCK + 1))
 
 
 class TestKernel:
@@ -203,8 +209,7 @@ class TestKernel:
         st.integers(0, 2**32),
         st.sampled_from([(0.01, 10.0), (0.5, 2.0), (1.0, 100.0)]),
     )
-    @example(MULTI_BLOCK, 2, 2 * (solve.DRAW_BLOCK // 12) + 18, 5, (0.5, 2.0))
-    @example(BLOCK_PER_SWEEP, 2, 2, 6, (0.01, 10.0))
+    @example(MULTI_BLOCK, 2, 2 * (solve.DRAW_BLOCK // 24) + 18, 5, (0.5, 2.0))
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_reevaluation(self, models, data, runs, sweeps, seed, betas):
         poly, nv = data.draw(models)
@@ -233,23 +238,24 @@ def log_models(draw):
 
 
 class TestLabelKernel:
-    """Log HUBOs anneal on label tables, sample for sample as the flip-energy
-    kernel does; every other model keeps the flip-energy kernel."""
+    """Log HUBOs anneal on label tables, sample for sample as full
+    re-evaluation in id order does; every other model anneals on colour
+    classes."""
 
     @given(log_models(), st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    def test_matches_flip_energy_kernel(self, prob, runs, sweeps, seed):
+    def test_matches_naive_reevaluation(self, prob, runs, sweeps, seed):
         p, nv = prob.polynomial, prob.num_variables
         params = AnnealParams(runs, sweeps, seed=seed)
         ss = anneal(p, params, nv)
-        assert ss == solve._anneal_with(solve._flip_energy_kernel(p, nv), p.evaluate, params, nv)
+        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), p.evaluate, params, nv)
         assert all(s.energy == p.evaluate(s.bits) for s in ss.samples)
 
     def test_chosen_for_log_models(self, monkeypatch):
         def refuse(p, nv):
-            raise AssertionError("flip-energy kernel called for a log model")
+            raise AssertionError("class kernel called for a log model")
 
-        monkeypatch.setattr(solve, "_flip_energy_kernel", refuse)
+        monkeypatch.setattr(solve, "_class_kernel", refuse)
         for c in (4, 8, 16):
             prob = encode_mgc_log(cycle_graph(5), c)
             anneal(prob.polynomial, AnnealParams(runs=2, sweeps=5), prob.num_variables)
@@ -292,34 +298,77 @@ def test_other_models_keep_the_flip_energy_kernel(name, monkeypatch):
     assert anneal(p, params, nv) == solve._anneal_with(naive_kernel(p, nv), p.evaluate, params, nv)
 
 
+# Every kernel and field dtype: the models above, a log HUBO on label tables
+# and Python-int fields.
+STREAM_MODELS = {
+    **FALLBACKS,
+    "log_hubo": model(LOG_CYCLE),
+    "object_fields": (Polynomial({(0,): 2**53 + 1, (0, 1): -(2**53), (1, 2): 3}), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAM_MODELS))
+def test_run_sample_does_not_depend_on_runs(name):
+    p, nv = STREAM_MODELS[name]
+    few, many = (anneal(p, AnnealParams(runs, 30, seed=8), nv) for runs in (4, 9))
+    assert few.samples == many.samples[:4]
+
+
+@pytest.mark.parametrize("draw_block", [1, 1 << 20])
+@pytest.mark.parametrize("name", list(STREAM_MODELS))
+def test_samples_do_not_depend_on_draw_block(name, draw_block, monkeypatch):
+    p, nv = STREAM_MODELS[name]
+    params = AnnealParams(runs=5, sweeps=40, seed=9)
+    expected = anneal(p, params, nv)
+    monkeypatch.setattr(solve, "DRAW_BLOCK", draw_block)
+    assert anneal(p, params, nv) == expected
+
+
+@pytest.mark.parametrize("models", [qubos(), hubos()], ids=["degree_0_2", "degree_3_4"])
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_no_term_holds_two_members_of_a_colour_class(models, data):
+    poly, nv = data.draw(models)
+    classes = solve._colour_classes(poly, nv)
+    assert sorted(v for members in classes for v in members) == list(range(nv))
+    assert all(members and members == sorted(members) for members in classes)
+    colour = {v: c for c, members in enumerate(classes) for v in members}
+    for key, _ in poly.items():
+        assert len({colour[v] for v in key}) == len(key), key
+
+
 class TestFlipDraws:
-    """The draw stream's layout, rebuilt draw by draw from a second generator
-    of the same seed: blocks of whole sweeps, at most DRAW_BLOCK draws but at
-    least one sweep, each block's sites drawn before its uniforms."""
+    """The draw stream's layout, rebuilt from a second generator of each
+    run's seed: the initial state, then one uniform per (sweep, variable id),
+    read as max(-ln(u)/beta, 1), in blocks of whole sweeps of every run, at
+    most DRAW_BLOCK draws but at least one sweep."""
 
     @pytest.mark.parametrize(
-        "nv, sweeps, block_sizes",
-        [
-            (12, 2 * (solve.DRAW_BLOCK // 12) + 18, [solve.DRAW_BLOCK // 12] * 2 + [18]),
-            (solve.DRAW_BLOCK + 1, 3, [1, 1, 1]),
-        ],
+        "draw_block, block_sizes",
+        [(100, [8, 8, 3]), (10, [1] * 19)],
         ids=["short_last_block", "one_sweep_per_block"],
     )
-    def test_blocks_of_whole_sweeps_sites_then_uniforms(self, nv, sweeps, block_sizes):
-        # a different beta every sweep, so a draw paired with another sweep's beta shows
-        betas = np.linspace(0.5, 3.0, sweeps)
-        rng = np.random.default_rng(7)
-        expected = []
-        first = 0
-        for size in block_sizes:
-            sweep_of_draw = [t for t in range(first, first + size) for _ in range(nv)]
-            sites = rng.integers(0, nv, size=len(sweep_of_draw)).tolist()
-            minus_log_u = (-np.log(rng.random(size=len(sweep_of_draw)))).tolist()
-            expected += [(v, m / float(betas[t])) for v, m, t in zip(sites, minus_log_u, sweep_of_draw)]
-            first += size
-        assert first == sweeps
+    def test_initial_state_then_uniforms_by_sweep_and_variable(self, draw_block, block_sizes, monkeypatch):
+        monkeypatch.setattr(solve, "DRAW_BLOCK", draw_block)
+        runs, nv, sweeps, seed = 3, 4, 19, 5
+        # beta from 0.01 to 100, a different one every sweep, so a draw paired
+        # with another sweep's beta shows, and so does a missing floor of 1
+        params = AnnealParams(runs, sweeps, 0.01, 100.0, seed)
+        seen = []
 
-        assert list(solve._flip_draws(np.random.default_rng(7), betas, nv)) == expected
+        def record(x, blocks):
+            seen.append(x.copy())
+            seen.extend(block.copy() for block in blocks)
+
+        solve._anneal_with(record, lambda bits: 0, params, nv)
+        start, *blocks = seen
+        assert [block.shape for block in blocks] == [(runs, size, nv) for size in block_sizes]
+        betas = np.array([0.01 * 10_000.0 ** (t / (sweeps - 1)) for t in range(sweeps)])
+        for run in range(runs):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run,)))
+            assert start[run].tolist() == rng.integers(0, 2, size=nv).astype(bool).tolist()
+            expected = np.maximum(-np.log(rng.random(size=(sweeps, nv))) / betas[:, None], 1.0)
+            assert np.array_equal(np.concatenate([block[run] for block in blocks]), expected)
 
 
 class TestHugeEnergyChanges:
@@ -346,8 +395,17 @@ class TestHugeEnergyChanges:
         p, nv = prob.polynomial, prob.num_variables
         assert recover_log_layout(p, nv) is not None
         ss = anneal(p, self.PARAMS, nv)
-        assert ss == solve._anneal_with(solve._flip_energy_kernel(p, nv), p.evaluate, self.PARAMS, nv)
+        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), p.evaluate, self.PARAMS, nv)
         assert max(energies(ss)) < 2**1100
+
+    def test_float_boundary(self):
+        # With x1 = 1, raising x0 costs exactly 1, then 3; in float64 2**53 + 1
+        # rounds to 2**53, so the costs would read 0 and 2. The second model's
+        # coefficients sum to 2**54 - 1, so a float bound of 2**54 fails it.
+        for pair in (2**53, 2**53 - 2):
+            poly = Polynomial({(0,): 2**53 + 1, (0, 1): -pair})
+            ss = anneal(poly, self.PARAMS)
+            assert ss == solve._anneal_with(naive_kernel(poly, 2), poly.evaluate, self.PARAMS, 2), pair
 
 
 class TestSampleSetJson:
