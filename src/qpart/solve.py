@@ -20,9 +20,18 @@ Two kernels apply the flips, both with exact integer deltas:
   the variables into classes that share no term, so the flips of one
   class are independent given the rest and apply together. A sweep visits
   the classes in colour order, which is the order the flips take effect.
-  The fields are float64 when every variable's |h_v| plus the |c_T| of its
-  larger terms stays below 2**53, which keeps every partial sum an exact
-  integer, and Python ints (numpy dtype object) otherwise.
+  The state keeps variables as rows and the runs of a variable
+  contiguous. Each class is cut into groups of rows whose fields, padded
+  to a common length at no more than twice their entries, are one
+  batched matmul. The fields are float64 when every variable's |h_v| plus
+  the |c_T| of its larger terms stays below 2**53, which keeps every
+  partial sum an exact integer, and Python ints (numpy dtype object)
+  otherwise.
+
+Each kernel also scores the final states: the colour-class kernel sums
+the terms of each degree over all runs at once, in Python ints, and the
+label kernel reads each run's labels from its layout. Every energy is
+exact.
 """
 
 from __future__ import annotations
@@ -99,9 +108,8 @@ def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> 
     if nv < 1:
         raise ValueError("annealing needs at least one variable")
     layout = recover_log_layout(p, nv) if p.degree() > 2 else None
-    if layout is None:
-        return _anneal_with(_class_kernel(p, nv), p.evaluate, params, nv)
-    return _anneal_with(*_label_kernel(layout), params, nv)
+    kernel, energies = _class_kernel(p, nv) if layout is None else _label_kernel(layout)
+    return _anneal_with(kernel, energies, params, nv)
 
 
 # Most draws one block of thresholds holds over all runs; a block still
@@ -112,10 +120,13 @@ DRAW_BLOCK = 1 << 14
 # to the runs' states, a (runs, nv) bool array, in place.
 _Kernel = Callable[[np.ndarray, Iterator[np.ndarray]], None]
 
+# An energy function gives the exact energy of every run's state, in run order.
+_Energies = Callable[[np.ndarray], list[int]]
 
-def _anneal_with(kernel: _Kernel, energy: Callable[[Bits], int], params: AnnealParams, nv: int) -> SampleSet:
+
+def _anneal_with(kernel: _Kernel, energies: _Energies, params: AnnealParams, nv: int) -> SampleSet:
     """Draw each run's initial state and thresholds; `kernel` applies them
-    to the states, and `energy` gives each final state's exact energy."""
+    to the states, and `energies` gives the final states' exact energies."""
     sweeps = params.sweeps
     denom = max(sweeps - 1, 1)
     ratio = params.beta_end / params.beta_start
@@ -124,7 +135,7 @@ def _anneal_with(kernel: _Kernel, energy: Callable[[Bits], int], params: AnnealP
     rngs = [np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(run,))) for run in range(params.runs)]
     x = np.array([rng.integers(0, 2, size=nv) for rng in rngs], dtype=bool)
     kernel(x, _thresholds(rngs, betas, nv))
-    return SampleSet(tuple(Sample(bits=bits, energy=energy(bits)) for bits in map(tuple, x.view(np.uint8).tolist())))
+    return SampleSet(tuple(map(Sample, map(tuple, x.view(np.uint8).tolist()), energies(x))))
 
 
 def _thresholds(rngs: list[np.random.Generator], betas: np.ndarray, nv: int) -> Iterator[np.ndarray]:
@@ -168,70 +179,102 @@ def _colour_classes(p: Polynomial, nv: int) -> list[list[int]]:
     return classes
 
 
-def _class_kernel(p: Polynomial, nv: int) -> _Kernel:
-    """Any model, all runs at once, one colour class at a time. The state
-    keeps the classes as contiguous column blocks, plus a last column held
-    at 1. Variable v's field h_v + sum over its larger terms T of
-    c_T * prod(x[T - v]) is one gather of the other members' columns
-    (padded with the column of ones) and one np.add.reduceat per class, in
-    O(terms + runs * nv) memory. A variable in no larger term gathers one
-    entry of coefficient 0, so no segment of the reduceat is empty."""
-    classes = _colour_classes(p, nv)
-    order = np.array([v for members in classes for v in members])
-    column = dict(zip(order.tolist(), range(nv)))
+def _groups(classes: list[list[int]], entries: list[int]) -> list[list[int]]:
+    """Each class's members, most entries first (ties by id), cut greedily
+    into contiguous groups, in class order. A group's size times its first
+    member's entry count is at most twice the group's total entries, so
+    padding every member to the first one's count at most doubles them."""
+    groups = []
+    for members in classes:
+        ranked = sorted(members, key=lambda v: -entries[v])
+        start = 0
+        while start < len(ranked):
+            span, total, stop = entries[ranked[start]], 0, start
+            while stop < len(ranked) and (stop + 1 - start) * span <= 2 * (total + entries[ranked[stop]]):
+                total += entries[ranked[stop]]
+                stop += 1
+            groups.append(ranked[start:stop])
+            start = stop
+    return groups
+
+
+def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
+    """Any model, all runs at once, one colour class at a time. The state is
+    a (nv + 1, runs) bool array: variables are rows, in the order of
+    _groups, and the last row is held at 1. Variable v's field h_v + sum
+    over its larger terms T of c_T * prod(x[T - v]) has one entry per term:
+    h_v on the row of ones, and c_T on the rows of T's other members. A
+    group's members pad to its first member's entry count with entries of
+    coefficient 0 on the row of ones, so its fields are one batched matmul
+    of its coefficients with the gathered rows, ANDed across a term's rows
+    first when it has more than one. That needs no nv x nv matrix and at
+    most twice the entries in memory. Members of one class share no term,
+    so the groups of a class flip independently. The energy function sums
+    the terms of each degree over all runs in Python ints."""
     h = [0] * nv
-    # Per variable: (coefficient, the columns of the term's other members).
+    # Per variable: (coefficient, the term's other members).
     larger: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nv)]
+    by_degree: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for key, coeff in p.items():
+        by_degree.setdefault(len(key), []).append((key, coeff))
         if len(key) == 1:
             h[key[0]] = coeff
         elif key:
             for v in key:
-                larger[v].append((coeff, tuple(column[w] for w in key if w != v)))
+                larger[v].append((coeff, tuple(w for w in key if w != v)))
     exact_in_float = max(abs(h[v]) + sum(abs(c) for c, _ in larger[v]) for v in range(nv)) < 1 << 53
     dtype = float if exact_in_float else object
 
-    # Per class: its state columns, its variable ids, and its fields' gather
-    # columns, coefficients, segment starts and linear terms.
+    groups = _groups(_colour_classes(p, nv), [1 + len(terms) for terms in larger])
+    order = [v for members in groups for v in members]
+    row = dict(zip(order, range(nv)))
+    # Per group: its rows, its gather rows (k, span[, width]) and its
+    # coefficients (k, 1, span).
     steps = []
     start = 0
-    for members in classes:
-        terms = [larger[v] or [(0, ())] for v in members]
-        flat = [term for member_terms in terms for term in member_terms]
-        width = max(1, *(len(others) for _, others in flat))
-        gather = np.array([others + (nv,) * (width - len(others)) for _, others in flat])
-        steps.append(
-            (
-                slice(start, start + len(members)),
-                np.array(members),
-                gather[:, 0] if width == 1 else gather,
-                np.array([c for c, _ in flat], dtype=dtype),
-                np.cumsum([0] + [len(member_terms) for member_terms in terms[:-1]]),
-                np.array([h[v] for v in members], dtype=dtype),
-            )
-        )
+    for members in groups:
+        span = 1 + len(larger[members[0]])
+        entries = [[(h[v], ())] + larger[v] + [(0, ())] * (span - 1 - len(larger[v])) for v in members]
+        width = max(len(others) for member_entries in entries for _, others in member_entries) or 1
+        gather = np.array([[[row[w] for w in others] + [nv] * (width - len(others)) for _, others in e] for e in entries])
+        coeffs = np.array([[c for c, _ in e] for e in entries], dtype=dtype)
+        steps.append((slice(start, start + len(members)), gather[..., 0] if width == 1 else gather, coeffs[:, None]))
         start += len(members)
 
     def run_flips(x, blocks):
-        state = np.ones((len(x), nv + 1), dtype=bool)
-        state[:, :nv] = x[:, order]
-        plan = [(state[:, cols], *rest) for cols, *rest in steps]
+        state = np.ones((nv + 1, len(x)), dtype=bool)
+        state[:nv] = x.T[order]
+        plan = [(state[rows], rows, gather, coeffs) for rows, gather, coeffs in steps]
         for block in blocks:
-            for sweep in block.transpose(1, 0, 2):
-                for bits, ids, gather, coeffs, starts, linear in plan:
-                    on = state.take(gather, axis=1)
-                    if on.ndim == 3:
+            # (sweep, row, run), so a group's thresholds are a slice.
+            for sweep in np.ascontiguousarray(block.transpose(1, 2, 0)[:, order]):
+                for bits, rows, gather, coeffs in plan:
+                    on = state.take(gather, axis=0)
+                    if on.ndim == 4:
                         on = on.all(axis=2)
-                    field = np.add.reduceat(on * coeffs, starts, axis=1)
-                    field += linear
+                    field = np.matmul(coeffs, on)[:, 0]
                     # The energy change of flipping x is (1 - 2x) * field.
-                    bits ^= np.where(bits, -field, field) < sweep.take(ids, axis=1)
-        x[:, order] = state[:, :nv]
+                    bits ^= np.where(bits, -field, field) < sweep[rows]
+        x[:, order] = state[:nv].T
 
-    return run_flips
+    # The terms of each degree, the constant's empty key included, in chunks
+    # of at most nv terms: a chunk's Python-int products number runs * nv.
+    chunks = []
+    for items in by_degree.values():
+        for i in range(0, len(items), nv):
+            keys, coeffs = zip(*items[i : i + nv])
+            chunks.append((np.array(keys, dtype=np.intp), np.array(coeffs, dtype=object)))
+
+    def energies(x):
+        total = np.zeros(len(x), dtype=object)
+        for keys, coeffs in chunks:
+            total += x.take(keys, axis=1).all(axis=2) @ coeffs
+        return total.tolist()
+
+    return run_flips, energies
 
 
-def _label_kernel(layout: LogLayout) -> tuple[_Kernel, Callable[[Bits], int]]:
+def _label_kernel(layout: LogLayout) -> tuple[_Kernel, _Energies]:
     """Log HUBOs whose layout rebuilds the polynomial exactly. Each run keeps
     every vertex's label and its table T_v[a] = ladder(a) + W_v[a], where
     ladder(a) is the ladder energy of label a and W_v[a] the summed weight
@@ -281,4 +324,4 @@ def _label_kernel(layout: LogLayout) -> tuple[_Kernel, Callable[[Bits], int]]:
             + sum(w for u, v, w in weighted if label[u] == label[v])
         )
 
-    return run_flips, energy
+    return run_flips, lambda x: list(map(energy, x.view(np.uint8).tolist()))

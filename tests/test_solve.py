@@ -159,6 +159,11 @@ def hubos(draw):
     return Polynomial(items), nv + draw(st.integers(0, 2))
 
 
+def evaluate_runs(p):
+    """An energy function for `solve._anneal_with`: p evaluated on each run."""
+    return lambda x: [p.evaluate(bits) for bits in x.view(np.uint8).tolist()]
+
+
 def naive_kernel(p, nv, order=None):
     """Each flip's energy change by evaluating the whole polynomial twice,
     one run and one variable at a time. A sweep visits the variables in
@@ -214,7 +219,7 @@ class TestKernel:
     def test_matches_naive_reevaluation(self, models, data, runs, sweeps, seed, betas):
         poly, nv = data.draw(models)
         params = AnnealParams(runs, sweeps, betas[0], betas[1], seed)
-        naive = solve._anneal_with(naive_kernel(poly, nv), poly.evaluate, params, nv)
+        naive = solve._anneal_with(naive_kernel(poly, nv), evaluate_runs(poly), params, nv)
         assert anneal(poly, params, nv) == naive
 
 
@@ -248,7 +253,7 @@ class TestLabelKernel:
         p, nv = prob.polynomial, prob.num_variables
         params = AnnealParams(runs, sweeps, seed=seed)
         ss = anneal(p, params, nv)
-        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), p.evaluate, params, nv)
+        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), evaluate_runs(p), params, nv)
         assert all(s.energy == p.evaluate(s.bits) for s in ss.samples)
 
     def test_chosen_for_log_models(self, monkeypatch):
@@ -281,11 +286,14 @@ FALLBACKS = {
     "degree_3_hubo": (Polynomial({(0,): 3, (1, 2): -2, (0, 1, 2): -5, (2, 3, 4): 4, (1, 4): 1}), 5),
     "onehot_qubo": model(encode_mgc_onehot(P3, 2)),
     "quadratized_qubo": model(quadratize(encode_mgc_log(P3, 4)).problem),
+    # Variable 0, in eight terms, shares its colour class with variables in
+    # none, so the class is cut into more than one group.
+    "cut_class": (Polynomial({**{(0, i): 1 for i in range(1, 9)}, **{(i,): (-1) ** i * (i - 8) for i in range(9, 21)}}), 21),
 }
 
 
 @pytest.mark.parametrize("name", list(FALLBACKS))
-def test_other_models_keep_the_flip_energy_kernel(name, monkeypatch):
+def test_other_models_keep_the_class_kernel(name, monkeypatch):
     p, nv = FALLBACKS[name]
 
     def refuse(layout):
@@ -295,7 +303,7 @@ def test_other_models_keep_the_flip_energy_kernel(name, monkeypatch):
     if p.degree() <= 2:
         monkeypatch.setattr(solve, "recover_log_layout", refuse)
     params = AnnealParams(runs=3, sweeps=10, seed=2)
-    assert anneal(p, params, nv) == solve._anneal_with(naive_kernel(p, nv), p.evaluate, params, nv)
+    assert anneal(p, params, nv) == solve._anneal_with(naive_kernel(p, nv), evaluate_runs(p), params, nv)
 
 
 # Every kernel and field dtype: the models above, a log HUBO on label tables
@@ -337,6 +345,62 @@ def test_no_term_holds_two_members_of_a_colour_class(models, data):
         assert len({colour[v] for v in key}) == len(key), key
 
 
+def entry_counts(poly, nv):
+    """Each variable's field entries: its linear term, plus one per larger term."""
+    return [1 + sum(v in key for key, _ in poly.items() if len(key) > 1) for v in range(nv)]
+
+
+def test_cut_class_model_cuts_a_class():
+    p, nv = FALLBACKS["cut_class"]
+    classes = solve._colour_classes(p, nv)
+    assert len(solve._groups(classes, entry_counts(p, nv))) > len(classes)
+
+
+@pytest.mark.parametrize("models", [qubos(), hubos()], ids=["degree_0_2", "degree_3_4"])
+@given(st.data())
+@example(Pinned(FALLBACKS["cut_class"]))
+@settings(max_examples=100, deadline=None)
+def test_groups_cut_each_class_into_contiguous_rows(models, data):
+    poly, nv = data.draw(models)
+    classes = solve._colour_classes(poly, nv)
+    entries = entry_counts(poly, nv)
+    groups = solve._groups(classes, entries)
+    assert all(groups)
+    # Consecutive groups make up each class in turn.
+    rest = iter(groups)
+    for members in classes:
+        rows = []
+        while len(rows) < len(members):
+            rows += next(rest)
+        assert sorted(rows) == members
+    assert next(rest, None) is None
+    for group in groups:
+        span = entries[group[0]]
+        assert max(entries[v] for v in group) == span
+        assert len(group) * span <= 2 * sum(entries[v] for v in group), group
+
+
+class TestEnergies:
+    """Final energies are exact Python ints, however far they reach."""
+
+    PARAMS = AnnealParams(runs=6, sweeps=5, seed=1)
+
+    def test_constant_only(self):
+        p = Polynomial({(): -7})
+        ss = anneal(p, self.PARAMS, 3)
+        assert energies(ss) == [-7] * self.PARAMS.runs
+        assert all(type(e) is int for e in energies(ss))
+
+    def test_sum_past_int64(self):
+        # Each field is below 2**53, so the fields are float64, but an energy
+        # reaches -1100 * (2**53 - 1) < -2**63: a float64 accumulator drops
+        # its low bits, and an int64 one wraps.
+        p = Polynomial({(v,): -(2**53 - 1) for v in range(1100)})
+        ss = anneal(p, self.PARAMS)
+        assert [s.energy for s in ss.samples] == [p.evaluate(s.bits) for s in ss.samples]
+        assert min(energies(ss)) < -(2**63)
+
+
 class TestFlipDraws:
     """The draw stream's layout, rebuilt from a second generator of each
     run's seed: the initial state, then one uniform per (sweep, variable id),
@@ -360,7 +424,7 @@ class TestFlipDraws:
             seen.append(x.copy())
             seen.extend(block.copy() for block in blocks)
 
-        solve._anneal_with(record, lambda bits: 0, params, nv)
+        solve._anneal_with(record, lambda x: [0] * len(x), params, nv)
         start, *blocks = seen
         assert [block.shape for block in blocks] == [(runs, size, nv) for size in block_sizes]
         betas = np.array([0.01 * 10_000.0 ** (t / (sweeps - 1)) for t in range(sweeps)])
@@ -376,17 +440,17 @@ class TestHugeEnergyChanges:
 
     PARAMS = AnnealParams(runs=8, sweeps=20, seed=4)
 
-    def test_flip_energy_kernel_pair_terms(self):
+    def test_class_kernel_pair_terms(self):
         poly = Polynomial({(0,): 2**1100, (0, 1): -1})
         ss = anneal(poly, self.PARAMS)
         # x0 = 1 costs 2**1100 - 1 or 2**1100: every run ends at x0 = 0
         assert energies(ss) == [0] * self.PARAMS.runs
 
-    def test_flip_energy_kernel_larger_terms(self):
+    def test_class_kernel_larger_terms(self):
         poly = Polynomial({(0, 1, 2): 2**1100})
         ss = anneal(poly, self.PARAMS)
         assert energies(ss) == [0] * self.PARAMS.runs
-        assert ss == solve._anneal_with(naive_kernel(poly, 3), poly.evaluate, self.PARAMS, 3)
+        assert ss == solve._anneal_with(naive_kernel(poly, 3), evaluate_runs(poly), self.PARAMS, 3)
 
     def test_label_kernel(self):
         # agreeing labels on either edge cost 2**1100; L = 2 gives four labels
@@ -395,7 +459,7 @@ class TestHugeEnergyChanges:
         p, nv = prob.polynomial, prob.num_variables
         assert recover_log_layout(p, nv) is not None
         ss = anneal(p, self.PARAMS, nv)
-        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), p.evaluate, self.PARAMS, nv)
+        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), evaluate_runs(p), self.PARAMS, nv)
         assert max(energies(ss)) < 2**1100
 
     def test_float_boundary(self):
@@ -405,7 +469,7 @@ class TestHugeEnergyChanges:
         for pair in (2**53, 2**53 - 2):
             poly = Polynomial({(0,): 2**53 + 1, (0, 1): -pair})
             ss = anneal(poly, self.PARAMS)
-            assert ss == solve._anneal_with(naive_kernel(poly, 2), poly.evaluate, self.PARAMS, 2), pair
+            assert ss == solve._anneal_with(naive_kernel(poly, 2), evaluate_runs(poly), self.PARAMS, 2), pair
 
 
 class TestSampleSetJson:
