@@ -40,24 +40,15 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _add_anneal_flags(
-    p: argparse.ArgumentParser,
-    seed_help: str = "RNG seed",
-    runs_help: str = "annealing runs",
-    seed_first: bool = False,
-    **defaults: int,
-) -> None:
-    """Add --runs, --sweeps, --beta-start, --beta-end and --seed (first or
-    last), defaulting to AnnealParams' fields, with `defaults` overriding them."""
+def _add_anneal_flags(p: argparse.ArgumentParser, **defaults: int) -> None:
+    """Add --runs, --sweeps, --beta-start, --beta-end and --seed, defaulting
+    to AnnealParams' fields, with `defaults` overriding them."""
     d = AnnealParams(**defaults)
-    if seed_first:
-        p.add_argument("--seed", type=int, default=d.seed, help=seed_help)
-    p.add_argument("--runs", type=int, default=d.runs, help=runs_help)
+    p.add_argument("--runs", type=int, default=d.runs, help="annealing runs")
     p.add_argument("--sweeps", type=int, default=d.sweeps, help="sweeps per run")
     p.add_argument("--beta-start", type=float, default=d.beta_start, help="initial inverse temperature")
     p.add_argument("--beta-end", type=float, default=d.beta_end, help="final inverse temperature")
-    if not seed_first:
-        p.add_argument("--seed", type=int, default=d.seed, help=seed_help)
+    p.add_argument("--seed", type=int, default=d.seed, help="RNG seed")
 
 
 def _anneal_params(args: argparse.Namespace) -> AnnealParams:
@@ -160,6 +151,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each flag's default to its help, unless the help names it."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        return action.help if "(default:" in action.help else super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpart",
@@ -169,9 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add(name: str, help_: str, func) -> argparse.ArgumentParser:
-        p = sub.add_parser(
-            name, help=help_, formatter_class=argparse.ArgumentDefaultsHelpFormatter
-        )
+        p = sub.add_parser(name, help=help_, formatter_class=_HelpFormatter)
         p.set_defaults(func=func)
         return p
 
@@ -218,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--density", default="0.2,0.5,0.8", help="comma-separated edge densities to cycle"
     )
-    p.add_argument("--colors", type=int, default=None, help="color bound (default: Brooks)")
-    _add_anneal_flags(p, "base RNG seed", "annealing runs per record", seed_first=True, runs=50, sweeps=200)
+    p.add_argument("--colors", type=int, default=None, help="color bound (default: Brooks upper bound)")
+    _add_anneal_flags(p, runs=50, sweeps=200)
     p.add_argument("--group-by", choices=["n", "density"], default="n", help="aggregation key")
     p.add_argument("--out-csv", default=None, help="CSV output path")
     p.add_argument("--out-json", default=None, help="JSON report output path")

@@ -175,7 +175,7 @@ def chromatic_number_exact(g: Graph) -> int:
         return 1
     adj = g.adjacency()
     # Most-constrained-first ordering shrinks the search tree.
-    order = sorted(range(g.n), key=lambda v: -len(adj[v]))
+    order = _most_neighbours_first(adj)
     for k in range(2, g.n + 1):
         if _is_k_colorable(adj, order, k):
             return k
@@ -203,16 +203,18 @@ def _is_k_colorable(adj: list[set[int]], order: list[int], k: int) -> bool:
     return backtrack(0, 0)
 
 
-def greedy_coloring(g: Graph, order: list[int] | None = None) -> Coloring:
-    """First-fit coloring along `order` (defaults to 0..n-1)."""
-    if order is None:
-        order = list(range(g.n))
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("order must be a permutation of the vertices")
+def _most_neighbours_first(adj: list[set[int]]) -> list[int]:
+    """The vertices by neighbour count, most first, ties by id."""
+    return sorted(range(len(adj)), key=lambda v: -len(adj[v]))
+
+
+def greedy_coloring(g: Graph) -> Coloring:
+    """Welsh-Powell first-fit coloring: most neighbours first, ties by id,
+    each vertex taking the least label no neighbour already holds."""
     adj = g.adjacency()
     labels = [-1] * g.n
-    for v in order:
-        taken = {labels[u] for u in adj[v] if labels[u] >= 0}
+    for v in _most_neighbours_first(adj):
+        taken = {labels[u] for u in adj[v]}
         c = 0
         while c in taken:
             c += 1

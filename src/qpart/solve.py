@@ -15,11 +15,12 @@ Two kernels apply the flips, both with exact integer deltas:
 
 - a log HUBO whose layout the polynomial proves anneals on per-vertex
   label tables, run by run, visiting its bits in id order;
-- every other model anneals all runs at once on colour classes. A greedy
-  colouring of the interaction graph, with every term a clique, splits
-  the variables into classes that share no term, so the flips of one
-  class are independent given the rest and apply together. A sweep visits
-  the classes in colour order, which is the order the flips take effect.
+- every other model anneals all runs at once on colour classes.
+  graphs.greedy_coloring of the interaction graph, with every term a
+  clique, splits the variables into classes that share no term, so the
+  flips of one class are independent given the rest and apply together.
+  A sweep visits the classes in colour order, which is the order the
+  flips take effect.
   The state keeps variables as rows and the runs of a variable
   contiguous. Each class is cut into groups of rows whose fields, padded
   to a common length at no more than twice their entries, are one
@@ -45,6 +46,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DimensionError
+from .graphs import Graph, greedy_coloring
 from .logenc import LogLayout, recover_log_layout, vertex_labels
 from .pbo import Bits, Polynomial
 
@@ -159,23 +161,14 @@ def _thresholds(rngs: list[np.random.Generator], betas: np.ndarray, nv: int) -> 
 
 
 def _colour_classes(p: Polynomial, nv: int) -> list[list[int]]:
-    """A greedy colouring of the interaction graph, with every term a clique,
-    as its classes in colour order: no term holds two variables of one class.
-    Variables take the least colour no coloured neighbour holds, most
-    neighbours first (Welsh-Powell), ties by id; each class lists its
-    members by id."""
-    near: list[set[int]] = [set() for _ in range(nv)]
-    for key, _ in p.items():
-        if len(key) > 1:
-            for v in key:
-                near[v].update(key)
-    colours: dict[int, int] = {}
-    for v in sorted(range(nv), key=lambda v: -len(near[v])):
-        taken = {colours.get(w) for w in near[v]}
-        colours[v] = next(c for c in itertools.count() if c not in taken)
-    classes: list[list[int]] = [[] for _ in range(max(colours.values()) + 1)]
-    for v in range(nv):
-        classes[colours[v]].append(v)
+    """graphs.greedy_coloring of the interaction graph, with every term a
+    clique, as its classes in colour order: no term holds two variables of
+    one class. Each class lists its members by id."""
+    edges = {pair for key, _ in p.items() for pair in itertools.combinations(key, 2)}
+    labels = greedy_coloring(Graph(nv, tuple(edges))).labels
+    classes: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for v, colour in enumerate(labels):
+        classes[colour].append(v)
     return classes
 
 

@@ -14,7 +14,6 @@ CALLERS += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench")
 # Public definitions kept without a caller in src/, scripts/ or perfbench/.
 ALLOWED_UNREFERENCED = {
     "encode_general": "the paper's general label-symmetric partitioning class",
-    "greedy_coloring": "the colour bound a --colors greedy option would use",
 }
 
 

@@ -137,23 +137,27 @@ class TestChromaticNumber:
 
 class TestGreedyColoring:
     def test_clique_forces_distinct(self):
-        col = greedy_coloring(complete_graph(3), [0, 1, 2])
-        assert col.labels == (0, 1, 2)
+        assert greedy_coloring(complete_graph(3)).labels == (0, 1, 2)
 
     def test_edgeless_all_zero(self):
         assert greedy_coloring(Graph(4, ())).labels == (0, 0, 0, 0)
 
     def test_path_alternates(self):
-        assert greedy_coloring(path_graph(3), [0, 1, 2]).labels == (0, 1, 0)
+        # The middle vertex has the most neighbours, so it is coloured first.
+        assert greedy_coloring(path_graph(3)).labels == (1, 0, 1)
+
+    def test_most_neighbours_first(self):
+        # A star whose centre has the last id: id order would give it label 1.
+        star = Graph(5, tuple((leaf, 4) for leaf in range(4)))
+        assert greedy_coloring(star).labels == (1, 1, 1, 1, 0)
+
+    def test_equal_degrees_go_by_id(self):
+        assert greedy_coloring(cycle_graph(4)).labels == (0, 1, 0, 1)
 
     def test_result_is_proper(self):
         for seed in range(10):
             g = generate_random_connected(7, 0.5, seed)
             assert greedy_coloring(g).is_proper(g)
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            greedy_coloring(path_graph(3), [0, 0, 2])
 
 
 class TestColoring:

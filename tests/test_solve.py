@@ -345,6 +345,13 @@ def test_no_term_holds_two_members_of_a_colour_class(models, data):
         assert len({colour[v] for v in key}) == len(key), key
 
 
+def test_colour_classes_put_most_neighbours_first():
+    # Id order would give [[0, 2], [1]], which breaks
+    # TestAnneal::test_success_monotone_in_sweeps.
+    prob = encode_mgc_log(P3, 2)
+    assert solve._colour_classes(prob.polynomial, prob.num_variables) == [[1], [0, 2]]
+
+
 def entry_counts(poly, nv):
     """Each variable's field entries: its linear term, plus one per larger term."""
     return [1 + sum(v in key for key, _ in poly.items() if len(key) > 1) for v in range(nv)]
