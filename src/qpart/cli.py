@@ -152,10 +152,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
-    """Appends each flag's default to its help, unless the help names it."""
+    """Appends each flag's default to its help, unless the help names it, the
+    flag is required or its default is None."""
 
     def _get_help_string(self, action: argparse.Action) -> str:
-        return action.help if "(default:" in action.help else super()._get_help_string(action)
+        if action.required or action.default is None or "(default:" in action.help:
+            return action.help
+        return super()._get_help_string(action)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,8 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", type=int, default=None, help="color bound (default: Brooks upper bound)")
     _add_anneal_flags(p, runs=50, sweeps=200)
     p.add_argument("--group-by", choices=["n", "density"], default="n", help="aggregation key")
-    p.add_argument("--out-csv", default=None, help="CSV output path")
-    p.add_argument("--out-json", default=None, help="JSON report output path")
+    p.add_argument(
+        "--out-csv", help="CSV output path (CSV goes to stdout when neither --out-csv nor --out-json is set)"
+    )
+    p.add_argument("--out-json", help="JSON report output path")
 
     return parser
 

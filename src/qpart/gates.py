@@ -5,6 +5,12 @@ performs the Ising substitution x = (1 - Z)/2 exactly and prices each
 surviving k-local Z product at 2(k-1) CNOTs. A term over T variables
 contributes c / 2**|T| to each subset of T, so every coefficient is kept
 as an int scaled by 2**degree and cancellation is detected exactly.
+
+The expansion is a superset sum (the fast subset-sum, or zeta, transform
+of Yates 1937) over the subsets of the term keys, taken one subset size
+at a time from the degree down, in numpy: each level is one sort of its
+key rows, packed into int64 words, and a few scatter-adds, not one dict
+update per (term, subset) pair.
 """
 
 from __future__ import annotations
@@ -12,20 +18,29 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
+
+import numpy as np
 
 from .errors import ResourceLimitError
 from .pbo import Polynomial, Term
 
-# Subset additions ising_expand may make: a term over T variables adds into
-# all 2**|T| subsets of T. perfbench's n=64, c=16 log model needs about
-# 6.5 M (2 s) and an n=40, L=5 log model (m=390) about 23 M, so both stay
-# in reach; a degree-40 term in a 1 KB file would need 2**40.
+# Subsets a term-by-term expansion would add into: a term over T variables
+# has 2**|T|. Checked before anything is built, the count refuses a key too
+# wide to expand (a degree-40 term in a 1 KB file has 2**40) and bounds the
+# level-wise sum, which copies at most degree / 2 key rows per subset.
+# perfbench's n=64, c=16 log model has 6.5 M and expands in about 0.3 s;
+# an n=40, c=32 (L=5) log model has 23 M and takes about 0.5 s.
 MAX_SUBSET_ADDS = 1 << 25
-# Spin terms ising_expand may hold, at about 260 B each. Log models share
-# most subsets between monomials (the n=64, c=16 model holds about 228 k,
-# an n=40, c=32 one about 376 k), but one term's subsets are all distinct,
-# so a single degree-25 term within MAX_SUBSET_ADDS would need about 9 GB.
+# Key rows ising_expand may hold, checked before each level is built: the
+# distinct subsets found so far plus the next level's rows before they are
+# made distinct. A row is at most degree int32 ids, one or more int64 sort
+# words and degree + 1 int64 sums, and each nonzero subset also becomes a
+# dict entry. Log models share most subsets between monomials (the n=64,
+# c=16 model reaches about 0.44 M rows, an n=40, c=32 one 0.74 M), but one
+# term's subsets are all distinct: a single degree-25 term within
+# MAX_SUBSET_ADDS stops before its 19-variable subsets are built, having
+# allocated about 40 MiB.
 MAX_SPIN_TERMS = 1 << 20
 
 
@@ -34,29 +49,109 @@ def ising_expand(p: Polynomial) -> dict[Term, int]:
 
     A term c * x_T expands to c / 2**|T| * sum over subsets S of T of
     (-1)**|S| Z_S; every coefficient is kept scaled by 2**degree, and
-    zero coefficients are dropped. Each term's subsets are counted as new
-    spin terms before it is expanded, so the expansion never holds more
-    than MAX_SPIN_TERMS.
+    zero coefficients are dropped.
+
+    With b_T = c_T * 2**(degree - |T|), let F_d(S) sum b_T over the terms
+    T that contain S and have d more variables, so that Z_S has the
+    coefficient (-1)**|S| * sum over d of F_d(S). F_0(S) is b_S, and the
+    sum of F_d(S + {j}) over j counts each such T once per variable of
+    T - S, so F_{d+1}(S) is that sum divided by d + 1, exactly. The sets
+    of size t are therefore built from those of size t + 1 alone: the
+    keys of size t, and each (t + 1)-set with one variable dropped, made
+    distinct. Sums are int64 while sum |b_T| * degree is below 2**63,
+    which bounds every partial sum, and Python ints past it.
     """
-    adds = sum(1 << len(key) for key, _ in p.items())
+    terms = dict(p.items())
+    keys = list(terms)
+    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    per_size = np.bincount(sizes, minlength=1)
+    present = np.flatnonzero(per_size).tolist()
+    adds = sum(int(per_size[t]) << t for t in present)
     if adds > MAX_SUBSET_ADDS:
         raise ResourceLimitError(
             f"the Ising expansion needs {adds} subset additions, over the limit of {MAX_SUBSET_ADDS}"
         )
-    shift = p.degree()
-    acc: dict[Term, int] = {}
-    for key, coeff in p.items():
-        t = len(key)
-        if len(acc) + (1 << t) > MAX_SPIN_TERMS:
+    degree = len(per_size) - 1
+    # terms sorted by size: those of size t are by_size[ends[t] - per_size[t] : ends[t]]
+    by_size = np.argsort(sizes, kind="stable")
+    ends = np.cumsum(per_size).tolist()
+    coeffs = np.array(list(terms.values()), dtype=object)[by_size]
+    bound = sum(sum(map(abs, coeffs[ends[t] - per_size[t] : ends[t]])) << (degree - t) for t in present)
+    dtype = np.int64 if bound * max(degree, 1) < 1 << 63 else object
+    shifts = degree - sizes[by_size]
+    weights = coeffs.astype(np.int64) << shifts if dtype is np.int64 else coeffs << shifts.astype(object)
+    ids = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=int(sizes.sum()))
+    if ids.max(initial=0) < 1 << 31:
+        ids = ids.astype(np.int32)
+    starts = (np.cumsum(sizes) - sizes)[by_size]
+
+    out: dict[Term, int] = {}
+    held = 0
+    above = np.empty((degree + 1, 0), dtype=ids.dtype)  # the (t + 1)-sets, one per column
+    sums = np.empty((0, 0), dtype=dtype)  # sums[d, i] is F_d of above[:, i]
+    for t in range(degree, -1, -1):
+        if held + above.shape[1] * (t + 1) > MAX_SPIN_TERMS:
             raise ResourceLimitError(
                 f"the Ising expansion may hold more than {MAX_SPIN_TERMS} spin terms"
             )
-        scaled = coeff << (shift - t)
-        for size in range(t + 1):
-            signed = -scaled if size % 2 else scaled
-            for subset in combinations(key, size):
-                acc[subset] = acc.get(subset, 0) + signed
-    return {k: v for k, v in acc.items() if v}
+        first, last = ends[t] - int(per_size[t]), ends[t]
+        own = ids[np.arange(t)[:, None] + starts[first:last]]
+        sets, where = _distinct(_with_dropped(own, above))
+        level = np.zeros((degree - t + 1, sets.shape[1]), dtype=dtype)
+        np.add.at(level[0], where[: last - first], weights[first:last])
+        for block in where[last - first :].reshape(t + 1, above.shape[1]):
+            for d, row in enumerate(sums, start=1):
+                np.add.at(level[d], block, row)
+        level[1:] //= np.arange(1, degree - t + 1, dtype=dtype)[:, None]
+        coeff = level.sum(axis=0)
+        if t % 2:
+            coeff = -coeff
+        nonzero = np.flatnonzero(coeff)
+        out.update(zip(map(tuple, sets[:, nonzero].T.tolist()), coeff[nonzero].tolist()))
+        held += sets.shape[1]
+        above, sums = sets, level
+    return out
+
+
+def _with_dropped(own: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The columns of `own`, then every column of `above` without its row i,
+    for i = 0, 1, ..., in blocks of above's width."""
+    t, k, n = len(own), own.shape[1], above.shape[1]
+    rows = np.empty((t, k + (t + 1) * n), dtype=above.dtype)
+    rows[:, :k] = own
+    for i in range(t + 1):
+        block = rows[:, k + i * n : k + (i + 1) * n]
+        block[:i] = above[:i]
+        block[i:] = above[i + 1 :]
+    return rows
+
+
+def _distinct(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of a non-negative int matrix, and where each
+    input column is among them.
+
+    Each column is packed into as few int64 words as hold it, and the
+    words are sorted and compared in place of the rows.
+    """
+    count = sets.shape[1]
+    bits = max(int(sets.max(initial=0)).bit_length(), 1)
+    per_word = max(63 // bits, 1)
+    words = []
+    for top in range(0, len(sets), per_word):
+        word = np.zeros(count, dtype=np.int64)
+        for row in sets[top : top + per_word]:
+            word <<= bits
+            word |= row
+        words.append(word)
+    order = np.lexsort(words[::-1]) if words else np.arange(count)
+    new = np.zeros(count, dtype=bool)
+    new[:1] = True
+    for word in words:
+        ranked = word[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    where = np.empty(count, dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    return sets[:, order[new]], where
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,20 @@ def aux_count_actual(m, l):
 # The Ising expansion keeps each spin coefficient as an int scaled by 2**degree.
 
 
+def naive_ising_expand(p):
+    """The Ising expansion one (term, subset) pair at a time: a term c * x_T adds
+    c * 2**(degree - |T|) * (-1)**|S| into every subset S of T; zero sums are dropped."""
+    shift = p.degree()
+    acc = {}
+    for key, coeff in p.items():
+        scaled = coeff << (shift - len(key))
+        for size in range(len(key) + 1):
+            signed = -scaled if size % 2 else scaled
+            for subset in itertools.combinations(key, size):
+                acc[subset] = acc.get(subset, 0) + signed
+    return {k: v for k, v in acc.items() if v}
+
+
 def spin_terms(p):
     """Nonzero spin coefficients of p under x = (1 - Z)/2, as exact fractions."""
     return {key: Fraction(v, 1 << p.degree()) for key, v in ising_expand(p).items()}

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -437,11 +438,10 @@ class TestExitCodes:
         if tamper == "zero_weight_edge":
             assert calls, "the rebuild no longer reads logenc.log_hubo_terms"
 
-    def test_gates_past_subset_limit_exits_3(self, tmp_path, capsys, monkeypatch):
-        # one degree-40 term needs 2**40 subset additions; one degree-25 term
-        # stays within the additions but would hold 2**25 spin terms. Either
-        # expansion is stopped after 10^5 subsets per subset size.
-        monkeypatch.setattr(gates, "combinations", _bounded(itertools.combinations, 10**5))
+    def test_gates_past_subset_limit_exits_3(self, tmp_path, capsys):
+        # One degree-40 term needs 2**40 subset additions; one degree-25 term
+        # stays within the additions but has 2**25 subsets, a 256 MiB int64
+        # array at the least. Either is refused before 128 MiB is allocated.
         for degree in (40, 25):
             doc = {
                 "num_vars": degree,
@@ -451,10 +451,16 @@ class TestExitCodes:
             }
             model = tmp_path / "model.json"
             model.write_text(json.dumps(doc))
-            code, _, err = run(["gates", "--in", str(model)], capsys)
+            tracemalloc.start()
+            try:
+                code, _, err = run(["gates", "--in", str(model)], capsys)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             assert code == 3, degree
             assert "resource limit" in err
             assert "Traceback" not in err
+            assert peak < 128 << 20, degree
 
     @pytest.mark.parametrize(
         "betas",

@@ -10,6 +10,8 @@ from conftest import (
     complete_graph,
     edge_agreement_product,
     evaluate_spin,
+    multiply,
+    naive_ising_expand,
     spin_terms,
 )
 
@@ -17,6 +19,7 @@ from qpart.gates import (
     cnot_count_log_closed,
     cnot_count_onehot_closed,
     cnot_count_oracle,
+    ising_expand,
 )
 from qpart.graphs import generate_random_connected
 from qpart.logenc import encode_mgc_log, lex_penalties, log_hubo_terms
@@ -58,6 +61,54 @@ class TestIsingExpand:
                 p = Polynomial(items)
                 bits = tuple(rng.randint(0, 1) for _ in range(6))
                 assert evaluate_spin(p, bits) == p.evaluate(bits)
+
+
+class TestLevelwiseSum:
+    """ising_expand against the per-subset loop it replaced."""
+
+    @staticmethod
+    def check(p):
+        spin = ising_expand(p)
+        assert spin == naive_ising_expand(p)
+        assert all(type(v) is int and all(type(j) is int for j in key) for key, v in spin.items())
+        return spin
+
+    def test_empty_and_constant(self):
+        assert self.check(Polynomial()) == {}
+        assert self.check(Polynomial({(): -7})) == {(): -7}
+        assert self.check(Polynomial({(): 1 << 70})) == {(): 1 << 70}
+
+    def test_cancelled_subsets_are_dropped(self):
+        # XNOR is (1 + Z0 Z1) / 2: its Z0 and Z1 sums cancel. The product of
+        # two XNORs is (1 + Z0 Z1)(1 + Z2 Z3) / 4, so 12 of its 16 cancel.
+        assert self.check(XNOR) == {(): 2, (0, 1): 2}
+        xnor23 = {(2, 3): 2, (2,): -1, (3,): -1, (): 1}
+        both = Polynomial(multiply(dict(XNOR.items()), xnor23))
+        assert self.check(both) == {(): 4, (0, 1): 4, (2, 3): 4, (0, 1, 2, 3): 4}
+
+    def test_random_polynomials_to_degree_8(self):
+        # ids past 2**31 and 2**62 pack fewer per sort word than small ones
+        rng = random.Random(24)
+        for trial in range(600):
+            ids = rng.sample(range((16, 1 << 31, 1 << 62)[trial % 3]), 11)
+            nv = rng.randint(1, 11)
+            bound = (1 << 3, 1 << 40, 1 << 72)[trial // 3 % 3]
+            items = [
+                (rng.sample(ids[:nv], rng.randint(0, min(nv, 8))), rng.randint(-bound, bound))
+                for _ in range(rng.randint(0, 14))
+            ]
+            if trial % 5 == 0:  # make sure degree 8 itself is reached
+                items.append((rng.sample(ids, 8), rng.randint(-bound, bound)))
+            self.check(Polynomial(items))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("below", [1, 0], ids=["below_2_63", "at_2_63"])
+    def test_sums_at_the_int64_switch(self, sign, below):
+        # Two degree-4 terms sharing x1 x2 x3: sum |b_T| * degree is
+        # 4 * 2 * |a| = 2**63 - 8 * below, and the empty set's top sum,
+        # 4 * F_4(()), reaches 8 * a, one past int64 at 2**63.
+        a = sign * ((1 << 60) - below)
+        self.check(Polynomial({(0, 1, 2, 3): a, (1, 2, 3, 4): a}))
 
 
 class TestOracle:
