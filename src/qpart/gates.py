@@ -19,6 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,11 +59,52 @@ def ising_expand(p: Polynomial) -> dict[Term, int]:
     T - S, so F_{d+1}(S) is that sum divided by d + 1, exactly. The sets
     of size t are therefore built from those of size t + 1 alone: the
     keys of size t, and each (t + 1)-set with one variable dropped, made
-    distinct. Sums are int64 while sum |b_T| * degree is below 2**63,
-    which bounds every partial sum, and Python ints past it.
+    distinct.
     """
-    terms = dict(p.items())
-    keys = list(terms)
+    per_size, ids, weights = _terms_by_size(p)
+    degree = len(per_size) - 1
+    ends = np.cumsum(per_size).tolist()
+    id_ends = np.cumsum(per_size * np.arange(degree + 1)).tolist()
+
+    found = []  # each level's nonzero sets, one per row, and their coefficients
+    held = 0
+    above = np.empty((degree + 1, 0), dtype=ids.dtype)  # the (t + 1)-sets, one per column
+    sums = np.empty((0, 0), dtype=weights.dtype)  # sums[d, i] is F_d of above[:, i]
+    for t in range(degree, -1, -1):
+        if held + above.shape[1] * (t + 1) > MAX_SPIN_TERMS:
+            raise ResourceLimitError(
+                f"the Ising expansion may hold more than {MAX_SPIN_TERMS} spin terms"
+            )
+        k = int(per_size[t])
+        own = ids[id_ends[t] - k * t : id_ends[t]].reshape(k, t).T
+        sets, where = _distinct(_with_dropped(own, above))
+        level = np.zeros((degree - t + 1, sets.shape[1]), dtype=weights.dtype)
+        np.add.at(level[0], where[:k], weights[ends[t] - k : ends[t]])
+        for block in where[k:].reshape(t + 1, above.shape[1]):
+            for d, row in enumerate(sums, start=1):
+                np.add.at(level[d], block, row)
+        level[1:] //= np.arange(1, degree - t + 1, dtype=weights.dtype)[:, None]
+        coeff = level.sum(axis=0)
+        if t % 2:
+            coeff = -coeff
+        nonzero = np.flatnonzero(coeff)
+        found.append((sets[:, nonzero].T, coeff[nonzero]))
+        held += sets.shape[1]
+        above, sums = sets, level
+    # one dict built at the end keeps repeated calls' peak RSS lower than growing it per level
+    return {key: v for rows, vals in found for key, v in zip(map(tuple, rows.tolist()), vals.tolist())}
+
+
+def _terms_by_size(p: Polynomial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p's term counts by size, then its key ids and its weights
+    b_T = c_T * 2**(degree - |T|), both in order of size: the size-t terms
+    come after the terms of every smaller size, and so do their ids.
+
+    MAX_SUBSET_ADDS is checked before anything is flattened. Weights are
+    int64 while sum |b_T| * degree, which bounds every partial sum of the
+    expansion, is below 2**63, and Python ints past it.
+    """
+    keys = list(map(itemgetter(0), p.items()))
     sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
     per_size = np.bincount(sizes, minlength=1)
     present = np.flatnonzero(per_size).tolist()
@@ -72,45 +114,18 @@ def ising_expand(p: Polynomial) -> dict[Term, int]:
             f"the Ising expansion needs {adds} subset additions, over the limit of {MAX_SUBSET_ADDS}"
         )
     degree = len(per_size) - 1
-    # terms sorted by size: those of size t are by_size[ends[t] - per_size[t] : ends[t]]
     by_size = np.argsort(sizes, kind="stable")
+    id_type = np.int32 if p.num_variables() <= 1 << 31 else np.int64
+    ids = np.fromiter(
+        chain.from_iterable(keys[i] for i in by_size.tolist()), dtype=id_type, count=int(sizes.sum())
+    )
+    coeffs = np.fromiter(map(itemgetter(1), p.items()), dtype=object, count=len(keys))[by_size]
     ends = np.cumsum(per_size).tolist()
-    coeffs = np.array(list(terms.values()), dtype=object)[by_size]
     bound = sum(sum(map(abs, coeffs[ends[t] - per_size[t] : ends[t]])) << (degree - t) for t in present)
-    dtype = np.int64 if bound * max(degree, 1) < 1 << 63 else object
     shifts = degree - sizes[by_size]
-    weights = coeffs.astype(np.int64) << shifts if dtype is np.int64 else coeffs << shifts.astype(object)
-    ids = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=int(sizes.sum()))
-    if ids.max(initial=0) < 1 << 31:
-        ids = ids.astype(np.int32)
-    starts = (np.cumsum(sizes) - sizes)[by_size]
-
-    out: dict[Term, int] = {}
-    held = 0
-    above = np.empty((degree + 1, 0), dtype=ids.dtype)  # the (t + 1)-sets, one per column
-    sums = np.empty((0, 0), dtype=dtype)  # sums[d, i] is F_d of above[:, i]
-    for t in range(degree, -1, -1):
-        if held + above.shape[1] * (t + 1) > MAX_SPIN_TERMS:
-            raise ResourceLimitError(
-                f"the Ising expansion may hold more than {MAX_SPIN_TERMS} spin terms"
-            )
-        first, last = ends[t] - int(per_size[t]), ends[t]
-        own = ids[np.arange(t)[:, None] + starts[first:last]]
-        sets, where = _distinct(_with_dropped(own, above))
-        level = np.zeros((degree - t + 1, sets.shape[1]), dtype=dtype)
-        np.add.at(level[0], where[: last - first], weights[first:last])
-        for block in where[last - first :].reshape(t + 1, above.shape[1]):
-            for d, row in enumerate(sums, start=1):
-                np.add.at(level[d], block, row)
-        level[1:] //= np.arange(1, degree - t + 1, dtype=dtype)[:, None]
-        coeff = level.sum(axis=0)
-        if t % 2:
-            coeff = -coeff
-        nonzero = np.flatnonzero(coeff)
-        out.update(zip(map(tuple, sets[:, nonzero].T.tolist()), coeff[nonzero].tolist()))
-        held += sets.shape[1]
-        above, sums = sets, level
-    return out
+    if bound * max(degree, 1) < 1 << 63:
+        return per_size, ids, coeffs.astype(np.int64) << shifts
+    return per_size, ids, coeffs << shifts.astype(object)
 
 
 def _with_dropped(own: np.ndarray, above: np.ndarray) -> np.ndarray:
