@@ -91,7 +91,6 @@ def ising_expand(p: Polynomial) -> dict[Term, int]:
         found.append((sets[:, nonzero].T, coeff[nonzero]))
         held += sets.shape[1]
         above, sums = sets, level
-    # one dict built at the end keeps repeated calls' peak RSS lower than growing it per level
     return {key: v for rows, vals in found for key, v in zip(map(tuple, rows.tolist()), vals.tolist())}
 
 
