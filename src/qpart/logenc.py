@@ -5,6 +5,10 @@ labels is detected by a product of per-bit XNOR polynomials; a geometric
 ladder of per-bit penalties makes the total energy order assignments
 lexicographically by their index populations, so the ground state favors
 small labels without any dedicated counting register.
+
+A LogLayout is the one description of a log model. log_layout is the one
+way to build it from edge costs, for the encoder and the model reader
+alike, so the encoder refuses any model the reader would refuse.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 from .errors import DimensionError, InvalidInstanceError
 from .graphs import Coloring, Graph
@@ -30,24 +34,17 @@ class LexPenalties:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Per-edge costs: alpha when labels agree, beta when they differ.
+    """Per-edge int costs: alpha when labels agree, beta when they differ.
 
-    gap is the feasibility gap of the hard constraints, or None when every
-    assignment is feasible. A log_general model's metadata records the
-    same costs as "u-v"-keyed alpha/beta maps, and a None gap as
-    "unconstrained".
+    gap is the feasibility gap of the hard constraints, an int >= 1, or
+    None when every assignment is feasible. A log_general model's metadata
+    records the same costs as "u-v"-keyed alpha/beta maps, and a None gap
+    as "unconstrained".
     """
 
     alpha: Mapping[tuple[int, int], int]
     beta: Mapping[tuple[int, int], int]
     gap: int | None = None
-
-    @staticmethod
-    def mgc(g: Graph) -> PartitionSpec:
-        """Minimum graph coloring: unit cost on monochromatic edges, gap 1."""
-        alpha = {e: 1 for e in g.edges}
-        beta = {e: 0 for e in g.edges}
-        return PartitionSpec(alpha=alpha, beta=beta, gap=1)
 
 
 def bits_for_colors(c: int) -> int:
@@ -62,10 +59,10 @@ def lex_penalties(n: int, l: int, gap: int | None = 1) -> LexPenalties:
     A = floor(n*sum(P)/gap) + 1, the smallest integer strictly above
     n*sum(P)/gap, for a finite feasibility gap, and A = 1 when the problem
     has no hard constraints (gap None). Minimum coloring has gap 1."""
-    if n < 1 or l < 1:
-        raise ValueError(f"need n >= 1 and l >= 1, got n={n}, l={l}")
-    if gap is not None and gap < 1:
-        raise ValueError(f"feasibility gap must be a positive integer, got {gap}")
+    if not (type(n) is type(l) is int and n >= 1 and l >= 1):
+        raise ValueError(f"need integers n >= 1 and l >= 1, got n={n!r}, l={l!r}")
+    if gap is not None and not (type(gap) is int and gap >= 1):
+        raise ValueError(f"feasibility gap must be a positive integer or None, got {gap!r}")
     p = tuple((n + 1) ** k for k in range(l))
     return LexPenalties(p=p, a_adjacency=1 if gap is None else n * sum(p) // gap + 1)
 
@@ -80,18 +77,25 @@ def vertex_labels(bits: Bits, n: int, l: int) -> list[int]:
     return [sum(bits[bit_var(v, k, l)] << k for k in range(l)) for v in range(n)]
 
 
+@dataclass(frozen=True)
+class LogLayout:
+    """A log model: n vertices of L = len(ladder) bits, the ladder, the
+    constant, and one agreement-product weight per edge. log_layout builds
+    it from a model's costs; log_hubo_terms writes its polynomial."""
+
+    n: int
+    ladder: tuple[int, ...]
+    constant: int
+    edges: list[tuple[int, int]]
+    weights: list[int]
+
+
 # Per-bit factors of XNOR(a, b) = 2ab - a - b + 1 as (coeff, takes a, takes b).
 _XNOR_FACTORS = ((2, True, True), (-1, True, False), (-1, False, True), (1, False, False))
 
 
-def log_hubo_terms(
-    n: int,
-    ladder: Sequence[int],
-    constant: int = 0,
-    edges: Iterable[tuple[int, int]] = (),
-    weights: Iterable[int] = (),
-) -> Iterator[tuple[Term, int]]:
-    """The logarithmic HUBO as one term stream, with L = len(ladder).
+def log_hubo_terms(layout: LogLayout) -> Iterator[tuple[Term, int]]:
+    """The log model's polynomial as one term stream.
 
     Yields P_k * x[v][k] for every vertex and bit, then the constant, then
     weight * prod_k XNOR(x[u][k], x[v][k]) for each edge. An edge's 4^L
@@ -101,12 +105,12 @@ def log_hubo_terms(
     per-vertex tuples, the ids of a subset of each endpoint's bits,
     tabulated once per vertex by subset bitmask.
     """
-    l = len(ladder)
+    n, l = layout.n, len(layout.ladder)
     for k in range(l):
         for v in range(n):
-            yield (bit_var(v, k, l),), ladder[k]
-    yield (), constant
-    weighted = [(e, w) for e, w in zip(edges, weights) if w]
+            yield (bit_var(v, k, l),), layout.ladder[k]
+    yield (), layout.constant
+    weighted = [(e, w) for e, w in zip(layout.edges, layout.weights) if w]
     if not weighted:
         return
     template = []
@@ -124,32 +128,13 @@ def log_hubo_terms(
             yield lo[u_mask] + hi[v_mask], weight * coeff
 
 
-def partition_weights(
-    edges: Sequence[tuple[int, int]], spec: PartitionSpec, a_partition: int
-) -> tuple[list[int], int]:
-    """Per-edge agreement-product weights and the constant of A * sum(alpha*prod + beta*(1-prod))."""
-    weights = [a_partition * (spec.alpha[e] - spec.beta[e]) for e in edges]
-    return weights, sum(a_partition * spec.beta[e] for e in edges)
-
-
-@dataclass(frozen=True)
-class LogLayout:
-    """log_hubo_terms' arguments for a log model; weights and constant per partition_weights."""
-
-    n: int
-    ladder: tuple[int, ...]
-    constant: int
-    edges: list[tuple[int, int]]
-    weights: list[int]
-
-
 def log_layout(meta: Mapping[str, Any], pen: LexPenalties) -> LogLayout:
     """The layout a log model's metadata and penalty record describe.
 
     Raises InvalidInstanceError, a ValueError, unless n and L are positive
     ints, the ladder has L entries, the edges are distinct int pairs u < v
     of vertices 0..n-1, and a log_general model has int alpha and beta
-    entries, keyed "u-v", for every edge.
+    entries, keyed "u-v", for every edge; log_mgc costs are alpha 1, beta 0.
     """
     if meta.get("kind") not in LOG_KINDS:
         raise InvalidInstanceError(f"expected a logarithmic encoding, got kind {meta.get('kind')!r}")
@@ -165,15 +150,17 @@ def log_layout(meta: Mapping[str, Any], pen: LexPenalties) -> LogLayout:
     edges = [(u, v) for u, v in edges]
     if len(set(edges)) != len(edges):
         raise InvalidInstanceError("edges must be distinct")
-    costs = {"alpha": dict.fromkeys(edges, 1), "beta": dict.fromkeys(edges, 0)}
+    costs = {"alpha": [1] * len(edges), "beta": [0] * len(edges)}
     if meta["kind"] == "log_general":
         for name in costs:
             given = meta.get(name)
             if not isinstance(given, dict) or not all(type(given.get(f"{u}-{v}")) is int for u, v in edges):
                 raise InvalidInstanceError(f"{name} needs an integer entry for every edge")
-            costs[name] = {(u, v): given[f"{u}-{v}"] for u, v in edges}
-    weights, constant = partition_weights(edges, PartitionSpec(**costs), pen.a_adjacency)
-    return LogLayout(n, pen.p, constant, edges, weights)
+            costs[name] = [given[f"{u}-{v}"] for u, v in edges]
+    # Edge costs A * sum(alpha*prod + beta*(1 - prod)) = sum(A*(alpha - beta)*prod) + A*sum(beta).
+    a = pen.a_adjacency
+    weights = [a * (alpha - beta) for alpha, beta in zip(costs["alpha"], costs["beta"])]
+    return LogLayout(n, pen.p, a * sum(costs["beta"]), edges, weights)
 
 
 def checked_log_layout(prob: EncodedProblem) -> LogLayout:
@@ -226,44 +213,39 @@ def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
     produce or cancel, so `p` holds at least that many terms.
     """
     floor = sum(1 for w in layout.weights if w) * ((1 << len(layout.ladder)) - 1) ** 2
-    return sum(1 for _ in p.items()) >= floor and p == Polynomial._from_canonical(
-        log_hubo_terms(layout.n, layout.ladder, layout.constant, layout.edges, layout.weights)
-    )
+    return sum(1 for _ in p.items()) >= floor and p == Polynomial._from_canonical(log_hubo_terms(layout))
 
 
-def _encode_log(g: Graph, spec: PartitionSpec, l: int, **meta: Any) -> EncodedProblem:
-    """The log HUBO of `spec` over n*L variables, degree 2L, with the ladder and
-    partition penalty of lex_penalties(n, L, spec.gap); `meta` names the kind."""
-    pen = lex_penalties(g.n, l, spec.gap)
-    weights, constant = partition_weights(g.edges, spec, pen.a_adjacency)
-    check_build_terms(g.n * l + 1 + sum(1 for w in weights if w) * 4**l)
-    poly = Polynomial._from_canonical(log_hubo_terms(g.n, pen.p, constant, g.edges, weights))
+def _encode_log(g: Graph, l: int, gap: int | None, /, **meta: Any) -> EncodedProblem:
+    """The log HUBO over n*L variables, degree 2L, with the ladder and partition
+    penalty of lex_penalties(n, L, gap), built from log_layout of its own
+    metadata; `meta` names the kind and any costs."""
+    pen = lex_penalties(g.n, l, gap)
+    meta = instance_meta(g, L=l, **meta)
+    layout = log_layout(meta, pen)
+    check_build_terms(g.n * l + 1 + sum(1 for w in layout.weights if w) * 4**l)
+    poly = Polynomial._from_canonical(log_hubo_terms(layout))
     # Roles count bits from 1, as the model file format has them.
     registry = tuple(f"x[{v}][{k + 1}]" for v in range(g.n) for k in range(l))
-    return EncodedProblem(poly, registry, pen, instance_meta(g, L=l, **meta))
+    return EncodedProblem(poly, registry, pen, meta)
 
 
 def encode_mgc_log(g: Graph, c: int) -> EncodedProblem:
     """Build the logarithmic minimum-coloring HUBO: the gap-1 case of encode_general."""
-    return _encode_log(g, PartitionSpec.mgc(g), bits_for_colors(c), kind="log_mgc", c_num=c)
+    return _encode_log(g, bits_for_colors(c), 1, kind="log_mgc", c_num=c)
 
 
 def encode_general(g: Graph, spec: PartitionSpec, l: int) -> EncodedProblem:
     """Build the general partition HUBO: weighted agreement costs plus the lexicographic ladder,
-    with the partition penalty lex_penalties gives for spec.gap."""
+    with the partition penalty lex_penalties gives for spec.gap. A missing or
+    non-int cost raises ValueError."""
     missing = [e for e in g.edges if e not in spec.alpha or e not in spec.beta]
     if missing:
         raise ValueError(f"partition spec is missing costs for edges {missing}")
-    return _encode_log(
-        g,
-        spec,
-        l,
-        kind="log_general",
-        c_num=None,
-        alpha={f"{u}-{v}": spec.alpha[(u, v)] for u, v in g.edges},
-        beta={f"{u}-{v}": spec.beta[(u, v)] for u, v in g.edges},
-        gap="unconstrained" if spec.gap is None else spec.gap,
-    )
+    alpha = {f"{u}-{v}": spec.alpha[(u, v)] for u, v in g.edges}
+    beta = {f"{u}-{v}": spec.beta[(u, v)] for u, v in g.edges}
+    gap = "unconstrained" if spec.gap is None else spec.gap
+    return _encode_log(g, l, spec.gap, kind="log_general", c_num=None, alpha=alpha, beta=beta, gap=gap)
 
 
 LOG_KINDS = ("log_mgc", "log_general")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InternalInvariantError
 from .logenc import bit_var, bits_for_colors, checked_log_layout, log_hubo_terms
@@ -81,7 +81,7 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     if l == 1:
         return QuadratizedProblem(EncodedProblem(prob.polynomial, prob.registry, penalties, meta))
 
-    terms = list(log_hubo_terms(n, layout.ladder, layout.constant))
+    terms = list(log_hubo_terms(replace(layout, edges=[], weights=[])))
     registry = list(prob.registry)
     m_1 = penalties.m_stage1
     for e, ((u, v), weight) in enumerate(zip(edges, weights)):

@@ -11,7 +11,7 @@ import numpy as np
 from qpart.errors import InvalidInstanceError
 from qpart.gates import ising_expand
 from qpart.graphs import Graph
-from qpart.logenc import log_hubo_terms, partition_weights
+from qpart.logenc import LogLayout, PartitionSpec, log_hubo_terms
 from qpart.onehot import x_var, y_var
 from qpart.pbo import Polynomial, energy_vector, index_to_bits
 
@@ -99,9 +99,14 @@ def multiply(a, b):
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
+def mgc_spec(g):
+    """Minimum coloring as a partition spec: unit cost on monochromatic edges, gap 1."""
+    return PartitionSpec(alpha=dict.fromkeys(g.edges, 1), beta=dict.fromkeys(g.edges, 0), gap=1)
+
+
 def edge_agreement_product(u, v, l):
     """Product of per-bit XNORs: 1 iff the two vertices carry equal bitstrings."""
-    return Polynomial(log_hubo_terms(0, (0,) * l, 0, [(u, v)], [1]))
+    return Polynomial(log_hubo_terms(LogLayout(0, (0,) * l, 0, [(u, v)], [1])))
 
 
 def population_of_bits(bits, n, l):
@@ -114,8 +119,9 @@ def feasibility_gap_bruteforce(g, spec, l, feasible):
     feasible minimum; None when every assignment is feasible, InvalidInstanceError
     when none is, and energy_vector's ResourceLimitError past its variable limit."""
     nv = g.n * l
-    weights, constant = partition_weights(g.edges, spec, 1)
-    poly = Polynomial(log_hubo_terms(g.n, (0,) * l, constant, g.edges, weights))
+    weights = [spec.alpha[e] - spec.beta[e] for e in g.edges]
+    constant = sum(spec.beta[e] for e in g.edges)
+    poly = Polynomial(log_hubo_terms(LogLayout(g.n, (0,) * l, constant, list(g.edges), weights)))
     energies = energy_vector(poly, nv)
     mask = np.fromiter(
         (feasible(index_to_bits(i, nv)) for i in range(1 << nv)), dtype=bool, count=1 << nv

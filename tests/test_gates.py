@@ -22,7 +22,7 @@ from qpart.gates import (
     ising_expand,
 )
 from qpart.graphs import generate_random_connected
-from qpart.logenc import encode_mgc_log, lex_penalties, log_hubo_terms
+from qpart.logenc import LogLayout, encode_mgc_log, lex_penalties, log_hubo_terms
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import Polynomial
 
@@ -191,7 +191,7 @@ class TestCrossChecks:
 
     def test_lexicographic_term_contributes_nothing(self):
         pen = lex_penalties(4, 3)
-        report = cnot_count_oracle(Polynomial(log_hubo_terms(4, pen.p)))
+        report = cnot_count_oracle(Polynomial(log_hubo_terms(LogLayout(4, pen.p, 0, [], []))))
         assert report.cnot_count == 0
 
     def test_sparse_ratio_growth_with_colors(self):

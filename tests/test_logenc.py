@@ -9,6 +9,7 @@ from conftest import (
     edge_agreement_product,
     feasibility_gap_bruteforce,
     lex_bounds_hold,
+    mgc_spec,
     path_graph,
     population_of_bits,
 )
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from qpart.errors import DimensionError, InvalidInstanceError, ResourceLimitError
 from qpart.graphs import Graph
 from qpart.logenc import (
+    LogLayout,
     PartitionSpec,
     bits_for_colors,
     decode_log,
@@ -26,6 +28,7 @@ from qpart.logenc import (
     lex_penalties,
     log_hubo_terms,
 )
+from qpart.model import from_model_json, to_model_json
 from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, ground_states
 
 K3 = complete_graph(3)
@@ -56,6 +59,16 @@ class TestLexPenalties:
 
     def test_bits_for_colors(self):
         assert [bits_for_colors(c) for c in (1, 2, 3, 4, 5, 8, 9)] == [1, 1, 2, 2, 3, 3, 4]
+
+    @pytest.mark.parametrize(
+        "n, l, gap",
+        [(3, 2, 1.5), (3, 2, True), (3, 2, 0), (3.0, 2, 1), (3, 2.0, 1), (True, 2, 1)],
+        ids=["gap_float", "gap_bool", "gap_zero", "n_float", "l_float", "n_bool"],
+    )
+    def test_rejects_non_integers(self, n, l, gap):
+        # the model reader refuses a float or bool penalty, so the ladder takes ints only
+        with pytest.raises(ValueError):
+            lex_penalties(n, l, gap)
 
 
 class TestEncoding:
@@ -103,8 +116,8 @@ class TestEncoding:
 
 @st.composite
 def term_stream_args(draw):
-    """log_hubo_terms arguments: any ladder, constant, edge subset and edge
-    weights over n <= 6 vertices and L <= 4 bits, zero and negative included."""
+    """A LogLayout with any ladder, constant, edge subset and edge weights
+    over n <= 6 vertices and L <= 4 bits, zero and negative included."""
     n = draw(st.integers(1, 6))
     l = draw(st.integers(1, 4))
     coeffs = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
@@ -113,23 +126,21 @@ def term_stream_args(draw):
     # either endpoint order: the stream sorts each edge's keys itself
     edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
     weights = draw(st.lists(coeffs, min_size=len(edges), max_size=len(edges)))
-    return n, l, draw(st.lists(coeffs, min_size=l, max_size=l)), draw(coeffs), edges, weights
+    return LogLayout(n, tuple(draw(st.lists(coeffs, min_size=l, max_size=l))), draw(coeffs), edges, weights)
 
 
 class TestTermStream:
     @given(term_stream_args())
     @settings(max_examples=60, deadline=None)
-    def test_keys_are_canonical(self, args):
-        n, l, ladder, constant, edges, weights = args
-        for key, _ in log_hubo_terms(n, ladder, constant, edges, weights):
+    def test_keys_are_canonical(self, layout):
+        for key, _ in log_hubo_terms(layout):
             assert all(a < b for a, b in zip(key, key[1:]))
-            assert all(0 <= v < n * l for v in key)
+            assert all(0 <= v < layout.n * len(layout.ladder) for v in key)
 
     @given(term_stream_args())
     @settings(max_examples=60, deadline=None)
-    def test_trusted_build_matches_constructor(self, args):
-        n, l, ladder, constant, edges, weights = args
-        stream = list(log_hubo_terms(n, ladder, constant, edges, weights))
+    def test_trusted_build_matches_constructor(self, layout):
+        stream = list(log_hubo_terms(layout))
         trusted = Polynomial._from_canonical(stream)
         assert list(trusted.items()) == list(Polynomial(stream).items())
 
@@ -197,11 +208,25 @@ class TestXnorProduct:
                     assert prod.evaluate(bits) == (1 if a_bits == b_bits else 0)
 
 
+@st.composite
+def integer_partition_args(draw):
+    """encode_general arguments with int costs: n <= 5, L <= 3, costs from
+    -3..3 and +-2^70 (alpha = beta gives a zero-weight edge), gap None or 1..3."""
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ())
+    cost = st.integers(-3, 3) | st.sampled_from([-(2**70), 2**70])
+    alpha = {e: draw(cost) for e in g.edges}
+    beta = {e: alpha[e] if draw(st.booleans()) else draw(cost) for e in g.edges}
+    gap = draw(st.none() | st.integers(1, 3))
+    return g, PartitionSpec(alpha=alpha, beta=beta, gap=gap), draw(st.integers(1, 3))
+
+
 class TestGeneralPartition:
     def test_mgc_instantiation_identity(self):
         for g, c in ((K3, 4), (P3, 2), (K2, 4)):
             log_prob = encode_mgc_log(g, c)
-            gen_prob = encode_general(g, PartitionSpec.mgc(g), log_prob.meta["L"])
+            gen_prob = encode_general(g, mgc_spec(g), log_prob.meta["L"])
             assert gen_prob.polynomial == log_prob.polynomial
 
     def test_no_costs_reduces_to_lexicographic(self):
@@ -214,7 +239,7 @@ class TestGeneralPartition:
         assert states == [(0,) * 6]
 
     def test_k2_single_bit(self):
-        prob = encode_general(K2, PartitionSpec.mgc(K2), 1)
+        prob = encode_general(K2, mgc_spec(K2), 1)
         assert prob.penalties.a_adjacency == 3
         energy, states = ground_states(prob.polynomial, prob.num_variables)
         assert energy == 1
@@ -232,6 +257,29 @@ class TestGeneralPartition:
         with pytest.raises(ValueError):
             encode_general(K3, PartitionSpec(alpha={}, beta={}, gap=1), 2)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, None], ids=["float", "integral_float", "bool", "none"])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_non_integer_costs_rejected(self, name, bad):
+        # the model reader refuses these costs, so the encoder must not write them
+        costs = {"alpha": {(0, 1): 1}, "beta": {(0, 1): 0}, name: {(0, 1): bad}}
+        with pytest.raises(ValueError, match=f"{name} needs an integer entry for every edge"):
+            encode_general(K2, PartitionSpec(**costs, gap=None), 1)
+
+    def test_non_integer_gap_rejected(self):
+        with pytest.raises(ValueError):
+            encode_general(K2, PartitionSpec(alpha={(0, 1): 1}, beta={(0, 1): 0}, gap=1.5), 1)
+
+    @given(integer_partition_args())
+    @settings(max_examples=40, deadline=None)
+    def test_reader_reads_every_encoded_model(self, args):
+        g, spec, l = args
+        prob = encode_general(g, spec, l)
+        back = from_model_json(to_model_json(prob))
+        assert back.polynomial == prob.polynomial
+        assert back.registry == prob.registry
+        assert back.penalties == prob.penalties
+        assert back.meta == prob.meta
+
 
 class TestFeasibilityGap:
     @staticmethod
@@ -246,7 +294,7 @@ class TestFeasibilityGap:
         for g in (K2, P3, K3):
             l = 2
             gap = feasibility_gap_bruteforce(
-                g, PartitionSpec.mgc(g), l, self.proper_coloring_predicate(g, l)
+                g, mgc_spec(g), l, self.proper_coloring_predicate(g, l)
             )
             assert gap == 1
 
@@ -257,13 +305,13 @@ class TestFeasibilityGap:
     def test_enumeration_limit(self):
         path = Graph(ENUMERATION_MAX_VARS + 1, tuple((v, v + 1) for v in range(ENUMERATION_MAX_VARS)))
         with pytest.raises(ResourceLimitError):
-            feasibility_gap_bruteforce(path, PartitionSpec.mgc(path), 1, lambda bits: True)
+            feasibility_gap_bruteforce(path, mgc_spec(path), 1, lambda bits: True)
 
     def test_all_infeasible_is_an_error(self):
         # a triangle cannot be properly 2-colored
         with pytest.raises(InvalidInstanceError):
             feasibility_gap_bruteforce(
-                K3, PartitionSpec.mgc(K3), 1, self.proper_coloring_predicate(K3, 1)
+                K3, mgc_spec(K3), 1, self.proper_coloring_predicate(K3, 1)
             )
 
 
