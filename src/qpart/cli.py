@@ -17,7 +17,7 @@ from .bench import BenchInstance, records_to_csv, report_to_json, run_suite
 from .errors import InternalInvariantError, ResourceLimitError
 from .gates import cnot_count_log_closed, cnot_count_onehot_closed, cnot_count_oracle
 from .graphs import brooks_upper_bound, generate_random_connected, parse_graph, serialize_graph
-from .logenc import bits_for_colors, encode_mgc_log
+from .logenc import LOG_KINDS, bits_for_colors, checked_log_layout, encode_mgc_log
 from .model import from_model_json, to_model_json
 from .onehot import encode_mgc_onehot
 from .pbo import ground_states
@@ -81,6 +81,12 @@ def cmd_quadratize(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     prob = from_model_json(_read(args.input))
+    model = prob.polynomial
+    if prob.kind in LOG_KINDS:
+        # Proved to rebuild the polynomial; at L = 1 the model is a QUBO,
+        # which anneals on colour classes.
+        layout = checked_log_layout(prob)
+        model = layout if len(layout.ladder) > 1 else model
     if args.exact:
         emin, states = ground_states(prob.polynomial, prob.num_variables)
         doc = {
@@ -90,7 +96,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         }
         _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 0
-    samples = anneal(prob.polynomial, _anneal_params(args), prob.num_variables)
+    samples = anneal(model, _anneal_params(args), prob.num_variables)
     _write(args.out, samples.to_json())
     return 0
 

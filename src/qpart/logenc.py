@@ -7,8 +7,9 @@ lexicographically by their index populations, so the ground state favors
 small labels without any dedicated counting register.
 
 A LogLayout is the one description of a log model. log_layout is the one
-way to build it from edge costs, for the encoder and the model reader
-alike, so the encoder refuses any model the reader would refuse.
+way to build it from a model's metadata, and log_penalties the one rule
+for its penalty record, for the encoder and the model reader alike, so the
+encoder refuses any model the reader would refuse.
 """
 
 from __future__ import annotations
@@ -128,19 +129,30 @@ def log_hubo_terms(layout: LogLayout) -> Iterator[tuple[Term, int]]:
             yield lo[u_mask] + hi[v_mask], weight * coeff
 
 
-def log_layout(meta: Mapping[str, Any], pen: LexPenalties) -> LogLayout:
-    """The layout a log model's metadata and penalty record describe.
+def log_penalties(meta: Mapping[str, Any]) -> LexPenalties:
+    """The penalty record of a log model's metadata: lex_penalties of its n
+    and L, at gap 1 for log_mgc and at a log_general model's recorded gap,
+    "unconstrained" read as None. The encoders and the model reader both
+    derive the record here."""
+    gap = meta.get("gap") if meta["kind"] == "log_general" else 1
+    if gap is None:
+        raise InvalidInstanceError('a log_general model records its gap, an int or "unconstrained"')
+    return lex_penalties(meta.get("n"), meta.get("L"), None if gap == "unconstrained" else gap)
 
-    Raises InvalidInstanceError, a ValueError, unless n and L are positive
-    ints, the ladder has L entries, the edges are distinct int pairs u < v
-    of vertices 0..n-1, and a log_general model has int alpha and beta
-    entries, keyed "u-v", for every edge; log_mgc costs are alpha 1, beta 0.
+
+def log_layout(meta: Mapping[str, Any]) -> LogLayout:
+    """The layout a log model's metadata describes, with the ladder and
+    partition penalty of log_penalties(meta).
+
+    Raises a ValueError unless n and L are positive ints, the gap is valid,
+    the edges are distinct int pairs u < v of vertices 0..n-1, and a
+    log_general model has int alpha and beta entries, keyed "u-v", for
+    every edge; log_mgc costs are alpha 1, beta 0.
     """
     if meta.get("kind") not in LOG_KINDS:
         raise InvalidInstanceError(f"expected a logarithmic encoding, got kind {meta.get('kind')!r}")
-    n, l, edges = meta.get("n"), meta.get("L"), meta.get("edges")
-    if not (type(n) is int and type(l) is int and n >= 1 and l >= 1 and len(pen.p) == l):
-        raise InvalidInstanceError("n and L must be positive integers, with L ladder entries")
+    pen = log_penalties(meta)
+    n, edges = meta["n"], meta.get("edges")
     # The exact check's term-count floor relies on each edge being one pair u < v, listed once.
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int and 0 <= e[0] < e[1] < n
@@ -170,38 +182,10 @@ def checked_log_layout(prob: EncodedProblem) -> LogLayout:
     so it is bad input: InvalidInstanceError. The n * L bits must be the
     whole registry before the rebuild runs.
     """
-    layout = log_layout(prob.meta, prob.penalties)
+    layout = log_layout(prob.meta)
     if layout.n * len(layout.ladder) != prob.num_variables or not _rebuilds(layout, prob.polynomial):
         raise InvalidInstanceError("encoding metadata does not reproduce its polynomial")
     return layout
-
-
-def recover_log_layout(p: Polynomial, num_vars: int) -> LogLayout | None:
-    """The layout of a log HUBO read from its polynomial alone, over
-    num_vars = n * L variables with L = degree / 2; None unless the
-    layout rebuilds `p` exactly. num_vars must cover p's variable span.
-
-    Each weighted edge (u, v) is the one top-degree term over all bits of
-    u and v, with coefficient w * 2^L; every other monomial of its
-    agreement product has a lower degree. The XNOR expansion puts -w on
-    each bit of both endpoints and +w on the constant, so the ladder is
-    vertex 0's linear coefficients plus its incident weights, and the
-    constant is the constant term minus the sum of the weights.
-    """
-    degree = p.degree()
-    l = degree // 2
-    if degree % 2 or not l or num_vars % l:
-        return None
-    edges, weights = [], []
-    for key, coeff in p.items():
-        if len(key) == degree:
-            edges.append((key[0] // l, key[-1] // l))
-            weights.append(coeff >> l)
-    terms = dict(p.items())
-    incident = sum(w for e, w in zip(edges, weights) if e[0] == 0)
-    ladder = tuple(terms.get((bit_var(0, k, l),), 0) + incident for k in range(l))
-    layout = LogLayout(num_vars // l, ladder, terms.get((), 0) - sum(weights), edges, weights)
-    return layout if _rebuilds(layout, p) else None
 
 
 def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
@@ -216,23 +200,21 @@ def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
     return sum(1 for _ in p.items()) >= floor and p == Polynomial._from_canonical(log_hubo_terms(layout))
 
 
-def _encode_log(g: Graph, l: int, gap: int | None, /, **meta: Any) -> EncodedProblem:
-    """The log HUBO over n*L variables, degree 2L, with the ladder and partition
-    penalty of lex_penalties(n, L, gap), built from log_layout of its own
-    metadata; `meta` names the kind and any costs."""
-    pen = lex_penalties(g.n, l, gap)
+def _encode_log(g: Graph, l: int, /, **meta: Any) -> EncodedProblem:
+    """The log HUBO over n*L variables, degree 2L, built from log_layout of
+    its own metadata; `meta` names the kind and any costs and gap."""
     meta = instance_meta(g, L=l, **meta)
-    layout = log_layout(meta, pen)
+    layout = log_layout(meta)
     check_build_terms(g.n * l + 1 + sum(1 for w in layout.weights if w) * 4**l)
     poly = Polynomial._from_canonical(log_hubo_terms(layout))
     # Roles count bits from 1, as the model file format has them.
     registry = tuple(f"x[{v}][{k + 1}]" for v in range(g.n) for k in range(l))
-    return EncodedProblem(poly, registry, pen, meta)
+    return EncodedProblem(poly, registry, log_penalties(meta), meta)
 
 
 def encode_mgc_log(g: Graph, c: int) -> EncodedProblem:
     """Build the logarithmic minimum-coloring HUBO: the gap-1 case of encode_general."""
-    return _encode_log(g, bits_for_colors(c), 1, kind="log_mgc", c_num=c)
+    return _encode_log(g, bits_for_colors(c), kind="log_mgc", c_num=c)
 
 
 def encode_general(g: Graph, spec: PartitionSpec, l: int) -> EncodedProblem:
@@ -245,7 +227,7 @@ def encode_general(g: Graph, spec: PartitionSpec, l: int) -> EncodedProblem:
     alpha = {f"{u}-{v}": spec.alpha[(u, v)] for u, v in g.edges}
     beta = {f"{u}-{v}": spec.beta[(u, v)] for u, v in g.edges}
     gap = "unconstrained" if spec.gap is None else spec.gap
-    return _encode_log(g, l, spec.gap, kind="log_general", c_num=None, alpha=alpha, beta=beta, gap=gap)
+    return _encode_log(g, l, kind="log_general", c_num=None, alpha=alpha, beta=beta, gap=gap)
 
 
 LOG_KINDS = ("log_mgc", "log_general")

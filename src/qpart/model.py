@@ -85,9 +85,10 @@ def _term_json(key: tuple[int, ...], coeff: int) -> str:
 
 def from_model_json(text: str) -> EncodedProblem:
     """Parse model JSON; variable ids must be JSON integers, strictly
-    increasing within each term, and coefficients and penalty values JSON
-    integers (coefficients may also be ASCII decimal strings); booleans and
-    floats are rejected. Roles must be strings and metadata an object."""
+    increasing within each term, and coefficients JSON integers or ASCII
+    decimal strings; booleans and floats are rejected. Roles must be
+    strings and metadata an object. A known kind's penalty record must
+    equal, in every value and JSON type, the one its metadata derives."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -122,9 +123,14 @@ def from_model_json(text: str) -> EncodedProblem:
             raise ValueError("metadata must be a JSON object")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model JSON: {exc}") from exc
+    record = metadata.pop("penalties", None)
     try:
-        penalties = _penalties_from_meta(metadata, metadata.pop("penalties", None))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        penalties = _derived_penalties(metadata, len(text))
+        if penalties is None:
+            penalties = record
+        elif json.dumps(asdict(penalties), sort_keys=True) != json.dumps(record, sort_keys=True):
+            raise ValueError("its penalty record differs from the one its metadata derives")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"metadata does not fit kind {metadata.get('kind')!r}: {exc}") from exc
     registry = tuple(roles[i] for i in range(num_vars))
     return EncodedProblem(poly, registry, penalties, metadata)
@@ -141,29 +147,27 @@ def _json_int(value: Any) -> int:
     return value
 
 
-def _penalties_from_meta(metadata: dict, record: Any) -> Any:
-    """The penalty record of a model of this metadata's kind; a kind this
-    module does not know keeps the record as read."""
+def _derived_penalties(metadata: dict, size: int) -> Any:
+    """The penalty record the encoder of this metadata's kind derives from
+    it, checking it as the encoder does, for a model text of `size`
+    characters; None for a kind this module does not know."""
     # Late imports: the encoder modules depend on this one.
-    from .logenc import LOG_KINDS, LexPenalties, log_layout
+    from .logenc import LOG_KINDS, log_layout, log_penalties
+    from .onehot import onehot_penalties
+    from .quadratize import quadratization_penalties
 
-    kind = metadata.get("kind", "")
-    if kind in LOG_KINDS:
-        pen = LexPenalties(p=tuple(map(_json_int, record["p"])), a_adjacency=_json_int(record["a_adjacency"]))
-        log_layout(metadata, pen)
-        return pen
-    if record is None:
-        return None
+    kind = metadata.get("kind")
     if kind == "onehot_mgc":
-        from .onehot import OneHotPenalties
-
-        return OneHotPenalties(**_intify(record))
+        return onehot_penalties(metadata["n"], metadata["m"], metadata["c_num"])
+    if kind not in LOG_KINDS + ("quadratized_log",):
+        return None
+    # For each k < L the file writes a coefficient of at least the ladder's
+    # (n+1)^k in decimal, 3.3 bits a digit: refuse metadata whose ladder
+    # outgrows the file before building it.
+    n, l = metadata.get("n"), metadata.get("L")
+    if type(n) is type(l) is int and l * (l - 1) // 2 * ((n + 1).bit_length() - 1) > 4 * size:
+        raise ValueError(f"a ladder of n={n}, L={l} does not fit in the file")
     if kind == "quadratized_log":
-        from .quadratize import QuadratizationPenalties
-
-        return QuadratizationPenalties(**_intify(record))
-    return record
-
-
-def _intify(record: Mapping[str, Any]) -> dict[str, int]:
-    return {k: _json_int(v) for k, v in record.items()}
+        return quadratization_penalties(log_layout({**metadata, "kind": metadata.get("base_kind")}))
+    log_layout(metadata)
+    return log_penalties(metadata)

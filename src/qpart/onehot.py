@@ -26,9 +26,10 @@ class OneHotPenalties:
 
 
 def onehot_penalties(n: int, m: int, c: int) -> OneHotPenalties:
-    """The explicit sufficient choice: a_link=n+1, a_adj=(n+1)c+1, a_onehot=a_adj(m+1)+a_link*c."""
-    if n < 1 or c < 1 or m < 0:
-        raise ValueError(f"need n >= 1, c >= 1, m >= 0; got n={n}, m={m}, c={c}")
+    """The explicit sufficient choice: a_link=n+1, a_adj=(n+1)c+1, a_onehot=a_adj(m+1)+a_link*c.
+    The encoder and the model reader both derive the record here."""
+    if not (type(n) is type(m) is type(c) is int and n >= 1 and c >= 1 and m >= 0):
+        raise ValueError(f"need integers n >= 1, c >= 1, m >= 0; got n={n!r}, m={m!r}, c={c!r}")
     a_link = n + 1
     a_adjacency = a_link * c + 1
     a_onehot = a_adjacency * (m + 1) + a_link * c
@@ -73,8 +74,6 @@ def encode_mgc_onehot(g: Graph, c: int) -> EncodedProblem:
     fully expanded, every key written sorted: x[v][c] ids grow with (v, c),
     edges have u < v, and every y id follows every x id.
     """
-    if c < 1:
-        raise ValueError(f"color count must be >= 1, got {c}")
     n = g.n
     pen = onehot_penalties(n, g.m, c)
     # coloring terms: 1 + c + c(c-1)/2 per vertex and c per edge; then c usage and 2nc link terms

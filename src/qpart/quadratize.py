@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass, replace
 
 from .errors import InternalInvariantError
-from .logenc import bit_var, bits_for_colors, checked_log_layout, log_hubo_terms
+from .logenc import LogLayout, bit_var, bits_for_colors, checked_log_layout, log_hubo_terms
 from .model import EncodedProblem
 from .pbo import Polynomial, energy_vector
 
@@ -51,9 +51,10 @@ class QuadratizedProblem:
         return self.problem.num_variables - self.num_original_vars
 
 
-def quadratization_penalties(coeff_bound: int, n: int, lex_total: int) -> QuadratizationPenalties:
-    """Smallest integer tiers strictly dominating the rest of the Hamiltonian."""
-    m = coeff_bound + n * lex_total + 1
+def quadratization_penalties(layout: LogLayout) -> QuadratizationPenalties:
+    """Smallest integer tiers strictly dominating the rest of the Hamiltonian:
+    one above the largest |edge weight| plus n times the ladder's sum."""
+    m = max(map(abs, layout.weights), default=0) + layout.n * sum(layout.ladder) + 1
     return QuadratizationPenalties(m_product=3 * m, m_stage1=m, m_stage2=m)
 
 
@@ -76,7 +77,7 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     """
     layout = checked_log_layout(prob)
     n, l, edges, weights = layout.n, len(layout.ladder), layout.edges, layout.weights
-    penalties = quadratization_penalties(max(map(abs, weights), default=0), n, sum(layout.ladder))
+    penalties = quadratization_penalties(layout)
     meta = {**prob.meta, "kind": "quadratized_log", "base_kind": prob.kind}
     if l == 1:
         return QuadratizedProblem(EncodedProblem(prob.polynomial, prob.registry, penalties, meta))

@@ -11,11 +11,12 @@ once, in a fixed order. A flip of exact energy change delta is accepted
 when delta < max(-ln(u)/beta, 1); delta is an integer, so that is
 delta <= 0 or u < exp(-beta*delta), compared exactly.
 
-Two kernels apply the flips, both with exact integer deltas:
+Two kernels apply the flips, both with exact integer deltas, chosen by
+the type of the model `anneal` is given:
 
-- a log HUBO whose layout the polynomial proves anneals on per-vertex
-  label tables, run by run, visiting its bits in id order;
-- every other model anneals all runs at once on colour classes.
+- a LogLayout (logenc.checked_log_layout of a log model) anneals on
+  per-vertex label tables, run by run, visiting its bits in id order;
+- a Polynomial of any degree anneals all runs at once on colour classes.
   graphs.greedy_coloring of the interaction graph, with every term a
   clique, splits the variables into classes that share no term, so the
   flips of one class are independent given the rest and apply together.
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .graphs import Graph, greedy_coloring
-from .logenc import LogLayout, recover_log_layout, vertex_labels
+from .logenc import LogLayout, vertex_labels
 from .pbo import Bits, Polynomial
 
 
@@ -96,22 +97,25 @@ class SampleSet:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def anneal(p: Polynomial, params: AnnealParams, num_vars: int | None = None) -> SampleSet:
+def anneal(model: Polynomial | LogLayout, params: AnnealParams, num_vars: int | None = None) -> SampleSet:
     """One final-state sample per run under Metropolis single-bit-flip dynamics.
 
     An attempted flip compares the exact integer energy change with its
-    threshold. A polynomial of degree above 2 that logenc.recover_log_layout
-    reads as a log HUBO anneals on label tables; any other anneals on colour
-    classes.
+    threshold. A LogLayout anneals on label tables over its n * L bits,
+    which num_vars, if given, must equal; a Polynomial anneals on colour
+    classes over num_vars variables, by default its variable span.
     """
-    nv = p.num_variables() if num_vars is None else num_vars
-    if nv < p.num_variables():
+    if isinstance(model, LogLayout):
+        nv = model.n * len(model.ladder)
+        if num_vars not in (None, nv):
+            raise DimensionError(f"num_vars={num_vars} is not the layout's {nv} bits")
+        return _anneal_with(*_label_kernel(model), params, nv)
+    nv = model.num_variables() if num_vars is None else num_vars
+    if nv < model.num_variables():
         raise DimensionError(f"num_vars={nv} is smaller than the polynomial's variable span")
     if nv < 1:
         raise ValueError("annealing needs at least one variable")
-    layout = recover_log_layout(p, nv) if p.degree() > 2 else None
-    kernel, energies = _class_kernel(p, nv) if layout is None else _label_kernel(layout)
-    return _anneal_with(kernel, energies, params, nv)
+    return _anneal_with(*_class_kernel(model, nv), params, nv)
 
 
 # Most draws one block of thresholds holds over all runs; a block still
@@ -268,13 +272,13 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
 
 
 def _label_kernel(layout: LogLayout) -> tuple[_Kernel, _Energies]:
-    """Log HUBOs whose layout rebuilds the polynomial exactly. Each run keeps
-    every vertex's label and its table T_v[a] = ladder(a) + W_v[a], where
-    ladder(a) is the ladder energy of label a and W_v[a] the summed weight
-    of v's neighbours that carry label a. Moving v from label a to b
-    changes the energy by exactly T_v[b] - T_v[a], whatever L is; an
-    accepted move shifts entries a and b of each neighbour's table by its
-    edge weight. The energy function reads the same layout in O(nL + m)."""
+    """A log HUBO given by its layout. Each run keeps every vertex's label
+    and its table T_v[a] = ladder(a) + W_v[a], where ladder(a) is the
+    ladder energy of label a and W_v[a] the summed weight of v's
+    neighbours that carry label a. Moving v from label a to b changes the
+    energy by exactly T_v[b] - T_v[a], whatever L is; an accepted move
+    shifts entries a and b of each neighbour's table by its edge weight.
+    The energy function reads the same layout in O(nL + m)."""
     n, l = layout.n, len(layout.ladder)
     ladder = [sum(p for k, p in enumerate(layout.ladder) if a >> k & 1) for a in range(1 << l)]
     weighted = [(u, v, w) for (u, v), w in zip(layout.edges, layout.weights)]

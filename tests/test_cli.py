@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph
+from conftest import complete_graph, path_graph
 
 from qpart import gates, graphs, logenc, onehot
 from qpart.cli import build_parser, main
@@ -24,6 +25,7 @@ from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
 from qpart.model import from_model_json, to_model_json
 from qpart.onehot import encode_mgc_onehot
 from qpart.quadratize import QuadratizedProblem, quadratize, verify_quadratization
+from qpart.solve import AnnealParams, anneal
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,6 +124,17 @@ class TestEncodeSolvePipeline:
             outputs = [run([*command, "--in", str(path)], capsys) for path in (new, old)]
             assert outputs[0][0] == 0
             assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("colors", [2, 4, 8])
+    def test_solve_anneals_a_log_hubo_on_its_layout(self, colors, tmp_path, capsys):
+        # At L = 1 a log model is a QUBO, which anneals on colour classes.
+        prob = encode_mgc_log(K3, colors)
+        model = tmp_path / "model.json"
+        model.write_text(to_model_json(prob))
+        code, out, _ = run(["solve", "--in", str(model), "--runs", "4", "--sweeps", "10", "--seed", "5"], capsys)
+        annealed = logenc.checked_log_layout(prob) if colors > 2 else prob.polynomial
+        assert code == 0
+        assert out == anneal(annealed, AnnealParams(runs=4, sweeps=10, seed=5), prob.num_variables).to_json()
 
     def test_anneal_solve(self, k3_file, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -318,19 +331,37 @@ MODEL_DEFECTS = {
     "tier_removed": ("quadratized", lambda doc: doc["metadata"]["penalties"].pop("m_stage1")),
     "float_tier": ("quadratized", lambda doc: doc["metadata"]["penalties"].update(m_stage2=32.0)),
     "penalties_string": ("quadratized", lambda doc: doc["metadata"].update(penalties="m_product=96")),
+    # records that differ from the ones their metadata derives
+    "gap_changed": ("general", lambda doc: doc["metadata"].update(gap=7)),
+    "gap_float": ("general", lambda doc: doc["metadata"].update(gap=1.5)),
+    "onehot_tier_one": ("onehot", lambda doc: doc["metadata"]["penalties"].update(a_onehot=1)),
+    "c_num_bool": ("onehot", lambda doc: doc["metadata"].update(c_num=True)),
+    "stage1_tier_one": ("quadratized", lambda doc: doc["metadata"]["penalties"].update(m_stage1=1)),
 }
 
 K2 = complete_graph(2)
+HUGE_AGREEMENT = PartitionSpec(alpha={(0, 1): 2**1100, (1, 2): 2**1100}, beta={(0, 1): 0, (1, 2): 0}, gap=None)
 K2_UNWEIGHTED = PartitionSpec(alpha={(0, 1): 1}, beta={(0, 1): 1}, gap=None)
 
 
+def _rederive_record(doc):
+    """The penalty record the edited metadata derives, so the reader accepts it."""
+    doc["metadata"]["penalties"] = dataclasses.asdict(logenc.log_penalties(doc["metadata"]))
+
+
 def _raise_bit_count(doc):
-    """Metadata L of 40 with a matching ladder and a registry of n * L variables."""
+    """Metadata L of 40 with its record and a registry of n * L variables."""
     meta = doc["metadata"]
     meta["L"] = 40
-    meta["penalties"]["p"] = [(meta["n"] + 1) ** k for k in range(40)]
+    _rederive_record(doc)
     doc["num_vars"] = meta["n"] * 40
     doc["variables"] = [{"id": i, "role": f"x{i}"} for i in range(doc["num_vars"])]
+
+
+def _raise_vertex_count(doc):
+    """Metadata n of 10^9 with its record."""
+    doc["metadata"]["n"] = 10**9
+    _rederive_record(doc)
 
 
 # Metadata that asks the exact check in logenc for a runaway rebuild, each
@@ -341,7 +372,7 @@ def _raise_bit_count(doc):
 METADATA_TAMPERS = {
     "vertex_count": (
         lambda: encode_general(K2, K2_UNWEIGHTED, 2),
-        lambda doc: doc["metadata"].update(n=10**9),
+        _raise_vertex_count,
     ),
     "bit_count": (lambda: encode_mgc_log(K2, 4), _raise_bit_count),
     "zero_weight_edge": (lambda: encode_general(K2, K2_UNWEIGHTED, 2), _raise_bit_count),
@@ -407,10 +438,11 @@ class TestExitCodes:
         doc = json.loads(model.read_text())
         doc["terms"][0]["coeff"] = str(int(doc["terms"][0]["coeff"]) + 1)
         model.write_text(json.dumps(doc))
-        code, _, err = run(["quadratize", "--in", str(model)], capsys)
-        assert code == 2
-        assert "does not reproduce its polynomial" in err
-        assert "Traceback" not in err
+        for command in ("quadratize", "solve"):
+            code, _, err = run([command, "--in", str(model)], capsys)
+            assert code == 2, command
+            assert "does not reproduce its polynomial" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("tamper", sorted(METADATA_TAMPERS))
     def test_tampered_metadata_exits_2_before_expanding(self, tamper, tmp_path, capsys, monkeypatch):
@@ -477,17 +509,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("encoding", ["log", "onehot"])
     def test_anneal_with_coefficient_beyond_float_range(self, encoding, tmp_path, capsys):
-        # x0's linear coefficient becomes 2**1100: raising x0 is an uphill
-        # change no float can hold, which the annealer must reject
-        doc = json.loads(to_model_json(K3_MODELS[encoding]()))
-        (term,) = [t for t in doc["terms"] if t["vars"] == [0]]
-        term["coeff"] = str(2**1100)
+        # Uphill changes no float can hold, which the annealer must reject:
+        # agreeing labels on either edge of a log model cost 2**1100, and so
+        # does raising x0 of a one-hot model, whose coefficients the reader
+        # does not rebuild.
+        if encoding == "log":
+            text = to_model_json(encode_general(path_graph(3), HUGE_AGREEMENT, 2))
+        else:
+            doc = json.loads(to_model_json(K3_MODELS[encoding]()))
+            (term,) = [t for t in doc["terms"] if t["vars"] == [0]]
+            term["coeff"] = str(2**1100)
+            text = json.dumps(doc)
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
+        model.write_text(text)
         code, out, err = run(["solve", "--in", str(model), "--runs", "5", "--sweeps", "30"], capsys)
         assert code == 0
         assert "Traceback" not in err
-        assert all(s["bits"][0] == "0" for s in json.loads(out)["samples"])
+        samples = json.loads(out)["samples"]
+        if encoding == "log":
+            assert all(int(s["energy"]) < 2**1100 for s in samples)
+        else:
+            assert all(s["bits"][0] == "0" for s in samples)
 
     @pytest.mark.parametrize("command", ["solve", "quadratize", "gates"])
     @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))

@@ -22,7 +22,7 @@ from conftest import add_scaled, multiply, spin_terms
 from qpart import cli
 from qpart.gates import cnot_count_oracle
 from qpart.graphs import Graph, generate_random_connected
-from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
+from qpart.logenc import LOG_KINDS, PartitionSpec, checked_log_layout, encode_general, encode_mgc_log
 from qpart.model import to_model_json
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import Polynomial, energy_vector
@@ -144,13 +144,17 @@ ANNEAL_PARAMS = AnnealParams(runs=6, sweeps=40, seed=11)
 
 
 def golden_anneal_inputs():
-    """(polynomial, num_vars) of every pinned anneal."""
+    """(model, num_vars) of every pinned anneal: the layout of a log model,
+    the polynomial of any other."""
     models = {f"onehot_mgc_c{c}": encode_mgc_onehot(GRAPH, c) for c in (3, 4)}
     for l in (1, 2, 3):
         models[f"quadratized_log_mgc_L{l}"] = quadratize(encode_mgc_log(GRAPH, 1 << l)).problem
     for l in (2, 3, 4):
         models[f"log_mgc_L{l}_degree{2 * l}"] = encode_mgc_log(GRAPH, 1 << l)
-    inputs = {name: (prob.polynomial, prob.num_variables) for name, prob in models.items()}
+    inputs = {
+        name: (checked_log_layout(prob) if prob.kind in LOG_KINDS else prob.polynomial, prob.num_variables)
+        for name, prob in models.items()
+    }
     inputs["hand_qubo"] = (HAND_QUBO, 8)
     return inputs
 
@@ -181,8 +185,8 @@ def test_anneal_golden_names_cover_every_input(anneal_inputs):
 
 @pytest.mark.parametrize("name", sorted(ANNEAL_SHA256))
 def test_anneal_bytes_pinned(anneal_inputs, name):
-    poly, num_vars = anneal_inputs[name]
-    text = anneal(poly, ANNEAL_PARAMS, num_vars).to_json()
+    model, num_vars = anneal_inputs[name]
+    text = anneal(model, ANNEAL_PARAMS, num_vars).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == ANNEAL_SHA256[name]
 
 

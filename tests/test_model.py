@@ -7,6 +7,7 @@ from conftest import complete_graph, model_doc, path_graph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qpart import logenc
 from qpart.errors import ParseError
 from qpart.logenc import LexPenalties, PartitionSpec, encode_general, encode_mgc_log
 from qpart.model import EncodedProblem, from_model_json, to_model_json
@@ -122,6 +123,28 @@ class TestValidation:
     def test_missing_fields_rejected(self):
         with pytest.raises(ParseError):
             from_model_json('{"num_vars": 2}')
+
+    @pytest.mark.parametrize(
+        "build, meta",
+        [
+            (lambda: encode_mgc_log(path_graph(3), 4), {"L": 10**6}),
+            (lambda: encode_mgc_log(path_graph(3), 4), {"n": 10**4000, "L": 50}),
+            (lambda: quadratize(encode_mgc_log(path_graph(3), 4)).problem, {"L": 10**6}),
+        ],
+        ids=["log_bits", "log_vertices", "quadratized_bits"],
+    )
+    def test_ladder_longer_than_the_file_is_refused_unbuilt(self, build, meta, monkeypatch):
+        # The reader derives the ladder (n+1)^k, k < L, from metadata alone,
+        # so metadata asking for more digits than the file holds is refused
+        # before the ladder is built.
+        def refuse(*args):
+            raise AssertionError("the ladder was built")
+
+        doc = json.loads(to_model_json(build()))
+        doc["metadata"].update(meta)
+        monkeypatch.setattr(logenc, "lex_penalties", refuse)
+        with pytest.raises(ParseError, match="does not fit in the file"):
+            from_model_json(json.dumps(doc))
 
     def test_registry_must_cover_polynomial(self):
         from qpart.model import EncodedProblem

@@ -43,6 +43,17 @@ class TestPenalties:
         with pytest.raises(ValueError):
             onehot_penalties(0, 0, 1)
 
+    @pytest.mark.parametrize(
+        "n, m, c",
+        [(3, 3, 2.5), (3.0, 3, 2), (3, 3.0, 2), (3, 3, True), (True, 0, 1), (3, False, 2)],
+        ids=["c_float", "n_float", "m_float", "c_bool", "n_bool", "m_bool"],
+    )
+    def test_rejects_non_integers(self, n, m, c):
+        # the model reader passes c_num straight from a file; 2.5 would give
+        # a_adjacency 11.0, and True the record for c = 1
+        with pytest.raises(ValueError, match="need integers"):
+            onehot_penalties(n, m, c)
+
 
 class TestEncoding:
     def test_variable_count_and_degree(self):

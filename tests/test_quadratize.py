@@ -16,7 +16,7 @@ from conftest import (
 
 from qpart.errors import InvalidInstanceError, ResourceLimitError
 from qpart.graphs import Graph, generate_random_connected
-from qpart.logenc import PartitionSpec, bit_var, encode_general, encode_mgc_log, lex_penalties
+from qpart.logenc import PartitionSpec, bit_var, encode_general, encode_mgc_log, log_layout
 from qpart.model import EncodedProblem, from_model_json, to_model_json
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, ground_states
@@ -311,8 +311,7 @@ class TestPenaltyRecord:
     def test_matches_closed_form_for_default_ladder(self):
         # with the explicit ladder, the tier equals 2((n+1)^L - 1) + 2
         for n, l in ((2, 2), (3, 2), (4, 3)):
-            pen = lex_penalties(n, l)
-            tiers = quadratization_penalties(pen.a_adjacency, n, sum(pen.p))
+            tiers = quadratization_penalties(log_layout({"kind": "log_mgc", "n": n, "L": l, "edges": [[0, 1]]}))
             assert tiers.m_stage1 == 2 * ((n + 1) ** l - 1) + 2
             assert tiers.m_product == 3 * tiers.m_stage1
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qpart import solve
 from qpart.errors import DimensionError, ResourceLimitError
 from qpart.graphs import Graph
-from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log, recover_log_layout
+from qpart.logenc import PartitionSpec, checked_log_layout, encode_general, encode_mgc_log
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import Polynomial, ground_states
 from qpart.quadratize import quadratize
@@ -243,27 +243,32 @@ def log_models(draw):
 
 
 class TestLabelKernel:
-    """Log HUBOs anneal on label tables, sample for sample as full
-    re-evaluation in id order does; every other model anneals on colour
-    classes."""
+    """Log layouts anneal on label tables, sample for sample as full
+    re-evaluation of their polynomial in id order does; every polynomial
+    anneals on colour classes."""
 
     @given(log_models(), st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_reevaluation(self, prob, runs, sweeps, seed):
         p, nv = prob.polynomial, prob.num_variables
         params = AnnealParams(runs, sweeps, seed=seed)
-        ss = anneal(p, params, nv)
+        ss = anneal(checked_log_layout(prob), params)
         assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), evaluate_runs(p), params, nv)
         assert all(s.energy == p.evaluate(s.bits) for s in ss.samples)
 
     def test_chosen_for_log_models(self, monkeypatch):
         def refuse(p, nv):
-            raise AssertionError("class kernel called for a log model")
+            raise AssertionError("class kernel called for a log layout")
 
         monkeypatch.setattr(solve, "_class_kernel", refuse)
         for c in (4, 8, 16):
             prob = encode_mgc_log(cycle_graph(5), c)
-            anneal(prob.polynomial, AnnealParams(runs=2, sweeps=5), prob.num_variables)
+            anneal(checked_log_layout(prob), AnnealParams(runs=2, sweeps=5), prob.num_variables)
+
+    def test_num_vars_must_be_the_layouts_bits(self):
+        layout = checked_log_layout(LOG_CYCLE)
+        with pytest.raises(DimensionError, match="not the layout's 8 bits"):
+            anneal(layout, AnnealParams(runs=1, sweeps=1), LOG_CYCLE.num_variables + 2)
 
 
 def off_by_one(p):
@@ -281,6 +286,7 @@ def model(prob):
 
 LOG_CYCLE = encode_mgc_log(cycle_graph(4), 4)  # L = 2
 FALLBACKS = {
+    "log_polynomial": model(LOG_CYCLE),
     "log_coefficient_off_by_one": (off_by_one(LOG_CYCLE.polynomial), LOG_CYCLE.num_variables),
     "log_padding_variables": (LOG_CYCLE.polynomial, LOG_CYCLE.num_variables + 2),
     "degree_3_hubo": (Polynomial({(0,): 3, (1, 2): -2, (0, 1, 2): -5, (2, 3, 4): 4, (1, 4): 1}), 5),
@@ -300,17 +306,15 @@ def test_other_models_keep_the_class_kernel(name, monkeypatch):
         raise AssertionError("label kernel called for a model it does not describe")
 
     monkeypatch.setattr(solve, "_label_kernel", refuse)
-    if p.degree() <= 2:
-        monkeypatch.setattr(solve, "recover_log_layout", refuse)
     params = AnnealParams(runs=3, sweeps=10, seed=2)
     assert anneal(p, params, nv) == solve._anneal_with(naive_kernel(p, nv), evaluate_runs(p), params, nv)
 
 
-# Every kernel and field dtype: the models above, a log HUBO on label tables
-# and Python-int fields.
+# Every kernel and field dtype: the models above, a log layout on label
+# tables and Python-int fields.
 STREAM_MODELS = {
     **FALLBACKS,
-    "log_hubo": model(LOG_CYCLE),
+    "log_hubo": (checked_log_layout(LOG_CYCLE), LOG_CYCLE.num_variables),
     "object_fields": (Polynomial({(0,): 2**53 + 1, (0, 1): -(2**53), (1, 2): 3}), 3),
 }
 
@@ -464,8 +468,7 @@ class TestHugeEnergyChanges:
         spec = PartitionSpec(alpha={(0, 1): 2**1100, (1, 2): 2**1100}, beta={(0, 1): 0, (1, 2): 0}, gap=None)
         prob = encode_general(P3, spec, 2)
         p, nv = prob.polynomial, prob.num_variables
-        assert recover_log_layout(p, nv) is not None
-        ss = anneal(p, self.PARAMS, nv)
+        ss = anneal(checked_log_layout(prob), self.PARAMS, nv)
         assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), evaluate_runs(p), self.PARAMS, nv)
         assert max(energies(ss)) < 2**1100
 
