@@ -6,10 +6,9 @@ ladder of per-bit penalties makes the total energy order assignments
 lexicographically by their index populations, so the ground state favors
 small labels without any dedicated counting register.
 
-A LogLayout is the one description of a log model. log_layout is the one
-way to build it from a model's metadata, and log_penalties the one rule
-for its penalty record, for the encoder and the model reader alike, so the
-encoder refuses any model the reader would refuse.
+A LogLayout is the one description of a log model, and log_layout the one
+way to build it from a model's metadata, weighted by log_penalties, the
+rule model JSON also writes and checks the penalty record by.
 """
 
 from __future__ import annotations
@@ -132,8 +131,8 @@ def log_hubo_terms(layout: LogLayout) -> Iterator[tuple[Term, int]]:
 def log_penalties(meta: Mapping[str, Any]) -> LexPenalties:
     """The penalty record of a log model's metadata: lex_penalties of its n
     and L, at gap 1 for log_mgc and at a log_general model's recorded gap,
-    "unconstrained" read as None. The encoders and the model reader both
-    derive the record here."""
+    "unconstrained" read as None. log_layout weights the terms by it, and
+    model JSON writes and checks the record by it."""
     gap = meta.get("gap") if meta["kind"] == "log_general" else 1
     if gap is None:
         raise InvalidInstanceError('a log_general model records its gap, an int or "unconstrained"')
@@ -209,7 +208,7 @@ def _encode_log(g: Graph, l: int, /, **meta: Any) -> EncodedProblem:
     poly = Polynomial._from_canonical(log_hubo_terms(layout))
     # Roles count bits from 1, as the model file format has them.
     registry = tuple(f"x[{v}][{k + 1}]" for v in range(g.n) for k in range(l))
-    return EncodedProblem(poly, registry, log_penalties(meta), meta)
+    return EncodedProblem(poly, registry, meta)
 
 
 def encode_mgc_log(g: Graph, c: int) -> EncodedProblem:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 from .errors import ParseError
@@ -24,21 +24,17 @@ class EncodedProblem:
     registry[i] names variable i ("x[v][c]", "y[c]", "x[v][k]", "w[e][k]",
     ...); meta records the encoding kind and enough of the source instance
     (n, edges, color bound, bit count) to decode and re-derive structure.
-    penalties is the encoding's penalty record, kept out of meta: model JSON
-    writes it as metadata["penalties"], and the reader moves it back here.
+    No penalty record is stored: model JSON writes, and checks, the one meta derives.
     """
 
     polynomial: Polynomial
     registry: tuple[str, ...]
-    penalties: Any
     meta: Mapping[str, Any]
 
     def __post_init__(self):
         span = self.polynomial.num_variables()
         if span > len(self.registry):
-            raise ValueError(
-                f"polynomial uses {span} variables but registry has {len(self.registry)}"
-            )
+            raise ValueError(f"polynomial uses {span} variables but registry has {len(self.registry)}")
 
     @property
     def num_variables(self) -> int:
@@ -60,11 +56,11 @@ def to_model_json(prob: EncodedProblem) -> str:
     The terms are written one format string each; the rest of the document
     goes through `json.dumps`. Sorted keys put "terms" between "num_vars"
     and "variables", so the terms are spliced in between those two parts.
+    A known kind's metadata gets the record it derives; ValueError if the reader would refuse it.
     """
     terms = sorted(prob.polynomial.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    metadata = dict(prob.meta)
-    if prob.penalties is not None:
-        metadata["penalties"] = asdict(prob.penalties) if is_dataclass(prob.penalties) else prob.penalties
+    record = _penalty_record(prob.meta)
+    metadata = dict(prob.meta) if record is None else {**prob.meta, "penalties": record}
     head = json.dumps({"metadata": metadata, "num_vars": prob.num_variables}, indent=2, sort_keys=True)
     tail = json.dumps(
         {"variables": [{"id": i, "role": r} for i, r in enumerate(prob.registry)]}, indent=2, sort_keys=True
@@ -84,11 +80,13 @@ def _term_json(key: tuple[int, ...], coeff: int) -> str:
 
 
 def from_model_json(text: str) -> EncodedProblem:
-    """Parse model JSON; variable ids must be JSON integers, strictly
-    increasing within each term, and coefficients JSON integers or ASCII
-    decimal strings; booleans and floats are rejected. Roles must be
-    strings and metadata an object. A known kind's penalty record must
-    equal, in every value and JSON type, the one its metadata derives."""
+    """Parse model JSON; variable ids must be JSON integers, strictly increasing within each
+    term, and coefficients JSON integers or ASCII decimal strings; booleans and floats are
+    rejected. Roles must be strings and metadata an object. A known kind's penalty record must
+    equal, in every value and JSON type, the one its metadata derives; any other kind's stays
+    in its metadata."""
+    from .logenc import LOG_KINDS  # late: the encoder modules depend on this one
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -123,17 +121,23 @@ def from_model_json(text: str) -> EncodedProblem:
             raise ValueError("metadata must be a JSON object")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model JSON: {exc}") from exc
-    record = metadata.pop("penalties", None)
     try:
-        penalties = _derived_penalties(metadata, len(text))
-        if penalties is None:
-            penalties = record
-        elif json.dumps(asdict(penalties), sort_keys=True) != json.dumps(record, sort_keys=True):
-            raise ValueError("its penalty record differs from the one its metadata derives")
+        # For each k < L the file writes a coefficient of at least the ladder's
+        # (n+1)^k in decimal, 3.3 bits a digit: refuse metadata whose ladder
+        # outgrows the file before building it.
+        n, l = metadata.get("n"), metadata.get("L")
+        if metadata.get("kind") in LOG_KINDS + ("quadratized_log",) and type(n) is type(l) is int:
+            if l * (l - 1) // 2 * ((n + 1).bit_length() - 1) > 4 * len(text):
+                raise ValueError(f"a ladder of n={n}, L={l} does not fit in the file")
+        record = _penalty_record(metadata)
+        if record is not None:
+            stored = metadata.pop("penalties", None)
+            if json.dumps(record, sort_keys=True) != json.dumps(stored, sort_keys=True):
+                raise ValueError("its penalty record differs from the one its metadata derives")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"metadata does not fit kind {metadata.get('kind')!r}: {exc}") from exc
     registry = tuple(roles[i] for i in range(num_vars))
-    return EncodedProblem(poly, registry, penalties, metadata)
+    return EncodedProblem(poly, registry, metadata)
 
 
 def _canonical(key: tuple[int, ...]) -> bool:
@@ -147,27 +151,23 @@ def _json_int(value: Any) -> int:
     return value
 
 
-def _derived_penalties(metadata: dict, size: int) -> Any:
-    """The penalty record the encoder of this metadata's kind derives from
-    it, checking it as the encoder does, for a model text of `size`
-    characters; None for a kind this module does not know."""
+def _penalty_record(meta: Mapping[str, Any]) -> dict | None:
+    """The penalty record a known kind's metadata derives by its encoder's rule, as a dict, checking the
+    metadata as the encoder does and that m is a JSON int equal to the length of its edge list; None for
+    a kind this module does not know."""
     # Late imports: the encoder modules depend on this one.
     from .logenc import LOG_KINDS, log_layout, log_penalties
     from .onehot import onehot_penalties
     from .quadratize import quadratization_penalties
 
-    kind = metadata.get("kind")
-    if kind == "onehot_mgc":
-        return onehot_penalties(metadata["n"], metadata["m"], metadata["c_num"])
-    if kind not in LOG_KINDS + ("quadratized_log",):
+    kind = meta.get("kind")
+    if kind not in LOG_KINDS + ("quadratized_log", "onehot_mgc"):
         return None
-    # For each k < L the file writes a coefficient of at least the ladder's
-    # (n+1)^k in decimal, 3.3 bits a digit: refuse metadata whose ladder
-    # outgrows the file before building it.
-    n, l = metadata.get("n"), metadata.get("L")
-    if type(n) is type(l) is int and l * (l - 1) // 2 * ((n + 1).bit_length() - 1) > 4 * size:
-        raise ValueError(f"a ladder of n={n}, L={l} does not fit in the file")
+    if not (type(meta.get("m")) is int and type(meta.get("edges")) is list and meta["m"] == len(meta["edges"])):
+        raise ValueError(f"m={meta.get('m')!r} is not the length of its edge list")
+    if kind == "onehot_mgc":
+        return asdict(onehot_penalties(meta["n"], meta["m"], meta["c_num"]))
     if kind == "quadratized_log":
-        return quadratization_penalties(log_layout({**metadata, "kind": metadata.get("base_kind")}))
-    log_layout(metadata)
-    return log_penalties(metadata)
+        return asdict(quadratization_penalties(log_layout({**meta, "kind": meta.get("base_kind")})))
+    log_layout(meta)
+    return asdict(log_penalties(meta))

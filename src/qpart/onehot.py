@@ -27,7 +27,7 @@ class OneHotPenalties:
 
 def onehot_penalties(n: int, m: int, c: int) -> OneHotPenalties:
     """The explicit sufficient choice: a_link=n+1, a_adj=(n+1)c+1, a_onehot=a_adj(m+1)+a_link*c.
-    The encoder and the model reader both derive the record here."""
+    The encoder weights its terms by it; model JSON writes and checks the record by it."""
     if not (type(n) is type(m) is type(c) is int and n >= 1 and c >= 1 and m >= 0):
         raise ValueError(f"need integers n >= 1, c >= 1, m >= 0; got n={n!r}, m={m!r}, c={c!r}")
     a_link = n + 1
@@ -91,7 +91,7 @@ def encode_mgc_onehot(g: Graph, c: int) -> EncodedProblem:
     registry = [f"x[{v}][{col}]" for v in range(n) for col in range(c)]
     registry += [f"y[{col}]" for col in range(c)]
     meta = instance_meta(g, kind="onehot_mgc", c_num=c, L=None)
-    return EncodedProblem(Polynomial._from_canonical(terms), tuple(registry), pen, meta)
+    return EncodedProblem(Polynomial._from_canonical(terms), tuple(registry), meta)
 
 
 def decode_onehot(prob: EncodedProblem, assignment: Bits) -> Coloring | list[int]:

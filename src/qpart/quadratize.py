@@ -80,7 +80,7 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     penalties = quadratization_penalties(layout)
     meta = {**prob.meta, "kind": "quadratized_log", "base_kind": prob.kind}
     if l == 1:
-        return QuadratizedProblem(EncodedProblem(prob.polynomial, prob.registry, penalties, meta))
+        return QuadratizedProblem(EncodedProblem(prob.polynomial, prob.registry, meta))
 
     terms = list(log_hubo_terms(replace(layout, edges=[], weights=[])))
     registry = list(prob.registry)
@@ -117,7 +117,7 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     poly = Polynomial._from_canonical(terms)
     if poly.degree() > 2:
         raise InternalInvariantError("quadratization produced a term of degree > 2")
-    return QuadratizedProblem(EncodedProblem(poly, tuple(registry), penalties, meta))
+    return QuadratizedProblem(EncodedProblem(poly, tuple(registry), meta))
 
 
 def _product_gadget(z: int, a: int, b: int, m: int) -> list[tuple[tuple[int, ...], int]]:

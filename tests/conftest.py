@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +11,10 @@ import numpy as np
 from qpart.errors import InvalidInstanceError
 from qpart.gates import ising_expand
 from qpart.graphs import Graph
-from qpart.logenc import LogLayout, PartitionSpec, log_hubo_terms
-from qpart.onehot import x_var, y_var
+from qpart.logenc import LOG_KINDS, LogLayout, PartitionSpec, log_hubo_terms, log_layout, log_penalties
+from qpart.onehot import onehot_penalties, x_var, y_var
 from qpart.pbo import Polynomial, energy_vector, index_to_bits
+from qpart.quadratize import quadratization_penalties
 
 
 def complete_graph(n: int) -> Graph:
@@ -269,10 +270,17 @@ def evaluate_spin(p, bits):
 def model_doc(prob):
     """The document whose `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` is
     `to_model_json(prob)`: terms ordered by degree, then by key; coefficients
-    as decimal strings; the penalty record inside the metadata."""
+    as decimal strings; a known kind's metadata with the penalty record its
+    kind's rule derives."""
     metadata = dict(prob.meta)
-    if prob.penalties is not None:
-        metadata["penalties"] = asdict(prob.penalties) if is_dataclass(prob.penalties) else prob.penalties
+    kind = metadata.get("kind")
+    if kind == "onehot_mgc":
+        metadata["penalties"] = asdict(onehot_penalties(metadata["n"], metadata["m"], metadata["c_num"]))
+    elif kind in LOG_KINDS:
+        metadata["penalties"] = asdict(log_penalties(metadata))
+    elif kind == "quadratized_log":
+        base = log_layout({**metadata, "kind": metadata["base_kind"]})
+        metadata["penalties"] = asdict(quadratization_penalties(base))
     return {
         "num_vars": prob.num_variables,
         "variables": [{"id": i, "role": r} for i, r in enumerate(prob.registry)],

@@ -109,12 +109,13 @@ class TestEncodeSolvePipeline:
         doc = json.loads(text)
         meta = doc["metadata"]
         n_l, l = meta["n"] * meta["L"], meta["L"]
+        pen = logenc.log_penalties(hubo.meta)
         gadget_edges = meta["m"] if l > 1 else 0
         meta.update(
             num_original=n_l,
             backmap=list(range(n_l)),
             aux_counts={"w": gadget_edges * l, "y": gadget_edges * l, "b": gadget_edges * (l - 2)},
-            base_penalties={"p": list(hubo.penalties.p), "a_adjacency": hubo.penalties.a_adjacency},
+            base_penalties={"p": list(pen.p), "a_adjacency": pen.a_adjacency},
         )
         new, old = tmp_path / "new.json", tmp_path / "old.json"
         new.write_text(text)
@@ -337,6 +338,13 @@ MODEL_DEFECTS = {
     "onehot_tier_one": ("onehot", lambda doc: doc["metadata"]["penalties"].update(a_onehot=1)),
     "c_num_bool": ("onehot", lambda doc: doc["metadata"].update(c_num=True)),
     "stage1_tier_one": ("quadratized", lambda doc: doc["metadata"]["penalties"].update(m_stage1=1)),
+    # an edge count that is not the length of the edge list, with the record it derives
+    "m_changed_onehot": (
+        "onehot",
+        lambda doc: doc["metadata"].update(m=40, penalties=dataclasses.asdict(onehot.onehot_penalties(3, 40, 3))),
+    ),
+    "m_changed_log": ("log", lambda doc: doc["metadata"].update(m=40)),
+    "m_changed_quadratized": ("quadratized", lambda doc: doc["metadata"].update(m=40)),
 }
 
 K2 = complete_graph(2)

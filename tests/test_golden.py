@@ -22,7 +22,7 @@ from conftest import add_scaled, multiply, spin_terms
 from qpart import cli
 from qpart.gates import cnot_count_oracle
 from qpart.graphs import Graph, generate_random_connected
-from qpart.logenc import LOG_KINDS, PartitionSpec, checked_log_layout, encode_general, encode_mgc_log
+from qpart.logenc import LOG_KINDS, PartitionSpec, checked_log_layout, encode_general, encode_mgc_log, log_penalties
 from qpart.model import to_model_json
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import Polynomial, energy_vector
@@ -117,7 +117,7 @@ def test_encode_general_matches_polynomial_algebra(l, gap):
     spec = mixed_spec(g, gap, offset=l)
     a = 1 if gap is None else g.n * sum((g.n + 1) ** k for k in range(l)) // gap + 1
     prob = encode_general(g, spec, l)
-    assert prob.penalties.a_adjacency == a
+    assert log_penalties(prob.meta).a_adjacency == a
     assert prob.polynomial == reference_general(g, spec, l, a)
 
 

@@ -1,6 +1,7 @@
 """Logarithmic HUBO encodings: lexicographic penalties, decoding, general partitioning."""
 
 import itertools
+import json
 
 import pytest
 from conftest import (
@@ -27,6 +28,7 @@ from qpart.logenc import (
     encode_mgc_log,
     lex_penalties,
     log_hubo_terms,
+    log_penalties,
 )
 from qpart.model import from_model_json, to_model_json
 from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, ground_states
@@ -240,7 +242,7 @@ class TestGeneralPartition:
 
     def test_k2_single_bit(self):
         prob = encode_general(K2, mgc_spec(K2), 1)
-        assert prob.penalties.a_adjacency == 3
+        assert log_penalties(prob.meta).a_adjacency == 3
         energy, states = ground_states(prob.polynomial, prob.num_variables)
         assert energy == 1
         assert set(states) == {(1, 0), (0, 1)}
@@ -274,10 +276,12 @@ class TestGeneralPartition:
     def test_reader_reads_every_encoded_model(self, args):
         g, spec, l = args
         prob = encode_general(g, spec, l)
-        back = from_model_json(to_model_json(prob))
+        text = to_model_json(prob)
+        back = from_model_json(text)
         assert back.polynomial == prob.polynomial
         assert back.registry == prob.registry
-        assert back.penalties == prob.penalties
+        pen = log_penalties(prob.meta)
+        assert json.loads(text)["metadata"]["penalties"] == {"p": list(pen.p), "a_adjacency": pen.a_adjacency}
         assert back.meta == prob.meta
 
 

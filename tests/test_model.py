@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 
 from qpart import logenc
 from qpart.errors import ParseError
-from qpart.logenc import LexPenalties, PartitionSpec, encode_general, encode_mgc_log
+from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log, log_layout, log_penalties
 from qpart.model import EncodedProblem, from_model_json, to_model_json
-from qpart.onehot import OneHotPenalties, encode_mgc_onehot
+from qpart.onehot import OneHotPenalties, encode_mgc_onehot, onehot_penalties
 from qpart.pbo import Polynomial
-from qpart.quadratize import QuadratizationPenalties, quadratize
+from qpart.quadratize import QuadratizationPenalties, quadratization_penalties, quadratize
+
+
+def written_record(prob):
+    """The penalty record `to_model_json(prob)` writes into the metadata."""
+    return json.loads(to_model_json(prob))["metadata"]["penalties"]
 
 
 class TestRoundTrip:
@@ -22,23 +27,26 @@ class TestRoundTrip:
         parsed = from_model_json(to_model_json(prob))
         assert parsed.polynomial == prob.polynomial
         assert parsed.registry == prob.registry
-        assert isinstance(parsed.penalties, OneHotPenalties)
-        assert parsed.penalties == prob.penalties
+        assert "penalties" not in parsed.meta
+        assert OneHotPenalties(**written_record(parsed)) == onehot_penalties(3, 3, 3)
         assert parsed.meta["kind"] == "onehot_mgc"
 
     def test_log(self):
         prob = encode_mgc_log(path_graph(3), 4)
         parsed = from_model_json(to_model_json(prob))
         assert parsed.polynomial == prob.polynomial
-        assert isinstance(parsed.penalties, LexPenalties)
-        assert parsed.penalties == prob.penalties
+        assert "penalties" not in parsed.meta
+        pen = log_penalties(prob.meta)
+        assert written_record(parsed) == {"p": list(pen.p), "a_adjacency": pen.a_adjacency}
 
     def test_quadratized(self):
         quad = quadratize(encode_mgc_log(path_graph(3), 4))
         parsed = from_model_json(to_model_json(quad.problem))
         assert parsed.polynomial == quad.problem.polynomial
         assert parsed.registry == quad.problem.registry
-        assert isinstance(parsed.penalties, QuadratizationPenalties)
+        assert "penalties" not in parsed.meta
+        base = {**parsed.meta, "kind": "log_mgc"}
+        assert QuadratizationPenalties(**written_record(parsed)) == quadratization_penalties(log_layout(base))
 
     def test_huge_coefficients_survive_as_strings(self):
         prob = encode_mgc_log(path_graph(10), 100)  # P_7 = 11^6
@@ -59,13 +67,15 @@ MODELS = {
     "log_mgc": lambda: encode_mgc_log(path_graph(3), 4),
     "log_general": lambda: encode_general(path_graph(3), P3_SPEC, 2),
     "quadratized": lambda: quadratize(encode_mgc_log(path_graph(3), 4)).problem,
-    "unknown_kind": lambda: EncodedProblem(Polynomial({(0,): 1}), ("a",), {"tier": [1, "2"]}, {"kind": "other"}),
+    "unknown_kind": lambda: EncodedProblem(
+        Polynomial({(0,): 1}), ("a",), {"kind": "other", "penalties": {"tier": [1, "2"]}}
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(MODELS))
 def test_read_model_equals_written_model(name):
-    """The penalty record lives in `penalties` alone, whether built or read."""
+    """A known kind's penalty record is derived, never held; any other kind's stays in its metadata."""
     prob = MODELS[name]()
     text = to_model_json(prob)
     parsed = from_model_json(text)
@@ -83,15 +93,12 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=8,
 )
-# "terms" and "variables" inside the metadata must not disturb the top level
+# "terms" and "variables" inside the metadata must not disturb the top level;
+# "penalties" is the record of a kind qpart does not know, written as it is
 METADATA = st.dictionaries(
-    st.sampled_from(["terms", "variables", "num_vars", "kind"]) | TEXT, JSON_VALUES, max_size=4
-)
-PENALTIES = (
-    st.none()
-    | st.builds(OneHotPenalties, COEFFS, COEFFS, COEFFS)
-    | st.builds(LexPenalties, st.lists(COEFFS, max_size=3).map(tuple), COEFFS)
-    | st.dictionaries(TEXT, JSON_VALUES, max_size=3)  # the record of a kind qpart does not know
+    st.sampled_from(["terms", "variables", "num_vars", "kind", "penalties"]) | TEXT,
+    JSON_VALUES | COEFFS,
+    max_size=4,
 )
 
 
@@ -103,16 +110,28 @@ def problems(draw):
     )
     terms = draw(st.dictionaries(keys, COEFFS.filter(bool), max_size=8))
     registry = tuple(draw(st.lists(TEXT, min_size=num_vars, max_size=num_vars)))
-    return EncodedProblem(Polynomial(terms), registry, draw(PENALTIES), draw(METADATA))
+    return EncodedProblem(Polynomial(terms), registry, draw(METADATA))
 
 
 class TestWriter:
     @given(problems())
-    @example(EncodedProblem(Polynomial(), (), None, {}))
-    @example(EncodedProblem(Polynomial({(): -(2**100)}), ("a",), None, {"terms": [], "x": [[1, [2]], {}]}))
+    @example(EncodedProblem(Polynomial(), (), {}))
+    @example(EncodedProblem(Polynomial({(): -(2**100)}), ("a",), {"terms": [], "x": [[1, [2]], {}]}))
     @settings(max_examples=100, deadline=None)
     def test_layout_is_json_dumps(self, prob):
         assert to_model_json(prob) == json.dumps(model_doc(prob), indent=2, sort_keys=True) + "\n"
+
+    def test_stale_record_is_replaced_by_the_derived_one(self):
+        prob = encode_mgc_log(path_graph(3), 4)
+        stale_meta = {**prob.meta, "penalties": {"p": [7], "a_adjacency": 1}}
+        stale = EncodedProblem(prob.polynomial, prob.registry, stale_meta)
+        assert to_model_json(stale) == to_model_json(prob)
+
+    def test_metadata_the_reader_refuses_is_not_written(self):
+        prob = encode_mgc_log(path_graph(3), 4)
+        edges = [list(reversed(prob.meta["edges"][0])), *prob.meta["edges"][1:]]
+        with pytest.raises(ValueError, match="edges must be integer pairs u < v"):
+            to_model_json(EncodedProblem(prob.polynomial, prob.registry, {**prob.meta, "edges": edges}))
 
 
 class TestValidation:
@@ -150,4 +169,4 @@ class TestValidation:
         from qpart.model import EncodedProblem
 
         with pytest.raises(ValueError):
-            EncodedProblem(Polynomial({(5,): 1}), ("x",), None, {"kind": "test"})
+            EncodedProblem(Polynomial({(5,): 1}), ("x",), {"kind": "test"})

@@ -16,7 +16,7 @@ from conftest import (
 
 from qpart.errors import InvalidInstanceError, ResourceLimitError
 from qpart.graphs import Graph, generate_random_connected
-from qpart.logenc import PartitionSpec, bit_var, encode_general, encode_mgc_log, log_layout
+from qpart.logenc import PartitionSpec, bit_var, encode_general, encode_mgc_log, log_layout, log_penalties
 from qpart.model import EncodedProblem, from_model_json, to_model_json
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, ground_states
@@ -120,7 +120,7 @@ class TestQuadratize:
 
     def test_rejects_metadata_bit_count_disagreeing_with_ladder(self):
         hubo = encode_mgc_log(P3, 4)
-        tampered = EncodedProblem(hubo.polynomial, hubo.registry, hubo.penalties, {**hubo.meta, "L": 3})
+        tampered = EncodedProblem(hubo.polynomial, hubo.registry, {**hubo.meta, "L": 3})
         with pytest.raises(InvalidInstanceError):
             quadratize(tampered)
 
@@ -135,7 +135,7 @@ class TestQuadratize:
             terms[(0, 4)] = 1  # bits of vertices 0 and 2, which share no edge
         else:
             del terms[(1, 2)]
-        tampered = EncodedProblem(Polynomial(terms), hubo.registry, hubo.penalties, hubo.meta)
+        tampered = EncodedProblem(Polynomial(terms), hubo.registry, hubo.meta)
         with pytest.raises(InvalidInstanceError):
             quadratize(tampered)
 
@@ -154,13 +154,13 @@ class TestQuadratize:
         meta = copy.deepcopy(dict(hubo.meta))
         edit(meta)
         with pytest.raises(InvalidInstanceError):
-            quadratize(EncodedProblem(hubo.polynomial, hubo.registry, hubo.penalties, meta))
+            quadratize(EncodedProblem(hubo.polynomial, hubo.registry, meta))
 
     def test_rejects_registry_longer_than_bits(self):
         # auxiliary ids start right after the n*L originals, so an extra
         # variable would shift every auxiliary role by one
         hubo = encode_mgc_log(K2, 4)
-        padded = EncodedProblem(hubo.polynomial, hubo.registry + ("extra",), hubo.penalties, hubo.meta)
+        padded = EncodedProblem(hubo.polynomial, hubo.registry + ("extra",), hubo.meta)
         with pytest.raises(InvalidInstanceError):
             quadratize(padded)
 
@@ -176,7 +176,7 @@ class TestVerification:
 
     def test_sabotaged_stage1_penalty_detected(self, monkeypatch):
         hubo = encode_mgc_log(K2, 4)
-        good = quadratize(hubo).problem.penalties
+        good = quadratization_penalties(log_layout(hubo.meta))
         bad = QuadratizationPenalties(
             m_product=good.m_product, m_stage1=1, m_stage2=good.m_stage2
         )
@@ -212,7 +212,7 @@ def with_terms(quad, added, new_aux=0):
     for key, coeff in added.items():
         terms[key] = terms.get(key, 0) + coeff
     registry = prob.registry + tuple(f"z[{i}]" for i in range(new_aux))
-    return QuadratizedProblem(EncodedProblem(Polynomial(terms), registry, prob.penalties, prob.meta))
+    return QuadratizedProblem(EncodedProblem(Polynomial(terms), registry, prob.meta))
 
 
 # On P3 at c = 4 the originals are 0..5 and w[0][1], w[1][1] are 6 and 10.
@@ -302,10 +302,9 @@ class TestPenaltyRecord:
     def test_bounds_hold_by_construction(self):
         for g, c in ((K2, 4), (P3, 4), (complete_graph(3), 8)):
             hubo = encode_mgc_log(g, c)
-            quad = quadratize(hubo)
-            pen = hubo.penalties
+            pen = log_penalties(hubo.meta)
             assert quadratization_bounds_hold(
-                quad.problem.penalties, pen.a_adjacency, g.n, sum(pen.p)
+                quadratization_penalties(log_layout(hubo.meta)), pen.a_adjacency, g.n, sum(pen.p)
             )
 
     def test_matches_closed_form_for_default_ladder(self):
