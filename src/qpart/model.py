@@ -51,40 +51,47 @@ def instance_meta(g: Graph, **fields: Any) -> dict[str, Any]:
 
 
 def to_model_json(prob: EncodedProblem) -> str:
-    """The model as `json.dumps(doc, indent=2, sort_keys=True)` writes it, plus a newline.
+    """The model as `json.dumps(doc, indent=2, sort_keys=True)` writes it, plus a newline,
+    except that "terms" holds one block per degree, each on one line.
 
-    The terms are written one format string each; the rest of the document
-    goes through `json.dumps`. Sorted keys put "terms" between "num_vars"
-    and "variables", so the terms are spliced in between those two parts.
+    A block is `json.dumps({"coeffs": [...], "degree": d, "vars": [...]}, sort_keys=True)`:
+    its terms' coefficients as decimal strings and their ids, d per term, in one flat list,
+    keys sorted. Blocks come in ascending degree, so the terms keep the order of degree, then
+    variable ids. Sorted keys put "terms" between "num_vars" and "variables": the blocks and
+    the variables, one format string each, follow the rest, which goes through `json.dumps`.
     A known kind's metadata gets the record it derives; ValueError if the reader would refuse it.
     """
-    terms = sorted(prob.polynomial.items(), key=lambda kv: (len(kv[0]), kv[0]))
     record = _penalty_record(prob.meta)
     metadata = dict(prob.meta) if record is None else {**prob.meta, "penalties": record}
     head = json.dumps({"metadata": metadata, "num_vars": prob.num_variables}, indent=2, sort_keys=True)
-    tail = json.dumps(
-        {"variables": [{"id": i, "role": r} for i, r in enumerate(prob.registry)]}, indent=2, sort_keys=True
-    )
-    body = ",\n".join([_term_json(key, coeff) for key, coeff in terms])
-    body = f"[\n{body}\n  ]" if terms else "[]"
-    # head ends with the top-level "\n}", and tail starts with the top-level "{\n"
-    return f'{head[:-2]},\n  "terms": {body},\n{tail[2:]}\n'
-
-
-def _term_json(key: tuple[int, ...], coeff: int) -> str:
-    """One entry of the terms list, indented as an element of a top-level list."""
-    if not key:
-        return f'    {{\n      "coeff": "{coeff}",\n      "vars": []\n    }}'
-    ids = ",\n        ".join(map(str, key))
-    return f'    {{\n      "coeff": "{coeff}",\n      "vars": [\n        {ids}\n      ]\n    }}'
+    by_degree: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for term in prob.polynomial.items():
+        by_degree.setdefault(len(term[0]), []).append(term)
+    blocks = []
+    for degree in sorted(by_degree):
+        group = sorted(by_degree.pop(degree), key=operator.itemgetter(0))
+        coeffs = [str(coeff) for _, coeff in group]
+        ids = list(itertools.chain.from_iterable(key for key, _ in group))
+        blocks.append("    " + json.dumps({"coeffs": coeffs, "degree": degree, "vars": ids}, sort_keys=True))
+    # each variable as json.dumps(indent=2) writes an element of a top-level list, without its
+    # pure-Python encoder, which holds several times the text in small strings
+    entries = [f'    {{\n      "id": {i},\n      "role": {json.dumps(r)}\n    }}' for i, r in enumerate(prob.registry)]
+    terms = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
+    variables = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    # head ends with the top-level "\n}"
+    return f'{head[:-2]},\n  "terms": {terms},\n  "variables": {variables}\n}}\n'
 
 
 def from_model_json(text: str) -> EncodedProblem:
-    """Parse model JSON; variable ids must be JSON integers, strictly increasing within each
-    term, and coefficients JSON integers or ASCII decimal strings; booleans and floats are
-    rejected. Roles must be strings and metadata an object. A known kind's penalty record must
-    equal, in every value and JSON type, the one its metadata derives; any other kind's stays
-    in its metadata."""
+    """Parse model JSON, in to_model_json's block layout or in the layout of one
+    `{"coeff": c, "vars": [ids]}` object per term, which reads as a block of one term.
+
+    A block's degree must be a non-negative JSON integer and its vars a list of exactly
+    degree ids per coefficient. Variable ids must be JSON integers, non-negative and strictly
+    increasing within each term, and coefficients JSON integers or ASCII decimal strings;
+    booleans and floats are rejected. Roles must be strings and metadata an object. A known
+    kind's penalty record must equal, in every value and JSON type, the one its metadata
+    derives; any other kind's stays in its metadata."""
     from .logenc import LOG_KINDS  # late: the encoder modules depend on this one
 
     try:
@@ -103,12 +110,24 @@ def from_model_json(text: str) -> EncodedProblem:
                 raise ValueError(f"variable {i} needs a string role, got {roles[i]!r}")
         if len(roles) != num_vars:
             raise ValueError(f"variables list {len(roles)} ids but num_vars is {num_vars}")
-        keys = [tuple(t["vars"]) for t in doc["terms"]]
-        coeffs = [t["coeff"] for t in doc["terms"]]
-        if not set(map(type, itertools.chain.from_iterable(keys))) <= {int}:
-            raise ValueError("term variable ids must be integers")
-        if not all(map(_canonical, keys)):
-            raise ValueError("term variable ids must be non-negative and strictly increasing")
+        keys: list[tuple[int, ...]] = []
+        coeffs: list[Any] = []
+        for block in map(_as_block, doc["terms"]):
+            degree, ids, block_coeffs = _json_int(block["degree"]), block["vars"], block["coeffs"]
+            if not (type(ids) is list and type(block_coeffs) is list and degree >= 0):
+                raise ValueError(f"a block needs a non-negative degree and lists, got degree {degree}")
+            if len(ids) != degree * len(block_coeffs):
+                raise ValueError(f"a block of {len(block_coeffs)} terms of degree {degree} has {len(ids)} ids")
+            if not set(map(type, ids)) <= {int}:
+                raise ValueError("term variable ids must be integers")
+            # column k holds every term's k-th id; a block without terms has no columns
+            cols = [ids[k::degree] for k in range(degree if ids else 0)]
+            if cols and min(cols[0]) < 0:
+                raise ValueError("term variable ids must be non-negative")
+            if not all(all(map(operator.lt, col, nxt)) for col, nxt in zip(cols, cols[1:])):
+                raise ValueError("term variable ids must be strictly increasing")
+            keys.extend(zip(*cols) if cols else [()] * len(block_coeffs))
+            coeffs.extend(block_coeffs)
         if not set(map(type, coeffs)) <= {int, str}:
             raise ValueError("term coefficients must be integers or decimal strings")
         # int() also reads spaces, underscores and non-ASCII digits; empty strings it rejects
@@ -140,9 +159,11 @@ def from_model_json(text: str) -> EncodedProblem:
     return EncodedProblem(poly, registry, metadata)
 
 
-def _canonical(key: tuple[int, ...]) -> bool:
-    """Whether a term's ids are non-negative and strictly increasing, as to_model_json writes them."""
-    return not key or key[0] >= 0 and all(map(operator.lt, key, key[1:]))
+def _as_block(term: Any) -> Any:
+    """A term object of the one-object-per-term layout as a block of one term; a block as it is."""
+    if type(term) is dict and "coeffs" not in term:
+        return {"coeffs": [term["coeff"]], "degree": len(term["vars"]), "vars": term["vars"]}
+    return term
 
 
 def _json_int(value: Any) -> int:

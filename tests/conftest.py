@@ -264,14 +264,14 @@ def evaluate_spin(p, bits):
     return Fraction(total, 1 << p.degree())
 
 
-# The model JSON document, built as a dict for `json.dumps(indent=2, sort_keys=True)`.
+# The model JSON document, built as a dict, as json.loads reads `to_model_json` output.
 
 
 def model_doc(prob):
-    """The document whose `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` is
-    `to_model_json(prob)`: terms ordered by degree, then by key; coefficients
-    as decimal strings; a known kind's metadata with the penalty record its
-    kind's rule derives."""
+    """The document `json.loads(to_model_json(prob))` reads: one block per degree,
+    in ascending degree, whose terms are ordered by key, with coefficients as
+    decimal strings and ids flattened d per term; a known kind's metadata with
+    the penalty record its kind's rule derives."""
     metadata = dict(prob.meta)
     kind = metadata.get("kind")
     if kind == "onehot_mgc":
@@ -281,12 +281,20 @@ def model_doc(prob):
     elif kind == "quadratized_log":
         base = log_layout({**metadata, "kind": metadata["base_kind"]})
         metadata["penalties"] = asdict(quadratization_penalties(base))
+    terms = sorted(prob.polynomial.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    blocks = []
+    for degree, group in itertools.groupby(terms, key=lambda kv: len(kv[0])):
+        group = list(group)
+        blocks.append(
+            {
+                "coeffs": [str(coeff) for _, coeff in group],
+                "degree": degree,
+                "vars": [i for key, _ in group for i in key],
+            }
+        )
     return {
         "num_vars": prob.num_variables,
         "variables": [{"id": i, "role": r} for i, r in enumerate(prob.registry)],
-        "terms": [
-            {"vars": list(key), "coeff": str(coeff)}
-            for key, coeff in sorted(prob.polynomial.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ],
+        "terms": blocks,
         "metadata": metadata,
     }

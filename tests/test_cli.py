@@ -126,6 +126,23 @@ class TestEncodeSolvePipeline:
             assert outputs[0][0] == 0
             assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "encoding, name",
+        [
+            ("log", "k3_log_mgc_c4_term_objects.json"),
+            ("quadratized", "k3_quadratized_log_mgc_c4_term_objects.json"),
+            ("onehot", "k3_onehot_mgc_c3_term_objects.json"),
+        ],
+    )
+    def test_term_object_file_runs_as_its_block_file(self, encoding, name, tmp_path, capsys):
+        # a file of one {"coeff", "vars"} object per term, from the writer before blocks
+        new = tmp_path / "model.json"
+        new.write_text(to_model_json(K3_MODELS[encoding]()))
+        for command in (["solve", "--exact"], ["solve", "--seed", "0", "--runs", "5", "--sweeps", "20"], ["gates"]):
+            outputs = [run([*command, "--in", str(path)], capsys) for path in (new, DATA / name)]
+            assert outputs[0][0] == 0
+            assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("colors", [2, 4, 8])
     def test_solve_anneals_a_log_hubo_on_its_layout(self, colors, tmp_path, capsys):
         # At L = 1 a log model is a QUBO, which anneals on colour classes.
@@ -252,7 +269,15 @@ def _set_first_id(value):
     return corrupt
 
 
+def _block(doc, degree):
+    """The block of the given degree in a parsed model document."""
+    (block,) = [b for b in doc["terms"] if b["degree"] == degree]
+    return block
+
+
 def _set_first_var(value):
+    """Set the first id of the highest-degree block's first term."""
+
     def corrupt(doc):
         doc["terms"][-1]["vars"][0] = value
 
@@ -263,8 +288,8 @@ def _edit_constant(edit):
     """Rewrite the constant term's coefficient string; int() reads every edit as the same value."""
 
     def corrupt(doc):
-        term = doc["terms"][0]
-        term["coeff"] = edit(term["coeff"])
+        coeffs = _block(doc, 0)["coeffs"]
+        coeffs[0] = edit(coeffs[0])
 
     return corrupt
 
@@ -274,13 +299,38 @@ def _repeat_first_var(doc):
     ids[1] = ids[0]
 
 
+def _reverse_last_key(doc):
+    """Reverse the ids of the highest-degree block's last term, leaving every other term as it is."""
+    block = doc["terms"][-1]
+    ids, degree = block["vars"], block["degree"]
+    ids[-degree:] = ids[:-degree - 1:-1]
+
+
+def _repeat_in_last_key(doc):
+    """Repeat an id within the last term of the degree-2 block."""
+    ids = _block(doc, 2)["vars"]
+    ids[-1] = ids[-2]
+
+
+def _bool_second_id(doc):
+    """The second id of the degree-2 block's first term, (0, 1), as true: still increasing if read as 1."""
+    ids = _block(doc, 2)["vars"]
+    assert ids[:2] == [0, 1]
+    ids[1] = True
+
+
+def _negative_first_id(doc):
+    """The degree-1 block's first id as -1: no order within a one-id term to break."""
+    _block(doc, 1)["vars"][0] = -1
+
+
 def _zero_bits(doc):
     """L = 0, an empty ladder and the polynomial such metadata rebuilds to: one
     constant per edge (quadratize used to fail on it with an IndexError)."""
     meta = doc["metadata"]
     meta.update(L=0)
     meta["penalties"]["p"] = []
-    doc["terms"] = [{"vars": [], "coeff": str(len(meta["edges"]) * meta["penalties"]["a_adjacency"])}]
+    doc["terms"] = [{"coeffs": [str(len(meta["edges"]) * meta["penalties"]["a_adjacency"])], "degree": 0, "vars": []}]
 
 
 K3 = complete_graph(3)
@@ -314,7 +364,7 @@ MODEL_DEFECTS = {
     # numbers that int() would truncate or read as 1
     "float_var_id": ("log", _set_first_var(0.9)),
     "bool_var_id": ("log", _set_first_var(True)),
-    "float_coeff": ("log", lambda doc: doc["terms"][-1].update(coeff=2.7)),
+    "float_coeff": ("log", lambda doc: doc["terms"][-1]["coeffs"].__setitem__(-1, 2.7)),
     "float_registry_id": ("onehot", _set_first_id(0.5)),
     "bool_penalty": ("log", lambda doc: doc["metadata"]["penalties"].update(p=[True, 4])),
     "float_penalty": ("onehot", lambda doc: doc["metadata"]["penalties"].update(a_link=4.9)),
@@ -323,8 +373,16 @@ MODEL_DEFECTS = {
     "underscore_coeff": ("log", _edit_constant(lambda c: f"{c[0]}_{c[1:]}")),
     "non_ascii_coeff": ("log", _edit_constant(lambda c: c.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")))),
     # term ids the general constructor would silently sort or merge
-    "unsorted_vars": ("log", lambda doc: doc["terms"][-1]["vars"].reverse()),
+    "unsorted_vars": ("log", _reverse_last_key),
     "repeated_var": ("log", _repeat_first_var),
+    "id_repeated_in_key": ("log", _repeat_in_last_key),
+    "id_bool": ("log", _bool_second_id),
+    "id_negative": ("log", _negative_first_id),
+    # blocks whose shape does not fit their degree, each refused by the shape checks alone
+    "block_short": ("log", lambda doc: doc["terms"][-1]["vars"].pop()),
+    "degree_bool": ("log", lambda doc: _block(doc, 1).update(degree=True)),
+    "degree_negative": ("log", lambda doc: doc["terms"].append({"coeffs": [], "degree": -1, "vars": []})),
+    "vars_not_list": ("log", lambda doc: _block(doc, 0).update(vars={})),
     # JSON types str() or dict() would coerce
     "role_not_string": ("onehot", lambda doc: doc["variables"][0].update(role=[1, 2])),
     "metadata_not_object": ("onehot", lambda doc: doc.update(metadata=[["kind", "x"]])),
@@ -444,7 +502,8 @@ class TestExitCodes:
         model = tmp_path / "model.json"
         run(["encode", "--in", str(k3_file), "--encoding", "log", "--colors", "4", "--out", str(model)], capsys)
         doc = json.loads(model.read_text())
-        doc["terms"][0]["coeff"] = str(int(doc["terms"][0]["coeff"]) + 1)
+        coeffs = doc["terms"][0]["coeffs"]
+        coeffs[0] = str(int(coeffs[0]) + 1)
         model.write_text(json.dumps(doc))
         for command in ("quadratize", "solve"):
             code, _, err = run([command, "--in", str(model)], capsys)
@@ -525,8 +584,8 @@ class TestExitCodes:
             text = to_model_json(encode_general(path_graph(3), HUGE_AGREEMENT, 2))
         else:
             doc = json.loads(to_model_json(K3_MODELS[encoding]()))
-            (term,) = [t for t in doc["terms"] if t["vars"] == [0]]
-            term["coeff"] = str(2**1100)
+            block = _block(doc, 1)
+            block["coeffs"][block["vars"].index(0)] = str(2**1100)
             text = json.dumps(doc)
         model = tmp_path / "model.json"
         model.write_text(text)

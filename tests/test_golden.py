@@ -58,25 +58,25 @@ def golden_models():
 
 
 GOLDEN_SHA256 = {
-    "log_general_L1": "e059e901c0fd721998493569ee58cb1f513acd35917e97093077d6e81927e3d7",
-    "log_general_L2": "b495792125ac39cdb4f0cade8a2595a0ae0b698e41fb630f37dc1b6959f7d5ec",
-    "log_general_L3": "dc66a13b57e9f0400735225275681e534ab28cdb638277eaa5eb6f5b7fa81e96",
-    "log_general_L4": "39ce48ef0565672d9c0970b84edfd0df7fad06643dd1453d105181de838fdd82",
-    "log_general_unconstrained_L3": "faf4ab56505e33200e1c079c707c6be21e92eee8ba8ab1dec50d80ccc3eefb3e",
-    "log_mgc_L1": "70f81f19948737357f7027d44e6f5127cd7ec06fde3c3e6b91281382fc2d55a2",
-    "log_mgc_L2": "f9254727f5e588c6c8b79f95e6b475241a83e58a75fe78378b11c86233954a95",
-    "log_mgc_L3": "643f1add3b11e7b0367b516826f95abb5c4c51221d559152ce8ef083cf035ff1",
-    "log_mgc_L4": "d03e41b062cdb7eb3f476ecc17d213003d4e766578f3fa6b5e05ec9e14584cd3",
-    "onehot_mgc_c4": "40fafec450c29bcce260a1a01008c3550338bb6cfd2fa809dbf942811dbcb0ed",
-    "quadratized_log_general_L1": "01cf9fd19f59dd9d4955b72fb8f6cbdc3def270ca531b2d0a9b7aef5eecbe6f7",
-    "quadratized_log_general_L2": "a21865362ae4ade88a7771ebecfc5ca6032a3d0c5af0285d2197448df1759237",
-    "quadratized_log_general_L3": "fe4192734111095a1a633361a06100e210a1f5a5c2dd711c5544806939c7f364",
-    "quadratized_log_general_L4": "772f1d5e1d47c94f7092c7eb167d6028c606556e9538ace736bd7f99852f72f1",
-    "quadratized_log_general_unconstrained_L3": "054fac54408f09f205f581c891a4aa2f5f90d086e6c728ea3a4a44e534f8e0ec",
-    "quadratized_log_mgc_L1": "c0dab7563a6bed71cc997148135ae172dfcb0ca99f7dd34c38c89bd3339ba4b0",
-    "quadratized_log_mgc_L2": "1fa0afba50055de34e899f01decd6c1175e83cbdcb225ab58c20802b1352269b",
-    "quadratized_log_mgc_L3": "8ac0d94304219dcb20794ed724fbeed1801737ca0ff5cdf93d55f8f31ab9c65c",
-    "quadratized_log_mgc_L4": "df01c80a7630cf6aaa991e1ff57f86737e883a4d7901b1ec9f431960f024b55e",
+    "log_general_L1": "7b9c197dd9cd3400fcc8e898239f33ec6f0cd092f74ef93f76bd66b4e97c8f85",
+    "log_general_L2": "bd3e98cf5718442e4d30ecadd920938e74ff674ccfa0a7118b12c10b01f7ed2a",
+    "log_general_L3": "ced2f5721b51afd3ced273a2348a5b2e06ae8d67d06ba68edaac0f107d52d0bc",
+    "log_general_L4": "9b69a2929fb8fd559be1a460f7920c1db7f23a6e9fd94f7b3f3eab054caf0b3f",
+    "log_general_unconstrained_L3": "7abb6eaee12214b8e2af77cd66d8b0bd021cd8dede505adae71b7414d77d0de4",
+    "log_mgc_L1": "ef06a204f3b0f7d7dec9c4ce8718bdca94dea6aed3a8f7e0508f06795ca2e2f1",
+    "log_mgc_L2": "efa68de1d379c32f37170b7698b04d29641956fb986c4394f48db1e694f350d7",
+    "log_mgc_L3": "92fe6e0319c4ccd97974203ce7f96d24bddda24e03388e3cf2e3b6060637f52e",
+    "log_mgc_L4": "aedc9aca168e9c85a33f3a372759cab50ddc4fef6f6f24b64ff4e0c0a42fd2f8",
+    "onehot_mgc_c4": "42d006d25650ba94528f6af6dffb6988eba6871e7fd696035484b3c67191745b",
+    "quadratized_log_general_L1": "6446699d61116fd8d071a69e917eedf713764fa4da88ed16748031c3fed036df",
+    "quadratized_log_general_L2": "93ec85fc5a3034a219b6f014585c30116e4c8c3630c530b135a787f88b87fda3",
+    "quadratized_log_general_L3": "b4c10ecfd0efe464eb5bda1866a0450cfe6450e9571df8427810279b52702275",
+    "quadratized_log_general_L4": "74a4bde8174d69927ecfd81d076e9346458a7105e6ea17cebe99dcbf4181cc00",
+    "quadratized_log_general_unconstrained_L3": "b218e6b9518831d71e3f5e2473448923c74fba03a663d26e3be8ba9c437e1546",
+    "quadratized_log_mgc_L1": "a058be3d45ca1c0541410d5ab8e613f1dadeb63ee2594191a43ff07dbf95497a",
+    "quadratized_log_mgc_L2": "a965562b6a213adc98a308f7b9095daf8315f27754c88abe3cccc11cd09074bf",
+    "quadratized_log_mgc_L3": "e2f69c47398f3b80e3bd74662428196c591ffa6233bcfbd556cb63f56787218a",
+    "quadratized_log_mgc_L4": "43dad1bb21fb76e19781225b04bb4d0447930468010b0d288e231847588dcbaa",
 }
 
 

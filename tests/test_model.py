@@ -1,6 +1,7 @@
 """Model JSON interchange: exact round trips and stable output."""
 
 import json
+from pathlib import Path
 
 import pytest
 from conftest import complete_graph, model_doc, path_graph
@@ -54,7 +55,7 @@ class TestRoundTrip:
         parsed = from_model_json(text)
         assert parsed.polynomial == prob.polynomial
         doc = json.loads(text)
-        assert all(isinstance(t["coeff"], str) for t in doc["terms"])
+        assert all(isinstance(c, str) for block in doc["terms"] for c in block["coeffs"])
 
     def test_byte_stable(self):
         prob = encode_mgc_log(complete_graph(3), 4)
@@ -118,8 +119,19 @@ class TestWriter:
     @example(EncodedProblem(Polynomial(), (), {}))
     @example(EncodedProblem(Polynomial({(): -(2**100)}), ("a",), {"terms": [], "x": [[1, [2]], {}]}))
     @settings(max_examples=100, deadline=None)
-    def test_layout_is_json_dumps(self, prob):
-        assert to_model_json(prob) == json.dumps(model_doc(prob), indent=2, sort_keys=True) + "\n"
+    def test_layout_is_one_line_per_block(self, prob):
+        text = to_model_json(prob)
+        doc = model_doc(prob)
+        assert json.loads(text) == doc
+        # json.dumps(indent=2) around the terms; each block on its own line, as json.dumps writes it
+        blocks = ",\n".join("    " + json.dumps(block, sort_keys=True) for block in doc["terms"])
+        rest = json.dumps({**doc, "terms": []}, indent=2, sort_keys=True)
+        if blocks:
+            assert rest.count('\n  "terms": [],\n') == 1
+            rest = rest.replace('\n  "terms": [],\n', f'\n  "terms": [\n{blocks}\n  ],\n')
+        assert text == rest + "\n"
+        lines = [line.rstrip(",") for line in text.splitlines() if line.startswith('    {"coeffs": ')]
+        assert list(map(json.loads, lines)) == doc["terms"]
 
     def test_stale_record_is_replaced_by_the_derived_one(self):
         prob = encode_mgc_log(path_graph(3), 4)
@@ -132,6 +144,49 @@ class TestWriter:
         edges = [list(reversed(prob.meta["edges"][0])), *prob.meta["edges"][1:]]
         with pytest.raises(ValueError, match="edges must be integer pairs u < v"):
             to_model_json(EncodedProblem(prob.polynomial, prob.registry, {**prob.meta, "edges": edges}))
+
+
+DATA = Path(__file__).parent / "data"
+# Files in the layout of one {"coeff": c, "vars": [ids]} object per term,
+# written by the writer that came before blocks, and what builds them today.
+TERM_OBJECT_FILES = {
+    "k3_log_mgc_c4_term_objects.json": lambda: encode_mgc_log(complete_graph(3), 4),
+    "k3_quadratized_log_mgc_c4_term_objects.json": lambda: quadratize(encode_mgc_log(complete_graph(3), 4)).problem,
+    "k3_onehot_mgc_c3_term_objects.json": lambda: encode_mgc_onehot(complete_graph(3), 3),
+}
+
+
+class TestTermObjectLayout:
+    @pytest.mark.parametrize("name", sorted(TERM_OBJECT_FILES))
+    def test_loads_as_todays_encoder_builds_it(self, name):
+        text = (DATA / name).read_text()
+        assert '"coeffs"' not in text and '"coeff"' in text
+        parsed = from_model_json(text)
+        prob = TERM_OBJECT_FILES[name]()
+        assert parsed.polynomial == prob.polynomial
+        assert parsed.registry == prob.registry
+        assert parsed.meta == prob.meta
+        assert to_model_json(parsed) == to_model_json(prob)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda term: term.update(coeff=2.7),
+            lambda term: term.update(coeff=" 4"),
+            lambda term: term["vars"].reverse(),
+            lambda term: term["vars"].__setitem__(1, term["vars"][0]),
+            lambda term: term["vars"].__setitem__(0, True),
+            lambda term: term["vars"].__setitem__(0, -1),
+            lambda term: term.update(vars=""),
+        ],
+        ids=["float_coeff", "spaced_coeff", "unsorted", "repeated", "bool_id", "negative_id", "vars_not_list"],
+    )
+    def test_term_objects_get_the_block_checks(self, corrupt):
+        # the log model's last term is {"coeff": "64", "vars": [2, 3, 4, 5]}
+        doc = json.loads((DATA / "k3_log_mgc_c4_term_objects.json").read_text())
+        corrupt(doc["terms"][-1])
+        with pytest.raises(ParseError, match="malformed model JSON"):
+            from_model_json(json.dumps(doc))
 
 
 class TestValidation:
