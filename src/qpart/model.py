@@ -67,19 +67,22 @@ def to_model_json(prob: EncodedProblem) -> str:
     by_degree: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for term in prob.polynomial.items():
         by_degree.setdefault(len(term[0]), []).append(term)
-    blocks = []
-    for degree in sorted(by_degree):
-        group = sorted(by_degree.pop(degree), key=operator.itemgetter(0))
-        coeffs = [str(coeff) for _, coeff in group]
-        ids = list(itertools.chain.from_iterable(key for key, _ in group))
-        blocks.append("    " + json.dumps({"coeffs": coeffs, "degree": degree, "vars": ids}, sort_keys=True))
+    blocks = [_block_json(degree, by_degree.pop(degree)) for degree in sorted(by_degree)]
+    terms = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
     # each variable as json.dumps(indent=2) writes an element of a top-level list, without its
     # pure-Python encoder, which holds several times the text in small strings
     entries = [f'    {{\n      "id": {i},\n      "role": {json.dumps(r)}\n    }}' for i, r in enumerate(prob.registry)]
-    terms = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
     variables = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     # head ends with the top-level "\n}"
     return f'{head[:-2]},\n  "terms": {terms},\n  "variables": {variables}\n}}\n'
+
+
+def _block_json(degree: int, terms: list[tuple[tuple[int, ...], int]]) -> str:
+    """One entry of the terms list, on one line: the terms of one degree, sorted in place by key."""
+    terms.sort(key=operator.itemgetter(0))
+    coeffs = [str(coeff) for _, coeff in terms]
+    ids = list(itertools.chain.from_iterable(key for key, _ in terms))
+    return "    " + json.dumps({"coeffs": coeffs, "degree": degree, "vars": ids}, sort_keys=True)
 
 
 def from_model_json(text: str) -> EncodedProblem:

@@ -23,8 +23,10 @@ ZETA_CHUNK_BYTES = 8 << 20
 # Terms an encoder may stream into one polynomial, counted before it
 # builds any: about 350 B per term in the polynomial (K2's 2**20-term log
 # model at 1024 colours peaks at 354 MiB), more with `qpart encode`'s
-# registry and JSON text (256 MiB for the 200,001 terms of a 10**5-vertex
-# edgeless graph at 4 colours), so a model near the limit takes over 2 GB.
+# registry and JSON text (ru_maxrss of 133 MiB for the 200,001 terms of a
+# 10**5-vertex edgeless graph at 4 colours, against 75 MiB for the encoding
+# alone; 137 against 108 MiB for K2's 2**18-term model at 512 colours), so
+# a model near the limit takes over 1 GB.
 MAX_BUILD_TERMS = 1 << 21
 
 Term = tuple[int, ...]

@@ -284,6 +284,15 @@ def _set_first_var(value):
     return corrupt
 
 
+def _set_last_coeff(value):
+    """Set the last coefficient of the highest-degree block."""
+
+    def corrupt(doc):
+        doc["terms"][-1]["coeffs"][-1] = value
+
+    return corrupt
+
+
 def _edit_constant(edit):
     """Rewrite the constant term's coefficient string; int() reads every edit as the same value."""
 
@@ -364,7 +373,8 @@ MODEL_DEFECTS = {
     # numbers that int() would truncate or read as 1
     "float_var_id": ("log", _set_first_var(0.9)),
     "bool_var_id": ("log", _set_first_var(True)),
-    "float_coeff": ("log", lambda doc: doc["terms"][-1]["coeffs"].__setitem__(-1, 2.7)),
+    "id_bool": ("log", _bool_second_id),
+    "float_coeff": ("log", _set_last_coeff(2.7)),
     "float_registry_id": ("onehot", _set_first_id(0.5)),
     "bool_penalty": ("log", lambda doc: doc["metadata"]["penalties"].update(p=[True, 4])),
     "float_penalty": ("onehot", lambda doc: doc["metadata"]["penalties"].update(a_link=4.9)),
@@ -376,9 +386,9 @@ MODEL_DEFECTS = {
     "unsorted_vars": ("log", _reverse_last_key),
     "repeated_var": ("log", _repeat_first_var),
     "id_repeated_in_key": ("log", _repeat_in_last_key),
-    "id_bool": ("log", _bool_second_id),
+    # a negative id where no order within the term is broken
     "id_negative": ("log", _negative_first_id),
-    # blocks whose shape does not fit their degree, each refused by the shape checks alone
+    # blocks whose shape does not fit their degree
     "block_short": ("log", lambda doc: doc["terms"][-1]["vars"].pop()),
     "degree_bool": ("log", lambda doc: _block(doc, 1).update(degree=True)),
     "degree_negative": ("log", lambda doc: doc["terms"].append({"coeffs": [], "degree": -1, "vars": []})),
