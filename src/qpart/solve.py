@@ -25,7 +25,10 @@ the type of the model `anneal` is given:
   The state keeps variables as rows and the runs of a variable
   contiguous. Each class is cut into groups of rows whose fields, padded
   to a common length at no more than twice their entries, are one
-  batched matmul. The fields are float64 when every variable's |h_v| plus
+  batched matmul. A term with more than one other member is gathered
+  width-major, its k-th other members of every entry and run in one
+  contiguous slice, and ANDed by a reduction over that leading axis.
+  The fields are float64 when every variable's |h_v| plus
   the |c_T| of its larger terms stays below 2**53, which keeps every
   partial sum an exact integer, and Python ints (numpy dtype object)
   otherwise.
@@ -203,11 +206,15 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
     h_v on the row of ones, and c_T on the rows of T's other members. A
     group's members pad to its first member's entry count with entries of
     coefficient 0 on the row of ones, so its fields are one batched matmul
-    of its coefficients with the gathered rows, ANDed across a term's rows
-    first when it has more than one. That needs no nv x nv matrix and at
-    most twice the entries in memory. Members of one class share no term,
-    so the groups of a class flip independently. The energy function sums
-    the terms of each degree over all runs in Python ints."""
+    of its coefficients with the gathered rows. Where some term has more
+    than one other member, the rows are gathered width-major, shaped
+    (width, k, span, runs): the k-th other members of every entry are one
+    contiguous slice, padded with the row of ones, and
+    np.logical_and.reduce over the leading axis ANDs a term's rows first.
+    That needs no nv x nv matrix and at most twice the entries in memory.
+    Members of one class share no term, so the groups of a class flip
+    independently. The energy function sums the terms of each degree over
+    all runs in Python ints."""
     h = [0] * nv
     # Per variable: (coefficient, the term's other members).
     larger: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nv)]
@@ -225,8 +232,8 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
     groups = _groups(_colour_classes(p, nv), [1 + len(terms) for terms in larger])
     order = [v for members in groups for v in members]
     row = dict(zip(order, range(nv)))
-    # Per group: its rows, its gather rows (k, span[, width]) and its
-    # coefficients (k, 1, span).
+    # Per group: its rows, its gather rows, (k, span) at width 1 and
+    # (width, k, span) above it, and its coefficients (k, 1, span).
     steps = []
     start = 0
     for members in groups:
@@ -235,7 +242,8 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
         width = max(len(others) for member_entries in entries for _, others in member_entries) or 1
         gather = np.array([[[row[w] for w in others] + [nv] * (width - len(others)) for _, others in e] for e in entries])
         coeffs = np.array([[c for c, _ in e] for e in entries], dtype=dtype)
-        steps.append((slice(start, start + len(members)), gather[..., 0] if width == 1 else gather, coeffs[:, None]))
+        gather = gather[..., 0] if width == 1 else np.ascontiguousarray(np.moveaxis(gather, 2, 0))
+        steps.append((slice(start, start + len(members)), gather, coeffs[:, None]))
         start += len(members)
 
     def run_flips(x, blocks):
@@ -248,7 +256,7 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
                 for bits, rows, gather, coeffs in plan:
                     on = state.take(gather, axis=0)
                     if on.ndim == 4:
-                        on = on.all(axis=2)
+                        on = np.logical_and.reduce(on)
                     field = np.matmul(coeffs, on)[:, 0]
                     # The energy change of flipping x is (1 - 2x) * field.
                     bits ^= np.where(bits, -field, field) < sweep[rows]

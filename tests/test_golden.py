@@ -156,15 +156,22 @@ def golden_anneal_inputs():
         for name, prob in models.items()
     }
     inputs["hand_qubo"] = (HAND_QUBO, 8)
+    # The degree-6 log HUBO as a plain polynomial, on colour classes.
+    log_l3 = models["log_mgc_L3_degree6"]
+    inputs["log_mgc_L3_degree6_classes"] = (log_l3.polynomial, log_l3.num_variables)
     return inputs
 
 
 # Recorded with fixed-order sweeps: colour classes for QUBOs, label tables
-# for log HUBOs.
+# for log HUBOs. The colour-class pin of the degree-6 log HUBO was recorded
+# before its kernel gathered a term's other members width-major. On GRAPH
+# its classes visit every pair of variables that share a term in id order,
+# so it matches the label-table pin.
 ANNEAL_SHA256 = {
     "hand_qubo": "956630b77201126ccbbf2f4234c7cea2e7f5fbe8a3082a719262c35ff911eb44",
     "log_mgc_L2_degree4": "d490067b778d44a9bbd544c01baaab2a15e6e328a2aca3615a07928c4354fa92",
     "log_mgc_L3_degree6": "e36a33ba28d3b6ab9ad4b7723b0f4e13b26b846c2c3287c977a8464f00f8f275",
+    "log_mgc_L3_degree6_classes": "e36a33ba28d3b6ab9ad4b7723b0f4e13b26b846c2c3287c977a8464f00f8f275",
     "log_mgc_L4_degree8": "80cb54f75617242d0eadadf8b130d4477c6b0ff5221b3edf2991f32d63db6cde",
     "onehot_mgc_c3": "f6f4f15eeab95cb713ad6e8aa7af1a7aaf864d451f0fea9a92a92dd24b7d2acc",
     "onehot_mgc_c4": "8873293aeffff18ae37c588a2c9a3080e17aa224f0ddfe98ed101c36cdb1bd6b",

@@ -1,6 +1,7 @@
 """Model JSON interchange: exact round trips and stable output."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,15 @@ class TestTermObjectLayout:
         assert parsed.registry == prob.registry
         assert parsed.meta == prob.meta
         assert to_model_json(parsed) == to_model_json(prob)
+
+    def test_term_objects_in_any_order_and_between_blocks(self):
+        # Shuffled, runs of one degree are short and a degree recurs; the first
+        # five terms are written as blocks, which end a run of term objects.
+        doc = json.loads((DATA / "k3_log_mgc_c4_term_objects.json").read_text())
+        random.Random(0).shuffle(doc["terms"])
+        for i, term in enumerate(doc["terms"][:5]):
+            doc["terms"][i] = {"coeffs": [term["coeff"]], "degree": len(term["vars"]), "vars": term["vars"]}
+        assert from_model_json(json.dumps(doc)).polynomial == encode_mgc_log(complete_graph(3), 4).polynomial
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -290,6 +290,9 @@ FALLBACKS = {
     "log_coefficient_off_by_one": (off_by_one(LOG_CYCLE.polynomial), LOG_CYCLE.num_variables),
     "log_padding_variables": (LOG_CYCLE.polynomial, LOG_CYCLE.num_variables + 2),
     "degree_3_hubo": (Polynomial({(0,): 3, (1, 2): -2, (0, 1, 2): -5, (2, 3, 4): 4, (1, 4): 1}), 5),
+    # Terms of degree 6 and 8: a term's other members are ANDed over 5 and 7 rows.
+    "log_degree_6": model(encode_mgc_log(P3, 8)),
+    "log_degree_8": model(encode_mgc_log(P3, 16)),
     "onehot_qubo": model(encode_mgc_onehot(P3, 2)),
     "quadratized_qubo": model(quadratize(encode_mgc_log(P3, 4)).problem),
     # Variable 0, in eight terms, shares its colour class with variables in
@@ -311,11 +314,13 @@ def test_other_models_keep_the_class_kernel(name, monkeypatch):
 
 
 # Every kernel and field dtype: the models above, a log layout on label
-# tables and Python-int fields.
+# tables and Python-int fields, of a QUBO and of a HUBO whose terms are
+# ANDed before the object matmul.
 STREAM_MODELS = {
     **FALLBACKS,
     "log_hubo": (checked_log_layout(LOG_CYCLE), LOG_CYCLE.num_variables),
     "object_fields": (Polynomial({(0,): 2**53 + 1, (0, 1): -(2**53), (1, 2): 3}), 3),
+    "object_fields_hubo": (Polynomial({(0,): 2**53 + 1, (0, 1, 2, 3): -(2**53), (1, 2): 3, (2, 3, 4): -2}), 5),
 }
 
 
