@@ -226,8 +226,9 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
         elif key:
             for v in key:
                 larger[v].append((coeff, tuple(w for w in key if w != v)))
-    exact_in_float = max(abs(h[v]) + sum(abs(c) for c, _ in larger[v]) for v in range(nv)) < 1 << 53
-    dtype = float if exact_in_float else object
+    bound = max(abs(h[v]) + sum(abs(c) for c, _ in larger[v]) for v in range(nv))
+    spins = bound < 1 << 52 and max(by_degree, default=0) <= 2
+    dtype = float if bound < 1 << 53 else object
 
     groups = _groups(_colour_classes(p, nv), [1 + len(terms) for terms in larger])
     order = [v for members in groups for v in members]
@@ -242,25 +243,38 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
         width = max(len(others) for member_entries in entries for _, others in member_entries) or 1
         gather = np.array([[[row[w] for w in others] + [nv] * (width - len(others)) for _, others in e] for e in entries])
         coeffs = np.array([[c for c, _ in e] for e in entries], dtype=dtype)
+        if spins:
+            # x_w = (1 - s_w) / 2 and s = -1 on the constant row, so the field
+            # is -(h_v + sum c_T / 2) * s_last + sum (-c_T / 2) * s_w.
+            coeffs[:, 1:] /= -2
+            coeffs[:, 0] = coeffs[:, 1:].sum(axis=1) - coeffs[:, 0]
         gather = gather[..., 0] if width == 1 else np.ascontiguousarray(np.moveaxis(gather, 2, 0))
         steps.append((slice(start, start + len(members)), gather, coeffs[:, None]))
         start += len(members)
 
     def run_flips(x, blocks):
-        state = np.ones((nv + 1, len(x)), dtype=bool)
-        state[:nv] = x.T[order]
+        if spins:
+            state = np.full((nv + 1, len(x)), -1.0)
+            state[:nv] = 1 - 2 * x.T[order]
+        else:
+            state = np.ones((nv + 1, len(x)), dtype=bool)
+            state[:nv] = x.T[order]
         plan = [(state[rows], rows, gather, coeffs) for rows, gather, coeffs in steps]
         for block in blocks:
             # (sweep, row, run), so a group's thresholds are a slice.
             for sweep in np.ascontiguousarray(block.transpose(1, 2, 0)[:, order]):
-                for bits, rows, gather, coeffs in plan:
+                for own, rows, gather, coeffs in plan:
                     on = state.take(gather, axis=0)
                     if on.ndim == 4:
                         on = np.logical_and.reduce(on)
                     field = np.matmul(coeffs, on)[:, 0]
                     # The energy change of flipping x is (1 - 2x) * field.
-                    bits ^= np.where(bits, -field, field) < sweep[rows]
-        x[:, order] = state[:nv].T
+                    if spins:
+                        field *= own
+                        np.negative(own, out=own, where=field < sweep[rows])
+                    else:
+                        own ^= np.where(own, -field, field) < sweep[rows]
+        x[:, order] = (state[:nv] < 0 if spins else state[:nv]).T
 
     # The terms of each degree, the constant's empty key included, in chunks
     # of at most nv terms: a chunk's Python-int products number runs * nv.
