@@ -28,10 +28,14 @@ the type of the model `anneal` is given:
   batched matmul. A term with more than one other member is gathered
   width-major, its k-th other members of every entry and run in one
   contiguous slice, and ANDed by a reduction over that leading axis.
-  The fields are float64 when every variable's |h_v| plus
-  the |c_T| of its larger terms stays below 2**53, which keeps every
-  partial sum an exact integer, and Python ints (numpy dtype object)
-  otherwise.
+  A model of pair terms at most, whose every |h_v| plus the |c_T| of its
+  larger terms stays below 2**52, anneals on spins s = 1 - 2x in float64,
+  with coefficients rewritten as halves, so the gathered rows enter the
+  matmul with no cast and every partial sum is an exact multiple of 1/2.
+  Any other model (a HUBO, or fields of 2**52 or more) keeps a bool
+  state. Its fields are float64 when that sum stays below 2**53, which
+  keeps every partial sum an exact integer, and Python ints (numpy dtype
+  object) otherwise.
 
 Each kernel also scores the final states: the colour-class kernel sums
 the terms of each degree over all runs at once, in Python ints, and the
@@ -214,7 +218,17 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
     That needs no nv x nv matrix and at most twice the entries in memory.
     Members of one class share no term, so the groups of a class flip
     independently. The energy function sums the terms of each degree over
-    all runs in Python ints."""
+    all runs in Python ints.
+
+    Spin mode: when every term has degree <= 2 and every |h_v| + sum |c_T|
+    is below 2**52, the state is instead a float64 array of s = 1 - 2x,
+    the last row held at s = -1. Since x_w = (1 - s_w) / 2, the field is
+    -(h_v + sum c_T / 2) on the constant row plus -c_T / 2 on each
+    partner's row. Every coefficient and partial sum is then a multiple of
+    1/2 below 2**52 in magnitude, so the float matmul gives the same exact
+    integer field with no cast from bool, s * field is the energy change,
+    and an accepted flip negates s. HUBOs and larger fields stay on bits,
+    where an AND of rows is a bool reduction."""
     h = [0] * nv
     # Per variable: (coefficient, the term's other members).
     larger: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nv)]
@@ -244,8 +258,7 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
         gather = np.array([[[row[w] for w in others] + [nv] * (width - len(others)) for _, others in e] for e in entries])
         coeffs = np.array([[c for c, _ in e] for e in entries], dtype=dtype)
         if spins:
-            # x_w = (1 - s_w) / 2 and s = -1 on the constant row, so the field
-            # is -(h_v + sum c_T / 2) * s_last + sum (-c_T / 2) * s_w.
+            # -c_T / 2 on each partner, -(h_v + sum c_T / 2) on the constant row.
             coeffs[:, 1:] /= -2
             coeffs[:, 0] = coeffs[:, 1:].sum(axis=1) - coeffs[:, 0]
         gather = gather[..., 0] if width == 1 else np.ascontiguousarray(np.moveaxis(gather, 2, 0))

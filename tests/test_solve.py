@@ -203,6 +203,16 @@ MULTI_BLOCK = Pinned(
 )
 
 
+# Pair-term models on either side of the spin state's bound, with variable
+# 0's |h_0| + sum |c| at 2**53 - 1 in the first, which anneals on float
+# bits, and at 2**52 - 2 in the second, whose spin coefficients are odd
+# halves near 2**50. At x = 0, variable 0's field is 2. On spins, the first
+# model's constant coefficient -(2**52 + 1/2) would round, the field would
+# read 1.5, and some uphill flips would be accepted wrongly.
+BITS_FIELDS = (Polynomial({(0,): 2, (0, 1): 2**52 - 1, (0, 2): 2**52 - 2}), 3)
+SPIN_FIELDS = (Polynomial({(0,): 2, (0, 1): 2**51 - 1, (0, 2): 2**51 - 3}), 3)
+
+
 class TestKernel:
     """The annealer against full re-evaluation, draw for draw, on every degree."""
 
@@ -215,6 +225,8 @@ class TestKernel:
         st.sampled_from([(0.01, 10.0), (0.5, 2.0), (1.0, 100.0)]),
     )
     @example(MULTI_BLOCK, 2, 2 * (solve.DRAW_BLOCK // 24) + 18, 5, (0.5, 2.0))
+    @example(Pinned(BITS_FIELDS), 8, 40, 3, (0.5, 2.0))
+    @example(Pinned(SPIN_FIELDS), 8, 40, 3, (0.5, 2.0))
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_reevaluation(self, models, data, runs, sweeps, seed, betas):
         poly, nv = data.draw(models)
@@ -313,12 +325,14 @@ def test_other_models_keep_the_class_kernel(name, monkeypatch):
     assert anneal(p, params, nv) == solve._anneal_with(naive_kernel(p, nv), evaluate_runs(p), params, nv)
 
 
-# Every kernel and field dtype: the models above, a log layout on label
-# tables and Python-int fields, of a QUBO and of a HUBO whose terms are
-# ANDed before the object matmul.
+# Every kernel and state: the models above, a log layout on label tables,
+# a QUBO on each side of the spin state's bound, and Python-int fields, of
+# a QUBO and of a HUBO whose terms are ANDed before the object matmul.
 STREAM_MODELS = {
     **FALLBACKS,
     "log_hubo": (checked_log_layout(LOG_CYCLE), LOG_CYCLE.num_variables),
+    "bits_fields": BITS_FIELDS,
+    "spin_fields": SPIN_FIELDS,
     "object_fields": (Polynomial({(0,): 2**53 + 1, (0, 1): -(2**53), (1, 2): 3}), 3),
     "object_fields_hubo": (Polynomial({(0,): 2**53 + 1, (0, 1, 2, 3): -(2**53), (1, 2): 3, (2, 3, 4): -2}), 5),
 }
