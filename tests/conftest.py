@@ -144,7 +144,7 @@ def zeta_oracle(p, num_vars):
     whole array, each coefficient placed at its term's bitmask first: the
     reference for energy_vector's split into term rows and high passes."""
     bound = sum(abs(c) for _, c in p.items())
-    energies = np.zeros(1 << num_vars, dtype=np.int64 if bound < 2**62 else object)
+    energies = np.zeros(1 << num_vars, dtype=np.int32 if bound < 2**31 else np.int64 if bound < 2**62 else object)
     for key, coeff in p.items():
         energies[sum(1 << v for v in key)] = coeff
     for v in range(num_vars):

@@ -90,6 +90,16 @@ class TestEncodeSolvePipeline:
         assert doc["min_energy"] == "5"
         assert len(doc["argmin"]) >= 1
 
+    def test_exact_solve_matches_the_recorded_output(self, tmp_path, capsys):
+        # A 20-variable log model, in energy_vector's int32 tier; the file was
+        # written when every table took int64.
+        graph, model = tmp_path / "g.json", tmp_path / "model.json"
+        run(["gen", "--n", "10", "--seed", "3", "--out", str(graph)], capsys)
+        run(["encode", "--in", str(graph), "--colors", "4", "--out", str(model)], capsys)
+        code, out, _ = run(["solve", "--in", str(model), "--exact"], capsys)
+        assert code == 0
+        assert out == (DATA / "log_n10_c4_exact.json").read_text()
+
     def test_quadratize_pipeline(self, k3_file, tmp_path, capsys):
         model = tmp_path / "model.json"
         quad = tmp_path / "quad.json"

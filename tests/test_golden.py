@@ -8,7 +8,7 @@ are SHA-256 of `SampleSet.to_json` output, so a change to the annealer
 that alters a random draw, an acceptance decision or a final energy
 changes one. The energy-vector digests cover the dtype and every entry of
 `energy_vector`, so a change to exhaustive evaluation that alters one
-energy or the int64/object choice changes one. The bench digests cover the
+energy or the int32/int64/object choice changes one. The bench digests cover the
 CSV and JSON that `qpart bench` writes, so a change to scoring, timing or
 Kaplan-Meier aggregation that alters one number changes one.
 """
@@ -199,8 +199,9 @@ def test_anneal_bytes_pinned(anneal_inputs, name):
 
 def golden_energy_inputs():
     """(polynomial, num_vars) of every pinned energy vector: the shapes the
-    exhaustive checks enumerate, at 20-23 variables, plus a model whose
-    coefficients need the object dtype."""
+    exhaustive checks enumerate, at 20-23 variables, all in the int32 tier,
+    plus a model whose coefficients need int64 and one that needs the object
+    dtype, so that each tier keeps a pin."""
     inputs = {}
     for n, seed in ((10, 3), (11, 4)):
         prob = encode_mgc_log(generate_random_connected(n, 0.5, seed), 4)
@@ -209,6 +210,8 @@ def golden_energy_inputs():
     inputs["onehot_n4_c4"] = (prob.polynomial, prob.num_variables)
     prob = quadratize(encode_mgc_log(Graph(3, ((0, 1), (1, 2))), 8)).problem
     inputs["quadratized_path3_c8"] = (prob.polynomial, prob.num_variables)
+    wide = Polynomial({(): -(1 << 40), (0, 13): 1 << 40, (1, 2, 12): -(3 << 38), (5,): 7, (2, 9): -1})
+    inputs["int64_dtype"] = (wide, 14)
     big = Polynomial({(): -(1 << 70), (0, 3): 1 << 70, (1, 2, 4): -(3 << 68), (5,): 7, (2, 9): -1})
     inputs["object_dtype"] = (big, 12)
     return inputs
@@ -224,13 +227,18 @@ def energy_digest(energies):
     return h.hexdigest()
 
 
-# Recorded with the per-term masked evaluation, before the zeta transform.
+# object_dtype was recorded with the per-term masked evaluation, before the
+# zeta transform, and int64_dtype with the int64/object zeta transform. The
+# four int32 vectors were re-pinned when energy_vector took int32 below
+# 2**31: each, cast to int64, hashes to the int64 digest recorded before
+# then, so no entry changed.
 ENERGY_SHA256 = {
-    "log_n10_c4": "a2c872fc3506bf3401b4aaa146aa435f4e9544d586194c05524dc36c8c7575c9",
-    "log_n11_c4": "b591a2932e996c2abcb83c4a0f3dbeb9b893e7439b63036068a692945edafd18",
+    "int64_dtype": "d5ebc7062b6562ac24d9e1191d7ef06a810651be723e0af7fa9d7507b78a20aa",
+    "log_n10_c4": "46f8e6213753c5031906b7b79a19669580e7ed71a423764b70194c6204e79ed0",
+    "log_n11_c4": "e90f76a9457beb8af6b16631131d9e4d4bf3f88fba4be7162788ddef4800b6ba",
     "object_dtype": "b3da354901afd89d1b6db6d5516115033b0a7edad58280bd8a51731b9dd35075",
-    "onehot_n4_c4": "6907033d0dc87cb2313a7d9bb17de599edf580409c19509bccce4fdaf6a8971d",
-    "quadratized_path3_c8": "1033e5e9002a72af4adfed422927de55a6d90df61871de1e5ac3b772e7e1e1b4",
+    "onehot_n4_c4": "c1230715831de9b11abb68ed5366529a3808f0d9a7cd60362fe9bf69778b3da7",
+    "quadratized_path3_c8": "c6780b86b8c0345ef10a0b54c4806943d482113d8b24b1d03ec268c7dbfdccae",
 }
 
 

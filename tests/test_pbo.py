@@ -215,6 +215,28 @@ class TestExactArithmetic:
         vec = energy_vector(p, 2)
         assert vec[bits_to_index((1, 1))] == big - 1
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_int32_at_the_largest_safe_bound(self, sign):
+        # sum |c| = 2**31 - 1 keeps int32, and every entry stays exact
+        p = Polynomial({(0,): sign * 2**30, (1,): sign * (2**30 - 1)})
+        vec = energy_vector(p, 2)
+        assert vec.dtype == np.int32
+        assert vec.tolist() == [0, sign * 2**30, sign * (2**30 - 1), sign * (2**31 - 1)]
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_int64_where_int32_would_wrap(self, sign):
+        p = Polynomial({(0,): sign * 2**30, (1,): sign * 2**30})
+        vec = energy_vector(p, 2)
+        assert vec.dtype == np.int64
+        assert vec.tolist() == [0, sign * 2**30, sign * 2**30, sign * 2**31]
+
+    @pytest.mark.parametrize("low", [2**30 - 1, 2**30], ids=["int32", "int64"])
+    def test_ground_states_at_the_int32_switch(self, low):
+        emin, states = ground_states(Polynomial({(0,): -(2**30), (1,): -low}))
+        assert type(emin) is int
+        assert emin == -(2**30) - low
+        assert states == [(1, 1)]
+
     def test_int64_at_the_largest_safe_bound(self):
         # sum |c| = 2**62 - 1 keeps int64, and every entry stays exact
         p = Polynomial({(): -(2**61), (0,): 2**60, (1,): 2**60 - 1})
@@ -233,14 +255,17 @@ class TestExactArithmetic:
             assert bits_to_index(index_to_bits(i, 4)) == i
 
 
+# Small, 2**40- and 2**70-sized coefficients: the int32, int64 and object tiers.
+WIDE_COEFFS = st.one_of(st.integers(-30, 30), st.integers(-(2**40), 2**40), st.integers(-(2**70), 2**70))
+
+
 @st.composite
 def enumerable_polynomials(draw):
-    """A polynomial of degree <= 4 with small or 2**70-sized coefficients,
+    """A polynomial of degree <= 4 with small, 2**40- or 2**70-sized coefficients,
     and a num_vars at or up to two past its span (0 for a constant)."""
     nv = draw(st.integers(0, 7))
-    coeffs = st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70))
     keys = st.lists(st.integers(0, nv - 1), max_size=4) if nv else st.just(())
-    poly = Polynomial(draw(st.lists(st.tuples(keys, coeffs), max_size=12)))
+    poly = Polynomial(draw(st.lists(st.tuples(keys, WIDE_COEFFS), max_size=12)))
     return poly, nv + draw(st.integers(0, 2))
 
 
@@ -255,7 +280,7 @@ class TestEnergyVector:
 
     def test_zero_polynomial(self):
         vec = energy_vector(Polynomial(), 3)
-        assert vec.dtype == np.int64
+        assert vec.dtype == np.int32
         assert vec.tolist() == [0] * 8
 
     def test_no_variables(self):
@@ -269,10 +294,6 @@ class TestEnergyVector:
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
             energy_vector(Polynomial(), ENUMERATION_MAX_VARS + 1)
-
-
-# Small and 2**70-sized coefficients; the latter take the object dtype.
-WIDE_COEFFS = st.one_of(st.integers(-30, 30), st.integers(-(2**70), 2**70))
 
 
 @st.composite
@@ -301,9 +322,11 @@ class TestEnergyVectorRows:
         assert vec.dtype == expected.dtype
         assert vec.tolist() == expected.tolist()
 
-    @pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "object"])
-    def test_more_term_rows_than_one_chunk(self, scale):
-        nv = 21
+    @pytest.mark.parametrize(
+        "scale, dtype", [(1, np.int32), (2**40, np.int64), (2**70, object)], ids=["int32", "int64", "object"]
+    )
+    def test_more_term_rows_than_one_chunk(self, scale, dtype):
+        nv = 22
         rng = random.Random(scale)
         # a random high part (row) and up to three low bits per term
         items = [
@@ -311,22 +334,22 @@ class TestEnergyVectorRows:
                 [v for v in range(ZETA_ROW_BITS, nv) if rng.getrandbits(1)] + rng.sample(range(ZETA_ROW_BITS), rng.randint(0, 3)),
                 scale * rng.randint(-30, 30),
             )
-            for _ in range(500)
+            for _ in range(1500)
         ]
         p = Polynomial(items)
-        assert len(term_rows(p)) > ZETA_CHUNK_BYTES // (8 << ZETA_ROW_BITS)
         vec = energy_vector(p, nv)
+        assert len(term_rows(p)) > ZETA_CHUNK_BYTES // (vec.itemsize << ZETA_ROW_BITS)
         expected = zeta_oracle(p, nv)
-        assert vec.dtype == expected.dtype == (object if scale > 1 else np.int64)
+        assert vec.dtype == expected.dtype == dtype
         assert vec.tolist() == expected.tolist()
 
     def test_empty_polynomial_past_the_row(self):
         assert not energy_vector(Polynomial(), ZETA_ROW_BITS + 2).any()
 
     def test_extra_memory_is_one_chunk(self):
-        # A term in every row, and lower-degree terms. At 20 variables the
-        # whole int64 array is one chunk, so 21 tell a chunk from all rows.
-        nv = 21
+        # A term in every row, and lower-degree terms. At 21 variables the
+        # whole int32 array is one chunk, so 22 tell a chunk from all rows.
+        nv = 22
         rng = random.Random(0)
         items = [([v for v in range(nv) if row << ZETA_ROW_BITS >> v & 1], 1000) for row in range(1 << nv - ZETA_ROW_BITS)]
         items += [(rng.sample(range(nv), rng.randint(0, 4)), rng.randint(-9, 9)) for _ in range(2000)]
@@ -338,4 +361,5 @@ class TestEnergyVectorRows:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert vec.dtype == np.int32
         assert peak <= vec.nbytes + ZETA_CHUNK_BYTES + (1 << 20)
