@@ -13,8 +13,6 @@ rule model JSON also writes and checks the penalty record by.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
@@ -90,42 +88,41 @@ class LogLayout:
     weights: list[int]
 
 
-# Per-bit factors of XNOR(a, b) = 2ab - a - b + 1 as (coeff, takes a, takes b).
-_XNOR_FACTORS = ((2, True, True), (-1, True, False), (-1, False, True), (1, False, False))
-
-
 def log_hubo_terms(layout: LogLayout) -> Iterator[tuple[Term, int]]:
-    """The log model's polynomial as one term stream.
+    """The log model's polynomial as one term stream, each key once, in closed form.
 
-    Yields P_k * x[v][k] for every vertex and bit, then the constant, then
-    weight * prod_k XNOR(x[u][k], x[v][k]) for each edge. An edge's 4^L
-    product monomials are written out directly, one XNOR factor chosen
-    per bit, under sorted keys: every bit of the lower vertex precedes
-    every bit of the higher one. Each key is the concatenation of two
-    per-vertex tuples, the ids of a subset of each endpoint's bits,
-    tabulated once per vertex by subset bitmask.
+    An edge's weight * prod_k XNOR(x[u][k], x[v][k]), XNOR(a, b) = 1 - a - b + 2ab,
+    has coefficient weight * 2^|S & T| * (-1)^|S ^ T| on its monomial over bits S
+    of u and T of v. Summed over the edges, the constant gains the sum of the
+    weights, a monomial over bits S of one vertex v has W_v * (-1)^|S| (W_v the
+    summed weight of v's edges) plus P_k when S = {k}, and each edge keeps its
+    (2^L - 1)^2 cross monomials. Keys join two per-vertex subset tables, lower
+    vertex first, built only when some edge has nonzero weight; the cross
+    coefficients come from one sign table per distinct weight.
     """
     n, l = layout.n, len(layout.ladder)
-    for k in range(l):
-        for v in range(n):
-            yield (bit_var(v, k, l),), layout.ladder[k]
-    yield (), layout.constant
-    weighted = [(e, w) for e, w in zip(layout.edges, layout.weights) if w]
+    weighted = [(min(e), max(e), w) for e, w in zip(layout.edges, layout.weights) if w]
+    sums = dict.fromkeys(range(n), 0)  # W_v, for the ladder's vertices and every weighted endpoint
+    for u, v, w in weighted:
+        sums.update({u: sums.get(u, 0) + w, v: sums.get(v, 0) + w})
+    for k, p in enumerate(layout.ladder):
+        for v, w in sums.items():
+            yield (bit_var(v, k, l),), (p if v < n else 0) - w
+    yield (), layout.constant + sum(w for _, _, w in weighted)
     if not weighted:
         return
-    template = []
-    for factors in itertools.product(_XNOR_FACTORS, repeat=l):
-        u_mask = sum(1 << k for k, (_, a, _) in enumerate(factors) if a)
-        v_mask = sum(1 << k for k, (_, _, b) in enumerate(factors) if b)
-        template.append((math.prod(c for c, _, _ in factors), u_mask, v_mask))
-    subsets = {
-        x: [tuple(bit_var(x, k, l) for k in range(l) if mask >> k & 1) for mask in range(1 << l)]
-        for x in {x for e, _ in weighted for x in e}
-    }
-    for (u, v), weight in weighted:
-        lo, hi = subsets[min(u, v)], subsets[max(u, v)]
-        for coeff, u_mask, v_mask in template:
-            yield lo[u_mask] + hi[v_mask], weight * coeff
+    sign, subsets = [(-1) ** mask.bit_count() for mask in range(1 << l)], {}
+    for x in sorted({x for u, v, _ in weighted for x in (u, v)}):
+        # subsets[x][mask]: the ids of x's bits in mask
+        subsets[x] = [tuple(bit_var(x, k, l) for k in range(l) if mask >> k & 1) for mask in range(1 << l)]
+        if sums[x]:
+            yield from ((subsets[x][mask], sums[x] * sign[mask]) for mask in range(3, 1 << l) if mask & (mask - 1))
+    masks = range(1, 1 << l)
+    signs = {1: [sign[s] * sign[t] << (s & t).bit_count() for s in masks for t in masks]}
+    for u, v, w in weighted:
+        if w not in signs:
+            signs[w] = [w * f for f in signs[1]]
+        yield from zip([a + b for a in subsets[u][1:] for b in subsets[v][1:]], signs[w])
 
 
 def log_penalties(meta: Mapping[str, Any]) -> LexPenalties:
@@ -190,10 +187,10 @@ def checked_log_layout(prob: EncodedProblem) -> LogLayout:
 def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
     """Whether log_hubo_terms(layout) sum to `p` exactly.
 
-    The rebuild costs 4^L per weighted edge, so a cheap count goes first:
-    each edge of nonzero weight yields (2^L - 1)^2 monomials over bits of
-    both its endpoints, which no other (distinct) edge or ladder term can
-    produce or cancel, so `p` holds at least that many terms.
+    The rebuild builds 2^L-entry tables once some edge has nonzero weight,
+    so a cheap count goes first: each such edge yields (2^L - 1)^2 monomials
+    over bits of both its endpoints, which no other (distinct) edge or
+    ladder term can produce or cancel, so `p` holds at least that many terms.
     """
     floor = sum(1 for w in layout.weights if w) * ((1 << len(layout.ladder)) - 1) ** 2
     return sum(1 for _ in p.items()) >= floor and p == Polynomial._from_canonical(log_hubo_terms(layout))

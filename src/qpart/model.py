@@ -78,11 +78,16 @@ def to_model_json(prob: EncodedProblem) -> str:
 
 
 def _block_json(degree: int, terms: list[tuple[tuple[int, ...], int]]) -> str:
-    """One entry of the terms list, on one line: the terms of one degree, sorted in place by key."""
+    """One entry of the terms list, on one line: the terms of one degree, sorted in place by key.
+
+    The text json.dumps writes, joined directly: decimal strings need no escaping, and each
+    distinct coefficient and id, of which a model has few, is formatted once."""
     terms.sort(key=operator.itemgetter(0))
-    coeffs = [str(coeff) for _, coeff in terms]
+    coeffs = [coeff for _, coeff in terms]
     ids = list(itertools.chain.from_iterable(key for key, _ in terms))
-    return "    " + json.dumps({"coeffs": coeffs, "degree": degree, "vars": ids}, sort_keys=True)
+    coeff_text = ", ".join(map({c: f'"{c}"' for c in set(coeffs)}.__getitem__, coeffs))
+    id_text = ", ".join(map({i: str(i) for i in set(ids)}.__getitem__, ids))
+    return f'    {{"coeffs": [{coeff_text}], "degree": {degree}, "vars": [{id_text}]}}'
 
 
 def from_model_json(text: str) -> EncodedProblem:
@@ -132,13 +137,16 @@ def from_model_json(text: str) -> EncodedProblem:
                 raise ValueError("term variable ids must be strictly increasing")
             keys.extend(zip(*cols) if cols else [()] * len(block_coeffs))
             coeffs.extend(block_coeffs)
+        # every coefficient's type, since a set merges True with 1; then each distinct one once
         if not set(map(type, coeffs)) <= {int, str}:
             raise ValueError("term coefficients must be integers or decimal strings")
+        distinct = set(coeffs)
         # int() also reads spaces, underscores and non-ASCII digits; empty strings it rejects
-        digits = "".join(c.removeprefix("-") for c in coeffs if type(c) is str)
+        digits = "".join(c.removeprefix("-") for c in distinct if type(c) is str)
         if not (digits.isascii() and (digits.isdigit() or not digits)):
             raise ValueError("coefficient strings must be ASCII decimal integers")
-        poly = Polynomial._from_canonical(zip(keys, map(int, coeffs)))
+        value = {c: int(c) for c in distinct}
+        poly = Polynomial._from_canonical(zip(keys, map(value.__getitem__, coeffs)))
         metadata = doc.get("metadata", {})
         if type(metadata) is not dict:
             raise ValueError("metadata must be a JSON object")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -103,6 +104,28 @@ def multiply(a, b):
 def mgc_spec(g):
     """Minimum coloring as a partition spec: unit cost on monochromatic edges, gap 1."""
     return PartitionSpec(alpha=dict.fromkeys(g.edges, 1), beta=dict.fromkeys(g.edges, 0), gap=1)
+
+
+# Per-bit factors of XNOR(a, b) = 2ab - a - b + 1 as (coeff, takes a, takes b).
+_XNOR_FACTORS = ((2, True, True), (-1, True, False), (-1, False, True), (1, False, False))
+
+
+def naive_log_hubo_terms(layout):
+    """The log model's polynomial as a term stream with repeated keys, the reference
+    for log_hubo_terms' closed form: P_k * x[v][k] for every vertex and bit, the
+    constant, then each edge's weight * prod_k XNOR(x[u][k], x[v][k]) written out as
+    its 4^L products, one XNOR factor chosen per bit, under sorted keys."""
+    n, l = layout.n, len(layout.ladder)
+    for k in range(l):
+        for v in range(n):
+            yield (v * l + k,), layout.ladder[k]
+    yield (), layout.constant
+    for (u, v), weight in zip(layout.edges, layout.weights):
+        lo, hi = sorted((u, v))
+        for factors in itertools.product(_XNOR_FACTORS, repeat=l):
+            key = [lo * l + k for k, (_, a, _) in enumerate(factors) if a]
+            key += [hi * l + k for k, (_, _, b) in enumerate(factors) if b]
+            yield tuple(key), weight * math.prod(c for c, _, _ in factors)
 
 
 def edge_agreement_product(u, v, l):

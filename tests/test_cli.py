@@ -4,13 +4,11 @@ import contextlib
 import copy
 import dataclasses
 import io
-import itertools
 import json
 import os
 import tempfile
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -453,7 +451,7 @@ def _raise_vertex_count(doc):
 # Metadata that asks the exact check in logenc for a runaway rebuild, each
 # stopped by one check: n * L past the registry (an n * L ladder); fewer
 # terms than the edge's cross monomials (a 4^L edge); no edge of nonzero
-# weight, where only the rebuild finds the mismatch (no 4^L template), so
+# weight, where only the rebuild finds the mismatch (no 2^L table), so
 # that case must have read the bounded stream.
 METADATA_TAMPERS = {
     "vertex_count": (
@@ -476,6 +474,16 @@ def _bounded(iterate, limit):
 
     return wrapper
 
+
+def _bounded_range(limit):
+    """A stand-in for the range builtin that fails the test past `limit` items."""
+
+    def bounded(*args):
+        if len(span := range(*args)) > limit:
+            raise RuntimeError(f"a range of {len(span)} items")
+        return span
+
+    return bounded
 
 
 class TestExitCodes:
@@ -533,8 +541,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("tamper", sorted(METADATA_TAMPERS))
     def test_tampered_metadata_exits_2_before_expanding(self, tamper, tmp_path, capsys, monkeypatch):
-        # Past 10^5 items the rebuild's term stream, or the product over
-        # per-bit factors that makes its 4^L template, fails the test.
+        # Past 10^5 items the rebuild's term stream fails the test, and so
+        # does a range past 10^5 in logenc, which builds each 2^L sign or
+        # subset table over range(1 << L): the count floor must refuse a
+        # weighted edge's tables, and an edgeless stream must build none.
         build, corrupt = METADATA_TAMPERS[tamper]
         doc = json.loads(to_model_json(build()))
         corrupt(doc)
@@ -547,9 +557,7 @@ class TestExitCodes:
             return bounded(*args, **kwargs)
 
         monkeypatch.setattr(logenc, "log_hubo_terms", stream)
-        monkeypatch.setattr(
-            logenc, "itertools", SimpleNamespace(product=_bounded(itertools.product, 10**5))
-        )
+        monkeypatch.setattr(logenc, "range", _bounded_range(10**5), raising=False)
         code, _, err = run(["quadratize", "--in", str(model)], capsys)
         assert code == 2
         assert "does not reproduce its polynomial" in err

@@ -23,7 +23,7 @@ from qpart import cli
 from qpart.gates import cnot_count_oracle
 from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import LOG_KINDS, PartitionSpec, checked_log_layout, encode_general, encode_mgc_log, log_penalties
-from qpart.model import to_model_json
+from qpart.model import EncodedProblem, to_model_json
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import Polynomial, energy_vector
 from qpart.quadratize import quadratize
@@ -291,6 +291,27 @@ def test_gate_golden_names_cover_every_model(models):
 @pytest.mark.parametrize("name", sorted(GATE_SHA256))
 def test_gate_oracle_pinned(models, name):
     assert gate_digest(models[name].polynomial) == GATE_SHA256[name]
+
+
+# No output reads the order of a Polynomial's terms: the model writer sorts them,
+# colour classes come from a sorted Graph, and fields, spin coefficients and
+# energies are exact sums. So the builders may write their terms in any order.
+ORDER_MODELS = {
+    "spin_state_qubo": lambda: quadratize(encode_mgc_log(Graph(3, ((0, 1), (1, 2))), 4)).problem,
+    "bool_state_hubo": lambda: encode_mgc_log(GRAPH, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_MODELS))
+def test_outputs_do_not_read_term_order(name):
+    prob = ORDER_MODELS[name]()
+    p, nv = prob.polynomial, prob.num_variables
+    q = Polynomial._from_canonical(reversed(list(p.items())))
+    assert list(q.items()) == list(reversed(list(p.items())))
+    assert to_model_json(EncodedProblem(q, prob.registry, prob.meta)) == to_model_json(prob)
+    assert anneal(q, ANNEAL_PARAMS, nv).to_json() == anneal(p, ANNEAL_PARAMS, nv).to_json()
+    assert cnot_count_oracle(q).to_json() == cnot_count_oracle(p).to_json()
+    assert energy_digest(energy_vector(q, nv)) == energy_digest(energy_vector(p, nv))
 
 
 # A small suite with an L=1 passthrough, quadratized L=2 arms, the one-run

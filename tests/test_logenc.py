@@ -11,10 +11,11 @@ from conftest import (
     feasibility_gap_bruteforce,
     lex_bounds_hold,
     mgc_spec,
+    naive_log_hubo_terms,
     path_graph,
     population_of_bits,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpart.errors import DimensionError, InvalidInstanceError, ResourceLimitError
@@ -119,11 +120,14 @@ class TestEncoding:
 @st.composite
 def term_stream_args(draw):
     """A LogLayout with any ladder, constant, edge subset and edge weights
-    over n <= 6 vertices and L <= 4 bits, zero and negative included."""
-    n = draw(st.integers(1, 6))
+    over n <= 6 vertices and L <= 4 bits, zero and negative included. Its
+    edges join vertices below 6, past n too, as edge_agreement_product's
+    n = 0 layouts do."""
+    n = draw(st.integers(0, 6))
     l = draw(st.integers(1, 4))
     coeffs = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    span = draw(st.integers(n, 6))
+    pairs = [(u, v) for u in range(span) for v in range(u + 1, span)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     # either endpoint order: the stream sorts each edge's keys itself
     edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
@@ -135,9 +139,12 @@ class TestTermStream:
     @given(term_stream_args())
     @settings(max_examples=60, deadline=None)
     def test_keys_are_canonical(self, layout):
-        for key, _ in log_hubo_terms(layout):
+        span = max([layout.n, *(1 + max(e) for e in layout.edges)])
+        keys = [key for key, _ in log_hubo_terms(layout)]
+        assert len(set(keys)) == len(keys)
+        for key in keys:
             assert all(a < b for a, b in zip(key, key[1:]))
-            assert all(0 <= v < layout.n * len(layout.ladder) for v in key)
+            assert all(0 <= v < span * len(layout.ladder) for v in key)
 
     @given(term_stream_args())
     @settings(max_examples=60, deadline=None)
@@ -145,6 +152,17 @@ class TestTermStream:
         stream = list(log_hubo_terms(layout))
         trusted = Polynomial._from_canonical(stream)
         assert list(trusted.items()) == list(Polynomial(stream).items())
+
+    @given(term_stream_args())
+    # W_0 = 3 is P_1, so x[0][1] cancels; the weight 5 cancels the constant;
+    # an n = 0 layout whose one edge names its endpoints in reverse
+    @example(LogLayout(2, (3, 5), 0, [(0, 1)], [3]))
+    @example(LogLayout(2, (1, 1), -5, [(1, 0)], [5]))
+    @example(LogLayout(0, (0, 0, 0), 0, [(3, 1)], [-(2**70)]))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_template_product(self, layout):
+        closed = Polynomial._from_canonical(log_hubo_terms(layout))
+        assert closed == Polynomial(naive_log_hubo_terms(layout))
 
 
 class TestIndexPopulation:

@@ -181,20 +181,38 @@ class TestTermObjectLayout:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda term: term.update(coeff=2.7),
-            lambda term: term.update(coeff=" 4"),
-            lambda term: term["vars"].reverse(),
-            lambda term: term["vars"].__setitem__(1, term["vars"][0]),
-            lambda term: term["vars"].__setitem__(0, True),
-            lambda term: term["vars"].__setitem__(0, -1),
-            lambda term: term.update(vars=""),
+            lambda terms: terms[-1].update(coeff=2.7),
+            lambda terms: terms[-1].update(coeff=" 4"),
+            lambda terms: terms[-1]["vars"].reverse(),
+            lambda terms: terms[-1]["vars"].__setitem__(1, terms[-1]["vars"][0]),
+            lambda terms: terms[-1]["vars"].__setitem__(0, True),
+            lambda terms: terms[-1]["vars"].__setitem__(0, -1),
+            lambda terms: terms[-1].update(vars=""),
+            # a set of the block's coefficients would merge true with the int 1 beside it
+            lambda terms: (terms[-2].update(coeff=1), terms[-1].update(coeff=True)),
+            lambda terms: terms[-1].update(coeff="1_0"),
+            lambda terms: terms[-1].update(coeff="\u0663"),
+            lambda terms: terms[-1].update(coeff="-"),
         ],
-        ids=["float_coeff", "spaced_coeff", "unsorted", "repeated", "bool_id", "negative_id", "vars_not_list"],
+        ids=[
+            "float_coeff",
+            "spaced_coeff",
+            "unsorted",
+            "repeated",
+            "bool_id",
+            "negative_id",
+            "vars_not_list",
+            "bool_coeff",
+            "underscore_coeff",
+            "non_ascii_coeff",
+            "bare_minus_coeff",
+        ],
     )
     def test_term_objects_get_the_block_checks(self, corrupt):
-        # the log model's last term is {"coeff": "64", "vars": [2, 3, 4, 5]}
+        # the log model's last three terms, one run of degree 4, are {"coeff": "64",
+        # "vars": [0, 1, 2, 3]}, then [0, 1, 4, 5], then [2, 3, 4, 5]
         doc = json.loads((DATA / "k3_log_mgc_c4_term_objects.json").read_text())
-        corrupt(doc["terms"][-1])
+        corrupt(doc["terms"])
         with pytest.raises(ParseError, match="malformed model JSON"):
             from_model_json(json.dumps(doc))
 
