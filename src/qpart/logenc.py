@@ -104,18 +104,20 @@ def log_hubo_terms(layout: LogLayout) -> Iterator[tuple[Term, int]]:
     weighted = [(min(e), max(e), w) for e, w in zip(layout.edges, layout.weights) if w]
     sums = dict.fromkeys(range(n), 0)  # W_v, for the ladder's vertices and every weighted endpoint
     for u, v, w in weighted:
-        sums.update({u: sums.get(u, 0) + w, v: sums.get(v, 0) + w})
+        sums[u] = sums.get(u, 0) + w
+        sums[v] = sums.get(v, 0) + w
     for k, p in enumerate(layout.ladder):
         for v, w in sums.items():
             yield (bit_var(v, k, l),), (p if v < n else 0) - w
     yield (), layout.constant + sum(w for _, _, w in weighted)
     if not weighted:
         return
-    sign, subsets = [(-1) ** mask.bit_count() for mask in range(1 << l)], {}
+    sign = [(-1) ** mask.bit_count() for mask in range(1 << l)]
+    subsets = {}
     for x in sorted({x for u, v, _ in weighted for x in (u, v)}):
         # subsets[x][mask]: the ids of x's bits in mask
         subsets[x] = [tuple(bit_var(x, k, l) for k in range(l) if mask >> k & 1) for mask in range(1 << l)]
-        if sums[x]:
+        if sums[x]:  # sets of two or more bits; single bits went out with the ladder
             yield from ((subsets[x][mask], sums[x] * sign[mask]) for mask in range(3, 1 << l) if mask & (mask - 1))
     masks = range(1, 1 << l)
     signs = {1: [sign[s] * sign[t] << (s & t).bit_count() for s in masks for t in masks]}

@@ -544,7 +544,8 @@ class TestExitCodes:
         # Past 10^5 items the rebuild's term stream fails the test, and so
         # does a range past 10^5 in logenc, which builds each 2^L sign or
         # subset table over range(1 << L): the count floor must refuse a
-        # weighted edge's tables, and an edgeless stream must build none.
+        # weighted edge's tables, and a layout with no weighted edge must
+        # build none.
         build, corrupt = METADATA_TAMPERS[tamper]
         doc = json.loads(to_model_json(build()))
         corrupt(doc)
