@@ -8,13 +8,14 @@ small labels without any dedicated counting register.
 
 A LogLayout is the one description of a log model, and log_layout the one
 way to build it from a model's metadata, weighted by log_penalties, the
-rule model JSON also writes and checks the penalty record by.
+rule model JSON also writes and checks the penalty record by. log_hubo_terms
+writes its term map, which the encoder adopts and checked_log_layout compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from .errors import DimensionError, InvalidInstanceError
 from .graphs import Coloring, Graph
@@ -79,7 +80,7 @@ def vertex_labels(bits: Bits, n: int, l: int) -> list[int]:
 class LogLayout:
     """A log model: n vertices of L = len(ladder) bits, the ladder, the
     constant, and one agreement-product weight per edge. log_layout builds
-    it from a model's costs; log_hubo_terms writes its polynomial."""
+    it from a model's costs; log_hubo_terms writes its term map."""
 
     n: int
     ladder: tuple[int, ...]
@@ -88,8 +89,8 @@ class LogLayout:
     weights: list[int]
 
 
-def log_hubo_terms(layout: LogLayout) -> Iterator[tuple[Term, int]]:
-    """The log model's polynomial as one term stream, each key once, in closed form.
+def log_hubo_terms(layout: LogLayout) -> dict[Term, int]:
+    """The log model's polynomial as its term map, each key written once, in closed form.
 
     An edge's weight * prod_k XNOR(x[u][k], x[v][k]), XNOR(a, b) = 1 - a - b + 2ab,
     has coefficient weight * 2^|S & T| * (-1)^|S ^ T| on its monomial over bits S
@@ -98,7 +99,9 @@ def log_hubo_terms(layout: LogLayout) -> Iterator[tuple[Term, int]]:
     summed weight of v's edges) plus P_k when S = {k}, and each edge keeps its
     (2^L - 1)^2 cross monomials. Keys join two per-vertex subset tables, lower
     vertex first, built only when some edge has nonzero weight; the cross
-    coefficients come from one sign table per distinct weight.
+    coefficients come from one sign table per distinct weight. The map holds the
+    single bits, bit by bit, and the constant, each left out when zero (no other
+    sum can be), then takes one dict.update per vertex and per edge.
     """
     n, l = layout.n, len(layout.ladder)
     weighted = [(min(e), max(e), w) for e, w in zip(layout.edges, layout.weights) if w]
@@ -106,25 +109,27 @@ def log_hubo_terms(layout: LogLayout) -> Iterator[tuple[Term, int]]:
     for u, v, w in weighted:
         sums[u] = sums.get(u, 0) + w
         sums[v] = sums.get(v, 0) + w
-    for k, p in enumerate(layout.ladder):
-        for v, w in sums.items():
-            yield (bit_var(v, k, l),), (p if v < n else 0) - w
-    yield (), layout.constant + sum(w for _, _, w in weighted)
+    singles = ((bit_var(v, k, l), (p if v < n else 0) - w) for k, p in enumerate(layout.ladder) for v, w in sums.items())
+    terms = {(x,): c for x, c in singles if c}
+    if constant := layout.constant + sum(w for _, _, w in weighted):
+        terms[()] = constant
     if not weighted:
-        return
+        return terms
     sign = [(-1) ** mask.bit_count() for mask in range(1 << l)]
+    multi = [mask for mask in range(3, 1 << l) if mask & (mask - 1)]  # sets of two or more bits
     subsets = {}
     for x in sorted({x for u, v, _ in weighted for x in (u, v)}):
         # subsets[x][mask]: the ids of x's bits in mask
         subsets[x] = [tuple(bit_var(x, k, l) for k in range(l) if mask >> k & 1) for mask in range(1 << l)]
-        if sums[x]:  # sets of two or more bits; single bits went out with the ladder
-            yield from ((subsets[x][mask], sums[x] * sign[mask]) for mask in range(3, 1 << l) if mask & (mask - 1))
+        if sums[x]:
+            terms.update((subsets[x][mask], sums[x] * sign[mask]) for mask in multi)
     masks = range(1, 1 << l)
     signs = {1: [sign[s] * sign[t] << (s & t).bit_count() for s in masks for t in masks]}
     for u, v, w in weighted:
         if w not in signs:
             signs[w] = [w * f for f in signs[1]]
-        yield from zip([a + b for a in subsets[u][1:] for b in subsets[v][1:]], signs[w])
+        terms.update(zip([a + b for a in subsets[u][1:] for b in subsets[v][1:]], signs[w]))
+    return terms
 
 
 def log_penalties(meta: Mapping[str, Any]) -> LexPenalties:
@@ -187,7 +192,7 @@ def checked_log_layout(prob: EncodedProblem) -> LogLayout:
 
 
 def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
-    """Whether log_hubo_terms(layout) sum to `p` exactly.
+    """Whether log_hubo_terms(layout) is `p`'s term map exactly.
 
     The rebuild builds 2^L-entry tables once some edge has nonzero weight,
     so a cheap count goes first: each such edge yields (2^L - 1)^2 monomials
@@ -195,7 +200,7 @@ def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
     ladder term can produce or cancel, so `p` holds at least that many terms.
     """
     floor = sum(1 for w in layout.weights if w) * ((1 << len(layout.ladder)) - 1) ** 2
-    return sum(1 for _ in p.items()) >= floor and p == Polynomial._from_canonical(log_hubo_terms(layout))
+    return len(p._terms) >= floor and p._terms == log_hubo_terms(layout)
 
 
 def _encode_log(g: Graph, l: int, /, **meta: Any) -> EncodedProblem:

@@ -14,7 +14,7 @@ from typing import Any, Iterator, Mapping
 
 from .errors import ParseError
 from .graphs import Graph
-from .pbo import Polynomial
+from .pbo import Polynomial, _accumulate
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,10 @@ def from_model_json(text: str) -> EncodedProblem:
     A block's degree must be a non-negative JSON integer and its vars a list of exactly
     degree ids per coefficient. Variable ids must be JSON integers, non-negative and strictly
     increasing within each term, and coefficients JSON integers or ASCII decimal strings;
-    booleans and floats are rejected. Roles must be strings and metadata an object. A known
-    kind's penalty record must equal, in every value and JSON type, the one its metadata
-    derives; any other kind's stays in its metadata."""
+    booleans and floats are rejected. Terms of one key sum, and zero sums drop out. Roles
+    must be strings and metadata an object. A known kind's penalty record must equal, in
+    every value and JSON type, the one its metadata derives; any other kind's stays in its
+    metadata."""
     from .logenc import LOG_KINDS  # late: the encoder modules depend on this one
 
     try:
@@ -147,6 +148,8 @@ def from_model_json(text: str) -> EncodedProblem:
             raise ValueError("coefficient strings must be ASCII decimal integers")
         value = {c: int(c) for c in distinct}
         poly = Polynomial._from_canonical(zip(keys, map(value.__getitem__, coeffs)))
+        if len(poly._terms) < len(keys) or 0 in value.values():  # a repeated key or a zero: sum as written
+            poly = Polynomial._from_canonical(_accumulate(zip(keys, map(value.__getitem__, coeffs))))
         metadata = doc.get("metadata", {})
         if type(metadata) is not dict:
             raise ValueError("metadata must be a JSON object")

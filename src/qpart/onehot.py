@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import DimensionError
 from .graphs import Coloring, Graph
 from .model import EncodedProblem, instance_meta
-from .pbo import Bits, Polynomial, check_build_terms
+from .pbo import Bits, Polynomial, _accumulate, check_build_terms
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def encode_mgc_onehot(g: Graph, c: int) -> EncodedProblem:
     registry = [f"x[{v}][{col}]" for v in range(n) for col in range(c)]
     registry += [f"y[{col}]" for col in range(c)]
     meta = instance_meta(g, kind="onehot_mgc", c_num=c, L=None)
-    return EncodedProblem(Polynomial._from_canonical(terms), tuple(registry), meta)
+    return EncodedProblem(Polynomial._from_canonical(_accumulate(terms)), tuple(registry), meta)
 
 
 def decode_onehot(prob: EncodedProblem, assignment: Bits) -> Coloring | list[int]:

@@ -20,9 +20,9 @@ ENUMERATION_MAX_VARS = 24
 # ZETA_CHUNK_BYTES of them at once.
 ZETA_ROW_BITS = 12
 ZETA_CHUNK_BYTES = 8 << 20
-# Terms an encoder may stream into one polynomial, counted before it
-# builds any: about 350 B per term in the polynomial (K2's 2**20-term log
-# model at 1024 colours peaks at 354 MiB), more with `qpart encode`'s
+# Terms an encoder may write into one polynomial, counted before it
+# builds any: about 250 B per term in the polynomial (K2's 2**20-term log
+# model at 1024 colours peaks at 282 MiB), more with `qpart encode`'s
 # registry and JSON text (ru_maxrss of 133 MiB for the 200,001 terms of a
 # 10**5-vertex edgeless graph at 4 colours, against 75 MiB for the encoding
 # alone; 137 against 108 MiB for K2's 2**18-term model at 512 colours), so
@@ -51,16 +51,17 @@ class Polynomial:
         self._terms = _accumulate((_canonical_key(vars_), operator.index(coeff)) for vars_, coeff in items)
 
     @classmethod
-    def _from_canonical(cls, terms: Iterable[tuple[Term, int]]) -> Polynomial:
-        """Sum a term stream whose keys are already canonical: sorted tuples of
-        distinct, non-negative ids, as the encoders' builders write them.
+    def _from_canonical(cls, terms: Mapping[Term, int] | Iterable[tuple[Term, int]]) -> Polynomial:
+        """The polynomial of a finished term map: canonical keys, sorted tuples of
+        distinct, non-negative ids, each once and with a nonzero coefficient, as the
+        builders write them. A stream of such terms reads as their map, in its order.
 
-        The same map, in the same order, as the constructor builds from that stream,
-        without re-canonicalizing each key. The keys are not checked: only the builders,
-        the quadratization proof and the model reader, which checks them, call this.
+        Nothing is summed, re-canonicalized or checked: a stream whose keys repeat or
+        whose coefficients may be zero goes through _accumulate first. Only the builders,
+        the quadratization proof and the model reader, which checks its keys, call this.
         """
         poly = cls.__new__(cls)
-        poly._terms = _accumulate(terms)
+        poly._terms = dict(terms)
         return poly
 
     def items(self) -> Iterator[tuple[Term, int]]:
@@ -107,7 +108,10 @@ def _canonical_key(vars_: Iterable[int]) -> Term:
 
 
 def _accumulate(terms: Iterable[tuple[Term, int]]) -> dict[Term, int]:
-    """Sum the coefficients of equal keys, dropping every sum that is zero."""
+    """Sum the coefficients of equal keys in the order keys first appear, dropping every
+    zero sum (a dropped key that appears again enters at the end): the one summing loop,
+    for the constructor, the one-hot encoder, quadratize's gadgets, verify_quadratization's
+    reduced terms and a model file that repeats a key or holds a zero."""
     canon: dict[Term, int] = {}
     get = canon.get
     for key, coeff in terms:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .errors import InternalInvariantError
 from .logenc import LogLayout, bit_var, bits_for_colors, checked_log_layout, log_hubo_terms
 from .model import EncodedProblem
-from .pbo import Polynomial, energy_vector
+from .pbo import Polynomial, _accumulate, energy_vector
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     if l == 1:
         return QuadratizedProblem(EncodedProblem(prob.polynomial, prob.registry, meta))
 
-    terms = list(log_hubo_terms(replace(layout, edges=[], weights=[])))
+    terms = list(log_hubo_terms(replace(layout, edges=[], weights=[])).items())
     registry = list(prob.registry)
     m_1 = penalties.m_stage1
     for e, ((u, v), weight) in enumerate(zip(edges, weights)):
@@ -114,7 +114,7 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
         if weight:
             terms.append((tuple(sorted((head, y + l - 1))), weight))
 
-    poly = Polynomial._from_canonical(terms)
+    poly = Polynomial._from_canonical(_accumulate(terms))
     if poly.degree() > 2:
         raise InternalInvariantError("quadratization produced a term of degree > 2")
     return QuadratizedProblem(EncodedProblem(poly, tuple(registry), meta))
@@ -220,4 +220,4 @@ def verify_quadratization(hubo: EncodedProblem, quad: QuadratizedProblem) -> Qua
             subsets = [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
             minima[signature] = [(subsets[mask], int(c)) for mask, c in enumerate(f) if c]
         reduced += [(tuple(map(block_vars.__getitem__, local)), c) for local, c in minima[signature]]
-    return QuadratizationReport(Polynomial._from_canonical(reduced) == hubo.polynomial)
+    return QuadratizationReport(Polynomial._from_canonical(_accumulate(reduced)) == hubo.polynomial)

@@ -452,7 +452,7 @@ def _raise_vertex_count(doc):
 # stopped by one check: n * L past the registry (an n * L ladder); fewer
 # terms than the edge's cross monomials (a 4^L edge); no edge of nonzero
 # weight, where only the rebuild finds the mismatch (no 2^L table), so
-# that case must have read the bounded stream.
+# that case must have built the bounded map.
 METADATA_TAMPERS = {
     "vertex_count": (
         lambda: encode_general(K2, K2_UNWEIGHTED, 2),
@@ -463,14 +463,15 @@ METADATA_TAMPERS = {
 }
 
 
-def _bounded(iterate, limit):
-    """Wrap an iterator factory so a runaway expansion fails the test instead of hanging it."""
+def _bounded(build, limit):
+    """Wrap a term-map builder so a map of more than `limit` terms fails the test; the
+    bounded range stops a runaway table before the map is built, so nothing hangs."""
 
     def wrapper(*args, **kwargs):
-        for count, item in enumerate(iterate(*args, **kwargs)):
-            if count == limit:
-                raise RuntimeError(f"more than {limit} items")
-            yield item
+        terms = build(*args, **kwargs)
+        if len(terms) > limit:
+            raise RuntimeError(f"more than {limit} terms")
+        return terms
 
     return wrapper
 
@@ -484,6 +485,27 @@ def _bounded_range(limit):
         return span
 
     return bounded
+
+
+def _swap_term(blocks):
+    """Drop the last degree-4 term, the four bits of x[1] and x[2], and add
+    x[0][1] x[1][1] x[2][1], a monomial over three vertices that no edge writes."""
+    four, three = blocks[4], blocks[3]
+    four["coeffs"].pop()
+    del four["vars"][-4:]
+    three["coeffs"].append("-32")
+    three["vars"] += [0, 2, 4]
+
+
+# Edits to the term blocks of K3's log model at c = 4 (degrees 0 to 4, 37 terms)
+# that keep its term count, so the count floor passes and only the comparison
+# of the rebuilt map with the file's refuses.
+TERM_TAMPERS = {
+    "coefficient_changed": lambda blocks: blocks[4]["coeffs"].__setitem__(1, "65"),
+    "term_dropped_and_added": _swap_term,
+    # x[0] and x[2]'s bits become x[0][1] x[0][2] x[1][1] x[2][2], over three vertices
+    "key_renamed": lambda blocks: blocks[4]["vars"].__setitem__(slice(4, 8), [0, 1, 2, 5]),
+}
 
 
 class TestExitCodes:
@@ -539,13 +561,27 @@ class TestExitCodes:
             assert "does not reproduce its polynomial" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tamper", sorted(TERM_TAMPERS))
+    def test_tampered_terms_exit_2(self, tamper, k3_file, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        run(["encode", "--in", str(k3_file), "--encoding", "log", "--colors", "4", "--out", str(model)], capsys)
+        doc = json.loads(model.read_text())
+        count = sum(len(block["coeffs"]) for block in doc["terms"])
+        TERM_TAMPERS[tamper](doc["terms"])
+        assert sum(len(block["coeffs"]) for block in doc["terms"]) == count == 37
+        model.write_text(json.dumps(doc))
+        code, _, err = run(["quadratize", "--in", str(model)], capsys)
+        assert code == 2
+        assert "does not reproduce its polynomial" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tamper", sorted(METADATA_TAMPERS))
     def test_tampered_metadata_exits_2_before_expanding(self, tamper, tmp_path, capsys, monkeypatch):
-        # Past 10^5 items the rebuild's term stream fails the test, and so
-        # does a range past 10^5 in logenc, which builds each 2^L sign or
-        # subset table over range(1 << L): the count floor must refuse a
-        # weighted edge's tables, and a layout with no weighted edge must
-        # build none.
+        # Past 10^5 terms the rebuilt term map fails the test, and so does a
+        # range past 10^5 in logenc, which builds each 2^L sign or subset
+        # table over range(1 << L): the count floor must refuse a weighted
+        # edge's tables, and a layout with no weighted edge must build none.
+        # The real map comes back, so its comparison with the file's refuses.
         build, corrupt = METADATA_TAMPERS[tamper]
         doc = json.loads(to_model_json(build()))
         corrupt(doc)
@@ -553,11 +589,11 @@ class TestExitCodes:
         model.write_text(json.dumps(doc))
         bounded, calls = _bounded(logenc.log_hubo_terms, 10**5), []
 
-        def stream(*args, **kwargs):
-            calls.append(args)
-            return bounded(*args, **kwargs)
+        def rebuild(*args, **kwargs):
+            calls.append(bounded(*args, **kwargs))
+            return calls[-1]
 
-        monkeypatch.setattr(logenc, "log_hubo_terms", stream)
+        monkeypatch.setattr(logenc, "log_hubo_terms", rebuild)
         monkeypatch.setattr(logenc, "range", _bounded_range(10**5), raising=False)
         code, _, err = run(["quadratize", "--in", str(model)], capsys)
         assert code == 2
@@ -565,6 +601,8 @@ class TestExitCodes:
         assert "Traceback" not in err
         if tamper == "zero_weight_edge":
             assert calls, "the rebuild no longer reads logenc.log_hubo_terms"
+            # K2 at L = 40: 80 single bits and the constant A * beta, as a map
+            assert [(type(terms), len(terms)) for terms in calls] == [(dict, 2 * 40 + 1)]
 
     def test_gates_past_subset_limit_exits_3(self, tmp_path, capsys):
         # One degree-40 term needs 2**40 subset additions; one degree-25 term

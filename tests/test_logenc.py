@@ -32,7 +32,7 @@ from qpart.logenc import (
     log_penalties,
 )
 from qpart.model import from_model_json, to_model_json
-from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, ground_states
+from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, _accumulate, ground_states
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -129,7 +129,7 @@ def term_stream_args(draw):
     span = draw(st.integers(n, 6))
     pairs = [(u, v) for u in range(span) for v in range(u + 1, span)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # either endpoint order: the stream sorts each edge's keys itself
+    # either endpoint order: the map sorts each edge's keys itself
     edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
     weights = draw(st.lists(coeffs, min_size=len(edges), max_size=len(edges)))
     return LogLayout(n, tuple(draw(st.lists(coeffs, min_size=l, max_size=l))), draw(coeffs), edges, weights)
@@ -140,18 +140,19 @@ class TestTermStream:
     @settings(max_examples=60, deadline=None)
     def test_keys_are_canonical(self, layout):
         span = max([layout.n, *(1 + max(e) for e in layout.edges)])
-        keys = [key for key, _ in log_hubo_terms(layout)]
-        assert len(set(keys)) == len(keys)
-        for key in keys:
+        terms = log_hubo_terms(layout)
+        assert type(terms) is dict
+        for key, coeff in terms.items():
             assert all(a < b for a, b in zip(key, key[1:]))
             assert all(0 <= v < span * len(layout.ladder) for v in key)
+            assert coeff != 0
 
     @given(term_stream_args())
     @settings(max_examples=60, deadline=None)
     def test_trusted_build_matches_constructor(self, layout):
-        stream = list(log_hubo_terms(layout))
-        trusted = Polynomial._from_canonical(stream)
-        assert list(trusted.items()) == list(Polynomial(stream).items())
+        terms = log_hubo_terms(layout)
+        trusted = Polynomial._from_canonical(terms)
+        assert list(trusted.items()) == list(Polynomial(terms).items()) == list(terms.items())
 
     @given(term_stream_args())
     # W_0 = 3 is P_1, so x[0][1] cancels; the weight 5 cancels the constant;
@@ -161,8 +162,19 @@ class TestTermStream:
     @example(LogLayout(0, (0, 0, 0), 0, [(3, 1)], [-(2**70)]))
     @settings(max_examples=60, deadline=None)
     def test_closed_form_matches_template_product(self, layout):
-        closed = Polynomial._from_canonical(log_hubo_terms(layout))
-        assert closed == Polynomial(naive_log_hubo_terms(layout))
+        assert log_hubo_terms(layout) == _accumulate(naive_log_hubo_terms(layout))
+
+    def test_item_order_pinned(self):
+        # The order the summed term stream had before the map: single bits bit by bit,
+        # x[0][2] and x[2][2] cancelled by W_0 = W_2 = 3; the constant 5 + 3; each
+        # weighted endpoint's bit pairs; then the reversed edge's cross monomials.
+        # The zero-weight edge writes nothing.
+        layout = LogLayout(3, (1, 3), 5, [(2, 0), (0, 1)], [3, 0])
+        assert list(log_hubo_terms(layout).items()) == [
+            ((0,), -2), ((2,), 1), ((4,), -2), ((3,), 3), ((), 8), ((0, 1), 3), ((4, 5), 3),
+            ((0, 4), 6), ((0, 5), 3), ((0, 4, 5), -6), ((1, 4), 3), ((1, 5), 6), ((1, 4, 5), -6),
+            ((0, 1, 4), -6), ((0, 1, 5), -6), ((0, 1, 4, 5), 12),
+        ]
 
 
 class TestIndexPopulation:

@@ -1,5 +1,6 @@
 """Model JSON interchange: exact round trips and stable output."""
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -215,6 +216,41 @@ class TestTermObjectLayout:
         corrupt(doc["terms"])
         with pytest.raises(ParseError, match="malformed model JSON"):
             from_model_json(json.dumps(doc))
+
+
+# Terms in file order, then the map the reader sums them to: equal keys summed,
+# zero sums dropped, and a key whose sum fell to zero entering again at the end.
+REPEATED_TERMS = {
+    "repeated_key": (
+        [((0,), "2"), ((2,), "3"), ((0,), "-2"), ((0,), "4"), ((1, 2), "5"), ((2,), "1")],
+        [((2,), 4), ((0,), 4), ((1, 2), 5)],
+    ),
+    "zero_coeff": ([((0,), "0"), ((1,), "1"), ((), "7"), ((1, 2), "0")], [((1,), 1), ((), 7)]),
+    "minus_zero_coeff": ([((1,), "-0"), ((0,), "1"), ((), "-0")], [((0,), 1)]),
+    "sum_to_zero": ([((0, 1), "3"), ((2,), "1"), ((0, 1), "-3")], [((2,), 1)]),
+}
+
+
+def _term_file(terms, blocks):
+    """A three-variable model of `terms`: each run of one degree as one block, or
+    one {"coeff", "vars"} object per term."""
+    layout = [{"coeff": c, "vars": list(key)} for key, c in terms]
+    if blocks:
+        runs = [list(run) for _, run in itertools.groupby(terms, lambda term: len(term[0]))]
+        layout = [
+            {"coeffs": [c for _, c in run], "degree": len(run[0][0]), "vars": [v for key, _ in run for v in key]}
+            for run in runs
+        ]
+    variables = [{"id": i, "role": f"x{i}"} for i in range(3)]
+    return json.dumps({"metadata": {}, "num_vars": 3, "terms": layout, "variables": variables})
+
+
+class TestRepeatedTerms:
+    @pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "term_objects"])
+    @pytest.mark.parametrize("name", sorted(REPEATED_TERMS))
+    def test_sums_as_written(self, name, blocks):
+        terms, summed = REPEATED_TERMS[name]
+        assert list(from_model_json(_term_file(terms, blocks)).polynomial.items()) == summed
 
 
 class TestValidation:
