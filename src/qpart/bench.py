@@ -1,9 +1,9 @@
 """Time-to-solution benchmarking with Kaplan-Meier aggregation.
 
-Each instance is encoded both ways, annealed, and scored by the fraction
-of runs that recover the best feasible coloring found across the two
-encodings. Unsolved instances enter the survival analysis right-censored
-at the run budget instead of being dropped or given arbitrary values.
+The experiment is instances -> sample -> score: `suite_instances` draws the
+graphs, `sample_instance` encodes, anneals and decodes each both ways, and
+`score` counts the runs within a target colour count (`run_suite` passes the
+fewest either encoding found). Unsolved records are censored at the run budget.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInvariantError
-from .graphs import Coloring, Graph, brooks_upper_bound
+from .graphs import Coloring, Graph, brooks_upper_bound, generate_random_connected
 from .logenc import bits_for_colors, decode_log, encode_mgc_log
+from .model import EncodedProblem
 from .onehot import decode_onehot, encode_mgc_onehot
 from .quadratize import quadratize
 from .solve import AnnealParams, anneal
@@ -177,17 +178,91 @@ METHODOLOGY_NOTES = (
 )
 
 
-def run_suite(
-    instances: Iterable[BenchInstance],
-    anneal_params: AnnealParams,
-    group_by: str = "n",
-) -> BenchReport:
-    """Encode, anneal, and score every instance under both encodings.
+def suite_instances(
+    count: int, n_min: int, n_max: int, densities: Sequence[float], seed: int, colors: int | None
+) -> list[BenchInstance]:
+    """`qpart bench`'s suite: instance i has n_min + i mod (n_max - n_min + 1) vertices
+    and the i-th density taken in turn, and its graph is drawn with seed + i."""
+    if not densities:
+        raise ValueError("--density needs at least one value")
+    if n_min < 2 or n_max < n_min:
+        raise ValueError(f"need 2 <= n-min <= n-max, got {n_min}..{n_max}")
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, got {count}")
+    if colors is not None and colors < 1:
+        raise ValueError(f"--colors must be at least 1, got {colors}")
+    instances = []
+    span = n_max - n_min + 1
+    for i in range(count):
+        n = n_min + i % span
+        density = densities[i % len(densities)]
+        g = generate_random_connected(n, density, seed + i)
+        instances.append(BenchInstance(f"g{i:03d}_n{n}_d{density:g}", g, density, colors))
+    return instances
 
-    Per-instance failures are recorded and the suite continues; an
-    InternalInvariantError is a bug, not a bad instance, and propagates.
-    Groups of records sharing the grouping key are aggregated with
-    km_median, one survival estimate per (group, encoding).
+
+def sample_instance(
+    graph: Graph, c: int, params: AnnealParams
+) -> dict[str, tuple[EncodedProblem, EncodedProblem, list[int | None]]]:
+    """Per arm: the model as encoded, the model as annealed and each run's colour count
+    (None where the decoded sample is not a proper colouring)."""
+    # (encoded, annealed, decoder), built per call so that each step is looked up when it runs
+    onehot = encode_mgc_onehot(graph, c)
+    log = encode_mgc_log(graph, c)
+    arms = {
+        "onehot": (onehot, onehot, decode_onehot),
+        "log": (log, quadratize(log).problem, decode_log),
+    }
+    sampled = {}
+    for encoding, (encoded, annealed, decode) in arms.items():
+        counts: list[int | None] = []
+        for s in anneal(annealed.polynomial, params, annealed.num_variables).samples:
+            decoded = decode(annealed, s.bits)
+            feasible = isinstance(decoded, Coloring) and decoded.is_proper(graph)
+            counts.append(decoded.distinct_count() if feasible else None)
+        sampled[encoding] = (encoded, annealed, counts)
+    return sampled
+
+
+def score(
+    instance: BenchInstance,
+    c: int,
+    arms: dict[str, tuple[EncodedProblem, EncodedProblem, list[int | None]]],
+    target: int | None,
+    params: AnnealParams,
+) -> Iterator[BenchRecord]:
+    """One record per arm: a run succeeds when it uses at most `target` colours, never if None."""
+    g = instance.graph
+    pairs = g.n * (g.n - 1) / 2
+    density = instance.density if instance.density is not None else (g.m / pairs if pairs else 0.0)
+    for encoding, (encoded, annealed, counts) in arms.items():
+        hits = 0 if target is None else sum(1 for q in counts if q is not None and q <= target)
+        p_s = Fraction(hits, params.runs)
+        tm = TimingModel.for_qubits(annealed.num_variables)
+        yield BenchRecord(
+            instance_id=instance.instance_id,
+            encoding=encoding,
+            n=g.n,
+            m=g.m,
+            c=c,
+            l=bits_for_colors(c),
+            qubits_pre=encoded.num_variables,
+            qubits_post=annealed.num_variables,
+            p_s=p_s,
+            tts_value=tts(p_s, tm),
+            t_censor=params.runs * tm.t_run,
+            density=density,
+        )
+
+
+def run_suite(
+    instances: Iterable[BenchInstance], anneal_params: AnnealParams, group_by: str = "n"
+) -> BenchReport:
+    """Sample every instance and score it against the fewest colours either arm found.
+
+    A failing instance is recorded and the suite goes on; an InternalInvariantError
+    is a bug, not a bad instance, and propagates. Records sharing the grouping
+    key get one km_median survival estimate per (group, encoding).
     """
     if group_by not in ("n", "density"):
         raise ValueError(f"group_by must be 'n' or 'density', got {group_by!r}")
@@ -195,7 +270,10 @@ def run_suite(
     failures: list[tuple[str, str]] = []
     for inst in instances:
         try:
-            records.extend(_bench_one(inst, anneal_params))
+            c = inst.colors if inst.colors is not None else brooks_upper_bound(inst.graph)
+            arms = sample_instance(inst.graph, c, anneal_params)
+            best = min((q for *_, counts in arms.values() for q in counts if q is not None), default=None)
+            records.extend(score(inst, c, arms, best, anneal_params))
         except InternalInvariantError:
             raise
         except Exception as exc:  # noqa: BLE001 - suite must survive bad instances
@@ -206,67 +284,12 @@ def run_suite(
         key = str(rec.n) if group_by == "n" else f"{rec.density:.2f}"
         censored = rec.tts_value is None
         time = Fraction(rec.t_censor) if censored else Fraction(rec.tts_value)
-        grouped.setdefault((key, rec.encoding), []).append(
-            SurvivalObservation(time=time, censored=censored)
-        )
+        grouped.setdefault((key, rec.encoding), []).append(SurvivalObservation(time, censored))
     groups = tuple(
         (group_by, key, encoding, km_median(obs))
         for (key, encoding), obs in sorted(grouped.items())
     )
     return BenchReport(records=tuple(records), groups=groups, failures=tuple(failures))
-
-
-def _bench_one(inst: BenchInstance, params: AnnealParams) -> list[BenchRecord]:
-    """One record per encoding, each scored against the best colour count either one decoded.
-
-    Each arm is (model as encoded, model as annealed, decoder): one-hot is
-    annealed as encoded, the log model in its quadratized form.
-    """
-    g = inst.graph
-    c = inst.colors if inst.colors is not None else brooks_upper_bound(g)
-    l = bits_for_colors(c)
-    pairs = g.n * (g.n - 1) / 2
-    density = inst.density if inst.density is not None else (g.m / pairs if pairs else 0.0)
-
-    onehot_prob = encode_mgc_onehot(g, c)
-    log_prob = encode_mgc_log(g, c)
-    arms = {
-        "onehot": (onehot_prob, onehot_prob, decode_onehot),
-        "log": (log_prob, quadratize(log_prob).problem, decode_log),
-    }
-    # colour count of each sample's decoded coloring, None where it is not proper
-    quality: dict[str, list[int | None]] = {}
-    for encoding, (_, annealed, decode) in arms.items():
-        quality[encoding] = []
-        for s in anneal(annealed.polynomial, params, annealed.num_variables).samples:
-            decoded = decode(annealed, s.bits)
-            feasible = isinstance(decoded, Coloring) and decoded.is_proper(g)
-            quality[encoding].append(decoded.distinct_count() if feasible else None)
-    best = min((q for counts in quality.values() for q in counts if q is not None), default=None)
-
-    records = []
-    for encoding, (encoded, annealed, _) in arms.items():
-        # with no feasible sample every q is None, so no hit compares against best
-        hits = sum(1 for q in quality[encoding] if q is not None and q <= best)
-        p_s = Fraction(hits, params.runs)
-        tm = TimingModel.for_qubits(annealed.num_variables)
-        records.append(
-            BenchRecord(
-                instance_id=inst.instance_id,
-                encoding=encoding,
-                n=g.n,
-                m=g.m,
-                c=c,
-                l=l,
-                qubits_pre=encoded.num_variables,
-                qubits_post=annealed.num_variables,
-                p_s=p_s,
-                tts_value=tts(p_s, tm),
-                t_censor=params.runs * tm.t_run,
-                density=density,
-            )
-        )
-    return records
 
 
 CSV_COLUMNS = [

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .bench import BenchInstance, records_to_csv, report_to_json, run_suite
+from .bench import records_to_csv, report_to_json, run_suite, suite_instances
 from .errors import InternalInvariantError, ResourceLimitError
 from .gates import cnot_count_log_closed, cnot_count_onehot_closed, cnot_count_oracle
 from .graphs import brooks_upper_bound, generate_random_connected, parse_graph, serialize_graph
@@ -125,35 +125,12 @@ def cmd_qubits(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     densities = [float(x) for x in args.density.split(",") if x]
-    if not densities:
-        raise ValueError("--density needs at least one value")
-    if args.n_min < 2 or args.n_max < args.n_min:
-        raise ValueError(f"need 2 <= n-min <= n-max, got {args.n_min}..{args.n_max}")
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
-    if args.colors is not None and args.colors < 1:
-        raise ValueError(f"--colors must be at least 1, got {args.colors}")
-    instances = []
-    span = args.n_max - args.n_min + 1
-    for i in range(args.count):
-        n = args.n_min + (i % span)
-        density = densities[i % len(densities)]
-        g = generate_random_connected(n, density, args.seed + i)
-        instances.append(
-            BenchInstance(
-                instance_id=f"g{i:03d}_n{n}_d{density:g}",
-                graph=g,
-                density=density,
-                colors=args.colors,
-            )
-        )
+    instances = suite_instances(args.count, args.n_min, args.n_max, densities, args.seed, args.colors)
     report = run_suite(instances, _anneal_params(args), group_by=args.group_by)
-    if args.out_csv:
-        _write(args.out_csv, records_to_csv(report.records))
+    if args.out_csv or not args.out_json:
+        _write(args.out_csv or "-", records_to_csv(report.records))
     if args.out_json:
         _write(args.out_json, report_to_json(report))
-    if not args.out_csv and not args.out_json:
-        _write("-", records_to_csv(report.records))
     return 0
 
 

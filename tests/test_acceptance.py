@@ -13,12 +13,12 @@ from fractions import Fraction
 from conftest import check_properties_onehot, connected_graphs_up_to_iso, population_of_bits
 
 from qpart.bench import (
-    BenchInstance,
     SurvivalObservation,
     TimingModel,
     km_median,
     records_to_csv,
     run_suite,
+    suite_instances,
     tts,
 )
 from qpart.gates import cnot_count_log_closed, cnot_count_onehot_closed, cnot_count_oracle
@@ -262,15 +262,7 @@ def test_criterion_7_tts_and_km_units():
 
 def test_criterion_8_end_to_end_pipeline():
     """Twenty generated instances benchmarked under both encodings."""
-    densities = (0.2, 0.5, 0.8)
-    instances = []
-    for i in range(20):
-        n = 4 + (i % 7)
-        density = densities[i % 3]
-        g = generate_random_connected(n, density, 1000 + i)
-        instances.append(
-            BenchInstance(instance_id=f"g{i:03d}", graph=g, density=density)
-        )
+    instances = suite_instances(20, 4, 10, (0.2, 0.5, 0.8), 1000, None)
     params = AnnealParams(runs=24, sweeps=96, seed=7)
     result = run_suite(instances, params, group_by="n")
 

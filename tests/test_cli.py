@@ -264,6 +264,13 @@ class TestBench:
         assert out == ""
         assert "--colors" in err
 
+    @pytest.mark.parametrize("bounds", [["--n-min", "1"], ["--n-min", "6", "--n-max", "5"]])
+    def test_vertex_range_exits_2(self, bounds, capsys):
+        code, out, err = run(["bench", "--count", "1", *bounds], capsys)
+        assert code == 2
+        assert out == ""
+        assert "n-min" in err
+
 
 def _refuse(*args, **kwargs):
     """Stand-in for a builder that must not run: it would allocate too much."""
