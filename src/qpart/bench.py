@@ -307,26 +307,34 @@ CSV_COLUMNS = [
 ]
 
 
+def _record_json(r: BenchRecord) -> dict:
+    """A record as report_to_json writes it; records_to_csv writes its CSV_COLUMNS."""
+    return {
+        "instance_id": r.instance_id,
+        "encoding": r.encoding,
+        "n": r.n,
+        "m": r.m,
+        "c": r.c,
+        "L": r.l,
+        "qubits_pre": r.qubits_pre,
+        "qubits_post": r.qubits_post,
+        "p_s": str(r.p_s),
+        "tts": r.tts_value,
+        "censored": r.tts_value is None,
+        "t_censor": r.t_censor,
+        "density": r.density,
+    }
+
+
 def records_to_csv(records: Iterable[BenchRecord]) -> str:
+    """Each record's JSON document in CSV_COLUMNS: p_s a float, censored lower case, tts by csv's repr or empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow(
-            [
-                r.instance_id,
-                r.encoding,
-                r.n,
-                r.m,
-                r.c,
-                r.l,
-                r.qubits_pre,
-                r.qubits_post,
-                repr(float(r.p_s)),
-                "" if r.tts_value is None else repr(r.tts_value),
-                "true" if r.tts_value is None else "false",
-            ]
-        )
+        doc = _record_json(r)
+        doc.update(p_s=repr(float(r.p_s)), censored=str(doc["censored"]).lower())
+        writer.writerow(map(doc.__getitem__, CSV_COLUMNS))
     return buf.getvalue()
 
 
@@ -334,24 +342,7 @@ def report_to_json(report: BenchReport) -> str:
     doc = {
         "notes": list(METHODOLOGY_NOTES),
         "failures": [{"instance_id": i, "error": e} for i, e in report.failures],
-        "records": [
-            {
-                "instance_id": r.instance_id,
-                "encoding": r.encoding,
-                "n": r.n,
-                "m": r.m,
-                "c": r.c,
-                "L": r.l,
-                "qubits_pre": r.qubits_pre,
-                "qubits_post": r.qubits_post,
-                "p_s": str(r.p_s),
-                "tts": r.tts_value,
-                "censored": r.tts_value is None,
-                "t_censor": r.t_censor,
-                "density": r.density,
-            }
-            for r in report.records
-        ],
+        "records": list(map(_record_json, report.records)),
         "groups": [
             {
                 "group_by": group_by,

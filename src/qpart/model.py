@@ -147,9 +147,10 @@ def from_model_json(text: str) -> EncodedProblem:
         if not (digits.isascii() and (digits.isdigit() or not digits)):
             raise ValueError("coefficient strings must be ASCII decimal integers")
         value = {c: int(c) for c in distinct}
-        poly = Polynomial._from_canonical(zip(keys, map(value.__getitem__, coeffs)))
-        if len(poly._terms) < len(keys) or 0 in value.values():  # a repeated key or a zero: sum as written
-            poly = Polynomial._from_canonical(_accumulate(zip(keys, map(value.__getitem__, coeffs))))
+        terms = dict(zip(keys, map(value.__getitem__, coeffs)))
+        if len(terms) < len(keys) or 0 in value.values():  # a repeated key or a zero: sum as written
+            terms = _accumulate(zip(keys, map(value.__getitem__, coeffs)))
+        poly = Polynomial._from_canonical(terms)
         metadata = doc.get("metadata", {})
         if type(metadata) is not dict:
             raise ValueError("metadata must be a JSON object")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import DimensionError
 from .graphs import Coloring, Graph
 from .model import EncodedProblem, instance_meta
-from .pbo import Bits, Polynomial, _accumulate, check_build_terms
+from .pbo import Bits, Polynomial, Term, check_build_terms
 
 
 @dataclass(frozen=True)
@@ -46,23 +46,6 @@ def y_var(color: int, n: int, c: int) -> int:
     return n * c + color
 
 
-def _coloring_terms(g: Graph, c: int, pen: OneHotPenalties) -> list[tuple[tuple[int, ...], int]]:
-    """A_onehot * sum_v (1 - sum_c x)^2 + A_adjacency * sum_edges sum_c x_u x_v, expanded."""
-    terms: list[tuple[tuple[int, ...], int]] = []
-    for v in range(g.n):
-        # (1 - sum_c x)^2 = 1 - sum_c x + 2 * sum_{c<c'} x x'
-        terms.append(((), pen.a_onehot))
-        for col in range(c):
-            terms.append(((x_var(v, col, c),), -pen.a_onehot))
-        for col in range(c):
-            for col2 in range(col + 1, c):
-                terms.append(((x_var(v, col, c), x_var(v, col2, c)), 2 * pen.a_onehot))
-    for u, v in g.edges:
-        for col in range(c):
-            terms.append(((x_var(u, col, c), x_var(v, col, c)), pen.a_adjacency))
-    return terms
-
-
 def encode_mgc_onehot(g: Graph, c: int) -> EncodedProblem:
     """Build the one-hot minimum-coloring QUBO over (n+1)*c variables.
 
@@ -71,27 +54,32 @@ def encode_mgc_onehot(g: Graph, c: int) -> EncodedProblem:
       + sum_c y_c
       + A_link * sum_v sum_c x_vc (1 - y_c)
 
-    fully expanded, every key written sorted: x[v][c] ids grow with (v, c),
-    edges have u < v, and every y id follows every x id.
+    in closed form, each sorted key written once: n * A_onehot, A_link - A_onehot on each x bit,
+    2 * A_onehot on each pair of one vertex's bits, -A_link on each (x[v][c], y[c]), A_adjacency
+    on each edge's pair of one colour and 1 on each y bit, none zero as A_onehot > A_link > 0.
+    x[v][c] ids grow with (v, c), edges have u < v, and every y id follows every x id.
     """
     n = g.n
     pen = onehot_penalties(n, g.m, c)
-    # coloring terms: 1 + c + c(c-1)/2 per vertex and c per edge; then c usage and 2nc link terms
-    check_build_terms(n * (1 + c + c * (c - 1) // 2) + g.m * c + c + 2 * n * c)
-    terms = _coloring_terms(g, c, pen)
-
-    for col in range(c):
-        terms.append(((y_var(col, n, c),), 1))
-
+    check_build_terms(1 + n * (2 * c + c * (c - 1) // 2) + g.m * c + c)
+    terms: dict[Term, int] = {(): n * pen.a_onehot}
     for v in range(n):
         for col in range(c):
-            terms.append(((x_var(v, col, c),), pen.a_link))
-            terms.append(((x_var(v, col, c), y_var(col, n, c)), -pen.a_link))
+            x = x_var(v, col, c)
+            terms[(x,)] = pen.a_link - pen.a_onehot
+            for col2 in range(col + 1, c):
+                terms[(x, x_var(v, col2, c))] = 2 * pen.a_onehot
+            terms[(x, y_var(col, n, c))] = -pen.a_link
+    for u, v in g.edges:
+        for col in range(c):
+            terms[(x_var(u, col, c), x_var(v, col, c))] = pen.a_adjacency
+    for col in range(c):
+        terms[(y_var(col, n, c),)] = 1
 
     registry = [f"x[{v}][{col}]" for v in range(n) for col in range(c)]
     registry += [f"y[{col}]" for col in range(c)]
     meta = instance_meta(g, kind="onehot_mgc", c_num=c, L=None)
-    return EncodedProblem(Polynomial._from_canonical(_accumulate(terms)), tuple(registry), meta)
+    return EncodedProblem(Polynomial._from_canonical(terms), tuple(registry), meta)
 
 
 def decode_onehot(prob: EncodedProblem, assignment: Bits) -> Coloring | list[int]:

@@ -51,17 +51,17 @@ class Polynomial:
         self._terms = _accumulate((_canonical_key(vars_), operator.index(coeff)) for vars_, coeff in items)
 
     @classmethod
-    def _from_canonical(cls, terms: Mapping[Term, int] | Iterable[tuple[Term, int]]) -> Polynomial:
-        """The polynomial of a finished term map: canonical keys, sorted tuples of
-        distinct, non-negative ids, each once and with a nonzero coefficient, as the
-        builders write them. A stream of such terms reads as their map, in its order.
+    def _from_canonical(cls, terms: dict[Term, int]) -> Polynomial:
+        """The polynomial of a finished term map, adopted without a copy, so the caller no
+        longer changes it: canonical keys, sorted tuples of distinct, non-negative ids, each
+        with a nonzero coefficient, as the builders write them.
 
-        Nothing is summed, re-canonicalized or checked: a stream whose keys repeat or
-        whose coefficients may be zero goes through _accumulate first. Only the builders,
-        the quadratization proof and the model reader, which checks its keys, call this.
+        Nothing is summed, re-canonicalized or checked: terms whose keys repeat or whose
+        coefficients may be zero go through _accumulate first. Only the builders, the
+        quadratization proof and the model reader, which checks its keys, call this.
         """
         poly = cls.__new__(cls)
-        poly._terms = dict(terms)
+        poly._terms = terms
         return poly
 
     def items(self) -> Iterator[tuple[Term, int]]:
@@ -110,8 +110,8 @@ def _canonical_key(vars_: Iterable[int]) -> Term:
 def _accumulate(terms: Iterable[tuple[Term, int]]) -> dict[Term, int]:
     """Sum the coefficients of equal keys in the order keys first appear, dropping every
     zero sum (a dropped key that appears again enters at the end): the one summing loop,
-    for the constructor, the one-hot encoder, quadratize's gadgets, verify_quadratization's
-    reduced terms and a model file that repeats a key or holds a zero."""
+    for the constructor, quadratize's gadgets, verify_quadratization's reduced terms and
+    a model file that repeats a key or holds a zero."""
     canon: dict[Term, int] = {}
     get = canon.get
     for key, coeff in terms:
@@ -125,7 +125,7 @@ def _accumulate(terms: Iterable[tuple[Term, int]]) -> dict[Term, int]:
 
 
 def check_build_terms(count: int) -> None:
-    """Raise ResourceLimitError when an encoding would stream more than MAX_BUILD_TERMS terms."""
+    """Raise ResourceLimitError when an encoding would write more than MAX_BUILD_TERMS terms."""
     if count > MAX_BUILD_TERMS:
         raise ResourceLimitError(
             f"the encoding needs {count} terms, over the limit of {MAX_BUILD_TERMS}"

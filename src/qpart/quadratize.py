@@ -212,7 +212,7 @@ def verify_quadratization(hubo: EncodedProblem, quad: QuadratizedProblem) -> Qua
         k = sum(v < n_orig for v in block_vars)
         signature = (k, tuple(sorted((tuple(map(block_vars.index, key)), c) for key, c in block)))
         if signature not in minima:
-            f = energy_vector(Polynomial._from_canonical(signature[1]), len(block_vars))
+            f = energy_vector(Polynomial._from_canonical(dict(signature[1])), len(block_vars))
             f = f.reshape(-1, 1 << k).min(axis=0).astype(object)
             for v in range(k):  # the inverse of energy_vector's subset-sum passes
                 view = f.reshape(-1, 2, 1 << v)

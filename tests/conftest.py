@@ -128,6 +128,31 @@ def naive_log_hubo_terms(layout):
             yield tuple(key), weight * math.prod(c for c, _, _ in factors)
 
 
+def naive_onehot_terms(g, c):
+    """The one-hot model's polynomial as a term stream with repeated keys, the reference
+    for encode_mgc_onehot's closed form: A_onehot * (1 - sum_c x)^2 expanded per vertex,
+    A_adjacency on each edge's pair of one colour, then the usage bits and the link
+    A_link * x (1 - y), one bit and one pair at a time."""
+    pen = onehot_penalties(g.n, g.m, c)
+    for v in range(g.n):
+        # (1 - sum_c x)^2 = 1 - sum_c x + 2 * sum_{c<c'} x x'
+        yield (), pen.a_onehot
+        for col in range(c):
+            yield (x_var(v, col, c),), -pen.a_onehot
+        for col in range(c):
+            for col2 in range(col + 1, c):
+                yield (x_var(v, col, c), x_var(v, col2, c)), 2 * pen.a_onehot
+    for u, v in g.edges:
+        for col in range(c):
+            yield (x_var(u, col, c), x_var(v, col, c)), pen.a_adjacency
+    for col in range(c):
+        yield (y_var(col, g.n, c),), 1
+    for v in range(g.n):
+        for col in range(c):
+            yield (x_var(v, col, c),), pen.a_link
+            yield (x_var(v, col, c), y_var(col, g.n, c)), -pen.a_link
+
+
 def edge_agreement_product(u, v, l):
     """Product of per-bit XNORs: 1 iff the two vertices carry equal bitstrings."""
     return Polynomial(log_hubo_terms(LogLayout(0, (0,) * l, 0, [(u, v)], [1])))

@@ -1,5 +1,8 @@
 """TTS, Kaplan-Meier aggregation, and the benchmark suite driver."""
 
+import csv
+import io
+import json
 import math
 import random
 from collections import Counter
@@ -175,8 +178,6 @@ class TestRunSuite:
         assert len(lines) == 3
 
     def test_json_report_well_formed(self):
-        import json
-
         report = run_suite(
             [BenchInstance("p3", path_graph(3), colors=2)],
             AnnealParams(runs=4, sweeps=16, seed=0),
@@ -186,6 +187,25 @@ class TestRunSuite:
         assert len(doc["records"]) == 2
         assert doc["groups"]
         assert doc["failures"] == []
+
+    def test_csv_rows_agree_with_json_records(self):
+        # solved, censored (K3 at 2 colours) and Brooks-bound records
+        instances = [
+            BenchInstance("p3", path_graph(3), colors=2),
+            BenchInstance("k3", complete_graph(3), colors=2),
+            BenchInstance("k4", complete_graph(4)),
+        ]
+        report = run_suite(instances, AnnealParams(runs=4, sweeps=16, seed=0))
+        rows = list(csv.DictReader(io.StringIO(records_to_csv(report.records))))
+        records = json.loads(report_to_json(report))["records"]
+        assert len(rows) == len(records) == 6
+        assert {r["censored"] for r in records} == {True, False}
+        for row, rec in zip(rows, records):
+            for column in set(CSV_COLUMNS) - {"p_s", "tts", "censored"}:
+                assert row[column] == str(rec[column])
+            assert float(Fraction(rec["p_s"])) == float(row["p_s"])
+            assert (float(row["tts"]) if row["tts"] else None) == rec["tts"]
+            assert row["censored"] == str(rec["censored"]).lower()
 
     def test_failures_recorded_suite_continues(self):
         disconnected = type(path_graph(3))(4, ((0, 1), (2, 3)))

@@ -693,12 +693,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "encoding, module, builder",
-        [("log", logenc, "log_hubo_terms"), ("onehot", onehot, "_coloring_terms")],
+        [("log", logenc, "log_hubo_terms"), ("onehot", onehot, "x_var")],
         ids=["log", "onehot"],
     )
     def test_encode_past_term_limit_exits_3(self, encoding, module, builder, tmp_path, capsys, monkeypatch):
         # K2 at 4096 colours needs 4**12 log terms or about 4096**2 one-hot
-        # terms; the count is refused before the term builder runs.
+        # terms; the count is refused before any key is built.
         monkeypatch.setattr(module, builder, _refuse)
         graph = tmp_path / "g.json"
         graph.write_text(serialize_graph(complete_graph(2), "json"))

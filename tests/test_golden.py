@@ -299,6 +299,7 @@ def test_gate_oracle_pinned(models, name):
 ORDER_MODELS = {
     "spin_state_qubo": lambda: quadratize(encode_mgc_log(Graph(3, ((0, 1), (1, 2))), 4)).problem,
     "bool_state_hubo": lambda: encode_mgc_log(GRAPH, 8),
+    "onehot_qubo": lambda: encode_mgc_onehot(GRAPH, 3),
 }
 
 
@@ -306,7 +307,7 @@ ORDER_MODELS = {
 def test_outputs_do_not_read_term_order(name):
     prob = ORDER_MODELS[name]()
     p, nv = prob.polynomial, prob.num_variables
-    q = Polynomial._from_canonical(reversed(list(p.items())))
+    q = Polynomial._from_canonical(dict(reversed(list(p.items()))))
     assert list(q.items()) == list(reversed(list(p.items())))
     assert to_model_json(EncodedProblem(q, prob.registry, prob.meta)) == to_model_json(prob)
     assert anneal(q, ANNEAL_PARAMS, nv).to_json() == anneal(p, ANNEAL_PARAMS, nv).to_json()

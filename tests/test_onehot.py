@@ -5,9 +5,14 @@ from conftest import (
     check_properties_onehot,
     complete_graph,
     connected_graphs_up_to_iso,
+    naive_onehot_terms,
     onehot_bounds_hold,
     path_graph,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qpart import onehot
 
 from qpart.errors import DimensionError
 from qpart.graphs import Coloring, Graph, chromatic_number_exact
@@ -18,7 +23,7 @@ from qpart.onehot import (
     x_var,
     y_var,
 )
-from qpart.pbo import ground_states
+from qpart.pbo import _accumulate, ground_states
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -94,6 +99,41 @@ class TestEncoding:
     def test_rejects_nonpositive_colors(self):
         with pytest.raises(ValueError):
             encode_mgc_onehot(K3, 0)
+
+
+@st.composite
+def graphs_and_colors(draw):
+    """A graph on 1 to 6 vertices with any edge subset, and a colour bound of 1 to 5."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, tuple(edges)), draw(st.integers(1, 5))
+
+
+class TestClosedForm:
+    @given(graphs_and_colors())
+    @example((Graph(1, ()), 1))
+    @example((Graph(1, ()), 2))
+    @example((P3, 1))
+    @example((K3, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_term_stream(self, args):
+        g, c = args
+        terms = dict(encode_mgc_onehot(g, c).polynomial.items())
+        assert terms == _accumulate(naive_onehot_terms(g, c))
+        assert all(a < b for key in terms for a, b in zip(key, key[1:]))
+
+    @pytest.mark.parametrize(
+        "g, c",
+        [(Graph(1, ()), 1), (Graph(1, ()), 3), (P3, 1), (P3, 2), (K3, 4), (complete_graph(5), 3)],
+        ids=["K1_c1", "K1_c3", "P3_c1", "P3_c2", "K3_c4", "K5_c3"],
+    )
+    def test_term_limit_counts_the_keys(self, g, c, monkeypatch):
+        # the count checked against MAX_BUILD_TERMS is the number of keys built
+        counts = []
+        monkeypatch.setattr(onehot, "check_build_terms", counts.append)
+        prob = encode_mgc_onehot(g, c)
+        assert counts == [len(list(prob.polynomial.items()))]
 
 
 class TestDecoding:
