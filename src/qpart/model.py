@@ -10,7 +10,7 @@ import itertools
 import json
 import operator
 from dataclasses import asdict, dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from .errors import ParseError
 from .graphs import Graph
@@ -91,9 +91,8 @@ def _block_json(degree: int, terms: list[tuple[tuple[int, ...], int]]) -> str:
 
 
 def from_model_json(text: str) -> EncodedProblem:
-    """Parse model JSON, in to_model_json's block layout or in the layout of one
-    `{"coeff": c, "vars": [ids]}` object per term, whose vars must be a list: each run of
-    consecutive term objects of one degree reads as one block of those terms.
+    """Parse model JSON in to_model_json's block layout: a terms entry that is not a
+    `{"coeffs": [...], "degree": d, "vars": [...]}` object is refused.
 
     A block's degree must be a non-negative JSON integer and its vars a list of exactly
     degree ids per coefficient. Variable ids must be JSON integers, non-negative and strictly
@@ -122,7 +121,9 @@ def from_model_json(text: str) -> EncodedProblem:
             raise ValueError(f"variables list {len(roles)} ids but num_vars is {num_vars}")
         keys: list[tuple[int, ...]] = []
         coeffs: list[Any] = []
-        for block in _blocks(doc["terms"]):
+        for block in doc["terms"]:
+            if type(block) is not dict or "coeffs" not in block:
+                raise ValueError("a terms entry must be a block {coeffs, degree, vars}")
             degree, ids, block_coeffs = _json_int(block["degree"]), block["vars"], block["coeffs"]
             if not (type(ids) is list and type(block_coeffs) is list and degree >= 0):
                 raise ValueError(f"a block needs a non-negative degree and lists, got degree {degree}")
@@ -173,27 +174,6 @@ def from_model_json(text: str) -> EncodedProblem:
         raise ParseError(f"metadata does not fit kind {metadata.get('kind')!r}: {exc}") from exc
     registry = tuple(roles[i] for i in range(num_vars))
     return EncodedProblem(poly, registry, metadata)
-
-
-def _blocks(terms: Any) -> Iterator[Any]:
-    """The terms list as blocks: a block as it is, and each run of consecutive term objects of
-    the one-object-per-term layout, of one degree, as one block of those terms in file order."""
-    for degree, run in itertools.groupby(terms, _term_degree):
-        if degree is None:
-            yield from run
-        else:
-            run = list(run)
-            ids = list(itertools.chain.from_iterable(map(operator.itemgetter("vars"), run)))
-            yield {"coeffs": list(map(operator.itemgetter("coeff"), run)), "degree": degree, "vars": ids}
-
-
-def _term_degree(term: Any) -> int | None:
-    """A term object's degree, the length of its vars, which must be a list; None for a block."""
-    if type(term) is not dict or "coeffs" in term:
-        return None
-    if type(term["vars"]) is not list:
-        raise ValueError(f"a term's vars must be a list, got {term['vars']!r}")
-    return len(term["vars"])
 
 
 def _json_int(value: Any) -> int:

@@ -134,23 +134,6 @@ class TestEncodeSolvePipeline:
             assert outputs[0][0] == 0
             assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize(
-        "encoding, name",
-        [
-            ("log", "k3_log_mgc_c4_term_objects.json"),
-            ("quadratized", "k3_quadratized_log_mgc_c4_term_objects.json"),
-            ("onehot", "k3_onehot_mgc_c3_term_objects.json"),
-        ],
-    )
-    def test_term_object_file_runs_as_its_block_file(self, encoding, name, tmp_path, capsys):
-        # a file of one {"coeff", "vars"} object per term, from the writer before blocks
-        new = tmp_path / "model.json"
-        new.write_text(to_model_json(K3_MODELS[encoding]()))
-        for command in (["solve", "--exact"], ["solve", "--seed", "0", "--runs", "5", "--sweeps", "20"], ["gates"]):
-            outputs = [run([*command, "--in", str(path)], capsys) for path in (new, DATA / name)]
-            assert outputs[0][0] == 0
-            assert outputs[0] == outputs[1]
-
     @pytest.mark.parametrize("colors", [2, 4, 8])
     def test_solve_anneals_a_log_hubo_on_its_layout(self, colors, tmp_path, capsys):
         # At L = 1 a log model is a QUBO, which anneals on colour classes.
@@ -390,6 +373,8 @@ MODEL_DEFECTS = {
     "bool_var_id": ("log", _set_first_var(True)),
     "id_bool": ("log", _bool_second_id),
     "float_coeff": ("log", _set_last_coeff(2.7)),
+    # a set of the coefficients would merge true with the int 1 beside it
+    "bool_coeff": ("log", lambda doc: doc["terms"][-1]["coeffs"].__setitem__(slice(-2, None), [1, True])),
     "float_registry_id": ("onehot", _set_first_id(0.5)),
     "bool_penalty": ("log", lambda doc: doc["metadata"]["penalties"].update(p=[True, 4])),
     "float_penalty": ("onehot", lambda doc: doc["metadata"]["penalties"].update(a_link=4.9)),
@@ -397,6 +382,7 @@ MODEL_DEFECTS = {
     "spaced_coeff": ("log", _edit_constant(lambda c: f" {c} ")),
     "underscore_coeff": ("log", _edit_constant(lambda c: f"{c[0]}_{c[1:]}")),
     "non_ascii_coeff": ("log", _edit_constant(lambda c: c.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")))),
+    "bare_minus_coeff": ("log", _set_last_coeff("-")),
     # term ids the general constructor would silently sort or merge
     "unsorted_vars": ("log", _reverse_last_key),
     "repeated_var": ("log", _repeat_first_var),
@@ -408,6 +394,8 @@ MODEL_DEFECTS = {
     "degree_bool": ("log", lambda doc: _block(doc, 1).update(degree=True)),
     "degree_negative": ("log", lambda doc: doc["terms"].append({"coeffs": [], "degree": -1, "vars": []})),
     "vars_not_list": ("log", lambda doc: _block(doc, 0).update(vars={})),
+    # a term of the one-object-per-term layout, which the writer before blocks used
+    "term_object": ("log", lambda doc: doc["terms"].append({"coeff": "1", "vars": [0]})),
     # JSON types str() or dict() would coerce
     "role_not_string": ("onehot", lambda doc: doc["variables"][0].update(role=[1, 2])),
     "metadata_not_object": ("onehot", lambda doc: doc.update(metadata=[["kind", "x"]])),
@@ -619,7 +607,7 @@ class TestExitCodes:
             doc = {
                 "num_vars": degree,
                 "variables": [{"id": i, "role": f"x{i}"} for i in range(degree)],
-                "terms": [{"vars": list(range(degree)), "coeff": "1"}],
+                "terms": [{"coeffs": ["1"], "degree": degree, "vars": list(range(degree))}],
                 "metadata": {},
             }
             model = tmp_path / "model.json"

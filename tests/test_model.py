@@ -2,8 +2,6 @@
 
 import itertools
 import json
-import random
-from pathlib import Path
 
 import pytest
 from conftest import complete_graph, model_doc, path_graph
@@ -148,76 +146,6 @@ class TestWriter:
             to_model_json(EncodedProblem(prob.polynomial, prob.registry, {**prob.meta, "edges": edges}))
 
 
-DATA = Path(__file__).parent / "data"
-# Files in the layout of one {"coeff": c, "vars": [ids]} object per term,
-# written by the writer that came before blocks, and what builds them today.
-TERM_OBJECT_FILES = {
-    "k3_log_mgc_c4_term_objects.json": lambda: encode_mgc_log(complete_graph(3), 4),
-    "k3_quadratized_log_mgc_c4_term_objects.json": lambda: quadratize(encode_mgc_log(complete_graph(3), 4)).problem,
-    "k3_onehot_mgc_c3_term_objects.json": lambda: encode_mgc_onehot(complete_graph(3), 3),
-}
-
-
-class TestTermObjectLayout:
-    @pytest.mark.parametrize("name", sorted(TERM_OBJECT_FILES))
-    def test_loads_as_todays_encoder_builds_it(self, name):
-        text = (DATA / name).read_text()
-        assert '"coeffs"' not in text and '"coeff"' in text
-        parsed = from_model_json(text)
-        prob = TERM_OBJECT_FILES[name]()
-        assert parsed.polynomial == prob.polynomial
-        assert parsed.registry == prob.registry
-        assert parsed.meta == prob.meta
-        assert to_model_json(parsed) == to_model_json(prob)
-
-    def test_term_objects_in_any_order_and_between_blocks(self):
-        # Shuffled, runs of one degree are short and a degree recurs; the first
-        # five terms are written as blocks, which end a run of term objects.
-        doc = json.loads((DATA / "k3_log_mgc_c4_term_objects.json").read_text())
-        random.Random(0).shuffle(doc["terms"])
-        for i, term in enumerate(doc["terms"][:5]):
-            doc["terms"][i] = {"coeffs": [term["coeff"]], "degree": len(term["vars"]), "vars": term["vars"]}
-        assert from_model_json(json.dumps(doc)).polynomial == encode_mgc_log(complete_graph(3), 4).polynomial
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda terms: terms[-1].update(coeff=2.7),
-            lambda terms: terms[-1].update(coeff=" 4"),
-            lambda terms: terms[-1]["vars"].reverse(),
-            lambda terms: terms[-1]["vars"].__setitem__(1, terms[-1]["vars"][0]),
-            lambda terms: terms[-1]["vars"].__setitem__(0, True),
-            lambda terms: terms[-1]["vars"].__setitem__(0, -1),
-            lambda terms: terms[-1].update(vars=""),
-            # a set of the block's coefficients would merge true with the int 1 beside it
-            lambda terms: (terms[-2].update(coeff=1), terms[-1].update(coeff=True)),
-            lambda terms: terms[-1].update(coeff="1_0"),
-            lambda terms: terms[-1].update(coeff="\u0663"),
-            lambda terms: terms[-1].update(coeff="-"),
-        ],
-        ids=[
-            "float_coeff",
-            "spaced_coeff",
-            "unsorted",
-            "repeated",
-            "bool_id",
-            "negative_id",
-            "vars_not_list",
-            "bool_coeff",
-            "underscore_coeff",
-            "non_ascii_coeff",
-            "bare_minus_coeff",
-        ],
-    )
-    def test_term_objects_get_the_block_checks(self, corrupt):
-        # the log model's last three terms, one run of degree 4, are {"coeff": "64",
-        # "vars": [0, 1, 2, 3]}, then [0, 1, 4, 5], then [2, 3, 4, 5]
-        doc = json.loads((DATA / "k3_log_mgc_c4_term_objects.json").read_text())
-        corrupt(doc["terms"])
-        with pytest.raises(ParseError, match="malformed model JSON"):
-            from_model_json(json.dumps(doc))
-
-
 # Terms in file order, then the map the reader sums them to: equal keys summed,
 # zero sums dropped, and a key whose sum fell to zero entering again at the end.
 REPEATED_TERMS = {
@@ -231,26 +159,22 @@ REPEATED_TERMS = {
 }
 
 
-def _term_file(terms, blocks):
-    """A three-variable model of `terms`: each run of one degree as one block, or
-    one {"coeff", "vars"} object per term."""
-    layout = [{"coeff": c, "vars": list(key)} for key, c in terms]
-    if blocks:
-        runs = [list(run) for _, run in itertools.groupby(terms, lambda term: len(term[0]))]
-        layout = [
-            {"coeffs": [c for _, c in run], "degree": len(run[0][0]), "vars": [v for key, _ in run for v in key]}
-            for run in runs
-        ]
+def _term_file(terms):
+    """A three-variable model of `terms`, each run of one degree as one block."""
+    runs = [list(run) for _, run in itertools.groupby(terms, lambda term: len(term[0]))]
+    layout = [
+        {"coeffs": [c for _, c in run], "degree": len(run[0][0]), "vars": [v for key, _ in run for v in key]}
+        for run in runs
+    ]
     variables = [{"id": i, "role": f"x{i}"} for i in range(3)]
     return json.dumps({"metadata": {}, "num_vars": 3, "terms": layout, "variables": variables})
 
 
 class TestRepeatedTerms:
-    @pytest.mark.parametrize("blocks", [True, False], ids=["blocks", "term_objects"])
     @pytest.mark.parametrize("name", sorted(REPEATED_TERMS))
-    def test_sums_as_written(self, name, blocks):
+    def test_sums_as_written(self, name):
         terms, summed = REPEATED_TERMS[name]
-        assert list(from_model_json(_term_file(terms, blocks)).polynomial.items()) == summed
+        assert list(from_model_json(_term_file(terms)).polynomial.items()) == summed
 
 
 class TestValidation:
@@ -261,6 +185,14 @@ class TestValidation:
     def test_missing_fields_rejected(self):
         with pytest.raises(ParseError):
             from_model_json('{"num_vars": 2}')
+
+    @pytest.mark.parametrize("blocks", [[], [((), "7"), ((0,), "1"), ((1,), "2")]], ids=["alone", "after_blocks"])
+    def test_term_object_is_refused_naming_the_block_layout(self, blocks):
+        # one {"coeff", "vars"} object per term, the layout the writer used before blocks
+        doc = json.loads(_term_file(blocks))
+        doc["terms"].append({"coeff": "1", "vars": [0]})
+        with pytest.raises(ParseError, match=r"malformed model JSON: .*block \{coeffs, degree, vars\}"):
+            from_model_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "build, meta",
