@@ -18,13 +18,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .pbo import Polynomial, Term
+from .pbo import Polynomial, _degree_blocks, _lex_order
 
 # Subsets a term-by-term expansion would add into: a term over T variables
 # has 2**|T|. Checked before anything is built, the count refuses a key too
@@ -45,12 +43,13 @@ MAX_SUBSET_ADDS = 1 << 25
 MAX_SPIN_TERMS = 1 << 20
 
 
-def ising_expand(p: Polynomial) -> dict[Term, int]:
+def ising_expand(p: Polynomial) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact substitution x_j = (1 - Z_j)/2 with multilinear expansion.
 
     A term c * x_T expands to c / 2**|T| * sum over subsets S of T of
     (-1)**|S| Z_S; every coefficient is kept scaled by 2**degree, and
-    zero coefficients are dropped.
+    zero coefficients are dropped. Returns, per size t from the degree
+    down to 0, the nonzero t-sets as rows and their scaled coefficients.
 
     With b_T = c_T * 2**(degree - |T|), let F_d(S) sum b_T over the terms
     T that contain S and have d more variables, so that Z_S has the
@@ -60,71 +59,47 @@ def ising_expand(p: Polynomial) -> dict[Term, int]:
     of size t are therefore built from those of size t + 1 alone: the
     keys of size t, and each (t + 1)-set with one variable dropped, made
     distinct.
-    """
-    per_size, ids, weights = _terms_by_size(p)
-    degree = len(per_size) - 1
-    ends = np.cumsum(per_size).tolist()
-    id_ends = np.cumsum(per_size * np.arange(degree + 1)).tolist()
 
-    found = []  # each level's nonzero sets, one per row, and their coefficients
+    MAX_SUBSET_ADDS is checked from the key sizes before pbo._degree_blocks
+    flattens any key. The b_T are int64 while sum |b_T| * degree, which
+    bounds every partial sum, is below 2**63, and Python ints past it.
+    """
+    adds = sum(count << t for t, count in Counter(map(len, p._terms)).items())
+    if adds > MAX_SUBSET_ADDS:
+        raise ResourceLimitError(
+            f"the Ising expansion needs {adds} subset additions, over the limit of {MAX_SUBSET_ADDS}"
+        )
+    blocks = {rows.shape[1]: (rows, coeffs) for rows, coeffs in _degree_blocks(p)}
+    degree = max(blocks, default=0)
+    bound = sum(sum(map(abs, coeffs)) << (degree - t) for t, (_, coeffs) in blocks.items())
+    id_type = blocks[degree][0].dtype if blocks else np.int32
+
+    levels = []  # each level's nonzero sets, one per row, and their coefficients
     held = 0
-    above = np.empty((degree + 1, 0), dtype=ids.dtype)  # the (t + 1)-sets, one per column
-    sums = np.empty((0, 0), dtype=weights.dtype)  # sums[d, i] is F_d of above[:, i]
+    above = np.empty((degree + 1, 0), dtype=id_type)  # the (t + 1)-sets, one per column
+    sums = np.empty((0, 0), dtype=np.int64 if bound * max(degree, 1) < 1 << 63 else object)  # sums[d, i]: F_d of above[:, i]
     for t in range(degree, -1, -1):
         if held + above.shape[1] * (t + 1) > MAX_SPIN_TERMS:
             raise ResourceLimitError(
                 f"the Ising expansion may hold more than {MAX_SPIN_TERMS} spin terms"
             )
-        k = int(per_size[t])
-        own = ids[id_ends[t] - k * t : id_ends[t]].reshape(k, t).T
-        sets, where = _distinct(_with_dropped(own, above))
-        level = np.zeros((degree - t + 1, sets.shape[1]), dtype=weights.dtype)
-        np.add.at(level[0], where[:k], weights[ends[t] - k : ends[t]])
+        rows, coeffs = blocks.pop(t, (np.empty((0, t), dtype=id_type), np.empty(0, dtype=object)))
+        k = len(coeffs)
+        sets, where = _distinct(_with_dropped(rows.T, above))
+        level = np.zeros((degree - t + 1, sets.shape[1]), dtype=sums.dtype)
+        np.add.at(level[0], where[:k], coeffs.astype(sums.dtype) << (degree - t))
         for block in where[k:].reshape(t + 1, above.shape[1]):
             for d, row in enumerate(sums, start=1):
                 np.add.at(level[d], block, row)
-        level[1:] //= np.arange(1, degree - t + 1, dtype=weights.dtype)[:, None]
+        level[1:] //= np.arange(1, degree - t + 1, dtype=sums.dtype)[:, None]
         coeff = level.sum(axis=0)
         if t % 2:
             coeff = -coeff
         nonzero = np.flatnonzero(coeff)
-        found.append((sets[:, nonzero].T, coeff[nonzero]))
+        levels.append((sets[:, nonzero].T, coeff[nonzero]))
         held += sets.shape[1]
         above, sums = sets, level
-    return {key: v for rows, vals in found for key, v in zip(map(tuple, rows.tolist()), vals.tolist())}
-
-
-def _terms_by_size(p: Polynomial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p's term counts by size, then its key ids and its weights
-    b_T = c_T * 2**(degree - |T|), both in order of size: the size-t terms
-    come after the terms of every smaller size, and so do their ids.
-
-    MAX_SUBSET_ADDS is checked before anything is flattened. Weights are
-    int64 while sum |b_T| * degree, which bounds every partial sum of the
-    expansion, is below 2**63, and Python ints past it.
-    """
-    keys = list(map(itemgetter(0), p.items()))
-    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
-    per_size = np.bincount(sizes, minlength=1)
-    present = np.flatnonzero(per_size).tolist()
-    adds = sum(int(per_size[t]) << t for t in present)
-    if adds > MAX_SUBSET_ADDS:
-        raise ResourceLimitError(
-            f"the Ising expansion needs {adds} subset additions, over the limit of {MAX_SUBSET_ADDS}"
-        )
-    degree = len(per_size) - 1
-    by_size = np.argsort(sizes, kind="stable")
-    id_type = np.int32 if p.num_variables() <= 1 << 31 else np.int64
-    ids = np.fromiter(
-        chain.from_iterable(keys[i] for i in by_size.tolist()), dtype=id_type, count=int(sizes.sum())
-    )
-    coeffs = np.fromiter(map(itemgetter(1), p.items()), dtype=object, count=len(keys))[by_size]
-    ends = np.cumsum(per_size).tolist()
-    bound = sum(sum(map(abs, coeffs[ends[t] - per_size[t] : ends[t]])) << (degree - t) for t in present)
-    shifts = degree - sizes[by_size]
-    if bound * max(degree, 1) < 1 << 63:
-        return per_size, ids, coeffs.astype(np.int64) << shifts
-    return per_size, ids, coeffs << shifts.astype(object)
+    return levels
 
 
 def _with_dropped(own: np.ndarray, above: np.ndarray) -> np.ndarray:
@@ -142,22 +117,10 @@ def _with_dropped(own: np.ndarray, above: np.ndarray) -> np.ndarray:
 
 def _distinct(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct columns of a non-negative int matrix, and where each
-    input column is among them.
-
-    Each column is packed into as few int64 words as hold it, and the
-    words are sorted and compared in place of the rows.
-    """
+    input column is among them: the packed words of pbo._lex_order,
+    compared in sorted order in place of the rows."""
     count = sets.shape[1]
-    bits = max(int(sets.max(initial=0)).bit_length(), 1)
-    per_word = max(63 // bits, 1)
-    words = []
-    for top in range(0, len(sets), per_word):
-        word = np.zeros(count, dtype=np.int64)
-        for row in sets[top : top + per_word]:
-            word <<= bits
-            word |= row
-        words.append(word)
-    order = np.lexsort(words[::-1]) if words else np.arange(count)
+    order, words = _lex_order(sets)
     new = np.zeros(count, dtype=bool)
     new[:1] = True
     for word in words:
@@ -182,9 +145,8 @@ class GateReport:
 
 
 def cnot_count_oracle(p: Polynomial) -> GateReport:
-    """Expansion-based count: 2(k-1) CNOTs per surviving k-local Z term, k >= 2."""
-    localities = Counter(len(key) for key in ising_expand(p))
-    hist = {k: count for k, count in sorted(localities.items()) if k >= 2}
+    """Expansion-based count: 2(k-1) CNOTs per surviving k-local Z term, k >= 2; a level that cancels has no entry."""
+    hist = {rows.shape[1]: len(rows) for rows, _ in reversed(ising_expand(p)) if rows.shape[1] >= 2 and len(rows)}
     cnot = sum(count * 2 * (k - 1) for k, count in hist.items())
     return GateReport(cnot_count=cnot, term_histogram=hist)
 

@@ -15,7 +15,9 @@ writes its term map, which the encoder adopts and checked_log_layout compares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from itertools import product, starmap
+from operator import add
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import DimensionError, InvalidInstanceError
 from .graphs import Coloring, Graph
@@ -90,7 +92,18 @@ class LogLayout:
 
 
 def log_hubo_terms(layout: LogLayout) -> dict[Term, int]:
-    """The log model's polynomial as its term map, each key written once, in closed form.
+    """The log model's polynomial as its term map, each key written once, in closed form:
+    one dict.update per part of _log_hubo_parts."""
+    terms: dict[Term, int] = {}
+    for keys, values in _log_hubo_parts(layout):
+        terms.update(zip(keys, values))
+    return terms
+
+
+def _log_hubo_parts(layout: LogLayout) -> Iterator[tuple[Iterable[Term], list[int]]]:
+    """The log model's terms as (keys, coefficients) parts whose keys are all distinct:
+    the single bits, bit by bit, and the constant; then each weighted vertex's sets of
+    two or more bits; then each weighted edge's cross monomials.
 
     An edge's weight * prod_k XNOR(x[u][k], x[v][k]), XNOR(a, b) = 1 - a - b + 2ab,
     has coefficient weight * 2^|S & T| * (-1)^|S ^ T| on its monomial over bits S
@@ -99,9 +112,8 @@ def log_hubo_terms(layout: LogLayout) -> dict[Term, int]:
     summed weight of v's edges) plus P_k when S = {k}, and each edge keeps its
     (2^L - 1)^2 cross monomials. Keys join two per-vertex subset tables, lower
     vertex first, built only when some edge has nonzero weight; the cross
-    coefficients come from one sign table per distinct weight. The map holds the
-    single bits, bit by bit, and the constant, each left out when zero (no other
-    sum can be), then takes one dict.update per vertex and per edge.
+    coefficients come from one sign table per distinct weight. Single bits and
+    the constant are left out when zero (no other sum can be).
     """
     n, l = layout.n, len(layout.ladder)
     weighted = [(min(e), max(e), w) for e, w in zip(layout.edges, layout.weights) if w]
@@ -110,11 +122,12 @@ def log_hubo_terms(layout: LogLayout) -> dict[Term, int]:
         sums[u] = sums.get(u, 0) + w
         sums[v] = sums.get(v, 0) + w
     singles = ((bit_var(v, k, l), (p if v < n else 0) - w) for k, p in enumerate(layout.ladder) for v, w in sums.items())
-    terms = {(x,): c for x, c in singles if c}
+    singles = [((x,), c) for x, c in singles if c]
     if constant := layout.constant + sum(w for _, _, w in weighted):
-        terms[()] = constant
+        singles.append(((), constant))
+    yield [key for key, _ in singles], [c for _, c in singles]
     if not weighted:
-        return terms
+        return
     sign = [(-1) ** mask.bit_count() for mask in range(1 << l)]
     multi = [mask for mask in range(3, 1 << l) if mask & (mask - 1)]  # sets of two or more bits
     subsets = {}
@@ -122,14 +135,13 @@ def log_hubo_terms(layout: LogLayout) -> dict[Term, int]:
         # subsets[x][mask]: the ids of x's bits in mask
         subsets[x] = [tuple(bit_var(x, k, l) for k in range(l) if mask >> k & 1) for mask in range(1 << l)]
         if sums[x]:
-            terms.update((subsets[x][mask], sums[x] * sign[mask]) for mask in multi)
+            yield [subsets[x][mask] for mask in multi], [sums[x] * sign[mask] for mask in multi]
     masks = range(1, 1 << l)
     signs = {1: [sign[s] * sign[t] << (s & t).bit_count() for s in masks for t in masks]}
     for u, v, w in weighted:
         if w not in signs:
             signs[w] = [w * f for f in signs[1]]
-        terms.update(zip([a + b for a in subsets[u][1:] for b in subsets[v][1:]], signs[w]))
-    return terms
+        yield starmap(add, product(subsets[u][1:], subsets[v][1:])), signs[w]
 
 
 def log_penalties(meta: Mapping[str, Any]) -> LexPenalties:
@@ -192,15 +204,24 @@ def checked_log_layout(prob: EncodedProblem) -> LogLayout:
 
 
 def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
-    """Whether log_hubo_terms(layout) is `p`'s term map exactly.
+    """Whether log_hubo_terms(layout) is `p`'s term map exactly, read part by part, with no second map.
 
-    The rebuild builds 2^L-entry tables once some edge has nonzero weight,
-    so a cheap count goes first: each such edge yields (2^L - 1)^2 monomials
-    over bits of both its endpoints, which no other (distinct) edge or
-    ladder term can produce or cancel, so `p` holds at least that many terms.
+    The parts build 2^L-entry tables once some edge has nonzero weight, so a
+    cheap count goes first: each such edge yields (2^L - 1)^2 monomials over
+    bits of both its endpoints, which no other (distinct) edge or ladder term
+    can produce or cancel, so `p` holds at least that many terms. The parts'
+    keys are distinct, so the maps are equal when `p` holds each part's
+    coefficients on its keys and has no other term.
     """
     floor = sum(1 for w in layout.weights if w) * ((1 << len(layout.ladder)) - 1) ** 2
-    return len(p._terms) >= floor and p._terms == log_hubo_terms(layout)
+    if len(p._terms) < floor:
+        return False
+    compared = 0
+    for keys, values in _log_hubo_parts(layout):
+        if list(map(p._terms.get, keys)) != values:
+            return False
+        compared += len(values)
+    return compared == len(p._terms)
 
 
 def _encode_log(g: Graph, l: int, /, **meta: Any) -> EncodedProblem:

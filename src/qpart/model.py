@@ -6,15 +6,16 @@ strings so arbitrary-size penalties survive a round trip exactly.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
+import numpy as np
+
 from .errors import ParseError
 from .graphs import Graph
-from .pbo import Polynomial, _accumulate
+from .pbo import Polynomial, _accumulate, _degree_blocks
 
 
 @dataclass(frozen=True)
@@ -57,17 +58,15 @@ def to_model_json(prob: EncodedProblem) -> str:
     A block is `json.dumps({"coeffs": [...], "degree": d, "vars": [...]}, sort_keys=True)`:
     its terms' coefficients as decimal strings and their ids, d per term, in one flat list,
     keys sorted. Blocks come in ascending degree, so the terms keep the order of degree, then
-    variable ids. Sorted keys put "terms" between "num_vars" and "variables": the blocks and
+    variable ids, as pbo._degree_blocks, which the gate oracle also reads, gives them.
+    Sorted keys put "terms" between "num_vars" and "variables": the blocks and
     the variables, one format string each, follow the rest, which goes through `json.dumps`.
     A known kind's metadata gets the record it derives; ValueError if the reader would refuse it.
     """
     record = _penalty_record(prob.meta)
     metadata = dict(prob.meta) if record is None else {**prob.meta, "penalties": record}
     head = json.dumps({"metadata": metadata, "num_vars": prob.num_variables}, indent=2, sort_keys=True)
-    by_degree: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for term in prob.polynomial.items():
-        by_degree.setdefault(len(term[0]), []).append(term)
-    blocks = [_block_json(degree, by_degree.pop(degree)) for degree in sorted(by_degree)]
+    blocks = [_block_json(rows, coeffs) for rows, coeffs in _degree_blocks(prob.polynomial)]
     terms = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
     # each variable as json.dumps(indent=2) writes an element of a top-level list, without its
     # pure-Python encoder, which holds several times the text in small strings
@@ -77,22 +76,20 @@ def to_model_json(prob: EncodedProblem) -> str:
     return f'{head[:-2]},\n  "terms": {terms},\n  "variables": {variables}\n}}\n'
 
 
-def _block_json(degree: int, terms: list[tuple[tuple[int, ...], int]]) -> str:
-    """One entry of the terms list, on one line: the terms of one degree, sorted in place by key.
+def _block_json(rows: np.ndarray, coeffs: np.ndarray) -> str:
+    """One entry of the terms list, on one line: the terms of one degree, a key per row of `rows`.
 
     The text json.dumps writes, joined directly: decimal strings need no escaping, and each
     distinct coefficient and id, of which a model has few, is formatted once."""
-    terms.sort(key=operator.itemgetter(0))
-    coeffs = [coeff for _, coeff in terms]
-    ids = list(itertools.chain.from_iterable(key for key, _ in terms))
+    coeffs, ids = coeffs.tolist(), rows.ravel().tolist()
     coeff_text = ", ".join(map({c: f'"{c}"' for c in set(coeffs)}.__getitem__, coeffs))
     id_text = ", ".join(map({i: str(i) for i in set(ids)}.__getitem__, ids))
-    return f'    {{"coeffs": [{coeff_text}], "degree": {degree}, "vars": [{id_text}]}}'
+    return f'    {{"coeffs": [{coeff_text}], "degree": {rows.shape[1]}, "vars": [{id_text}]}}'
 
 
 def from_model_json(text: str) -> EncodedProblem:
-    """Parse model JSON in to_model_json's block layout: a terms entry that is not a
-    `{"coeffs": [...], "degree": d, "vars": [...]}` object is refused.
+    """Parse model JSON in to_model_json's block layout: the message names a terms entry that is
+    not a `{"coeffs", "degree", "vars"}` object, or a variables entry not an `{"id", "role"}` one.
 
     A block's degree must be a non-negative JSON integer and its vars a list of exactly
     degree ids per coefficient. Variable ids must be JSON integers, non-negative and strictly
@@ -110,7 +107,9 @@ def from_model_json(text: str) -> EncodedProblem:
     try:
         num_vars = _json_int(doc["num_vars"])
         roles: dict[int, str] = {}
-        for entry in doc["variables"]:
+        for index, entry in enumerate(doc["variables"]):
+            if type(entry) is not dict or not {"id", "role"} <= entry.keys():
+                raise ValueError(f"variables entry {index} is not an object {{id, role}}")
             i = _json_int(entry["id"])
             if not 0 <= i < num_vars or i in roles:
                 raise ValueError(f"variable id {i} is out of range 0..{num_vars - 1} or repeated")
@@ -121,9 +120,9 @@ def from_model_json(text: str) -> EncodedProblem:
             raise ValueError(f"variables list {len(roles)} ids but num_vars is {num_vars}")
         keys: list[tuple[int, ...]] = []
         coeffs: list[Any] = []
-        for block in doc["terms"]:
-            if type(block) is not dict or "coeffs" not in block:
-                raise ValueError("a terms entry must be a block {coeffs, degree, vars}")
+        for index, block in enumerate(doc["terms"]):
+            if type(block) is not dict or not {"coeffs", "degree", "vars"} <= block.keys():
+                raise ValueError(f"terms entry {index} is not a block {{coeffs, degree, vars}}")
             degree, ids, block_coeffs = _json_int(block["degree"]), block["vars"], block["coeffs"]
             if not (type(ids) is list and type(block_coeffs) is list and degree >= 0):
                 raise ValueError(f"a block needs a non-negative degree and lists, got degree {degree}")

@@ -7,6 +7,7 @@ no floating point enters an energy computation.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Iterable, Iterator, Mapping
 
@@ -122,6 +123,43 @@ def _accumulate(terms: Iterable[tuple[Term, int]]) -> dict[Term, int]:
             else:
                 del canon[key]
     return canon
+
+
+def _degree_blocks(p: Polynomial) -> list[tuple[np.ndarray, np.ndarray]]:
+    """p's terms by degree, ascending, flattened once: per degree d, the keys as the rows
+    of a (K, d) array in lexicographic order, int32 if every id fits, else int64 (a
+    registry names every id), and their coefficients, an object array in the same order.
+    The one view of a term map that the model writer and the gate oracle read."""
+    terms = p._terms
+    sizes = np.fromiter(map(len, terms), dtype=np.intp, count=len(terms))
+    ids = np.fromiter(itertools.chain.from_iterable(terms), dtype=np.int64, count=int(sizes.sum()))
+    ids = ids.astype(np.int32) if ids.max(initial=0) < 1 << 31 else ids
+    coeffs = np.fromiter(terms.values(), dtype=object, count=len(terms))
+    starts = np.cumsum(sizes) - sizes
+    blocks = []
+    for d in np.flatnonzero(np.bincount(sizes)).tolist():
+        which = np.flatnonzero(sizes == d)
+        rows = ids[starts[which, None] + np.arange(d)]
+        order, _ = _lex_order(rows.T)
+        blocks.append((rows[order], coeffs[which[order]]))
+    return blocks
+
+
+def _lex_order(sets: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The order that sorts the columns of a non-negative int matrix lexicographically,
+    and the columns packed into as few int64 words as hold them, most significant word
+    first, so that comparing the words in turn compares the columns."""
+    count = sets.shape[1]
+    bits = max(int(sets.max(initial=0)).bit_length(), 1)
+    per_word = max(63 // bits, 1)
+    words = []
+    for top in range(0, len(sets), per_word):
+        word = np.zeros(count, dtype=np.int64)
+        for row in sets[top : top + per_word]:
+            word <<= bits
+            word |= row
+        words.append(word)
+    return (np.lexsort(words[::-1]) if words else np.arange(count)), words
 
 
 def check_build_terms(count: int) -> None:

@@ -297,15 +297,21 @@ def naive_ising_expand(p):
     return {k: v for k, v in acc.items() if v}
 
 
+def scaled_spin_terms(p):
+    """ising_expand's levels as one map: each nonzero spin term's key, a tuple of ints,
+    to its coefficient scaled by 2**degree, an int."""
+    return {key: v for rows, vals in ising_expand(p) for key, v in zip(map(tuple, rows.tolist()), vals.tolist())}
+
+
 def spin_terms(p):
     """Nonzero spin coefficients of p under x = (1 - Z)/2, as exact fractions."""
-    return {key: Fraction(v, 1 << p.degree()) for key, v in ising_expand(p).items()}
+    return {key: Fraction(v, 1 << p.degree()) for key, v in scaled_spin_terms(p).items()}
 
 
 def evaluate_spin(p, bits):
     """The spin form of p at Z_j = 1 - 2*x_j; it must reproduce p.evaluate(bits)."""
     total = 0
-    for key, num in ising_expand(p).items():
+    for key, num in scaled_spin_terms(p).items():
         for v in key:
             num *= 1 - 2 * bits[v]
         total += num

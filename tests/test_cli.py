@@ -396,6 +396,9 @@ MODEL_DEFECTS = {
     "vars_not_list": ("log", lambda doc: _block(doc, 0).update(vars={})),
     # a term of the one-object-per-term layout, which the writer before blocks used
     "term_object": ("log", lambda doc: doc["terms"].append({"coeff": "1", "vars": [0]})),
+    # entries short of a key their layout needs
+    "block_without_degree": ("log", lambda doc: _block(doc, 1).pop("degree")),
+    "variable_without_role": ("onehot", lambda doc: doc["variables"][0].pop("role")),
     # JSON types str() or dict() would coerce
     "role_not_string": ("onehot", lambda doc: doc["variables"][0].update(role=[1, 2])),
     "metadata_not_object": ("onehot", lambda doc: doc.update(metadata=[["kind", "x"]])),
@@ -416,6 +419,12 @@ MODEL_DEFECTS = {
     ),
     "m_changed_log": ("log", lambda doc: doc["metadata"].update(m=40)),
     "m_changed_quadratized": ("quadratized", lambda doc: doc["metadata"].update(m=40)),
+}
+# The layout the error message names for a defect whose entry does not fit it.
+DEFECT_LAYOUTS = {
+    "term_object": "{coeffs, degree, vars}",
+    "block_without_degree": "{coeffs, degree, vars}",
+    "variable_without_role": "{id, role}",
 }
 
 K2 = complete_graph(2)
@@ -458,15 +467,18 @@ METADATA_TAMPERS = {
 }
 
 
-def _bounded(build, limit):
-    """Wrap a term-map builder so a map of more than `limit` terms fails the test; the
-    bounded range stops a runaway table before the map is built, so nothing hangs."""
+def _bounded(parts, limit, calls):
+    """Wrap a generator of (keys, coefficients) parts so more than `limit` terms in
+    one call fail the test, appending each call's part sizes to `calls`; the bounded
+    range stops a runaway table before its part is built, so nothing hangs."""
 
     def wrapper(*args, **kwargs):
-        terms = build(*args, **kwargs)
-        if len(terms) > limit:
-            raise RuntimeError(f"more than {limit} terms")
-        return terms
+        calls.append([])
+        for keys, values in parts(*args, **kwargs):
+            calls[-1].append(len(values))
+            if sum(calls[-1]) > limit:
+                raise RuntimeError(f"more than {limit} terms")
+            yield keys, values
 
     return wrapper
 
@@ -572,32 +584,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("tamper", sorted(METADATA_TAMPERS))
     def test_tampered_metadata_exits_2_before_expanding(self, tamper, tmp_path, capsys, monkeypatch):
-        # Past 10^5 terms the rebuilt term map fails the test, and so does a
+        # Past 10^5 terms the rebuilt parts fail the test, and so does a
         # range past 10^5 in logenc, which builds each 2^L sign or subset
         # table over range(1 << L): the count floor must refuse a weighted
         # edge's tables, and a layout with no weighted edge must build none.
-        # The real map comes back, so its comparison with the file's refuses.
+        # The real parts come through, so their comparison with the file's refuses.
         build, corrupt = METADATA_TAMPERS[tamper]
         doc = json.loads(to_model_json(build()))
         corrupt(doc)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
-        bounded, calls = _bounded(logenc.log_hubo_terms, 10**5), []
-
-        def rebuild(*args, **kwargs):
-            calls.append(bounded(*args, **kwargs))
-            return calls[-1]
-
-        monkeypatch.setattr(logenc, "log_hubo_terms", rebuild)
+        calls = []
+        monkeypatch.setattr(logenc, "_log_hubo_parts", _bounded(logenc._log_hubo_parts, 10**5, calls))
         monkeypatch.setattr(logenc, "range", _bounded_range(10**5), raising=False)
         code, _, err = run(["quadratize", "--in", str(model)], capsys)
         assert code == 2
         assert "does not reproduce its polynomial" in err
         assert "Traceback" not in err
         if tamper == "zero_weight_edge":
-            assert calls, "the rebuild no longer reads logenc.log_hubo_terms"
-            # K2 at L = 40: 80 single bits and the constant A * beta, as a map
-            assert [(type(terms), len(terms)) for terms in calls] == [(dict, 2 * 40 + 1)]
+            assert calls, "the rebuild no longer reads logenc._log_hubo_parts"
+            # K2 at L = 40: 80 single bits and the constant A * beta, in one part
+            assert calls == [[2 * 40 + 1]]
 
     def test_gates_past_subset_limit_exits_3(self, tmp_path, capsys):
         # One degree-40 term needs 2**40 subset additions; one degree-25 term
@@ -671,6 +678,7 @@ class TestExitCodes:
         code, _, err = run([command, "--in", str(model)], capsys)
         assert code == 2
         assert "Traceback" not in err
+        assert DEFECT_LAYOUTS.get(defect, "") in err
 
     def test_non_integer_graph_json_exits_2(self, tmp_path, capsys):
         graph = tmp_path / "g.json"

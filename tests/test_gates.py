@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     evaluate_spin,
     multiply,
     naive_ising_expand,
+    scaled_spin_terms,
     spin_terms,
 )
 
@@ -68,9 +70,12 @@ class TestLevelwiseSum:
 
     @staticmethod
     def check(p):
-        spin = ising_expand(p)
-        assert spin == naive_ising_expand(p)
+        spin = scaled_spin_terms(p)
+        naive = naive_ising_expand(p)
+        assert spin == naive
         assert all(type(v) is int and all(type(j) is int for j in key) for key, v in spin.items())
+        localities = Counter(len(key) for key in naive if len(key) >= 2)
+        assert cnot_count_oracle(p).term_histogram == localities
         return spin
 
     def test_empty_and_constant(self):
@@ -112,6 +117,16 @@ class TestLevelwiseSum:
 
 
 class TestOracle:
+    def test_cancelled_levels_have_no_entry(self):
+        # Without the ladder a log model's agreement products leave only even
+        # localities: the levels of 5, 3 and 1 spins cancel entirely.
+        p = Polynomial(log_hubo_terms(LogLayout(3, (0, 0, 0), 0, [(0, 1), (1, 2)], [1, 1])))
+        assert p.degree() == 6 and any(len(key) % 2 for key, _ in p.items())
+        levels = ising_expand(p)
+        assert [(rows.shape[1], len(rows)) for rows, _ in levels if rows.shape[1] % 2] == [(5, 0), (3, 0), (1, 0)]
+        localities = Counter(len(key) for key in naive_ising_expand(p) if len(key) >= 2)
+        assert cnot_count_oracle(p).term_histogram == localities == {2: 6, 4: 6, 6: 2}
+
     def test_linear_polynomial_costs_nothing(self):
         report = cnot_count_oracle(Polynomial({(0,): 5, (1,): -2, (): 9}))
         assert report.cnot_count == 0

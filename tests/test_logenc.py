@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 from conftest import (
@@ -27,8 +28,10 @@ from qpart.logenc import (
     decode_log,
     encode_general,
     encode_mgc_log,
+    _rebuilds,
     lex_penalties,
     log_hubo_terms,
+    log_layout,
     log_penalties,
 )
 from qpart.model import from_model_json, to_model_json
@@ -252,6 +255,49 @@ def integer_partition_args(draw):
     beta = {e: alpha[e] if draw(st.booleans()) else draw(cost) for e in g.edges}
     gap = draw(st.none() | st.integers(1, 3))
     return g, PartitionSpec(alpha=alpha, beta=beta, gap=gap), draw(st.integers(1, 3))
+
+
+def _tamper(terms, name, rng):
+    """Edit a copy of a term map in place of a hand-edited model file: name one of
+    STREAM_TAMPERS; the keys edited are chosen by rng."""
+    terms = dict(terms)
+    keys = sorted(terms, key=lambda k: (len(k), k))
+    if name == "term_deleted" and keys:
+        del terms[rng.choice(keys)]
+    elif name == "key_added":
+        # an id past every vertex's bits, which no part writes
+        terms[(1 << 20,)] = 1
+    elif name == "coefficient_changed" and keys:
+        key = rng.choice(keys)
+        terms[key] = terms[key] + 1 or 2
+    elif name == "coefficients_swapped" and len(keys) >= 2:
+        a, b = rng.sample(keys, 2)
+        terms[a], terms[b] = terms[b], terms[a]
+    elif name == "constant_changed":
+        terms[()] = terms.get((), 0) + 1
+        if not terms[()]:
+            del terms[()]
+    return terms
+
+
+STREAM_TAMPERS = ["none", "term_deleted", "key_added", "coefficient_changed", "coefficients_swapped", "constant_changed"]
+
+
+class TestStreamedCheck:
+    """_rebuilds compares a model's map with the parts as they stream; it must
+    agree with comparing the whole map log_hubo_terms writes."""
+
+    @given(
+        term_stream_args() | integer_partition_args().map(lambda args: log_layout(encode_general(*args).meta)),
+        st.sampled_from(STREAM_TAMPERS),
+        st.randoms(use_true_random=False),
+    )
+    @example(LogLayout(2, (1, 1), -5, [(1, 0)], [5]), "constant_changed", random.Random(0))
+    @example(LogLayout(3, (1, 3), 5, [(2, 0), (0, 1)], [3, 0]), "coefficients_swapped", random.Random(0))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_whole_map(self, layout, tamper, rng):
+        terms = _tamper(log_hubo_terms(layout), tamper, rng)
+        assert _rebuilds(layout, Polynomial._from_canonical(terms)) == (terms == log_hubo_terms(layout))
 
 
 class TestGeneralPartition:

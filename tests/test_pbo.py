@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import add_scaled, bits_to_index, multiply, zeta_oracle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpart.errors import DimensionError, ResourceLimitError
@@ -17,6 +17,7 @@ from qpart.pbo import (
     ZETA_CHUNK_BYTES,
     ZETA_ROW_BITS,
     Polynomial,
+    _degree_blocks,
     energy_vector,
     ground_states,
     index_to_bits,
@@ -363,3 +364,35 @@ class TestEnergyVectorRows:
             tracemalloc.stop()
         assert vec.dtype == np.int32
         assert peak <= vec.nbytes + ZETA_CHUNK_BYTES + (1 << 20)
+
+
+@st.composite
+def long_key_polynomials(draw):
+    """Keys of up to 10 ids from a pool below 2**4, 2**12, 2**21 or 2**40, so a key
+    packs into one word or several, and keys share prefixes that only a later word
+    tells apart; coefficients past int64 too."""
+    bound = draw(st.sampled_from([1 << 4, 1 << 12, 1 << 21, 1 << 40]))
+    pool = draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=12, unique=True))
+    keys = st.lists(st.sampled_from(pool), max_size=10)
+    coeffs = st.integers(-9, 9) | st.integers(-(2**70), 2**70)
+    return Polynomial(draw(st.lists(st.tuples(keys, coeffs), max_size=30)))
+
+
+class TestDegreeBlocks:
+    """The sorted view the model writer and the gate oracle read."""
+
+    @given(long_key_polynomials())
+    @example(Polynomial())
+    @example(Polynomial({(): -5}))
+    @example(Polynomial({tuple(range(10)): 1, tuple(range(9)) + (10,): 2, tuple(range(1, 11)): 3}))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_in_key_order_by_degree(self, p):
+        expected = {}
+        for key, coeff in sorted(p.items(), key=lambda t: (len(t[0]), t[0])):
+            expected.setdefault(len(key), []).append((key, coeff))
+        blocks = _degree_blocks(p)
+        assert [rows.shape[1] for rows, _ in blocks] == list(expected)
+        got = [list(zip(map(tuple, rows.tolist()), coeffs.tolist())) for rows, coeffs in blocks]
+        assert got == list(expected.values())
+        narrow = p.num_variables() <= 1 << 31
+        assert all(rows.dtype == (np.int32 if narrow else np.int64) for rows, _ in blocks)
