@@ -8,9 +8,10 @@ as an int scaled by 2**degree and cancellation is detected exactly.
 
 The expansion is a superset sum (the fast subset-sum, or zeta, transform
 of Yates 1937) over the subsets of the term keys, taken one subset size
-at a time from the degree down, in numpy: each level is one sort of its
-key rows, packed into int64 words, and a few scatter-adds, not one dict
-update per (term, subset) pair.
+at a time from the degree down, in numpy, on the sorted view of the keys
+that the model writer also reads: each level is one sort of its key rows,
+packed into int64 words, and a few scatter-adds, not one dict update per
+(term, subset) pair. The CNOT count reads each level's surviving rows.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from .pbo import Polynomial, _degree_blocks, _lex_order
 # has 2**|T|. Checked before anything is built, the count refuses a key too
 # wide to expand (a degree-40 term in a 1 KB file has 2**40) and bounds the
 # level-wise sum, which copies at most degree / 2 key rows per subset.
-# perfbench's n=64, c=16 log model has 6.5 M and expands in about 0.3 s;
-# an n=40, c=32 (L=5) log model has 23 M and takes about 0.5 s.
+# perfbench's n=64, c=16 log model has 6.5 M and expands in about 0.17 s;
+# an n=40, c=32 (L=5) log model has 23 M and takes about 0.3 s.
 MAX_SUBSET_ADDS = 1 << 25
 # Key rows ising_expand may hold, checked before each level is built: the
 # distinct subsets found so far plus the next level's rows before they are
 # made distinct. A row is at most degree int32 ids, one or more int64 sort
-# words and degree + 1 int64 sums, and each nonzero subset also becomes a
-# dict entry. Log models share most subsets between monomials (the n=64,
+# words and degree + 1 int64 sums, and each nonzero subset is also kept
+# in its level's rows. Log models share most subsets between monomials (the n=64,
 # c=16 model reaches about 0.44 M rows, an n=40, c=32 one 0.74 M), but one
 # term's subsets are all distinct: a single degree-25 term within
 # MAX_SUBSET_ADDS stops before its 19-variable subsets are built, having
@@ -77,7 +78,7 @@ def ising_expand(p: Polynomial) -> list[tuple[np.ndarray, np.ndarray]]:
     levels = []  # each level's nonzero sets, one per row, and their coefficients
     held = 0
     above = np.empty((degree + 1, 0), dtype=id_type)  # the (t + 1)-sets, one per column
-    sums = np.empty((0, 0), dtype=np.int64 if bound * max(degree, 1) < 1 << 63 else object)  # sums[d, i]: F_d of above[:, i]
+    sums = np.empty((0, 0), dtype=np.int64 if bound * max(degree, 1) < 1 << 63 else object)  # [d, i]: F_d(above[:, i])
     for t in range(degree, -1, -1):
         if held + above.shape[1] * (t + 1) > MAX_SPIN_TERMS:
             raise ResourceLimitError(
@@ -147,8 +148,7 @@ class GateReport:
 def cnot_count_oracle(p: Polynomial) -> GateReport:
     """Expansion-based count: 2(k-1) CNOTs per surviving k-local Z term, k >= 2; a level that cancels has no entry."""
     hist = {rows.shape[1]: len(rows) for rows, _ in reversed(ising_expand(p)) if rows.shape[1] >= 2 and len(rows)}
-    cnot = sum(count * 2 * (k - 1) for k, count in hist.items())
-    return GateReport(cnot_count=cnot, term_histogram=hist)
+    return GateReport(cnot_count=sum(count * 2 * (k - 1) for k, count in hist.items()), term_histogram=hist)
 
 
 def cnot_count_onehot_closed(n: int, m: int, c: int) -> int:

@@ -9,7 +9,8 @@ small labels without any dedicated counting register.
 A LogLayout is the one description of a log model, and log_layout the one
 way to build it from a model's metadata, weighted by log_penalties, the
 rule model JSON also writes and checks the penalty record by. log_hubo_terms
-writes its term map, which the encoder adopts and checked_log_layout compares.
+writes its term map from the parts of _log_hubo_parts, and the encoder
+adopts it; checked_log_layout compares a model's map with the same parts.
 """
 
 from __future__ import annotations
@@ -209,9 +210,8 @@ def _rebuilds(layout: LogLayout, p: Polynomial) -> bool:
     The parts build 2^L-entry tables once some edge has nonzero weight, so a
     cheap count goes first: each such edge yields (2^L - 1)^2 monomials over
     bits of both its endpoints, which no other (distinct) edge or ladder term
-    can produce or cancel, so `p` holds at least that many terms. The parts'
-    keys are distinct, so the maps are equal when `p` holds each part's
-    coefficients on its keys and has no other term.
+    can produce or cancel, so `p` holds at least that many. The parts' keys are
+    distinct, so `p` is the map when it holds their coefficients and no more terms.
     """
     floor = sum(1 for w in layout.weights if w) * ((1 << len(layout.ladder)) - 1) ** 2
     if len(p._terms) < floor:
