@@ -58,7 +58,9 @@ def to_model_json(prob: EncodedProblem) -> str:
     A block is `json.dumps({"coeffs": [...], "degree": d, "vars": [...]}, sort_keys=True)`:
     its terms' coefficients as decimal strings and their ids, d per term, in one flat list,
     keys sorted. Blocks come in ascending degree, so the terms keep the order of degree, then
-    variable ids, as pbo._degree_blocks, which the gate oracle also reads, gives them.
+    variable ids, as pbo._degree_blocks, which the gate oracle also reads, gives them. The ids
+    are written in bulk: one table of each id's text and separator, `b"17, "`, made once per
+    model, is gathered by each block's id array.
     Sorted keys put "terms" between "num_vars" and "variables": the blocks and
     the variables, one format string each, follow the rest, which goes through `json.dumps`.
     A known kind's metadata gets the record it derives; ValueError if the reader would refuse it.
@@ -66,7 +68,8 @@ def to_model_json(prob: EncodedProblem) -> str:
     record = _penalty_record(prob.meta)
     metadata = dict(prob.meta) if record is None else {**prob.meta, "penalties": record}
     head = json.dumps({"metadata": metadata, "num_vars": prob.num_variables}, indent=2, sort_keys=True)
-    blocks = [_block_json(rows, coeffs) for rows, coeffs in _degree_blocks(prob.polynomial)]
+    id_texts = np.array([f"{i}, " for i in range(prob.num_variables)], dtype=bytes)
+    blocks = [_block_json(rows, coeffs, id_texts) for rows, coeffs in _degree_blocks(prob.polynomial)]
     terms = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
     # each variable as json.dumps(indent=2) writes an element of a top-level list, without its
     # pure-Python encoder, which holds several times the text in small strings
@@ -76,20 +79,23 @@ def to_model_json(prob: EncodedProblem) -> str:
     return f'{head[:-2]},\n  "terms": {terms},\n  "variables": {variables}\n}}\n'
 
 
-def _block_json(rows: np.ndarray, coeffs: np.ndarray) -> str:
+def _block_json(rows: np.ndarray, coeffs: np.ndarray, id_texts: np.ndarray) -> str:
     """One entry of the terms list, on one line: the terms of one degree, a key per row of `rows`.
 
     The text json.dumps writes, joined directly: decimal strings need no escaping, and each
-    distinct coefficient and id, of which a model has few, is formatted once."""
-    coeffs, ids = coeffs.tolist(), rows.ravel().tolist()
+    distinct coefficient, of which a model has few, is formatted once. The ids index
+    `id_texts`, whose entry i is `f"{i}, "` as a fixed-width byte string padded with NULs,
+    so the block's id text is the gathered table's bytes without the NULs and the last ", "."""
+    coeffs = coeffs.tolist()
     coeff_text = ", ".join(map({c: f'"{c}"' for c in set(coeffs)}.__getitem__, coeffs))
-    id_text = ", ".join(map({i: str(i) for i in set(ids)}.__getitem__, ids))
+    id_text = id_texts[rows.ravel()].tobytes().replace(b"\0", b"")[:-2].decode()
     return f'    {{"coeffs": [{coeff_text}], "degree": {rows.shape[1]}, "vars": [{id_text}]}}'
 
 
 def from_model_json(text: str) -> EncodedProblem:
-    """Parse model JSON in to_model_json's block layout: the message names a terms entry that is
-    not a `{"coeffs", "degree", "vars"}` object, or a variables entry not an `{"id", "role"}` one.
+    """Parse model JSON in to_model_json's block layout: the message names a document that is not
+    a `{"num_vars", "terms", "variables"}` object (metadata may be left out), a terms entry that
+    is not a `{"coeffs", "degree", "vars"}` one, or a variables entry not an `{"id", "role"}` one.
 
     A block's degree must be a non-negative JSON integer and its vars a list of exactly
     degree ids per coefficient. Variable ids must be JSON integers, non-negative and strictly
@@ -105,6 +111,8 @@ def from_model_json(text: str) -> EncodedProblem:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid model JSON: {exc.msg}", line=exc.lineno) from exc
     try:
+        if type(doc) is not dict or not {"num_vars", "terms", "variables"} <= doc.keys():
+            raise ValueError("the document is not an object {num_vars, terms, variables}")
         num_vars = _json_int(doc["num_vars"])
         roles: dict[int, str] = {}
         for index, entry in enumerate(doc["variables"]):

@@ -398,6 +398,11 @@ MODEL_DEFECTS = {
     "term_object": ("log", lambda doc: doc["terms"].append({"coeff": "1", "vars": [0]})),
     # entries short of a key their layout needs
     "block_without_degree": ("log", lambda doc: _block(doc, 1).pop("degree")),
+    "num_vars_missing": ("log", lambda doc: doc.pop("num_vars")),
+    "terms_missing": ("log", lambda doc: doc.pop("terms")),
+    "variables_missing": ("onehot", lambda doc: doc.pop("variables")),
+    # a document that is no object at all, in place of the model
+    "document_not_object": ("log", lambda doc: [1, 2]),
     "variable_without_role": ("onehot", lambda doc: doc["variables"][0].pop("role")),
     # JSON types str() or dict() would coerce
     "role_not_string": ("onehot", lambda doc: doc["variables"][0].update(role=[1, 2])),
@@ -420,8 +425,14 @@ MODEL_DEFECTS = {
     "m_changed_log": ("log", lambda doc: doc["metadata"].update(m=40)),
     "m_changed_quadratized": ("quadratized", lambda doc: doc["metadata"].update(m=40)),
 }
+# The defects that replace the whole document with the one they return.
+WHOLE_DOCUMENT_DEFECTS = {"document_not_object"}
 # The layout the error message names for a defect whose entry does not fit it.
 DEFECT_LAYOUTS = {
+    "document_not_object": "{num_vars, terms, variables}",
+    "num_vars_missing": "{num_vars, terms, variables}",
+    "terms_missing": "{num_vars, terms, variables}",
+    "variables_missing": "{num_vars, terms, variables}",
     "term_object": "{coeffs, degree, vars}",
     "block_without_degree": "{coeffs, degree, vars}",
     "variable_without_role": "{id, role}",
@@ -672,9 +683,9 @@ class TestExitCodes:
     def test_inconsistent_model_exits_2(self, defect, command, tmp_path, capsys):
         encoding, corrupt = MODEL_DEFECTS[defect]
         doc = json.loads(to_model_json(K3_MODELS[encoding]()))
-        corrupt(doc)
+        replaced = corrupt(doc)
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
+        model.write_text(json.dumps(replaced if defect in WHOLE_DOCUMENT_DEFECTS else doc))
         code, _, err = run([command, "--in", str(model)], capsys)
         assert code == 2
         assert "Traceback" not in err

@@ -114,6 +114,35 @@ def problems(draw):
     return EncodedProblem(Polynomial(terms), registry, draw(METADATA))
 
 
+def written_text(doc):
+    """`json.dumps(doc, indent=2, sort_keys=True) + "\\n"`, but with each block of terms on its own
+    line, as `json.dumps(block, sort_keys=True)` writes it: the text to_model_json writes."""
+    blocks = ",\n".join("    " + json.dumps(block, sort_keys=True) for block in doc["terms"])
+    rest = json.dumps({**doc, "terms": []}, indent=2, sort_keys=True)
+    if blocks:
+        assert rest.count('\n  "terms": [],\n') == 1
+        rest = rest.replace('\n  "terms": [],\n', f'\n  "terms": [\n{blocks}\n  ],\n')
+    return rest + "\n"
+
+
+# Ids of every decimal width from 1 to 6 digits, each at both ends of its width
+WIDE_IDS = (0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000)
+WIDE_TERMS = {
+    (): -7,
+    (0,): 1,
+    (9,): -2,
+    (100000,): 3,
+    (10, 99): 2**70,
+    (0, 99999): -5,
+    (999, 1000): 4,
+    (9, 100, 10000): -(2**64),
+    (0, 999, 100000): 6,
+    (0, 9, 10, 99): 8,
+    (100, 999, 1000, 9999): -9,
+    (1000, 9999, 10000, 99999): 1,
+}
+
+
 class TestWriter:
     @given(problems())
     @example(EncodedProblem(Polynomial(), (), {}))
@@ -123,15 +152,17 @@ class TestWriter:
         text = to_model_json(prob)
         doc = model_doc(prob)
         assert json.loads(text) == doc
-        # json.dumps(indent=2) around the terms; each block on its own line, as json.dumps writes it
-        blocks = ",\n".join("    " + json.dumps(block, sort_keys=True) for block in doc["terms"])
-        rest = json.dumps({**doc, "terms": []}, indent=2, sort_keys=True)
-        if blocks:
-            assert rest.count('\n  "terms": [],\n') == 1
-            rest = rest.replace('\n  "terms": [],\n', f'\n  "terms": [\n{blocks}\n  ],\n')
-        assert text == rest + "\n"
+        assert text == written_text(doc)
         lines = [line.rstrip(",") for line in text.splitlines() if line.startswith('    {"coeffs": ')]
         assert list(map(json.loads, lines)) == doc["terms"]
+
+    @pytest.mark.parametrize(
+        "terms", [{}, {(): -7}, WIDE_TERMS], ids=["empty", "constant_only", "ids_of_one_to_six_digits"]
+    )
+    def test_ids_of_every_width(self, terms):
+        # the drawn problems above have one-digit ids only
+        prob = EncodedProblem(Polynomial(terms), tuple(f"v{i}" for i in range(WIDE_IDS[-1] + 1)), {"kind": "wide"})
+        assert to_model_json(prob) == written_text(model_doc(prob))
 
     def test_stale_record_is_replaced_by_the_derived_one(self):
         prob = encode_mgc_log(path_graph(3), 4)
