@@ -398,12 +398,12 @@ MODEL_DEFECTS = {
     "term_object": ("log", lambda doc: doc["terms"].append({"coeff": "1", "vars": [0]})),
     # entries short of a key their layout needs
     "block_without_degree": ("log", lambda doc: _block(doc, 1).pop("degree")),
+    "variable_without_role": ("onehot", lambda doc: doc["variables"][0].pop("role")),
     "num_vars_missing": ("log", lambda doc: doc.pop("num_vars")),
     "terms_missing": ("log", lambda doc: doc.pop("terms")),
     "variables_missing": ("onehot", lambda doc: doc.pop("variables")),
     # a document that is no object at all, in place of the model
     "document_not_object": ("log", lambda doc: [1, 2]),
-    "variable_without_role": ("onehot", lambda doc: doc["variables"][0].pop("role")),
     # JSON types str() or dict() would coerce
     "role_not_string": ("onehot", lambda doc: doc["variables"][0].update(role=[1, 2])),
     "metadata_not_object": ("onehot", lambda doc: doc.update(metadata=[["kind", "x"]])),
