@@ -44,13 +44,12 @@ class Polynomial:
     have identical term maps.
     """
 
-    __slots__ = ("_terms", "_blocks")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Iterable[int], int] | Iterable[tuple[Iterable[int], int]] | None = None):
         items = () if terms is None else terms.items() if isinstance(terms, Mapping) else terms
         # operator.index takes ints only: floats, strings and Fractions raise TypeError
         self._terms = _accumulate((_canonical_key(vars_), operator.index(coeff)) for vars_, coeff in items)
-        self._blocks = None
 
     @classmethod
     def _from_canonical(cls, terms: dict[Term, int]) -> Polynomial:
@@ -64,7 +63,6 @@ class Polynomial:
         """
         poly = cls.__new__(cls)
         poly._terms = terms
-        poly._blocks = None
         return poly
 
     def items(self) -> Iterator[tuple[Term, int]]:
@@ -127,17 +125,11 @@ def _accumulate(terms: Iterable[tuple[Term, int]]) -> dict[Term, int]:
     return canon
 
 
-def _degree_blocks(p: Polynomial) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """p's terms by degree, ascending: per degree d, the keys as the rows of a (K, d) array
-    in lexicographic order, int32 if every id fits, else int64 (a registry names every id),
-    and their coefficients, an object array in the same order.
-
-    The one view of a term map that the model writer and the gate oracle read. It is built
-    on the first call, flattening the map once, and kept on p, which never changes, for
-    every later call; it is a tuple and every array in it is read-only, since its readers
-    share it."""
-    if p._blocks is not None:
-        return p._blocks
+def _degree_blocks(p: Polynomial) -> list[tuple[np.ndarray, np.ndarray]]:
+    """p's terms by degree, ascending, flattened once: per degree d, the keys as the rows
+    of a (K, d) array in lexicographic order, int32 if every id fits, else int64 (a
+    registry names every id), and their coefficients, an object array in the same order.
+    The one view of a term map that the model writer and the gate oracle read."""
     terms = p._terms
     sizes = np.fromiter(map(len, terms), dtype=np.intp, count=len(terms))
     ids = np.fromiter(itertools.chain.from_iterable(terms), dtype=np.int64, count=int(sizes.sum()))
@@ -149,12 +141,8 @@ def _degree_blocks(p: Polynomial) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         which = np.flatnonzero(sizes == d)
         rows = ids[starts[which, None] + np.arange(d)]
         order, _ = _lex_order(rows.T)
-        block = rows[order], coeffs[which[order]]
-        for array in block:
-            array.flags.writeable = False
-        blocks.append(block)
-    p._blocks = tuple(blocks)
-    return p._blocks
+        blocks.append((rows[order], coeffs[which[order]]))
+    return blocks
 
 
 def _lex_order(sets: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -17,7 +17,6 @@ from conftest import (
     spin_terms,
 )
 
-from qpart import pbo
 from qpart.gates import (
     cnot_count_log_closed,
     cnot_count_onehot_closed,
@@ -26,7 +25,6 @@ from qpart.gates import (
 )
 from qpart.graphs import generate_random_connected
 from qpart.logenc import LogLayout, encode_mgc_log, lex_penalties, log_hubo_terms
-from qpart.model import to_model_json
 from qpart.onehot import encode_mgc_onehot
 from qpart.pbo import Polynomial
 
@@ -147,18 +145,6 @@ class TestOracle:
     def test_report_json(self):
         report = cnot_count_oracle(edge_agreement_product(0, 1, 2))
         assert '"cnot": 10' in report.to_json()
-
-
-class TestSharedView:
-    def test_writer_and_oracle_flatten_the_terms_once(self, monkeypatch):
-        prob = encode_mgc_log(complete_graph(4), 4)
-        lex_order = pbo._lex_order
-        sorted_degrees = []
-        monkeypatch.setattr(pbo, "_lex_order", lambda sets: sorted_degrees.append(len(sets)) or lex_order(sets))
-        to_model_json(prob)
-        cnot_count_oracle(prob.polynomial)
-        # one sort of each degree's key rows, for both readers
-        assert sorted(sorted_degrees) == sorted({len(key) for key, _ in prob.polynomial.items()})
 
 
 class TestClosedForms:

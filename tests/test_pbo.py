@@ -396,15 +396,3 @@ class TestDegreeBlocks:
         assert got == list(expected.values())
         narrow = p.num_variables() <= 1 << 31
         assert all(rows.dtype == (np.int32 if narrow else np.int64) for rows, _ in blocks)
-
-    @given(long_key_polynomials())
-    @example(Polynomial())
-    @example(Polynomial({(): -5, (0, 3): 2, (1,): 7}))
-    @settings(max_examples=100, deadline=None)
-    def test_view_is_kept_and_read_only(self, p):
-        # the writer and the oracle share the view, so neither may change it
-        blocks = _degree_blocks(p)
-        assert _degree_blocks(p) is blocks
-        for array in itertools.chain.from_iterable(blocks):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
