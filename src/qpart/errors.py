@@ -10,13 +10,12 @@ class InvalidInstanceError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed input text; carries the offending line number when known."""
+    """Malformed input text; the message begins `line N:` when the offending line is known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class DimensionError(ValueError):

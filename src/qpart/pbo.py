@@ -109,10 +109,9 @@ def _canonical_key(vars_: Iterable[int]) -> Term:
 
 
 def _accumulate(terms: Iterable[tuple[Term, int]]) -> dict[Term, int]:
-    """Sum the coefficients of equal keys in the order keys first appear, dropping every
-    zero sum (a dropped key that appears again enters at the end): the one summing loop,
-    for the constructor, quadratize's gadgets, verify_quadratization's reduced terms and
-    a model file that repeats a key or holds a zero."""
+    """Sum the coefficients of equal keys in the order keys first appear, dropping every zero sum
+    (a dropped key that appears again enters at the end): the one summing loop, for the constructor,
+    verify_quadratization's reduced terms and a model file that repeats a key or holds a zero."""
     canon: dict[Term, int] = {}
     get = canon.get
     for key, coeff in terms:

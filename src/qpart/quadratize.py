@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 
 from .errors import InternalInvariantError
-from .logenc import LogLayout, bit_var, bits_for_colors, checked_log_layout, log_hubo_terms
+from .logenc import LogLayout, bit_var, bits_for_colors, checked_log_layout
 from .model import EncodedProblem
 from .pbo import Polynomial, _accumulate, energy_vector
 
@@ -69,6 +70,10 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     keep ids 0..nL-1, and edge e, in metadata order, owns the 3L-2 ids
     from nL + e(3L-2): w[e][1..L], then y[e][1..L], then b[e][1..L-2].
 
+    Each key is written once, in closed form: bit k of vertex v gets P_k - deg(v)*m_1
+    (never zero, as m_1 > n*sum(P) >= P_k), w[e][k] gets 3*m_product + 2*m_1, and the
+    constant the layout's plus m*L*m_1; no other key sums across gadgets.
+
     That allocates m*(3L-2) auxiliaries for L >= 2. The published
     m*(2L-2) counts the L product and L-2 chain auxiliaries per edge;
     this construction also adds one agreement auxiliary y per edge-bit,
@@ -82,9 +87,12 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
     if l == 1:
         return QuadratizedProblem(EncodedProblem(prob.polynomial, prob.registry, meta))
 
-    terms = list(log_hubo_terms(replace(layout, edges=[], weights=[])).items())
+    m_p, m_1, m_2 = penalties.m_product, penalties.m_stage1, penalties.m_stage2
+    degree = Counter(v for e in edges for v in e)
+    terms = {(bit_var(v, k, l),): p - degree[v] * m_1 for k, p in enumerate(layout.ladder) for v in range(n)}
+    if constant := layout.constant + len(edges) * l * m_1:
+        terms[()] = constant
     registry = list(prob.registry)
-    m_1 = penalties.m_stage1
     for e, ((u, v), weight) in enumerate(zip(edges, weights)):
         # First ids of the edge's three families: w[e][k] is w + k - 1, and so on.
         w = n * l + e * (3 * l - 2)
@@ -93,36 +101,29 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
             registry += [f"{role}[{e}][{k}]" for k in range(1, size + 1)]
         for k in range(l):
             xu, xv = bit_var(u, k, l), bit_var(v, k, l)
-            terms += _product_gadget(w + k, xu, xv, penalties.m_product)
-            # y = XNOR(xu, xv) given w; zero on the w-manifold iff y is correct
-            terms += [
-                ((), m_1),
-                ((y + k,), -m_1),
-                ((xu,), -m_1),
-                ((xv,), -m_1),
-                ((w + k,), 2 * m_1),
-                ((xu, y + k), 2 * m_1),
-                ((xv, y + k), 2 * m_1),
-                ((w + k, y + k), -4 * m_1),
-            ]
+            # y = XNOR(xu, xv) given w, m_1*(1 - xu - xv - y + 2w + 2xu*y + 2xv*y - 4w*y), is zero iff
+            # y is correct on the w-manifold; its 2w joins the product gadget's 3w, the rest is above.
+            terms |= _product_gadget(w + k, xu, xv, m_p)
+            terms |= {(w + k,): 3 * m_p + 2 * m_1, (y + k,): -m_1, (w + k, y + k): -4 * m_1}
+            terms |= {(xu, y + k): 2 * m_1, (xv, y + k): 2 * m_1}
         # Prefix-product chain over y_1..y_{L-1}; the replaced monomial is the
         # quadratic product of the chain head (y_1, then a b after every y) with y_L.
         head = y
         for i in range(l - 2):
-            terms += _product_gadget(b + i, *sorted((head, y + i + 1)), penalties.m_stage2)
+            terms |= _product_gadget(b + i, *sorted((head, y + i + 1)), m_2)
             head = b + i
         if weight:
-            terms.append((tuple(sorted((head, y + l - 1))), weight))
+            terms[tuple(sorted((head, y + l - 1)))] = weight
 
-    poly = Polynomial._from_canonical(_accumulate(terms))
+    poly = Polynomial._from_canonical(terms)
     if poly.degree() > 2:
         raise InternalInvariantError("quadratization produced a term of degree > 2")
     return QuadratizedProblem(EncodedProblem(poly, tuple(registry), meta))
 
 
-def _product_gadget(z: int, a: int, b: int, m: int) -> list[tuple[tuple[int, ...], int]]:
+def _product_gadget(z: int, a: int, b: int, m: int) -> dict[tuple[int, ...], int]:
     """Rosenberg's m*(ab - 2az - 2bz + 3z), keys sorted for a < b < z: >= 0, zero iff z = a*b."""
-    return [((a, b), m), ((a, z), -2 * m), ((b, z), -2 * m), ((z,), 3 * m)]
+    return {(a, b): m, (a, z): -2 * m, (b, z): -2 * m, (z,): 3 * m}
 
 
 def manifold_extension(quad: QuadratizedProblem, original_bits: tuple[int, ...]) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +151,38 @@ def naive_onehot_terms(g, c):
         for col in range(c):
             yield (x_var(v, col, c),), pen.a_link
             yield (x_var(v, col, c), y_var(col, g.n, c)), -pen.a_link
+
+
+def _rosenberg(z, a, b, m):
+    """m * (ab - 2az - 2bz + 3z) over the sorted pair of a and b, for z above both."""
+    a, b = sorted((a, b))
+    return [((a, b), m), ((a, z), -2 * m), ((b, z), -2 * m), ((z,), 3 * m)]
+
+
+def naive_quadratized_terms(layout):
+    """The quadratized model's polynomial as a term stream with repeated keys, the reference
+    for quadratize's closed form: the ladder's singles and the constant, then per edge, bit
+    by bit, the product gadget for w = x[u][k] * x[v][k] and the agreement gadget
+    m_1 * (1 - y - xu - xv + 2w + 2xu*y + 2xv*y - 4w*y) for y = XNOR(xu, xv), then the
+    edge's prefix-product chain over its y's and its weight on the chain head times y_L,
+    every gadget written out whole under the ids quadratize's docstring gives."""
+    n, l = layout.n, len(layout.ladder)
+    pen = quadratization_penalties(layout)
+    m_1 = pen.m_stage1
+    yield from naive_log_hubo_terms(replace(layout, edges=[], weights=[]))
+    for e, ((u, v), weight) in enumerate(zip(layout.edges, layout.weights)):
+        w = n * l + e * (3 * l - 2)
+        y, b = w + l, w + 2 * l
+        for k in range(l):
+            xu, xv = u * l + k, v * l + k
+            yield from _rosenberg(w + k, xu, xv, pen.m_product)
+            yield from [((), m_1), ((y + k,), -m_1), ((xu,), -m_1), ((xv,), -m_1), ((w + k,), 2 * m_1)]
+            yield from [((xu, y + k), 2 * m_1), ((xv, y + k), 2 * m_1), ((w + k, y + k), -4 * m_1)]
+        head = y
+        for i in range(l - 2):
+            yield from _rosenberg(b + i, head, y + i + 1, pen.m_stage2)
+            head = b + i
+        yield tuple(sorted((head, y + l - 1))), weight
 
 
 def edge_agreement_product(u, v, l):

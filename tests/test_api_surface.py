@@ -71,22 +71,54 @@ def test_every_public_method_has_a_caller():
     assert unreferenced == []
 
 
-def test_every_public_field_is_read():
-    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
-    reads = {
+def public_classes():
+    """(path, class) for every public class defined at the top of a module in src/."""
+    for path in CALLERS:
+        if path.parent == SRC:
+            for cls in ast.parse(path.read_text()).body:
+                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                    yield path, cls
+
+
+def attribute_reads():
+    """Every name read as an attribute (`x.name` in a load) in src/, scripts/ or perfbench/."""
+    return {
         n.attr
-        for tree in trees.values()
-        for n in ast.walk(tree)
+        for path in CALLERS
+        for n in ast.walk(ast.parse(path.read_text()))
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
+
+
+def test_every_public_field_is_read():
+    reads = attribute_reads()
     unread = sorted(
         f"{path.name}:{cls.name}.{field.target.id}"
-        for path, tree in trees.items()
-        if path.parent == SRC
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for path, cls in public_classes()
         for field in cls.body
         if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
         if field.target.id not in reads
+    )
+    assert unread == []
+
+
+def instance_attributes(cls):
+    """The public names a class's methods set on their first argument: `self.name = ...`."""
+    for method in cls.body:
+        if isinstance(method, ast.FunctionDef) and method.args.args:
+            me = method.args.args[0].arg
+            for n in ast.walk(method):
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and not n.attr.startswith("_"):
+                    if isinstance(n.value, ast.Name) and n.value.id == me:
+                        yield n.attr
+
+
+def test_every_public_instance_attribute_is_read():
+    reads = attribute_reads()
+    unread = sorted(
+        f"{path.name}:{cls.name}.{name}"
+        for path, cls in public_classes()
+        for name in instance_attributes(cls)
+        if name not in reads
     )
     assert unread == []

@@ -6,9 +6,12 @@ import importlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import (
     aux_count_actual,
     complete_graph,
+    naive_quadratized_terms,
     path_graph,
     quadratization_bounds_hold,
     quadratization_exact_by_enumeration,
@@ -19,7 +22,7 @@ from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import PartitionSpec, bit_var, encode_general, encode_mgc_log, log_layout, log_penalties
 from qpart.model import EncodedProblem, from_model_json, to_model_json
 from qpart.onehot import encode_mgc_onehot
-from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, ground_states
+from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, _accumulate, ground_states
 from qpart.quadratize import (
     QuadratizationPenalties,
     QuadratizedProblem,
@@ -163,6 +166,35 @@ class TestQuadratize:
         padded = EncodedProblem(hubo.polynomial, hubo.registry + ("extra",), hubo.meta)
         with pytest.raises(InvalidInstanceError):
             quadratize(padded)
+
+
+@st.composite
+def hubos(draw):
+    """A log HUBO on 1 to 5 vertices with any edge subset and L = 2..5: minimum colouring,
+    or partition costs -3..3 (so zero and negative weights) with gap 1, 2 or None."""
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, tuple(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ()))
+    l = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        return encode_mgc_log(g, 1 << l)
+    alpha, beta = ({e: draw(st.integers(-3, 3)) for e in g.edges} for _ in range(2))
+    return encode_general(g, PartitionSpec(alpha, beta, draw(st.sampled_from([1, 2, None]))), l)
+
+
+class TestClosedForm:
+    @given(hubos())
+    # vertex 2 is isolated; an edgeless graph; L = 2, whose chain is empty, on P3's
+    # zero-weight and negative-weight edges
+    @example(encode_mgc_log(Graph(3, ((0, 1),)), 8))
+    @example(encode_mgc_log(Graph(2, ()), 16))
+    @example(encode_general(P3, P3_SPEC, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_gadget_stream(self, hubo):
+        poly = quadratize(hubo).problem.polynomial
+        assert poly == Polynomial._from_canonical(_accumulate(naive_quadratized_terms(log_layout(hubo.meta))))
+        for key, coeff in poly.items():
+            assert all(a < b for a, b in zip(key, key[1:])) and coeff != 0
 
 
 class TestVerification:
