@@ -101,8 +101,8 @@ def quadratize(prob: EncodedProblem) -> QuadratizedProblem:
             registry += [f"{role}[{e}][{k}]" for k in range(1, size + 1)]
         for k in range(l):
             xu, xv = bit_var(u, k, l), bit_var(v, k, l)
-            # y = XNOR(xu, xv) given w, m_1*(1 - xu - xv - y + 2w + 2xu*y + 2xv*y - 4w*y), is zero iff
-            # y is correct on the w-manifold; its 2w joins the product gadget's 3w, the rest is above.
+            # y = XNOR(xu, xv) given w, m_1*(1 - xu - xv - y + 2w + 2xu*y + 2xv*y - 4w*y), is zero iff y is
+            # correct on the w-manifold; its 2w joins the product gadget's 3w, its 1, xu and xv are summed above.
             terms |= _product_gadget(w + k, xu, xv, m_p)
             terms |= {(w + k,): 3 * m_p + 2 * m_1, (y + k,): -m_1, (w + k, y + k): -4 * m_1}
             terms |= {(xu, y + k): 2 * m_1, (xv, y + k): 2 * m_1}

@@ -6,8 +6,6 @@ import importlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from conftest import (
     aux_count_actual,
     complete_graph,
@@ -16,6 +14,8 @@ from conftest import (
     quadratization_bounds_hold,
     quadratization_exact_by_enumeration,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpart.errors import InvalidInstanceError, ResourceLimitError
 from qpart.graphs import Graph, generate_random_connected
@@ -102,7 +102,7 @@ class TestQuadratize:
         assert from_model_json(to_model_json(prob)) == prob
 
     def test_builders_write_canonical_keys(self):
-        # both builders sum their terms without sorting a key, so each must be written increasing
+        # both builders write their keys without sorting them, so each must be written increasing
         models = [encode_mgc_onehot(g, c) for g in (P3, complete_graph(4)) for c in (1, 3)]
         for l in (2, 3, 4):
             models.append(quadratize(encode_mgc_log(complete_graph(4), 1 << l)).problem)
