@@ -17,8 +17,8 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .model import EncodedProblem, from_model_json, to_model_json
-from .pbo import Polynomial, ground_states
+from .model import from_model_json, to_model_json
+from .pbo import EncodedProblem, Polynomial, ground_states
 from .onehot import encode_mgc_onehot, onehot_penalties
 from .logenc import PartitionSpec, encode_general, encode_mgc_log, lex_penalties
 from .quadratize import quadratize, qubit_advantage_predicate, verify_quadratization

@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InternalInvariantError
 from .graphs import Coloring, Graph, brooks_upper_bound, generate_random_connected
 from .logenc import bits_for_colors, decode_log, encode_mgc_log
-from .model import EncodedProblem
 from .onehot import decode_onehot, encode_mgc_onehot
+from .pbo import EncodedProblem
 from .quadratize import quadratize
 from .solve import AnnealParams, anneal
 

@@ -6,12 +6,14 @@ Vertices are 0-based everywhere in memory; DIMACS I/O converts to the
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import json
 import math
 import random
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import InvalidInstanceError, ParseError, ResourceLimitError
 
@@ -80,9 +82,12 @@ class Graph:
         return len(seen) == self.n
 
     def digest(self) -> str:
-        import hashlib
-
         return hashlib.sha256(serialize_graph(self, "json").encode()).hexdigest()[:16]
+
+
+def instance_meta(g: Graph, **fields: Any) -> dict[str, Any]:
+    """The source-graph fields every encoding records, plus its own `fields`."""
+    return {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges], "graph_digest": g.digest(), **fields}
 
 
 @dataclass(frozen=True)

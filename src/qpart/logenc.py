@@ -21,9 +21,8 @@ from operator import add
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import DimensionError, InvalidInstanceError
-from .graphs import Coloring, Graph
-from .model import EncodedProblem, instance_meta
-from .pbo import Bits, Polynomial, Term, check_build_terms
+from .graphs import Coloring, Graph, instance_meta
+from .pbo import Bits, EncodedProblem, Polynomial, Term, check_build_terms
 
 
 @dataclass(frozen=True)

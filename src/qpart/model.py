@@ -1,54 +1,24 @@
-"""Encoded problems: a polynomial plus a variable registry and metadata.
+"""Model JSON: the interchange format of an EncodedProblem.
 
-The model JSON interchange format serializes coefficients as decimal
-strings so arbitrary-size penalties survive a round trip exactly.
+It serializes coefficients as decimal strings so arbitrary-size penalties
+survive a round trip exactly, and writes and checks each known kind's
+penalty record by its encoder's rule.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Any, Mapping
 
 import numpy as np
 
 from .errors import ParseError
-from .graphs import Graph
-from .pbo import Polynomial, _accumulate, _degree_blocks
-
-
-@dataclass(frozen=True)
-class EncodedProblem:
-    """A Hamiltonian together with the role of every binary variable.
-
-    registry[i] names variable i ("x[v][c]", "y[c]", "x[v][k]", "w[e][k]",
-    ...); meta records the encoding kind and enough of the source instance
-    (n, edges, color bound, bit count) to decode and re-derive structure.
-    No penalty record is stored: model JSON writes, and checks, the one meta derives.
-    """
-
-    polynomial: Polynomial
-    registry: tuple[str, ...]
-    meta: Mapping[str, Any]
-
-    def __post_init__(self):
-        span = self.polynomial.num_variables()
-        if span > len(self.registry):
-            raise ValueError(f"polynomial uses {span} variables but registry has {len(self.registry)}")
-
-    @property
-    def num_variables(self) -> int:
-        return len(self.registry)
-
-    @property
-    def kind(self) -> str | None:
-        return self.meta.get("kind")
-
-
-def instance_meta(g: Graph, **fields: Any) -> dict[str, Any]:
-    """The source-graph fields every encoding records, plus its own `fields`."""
-    return {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges], "graph_digest": g.digest(), **fields}
+from .logenc import LOG_KINDS, log_layout, log_penalties
+from .onehot import onehot_penalties
+from .pbo import EncodedProblem, Polynomial, _accumulate, _degree_blocks
+from .quadratize import quadratization_penalties
 
 
 def to_model_json(prob: EncodedProblem) -> str:
@@ -104,8 +74,6 @@ def from_model_json(text: str) -> EncodedProblem:
     must be strings and metadata an object. A known kind's penalty record must equal, in
     every value and JSON type, the one its metadata derives; any other kind's stays in its
     metadata."""
-    from .logenc import LOG_KINDS  # late: the encoder modules depend on this one
-
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -193,11 +161,6 @@ def _penalty_record(meta: Mapping[str, Any]) -> dict | None:
     """The penalty record a known kind's metadata derives by its encoder's rule, as a dict, checking the
     metadata as the encoder does and that m is a JSON int equal to the length of its edge list; None for
     a kind this module does not know."""
-    # Late imports: the encoder modules depend on this one.
-    from .logenc import LOG_KINDS, log_layout, log_penalties
-    from .onehot import onehot_penalties
-    from .quadratize import quadratization_penalties
-
     kind = meta.get("kind")
     if kind not in LOG_KINDS + ("quadratized_log", "onehot_mgc"):
         return None

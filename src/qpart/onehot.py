@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError
-from .graphs import Coloring, Graph
-from .model import EncodedProblem, instance_meta
-from .pbo import Bits, Polynomial, Term, check_build_terms
+from .graphs import Coloring, Graph, instance_meta
+from .pbo import Bits, EncodedProblem, Polynomial, Term, check_build_terms
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Multilinear pseudo-Boolean polynomials with exact integer coefficients.
+"""Multilinear pseudo-Boolean polynomials with exact integer coefficients,
+and encoded problems: a polynomial plus a variable registry and metadata.
 
 Every Hamiltonian in the package is a value of this type. Coefficients are
 Python ints, so penalty weights of any magnitude are represented exactly;
@@ -9,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -101,6 +103,34 @@ class Polynomial:
         return f"Polynomial({' + '.join(parts)}{tail})"
 
 
+@dataclass(frozen=True)
+class EncodedProblem:
+    """A Hamiltonian together with the role of every binary variable.
+
+    registry[i] names variable i ("x[v][c]", "y[c]", "x[v][k]", "w[e][k]",
+    ...); meta records the encoding kind and enough of the source instance
+    (n, edges, color bound, bit count) to decode and re-derive structure.
+    No penalty record is stored: model JSON writes, and checks, the one meta derives.
+    """
+
+    polynomial: Polynomial
+    registry: tuple[str, ...]
+    meta: Mapping[str, Any]
+
+    def __post_init__(self):
+        span = self.polynomial.num_variables()
+        if span > len(self.registry):
+            raise ValueError(f"polynomial uses {span} variables but registry has {len(self.registry)}")
+
+    @property
+    def num_variables(self) -> int:
+        return len(self.registry)
+
+    @property
+    def kind(self) -> str | None:
+        return self.meta.get("kind")
+
+
 def _canonical_key(vars_: Iterable[int]) -> Term:
     key = tuple(sorted(set(map(operator.index, vars_))))
     if key and key[0] < 0:
@@ -128,7 +158,8 @@ def _degree_blocks(p: Polynomial) -> list[tuple[np.ndarray, np.ndarray]]:
     """p's terms by degree, ascending, flattened once: per degree d, the keys as the rows
     of a (K, d) array in lexicographic order, int32 if every id fits, else int64 (a
     registry names every id), and their coefficients, an object array in the same order.
-    The one view of a term map that the model writer and the gate oracle read."""
+    The one view of a term map that the model writer, the gate oracle and the annealer's
+    scorer read."""
     terms = p._terms
     sizes = np.fromiter(map(len, terms), dtype=np.intp, count=len(terms))
     ids = np.fromiter(itertools.chain.from_iterable(terms), dtype=np.int64, count=int(sizes.sum()))
@@ -222,12 +253,13 @@ def energy_vector(p: Polynomial, num_vars: int) -> np.ndarray:
     return energies
 
 
-def _zeta_passes(energies: np.ndarray, variables: Iterable[int]) -> None:
+def _zeta_passes(energies: np.ndarray, variables: Iterable[int], op: Callable = np.add) -> None:
     """Add each entry without bit v into its partner with bit v, in place,
-    for each v: one subset-sum pass per variable."""
+    for each v: one subset-sum pass per variable. With op=np.subtract the
+    passes subtract instead, the inverse (Moebius) transform."""
     for v in variables:
         view = energies.reshape(-1, 2, 1 << v)
-        view[:, 1, :] += view[:, 0, :]
+        op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
 def ground_states(p: Polynomial, num_vars: int | None = None) -> tuple[int, list[Bits]]:

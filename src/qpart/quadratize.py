@@ -14,10 +14,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalInvariantError
 from .logenc import LogLayout, bit_var, bits_for_colors, checked_log_layout
-from .model import EncodedProblem
-from .pbo import Polynomial, _accumulate, energy_vector
+from .pbo import EncodedProblem, Polynomial, _accumulate, _zeta_passes, energy_vector
 
 
 @dataclass(frozen=True)
@@ -215,9 +216,7 @@ def verify_quadratization(hubo: EncodedProblem, quad: QuadratizedProblem) -> Qua
         if signature not in minima:
             f = energy_vector(Polynomial._from_canonical(dict(signature[1])), len(block_vars))
             f = f.reshape(-1, 1 << k).min(axis=0).astype(object)
-            for v in range(k):  # the inverse of energy_vector's subset-sum passes
-                view = f.reshape(-1, 2, 1 << v)
-                view[:, 1, :] -= view[:, 0, :]
+            _zeta_passes(f, range(k), np.subtract)  # the inverse of energy_vector's subset-sum passes
             subsets = [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
             minima[signature] = [(subsets[mask], int(c)) for mask, c in enumerate(f) if c]
         reduced += [(tuple(map(block_vars.__getitem__, local)), c) for local, c in minima[signature]]

@@ -38,9 +38,9 @@ the type of the model `anneal` is given:
   object) otherwise.
 
 Each kernel also scores the final states: the colour-class kernel sums
-the terms of each degree over all runs at once, in Python ints, and the
-label kernel reads each run's labels from its layout. Every energy is
-exact.
+the terms of each degree, as pbo._degree_blocks lays them out, over all
+runs at once, in Python ints, and the label kernel reads each run's
+labels from its layout. Every energy is exact.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 from .errors import DimensionError
 from .graphs import Graph, greedy_coloring
 from .logenc import LogLayout, vertex_labels
-from .pbo import Bits, Polynomial
+from .pbo import Bits, Polynomial, _degree_blocks
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,9 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
     np.logical_and.reduce over the leading axis ANDs a term's rows first.
     That needs no nv x nv matrix and at most twice the entries in memory.
     Members of one class share no term, so the groups of a class flip
-    independently. The energy function sums the terms of each degree over
-    all runs in Python ints.
+    independently. The energy function sums the terms of each degree, the
+    key rows and coefficients of pbo._degree_blocks, over all runs in
+    Python ints.
 
     Spin mode: when every term has degree <= 2 and every |h_v| + sum |c_T|
     is below 2**52, the state is instead a float64 array of s = 1 - 2x,
@@ -232,16 +233,14 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
     h = [0] * nv
     # Per variable: (coefficient, the term's other members).
     larger: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nv)]
-    by_degree: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     for key, coeff in p.items():
-        by_degree.setdefault(len(key), []).append((key, coeff))
         if len(key) == 1:
             h[key[0]] = coeff
         elif key:
             for v in key:
                 larger[v].append((coeff, tuple(w for w in key if w != v)))
     bound = max(abs(h[v]) + sum(abs(c) for c, _ in larger[v]) for v in range(nv))
-    spins = bound < 1 << 52 and max(by_degree, default=0) <= 2
+    spins = bound < 1 << 52 and p.degree() <= 2
     dtype = float if bound < 1 << 53 else object
 
     groups = _groups(_colour_classes(p, nv), [1 + len(terms) for terms in larger])
@@ -291,11 +290,9 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
 
     # The terms of each degree, the constant's empty key included, in chunks
     # of at most nv terms: a chunk's Python-int products number runs * nv.
-    chunks = []
-    for items in by_degree.values():
-        for i in range(0, len(items), nv):
-            keys, coeffs = zip(*items[i : i + nv])
-            chunks.append((np.array(keys, dtype=np.intp), np.array(coeffs, dtype=object)))
+    chunks = [
+        (keys[i : i + nv], coeffs[i : i + nv]) for keys, coeffs in _degree_blocks(p) for i in range(0, len(keys), nv)
+    ]
 
     def energies(x):
         total = np.zeros(len(x), dtype=object)

@@ -1,6 +1,7 @@
 """The public API: every exported name resolves, and nothing public exists for the tests alone."""
 
 import ast
+import graphlib
 from collections import Counter
 from pathlib import Path
 
@@ -122,3 +123,22 @@ def test_every_public_instance_attribute_is_read():
         if name not in reads
     )
     assert unread == []
+
+
+def test_imports_are_top_level_and_acyclic():
+    """Every import in src/qpart is a top-level statement of its module, and the
+    relative imports between modules, leaving out __init__, form no cycle."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    late = sorted(
+        f"{name}.py:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    )
+    assert late == []
+    graph = {
+        name: {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1}
+        for name, tree in trees.items()
+        if name != "__init__"
+    }
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle

@@ -23,9 +23,9 @@ from qpart import cli
 from qpart.gates import cnot_count_oracle
 from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import LOG_KINDS, PartitionSpec, checked_log_layout, encode_general, encode_mgc_log, log_penalties
-from qpart.model import EncodedProblem, to_model_json
+from qpart.model import to_model_json
 from qpart.onehot import encode_mgc_onehot
-from qpart.pbo import Polynomial, energy_vector
+from qpart.pbo import EncodedProblem, Polynomial, energy_vector
 from qpart.quadratize import quadratize
 from qpart.solve import AnnealParams, anneal
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from qpart import logenc
 from qpart.errors import ParseError
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log, log_layout, log_penalties
-from qpart.model import EncodedProblem, from_model_json, to_model_json
+from qpart.model import from_model_json, to_model_json
 from qpart.onehot import OneHotPenalties, encode_mgc_onehot, onehot_penalties
-from qpart.pbo import Polynomial
+from qpart.pbo import EncodedProblem, Polynomial
 from qpart.quadratize import QuadratizationPenalties, quadratization_penalties, quadratize
 
 
@@ -248,7 +248,5 @@ class TestValidation:
             from_model_json(json.dumps(doc))
 
     def test_registry_must_cover_polynomial(self):
-        from qpart.model import EncodedProblem
-
         with pytest.raises(ValueError):
             EncodedProblem(Polynomial({(5,): 1}), ("x",), {"kind": "test"})

@@ -18,6 +18,7 @@ from qpart.pbo import (
     ZETA_ROW_BITS,
     Polynomial,
     _degree_blocks,
+    _zeta_passes,
     energy_vector,
     ground_states,
     index_to_bits,
@@ -272,12 +273,21 @@ def enumerable_polynomials(draw):
 
 class TestEnergyVector:
     @given(enumerable_polynomials())
+    @example((Polynomial({(0, 2): 3, (1,): -5, (): 1}), 3))
+    @example((Polynomial({(0, 2): 2**40, (1,): -5, (): 1}), 3))
+    @example((Polynomial({(0, 2): 2**70, (1,): -5, (): 1}), 3))
     @settings(max_examples=300)
     def test_matches_evaluate_at_every_index(self, case):
         p, nv = case
         vec = energy_vector(p, nv)
+        values = [p.evaluate(index_to_bits(i, nv)) for i in range(1 << nv)]
         assert len(vec) == 1 << nv
-        assert [int(e) for e in vec] == [p.evaluate(index_to_bits(i, nv)) for i in range(1 << nv)]
+        assert [int(e) for e in vec] == values
+        # the inverse passes, on the int32, int64 or object table, give back each
+        # coefficient at its term's bitmask, as the naive inversion finds it
+        _zeta_passes(vec, range(nv), np.subtract)
+        coeffs = {sum(1 << v for v in key): c for key, c in moebius_from_truth_table(values, nv).items()}
+        assert [int(c) for c in vec] == [coeffs.get(i, 0) for i in range(1 << nv)]
 
     def test_zero_polynomial(self):
         vec = energy_vector(Polynomial(), 3)

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from qpart.errors import InvalidInstanceError, ResourceLimitError
 from qpart.graphs import Graph, generate_random_connected
 from qpart.logenc import PartitionSpec, bit_var, encode_general, encode_mgc_log, log_layout, log_penalties
-from qpart.model import EncodedProblem, from_model_json, to_model_json
+from qpart.model import from_model_json, to_model_json
 from qpart.onehot import encode_mgc_onehot
-from qpart.pbo import ENUMERATION_MAX_VARS, Polynomial, _accumulate, ground_states
+from qpart.pbo import ENUMERATION_MAX_VARS, EncodedProblem, Polynomial, _accumulate, ground_states
 from qpart.quadratize import (
     QuadratizationPenalties,
     QuadratizedProblem,
