@@ -1,7 +1,7 @@
 """Multilinear pseudo-Boolean polynomials with exact integer coefficients,
 and encoded problems: a polynomial plus a variable registry and metadata.
 
-Every Hamiltonian in the package is a value of this type. Coefficients are
+Every Hamiltonian in the package is a Polynomial. Coefficients are
 Python ints, so penalty weights of any magnitude are represented exactly;
 no floating point enters an energy computation.
 """

@@ -1,4 +1,5 @@
-"""The public API: every exported name resolves, and nothing public exists for the tests alone."""
+"""The public API: every exported name resolves, and nothing public exists for the tests alone;
+and the modules import each other at their tops, in an order with no cycle."""
 
 import ast
 import graphlib
