@@ -17,7 +17,6 @@ packed into int64 words, and a few scatter-adds, not one dict update per
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import ResourceLimitError
 from .pbo import Polynomial, _degree_blocks, _lex_order
 
 # Subsets a term-by-term expansion would add into: a term over T variables
-# has 2**|T|. Checked before anything is built, the count refuses a key too
+# has 2**|T|. Checked before any subset is built, the count refuses a key too
 # wide to expand (a degree-40 term in a 1 KB file has 2**40) and bounds the
 # level-wise sum, which copies at most degree / 2 key rows per subset.
 # perfbench's n=64, c=16 log model has 6.5 M and expands in about 0.17 s;
@@ -61,16 +60,17 @@ def ising_expand(p: Polynomial) -> list[tuple[np.ndarray, np.ndarray]]:
     keys of size t, and each (t + 1)-set with one variable dropped, made
     distinct.
 
-    MAX_SUBSET_ADDS is checked from the key sizes before pbo._degree_blocks
-    flattens any key. The b_T are int64 while sum |b_T| * degree, which
-    bounds every partial sum, is below 2**63, and Python ints past it.
+    MAX_SUBSET_ADDS is checked on the shapes of pbo._degree_blocks' key
+    rows before any subset is built. The b_T are int64 while
+    sum |b_T| * degree, which bounds every partial sum, is below 2**63,
+    and Python ints past it.
     """
-    adds = sum(count << t for t, count in Counter(map(len, p._terms)).items())
+    blocks = {rows.shape[1]: (rows, coeffs) for rows, coeffs in _degree_blocks(p)}
+    adds = sum(len(rows) << t for t, (rows, _) in blocks.items())
     if adds > MAX_SUBSET_ADDS:
         raise ResourceLimitError(
             f"the Ising expansion needs {adds} subset additions, over the limit of {MAX_SUBSET_ADDS}"
         )
-    blocks = {rows.shape[1]: (rows, coeffs) for rows, coeffs in _degree_blocks(p)}
     degree = max(blocks, default=0)
     bound = sum(sum(map(abs, coeffs)) << (degree - t) for t, (_, coeffs) in blocks.items())
     id_type = blocks[degree][0].dtype if blocks else np.int32

@@ -138,8 +138,6 @@ def generate_random_connected(n: int, density: float, seed: int) -> Graph:
 
 def _random_spanning_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     """Decode a uniformly random Pruefer sequence into a labeled tree."""
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for s in seq:

@@ -11,8 +11,9 @@ once, in a fixed order. A flip of exact energy change delta is accepted
 when delta < max(-ln(u)/beta, 1); delta is an integer, so that is
 delta <= 0 or u < exp(-beta*delta), compared exactly.
 
-Two kernels apply the flips, both with exact integer deltas, chosen by
-the type of the model `anneal` is given:
+Two kernels apply the flips, both with exact integer deltas, and return
+the final states' exact energies. The type of the model `anneal` is given
+chooses the kernel:
 
 - a LogLayout (logenc.checked_log_layout of a log model) anneals on
   per-vertex label tables, run by run, visiting its bits in id order;
@@ -22,25 +23,6 @@ the type of the model `anneal` is given:
   flips of one class are independent given the rest and apply together.
   A sweep visits the classes in colour order, which is the order the
   flips take effect.
-  The state keeps variables as rows and the runs of a variable
-  contiguous. Each class is cut into groups of rows whose fields, padded
-  to a common length at no more than twice their entries, are one
-  batched matmul. A term with more than one other member is gathered
-  width-major, its k-th other members of every entry and run in one
-  contiguous slice, and ANDed by a reduction over that leading axis.
-  A model of pair terms at most, whose every |h_v| plus the |c_T| of its
-  larger terms stays below 2**52, anneals on spins s = 1 - 2x in float64,
-  with coefficients rewritten as halves, so the gathered rows enter the
-  matmul with no cast and every partial sum is an exact multiple of 1/2.
-  Any other model (a HUBO, or fields of 2**52 or more) keeps a bool
-  state. Its fields are float64 when that sum stays below 2**53, which
-  keeps every partial sum an exact integer, and Python ints (numpy dtype
-  object) otherwise.
-
-Each kernel also scores the final states: the colour-class kernel sums
-the terms of each degree, as pbo._degree_blocks lays them out, over all
-runs at once, in Python ints, and the label kernel reads each run's
-labels from its layout. Every energy is exact.
 """
 
 from __future__ import annotations
@@ -116,13 +98,14 @@ def anneal(model: Polynomial | LogLayout, params: AnnealParams, num_vars: int | 
         nv = model.n * len(model.ladder)
         if num_vars not in (None, nv):
             raise DimensionError(f"num_vars={num_vars} is not the layout's {nv} bits")
-        return _anneal_with(*_label_kernel(model), params, nv)
-    nv = model.num_variables() if num_vars is None else num_vars
-    if nv < model.num_variables():
+        return _anneal_with(_label_kernel(model), params, nv)
+    span = model.num_variables()
+    nv = span if num_vars is None else num_vars
+    if nv < span:
         raise DimensionError(f"num_vars={nv} is smaller than the polynomial's variable span")
     if nv < 1:
         raise ValueError("annealing needs at least one variable")
-    return _anneal_with(*_class_kernel(model, nv), params, nv)
+    return _anneal_with(_class_kernel(model, nv), params, nv)
 
 
 # Most draws one block of thresholds holds over all runs; a block still
@@ -130,16 +113,14 @@ def anneal(model: Polynomial | LogLayout, params: AnnealParams, num_vars: int | 
 DRAW_BLOCK = 1 << 14
 
 # A kernel applies blocks of thresholds, shaped (runs, sweeps, variable id),
-# to the runs' states, a (runs, nv) bool array, in place.
-_Kernel = Callable[[np.ndarray, Iterator[np.ndarray]], None]
-
-# An energy function gives the exact energy of every run's state, in run order.
-_Energies = Callable[[np.ndarray], list[int]]
+# to the runs' states, a (runs, nv) bool array, in place, and returns the
+# final states' exact energies in run order.
+_Kernel = Callable[[np.ndarray, Iterator[np.ndarray]], list[int]]
 
 
-def _anneal_with(kernel: _Kernel, energies: _Energies, params: AnnealParams, nv: int) -> SampleSet:
+def _anneal_with(kernel: _Kernel, params: AnnealParams, nv: int) -> SampleSet:
     """Draw each run's initial state and thresholds; `kernel` applies them
-    to the states, and `energies` gives the final states' exact energies."""
+    to the states and gives the final states' exact energies."""
     sweeps = params.sweeps
     denom = max(sweeps - 1, 1)
     ratio = params.beta_end / params.beta_start
@@ -147,8 +128,8 @@ def _anneal_with(kernel: _Kernel, energies: _Energies, params: AnnealParams, nv:
 
     rngs = [np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(run,))) for run in range(params.runs)]
     x = np.array([rng.integers(0, 2, size=nv) for rng in rngs], dtype=bool)
-    kernel(x, _thresholds(rngs, betas, nv))
-    return SampleSet(tuple(map(Sample, map(tuple, x.view(np.uint8).tolist()), energies(x))))
+    energies = kernel(x, _thresholds(rngs, betas, nv))
+    return SampleSet(tuple(map(Sample, map(tuple, x.view(np.uint8).tolist()), energies)))
 
 
 def _thresholds(rngs: list[np.random.Generator], betas: np.ndarray, nv: int) -> Iterator[np.ndarray]:
@@ -202,7 +183,7 @@ def _groups(classes: list[list[int]], entries: list[int]) -> list[list[int]]:
     return groups
 
 
-def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
+def _class_kernel(p: Polynomial, nv: int) -> _Kernel:
     """Any model, all runs at once, one colour class at a time. The state is
     a (nv + 1, runs) bool array: variables are rows, in the order of
     _groups, and the last row is held at 1. Variable v's field h_v + sum
@@ -217,9 +198,9 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
     np.logical_and.reduce over the leading axis ANDs a term's rows first.
     That needs no nv x nv matrix and at most twice the entries in memory.
     Members of one class share no term, so the groups of a class flip
-    independently. The energy function sums the terms of each degree, the
-    key rows and coefficients of pbo._degree_blocks, over all runs in
-    Python ints.
+    independently. The coefficients are float64 while every |h_v| +
+    sum |c_T| is below 2**53, which keeps every partial sum an exact
+    integer, and Python ints (numpy dtype object) otherwise.
 
     Spin mode: when every term has degree <= 2 and every |h_v| + sum |c_T|
     is below 2**52, the state is instead a float64 array of s = 1 - 2x,
@@ -229,21 +210,24 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
     1/2 below 2**52 in magnitude, so the float matmul gives the same exact
     integer field with no cast from bool, s * field is the energy change,
     and an accepted flip negates s. HUBOs and larger fields stay on bits,
-    where an AND of rows is a bool reduction."""
-    h = [0] * nv
-    # Per variable: (coefficient, the term's other members).
-    larger: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nv)]
+    where an AND of rows is a bool reduction.
+
+    The kernel returns the final states' energies: the terms of each
+    degree, the key rows and coefficients of pbo._degree_blocks, summed
+    over all runs at once in Python ints."""
+    # Per variable: (coefficient, the term's other members), h_v first.
+    entries: list[list[tuple[int, tuple[int, ...]]]] = [[(0, ())] for _ in range(nv)]
     for key, coeff in p.items():
         if len(key) == 1:
-            h[key[0]] = coeff
+            entries[key[0]][0] = (coeff, ())
         elif key:
             for v in key:
-                larger[v].append((coeff, tuple(w for w in key if w != v)))
-    bound = max(abs(h[v]) + sum(abs(c) for c, _ in larger[v]) for v in range(nv))
+                entries[v].append((coeff, tuple(w for w in key if w != v)))
+    bound = max(sum(abs(c) for c, _ in member_entries) for member_entries in entries)
     spins = bound < 1 << 52 and p.degree() <= 2
     dtype = float if bound < 1 << 53 else object
 
-    groups = _groups(_colour_classes(p, nv), [1 + len(terms) for terms in larger])
+    groups = _groups(_colour_classes(p, nv), list(map(len, entries)))
     order = [v for members in groups for v in members]
     row = dict(zip(order, range(nv)))
     # Per group: its rows, its gather rows, (k, span) at width 1 and
@@ -251,11 +235,11 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
     steps = []
     start = 0
     for members in groups:
-        span = 1 + len(larger[members[0]])
-        entries = [[(h[v], ())] + larger[v] + [(0, ())] * (span - 1 - len(larger[v])) for v in members]
-        width = max(len(others) for member_entries in entries for _, others in member_entries) or 1
-        gather = np.array([[[row[w] for w in others] + [nv] * (width - len(others)) for _, others in e] for e in entries])
-        coeffs = np.array([[c for c, _ in e] for e in entries], dtype=dtype)
+        span = len(entries[members[0]])
+        padded = [entries[v] + [(0, ())] * (span - len(entries[v])) for v in members]
+        width = max(len(others) for member_entries in padded for _, others in member_entries) or 1
+        gather = np.array([[[row[w] for w in others] + [nv] * (width - len(others)) for _, others in e] for e in padded])
+        coeffs = np.array([[c for c, _ in e] for e in padded], dtype=dtype)
         if spins:
             # -c_T / 2 on each partner, -(h_v + sum c_T / 2) on the constant row.
             coeffs[:, 1:] /= -2
@@ -264,7 +248,7 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
         steps.append((slice(start, start + len(members)), gather, coeffs[:, None]))
         start += len(members)
 
-    def run_flips(x, blocks):
+    def kernel(x, blocks):
         if spins:
             state = np.full((nv + 1, len(x)), -1.0)
             state[:nv] = 1 - 2 * x.T[order]
@@ -288,29 +272,27 @@ def _class_kernel(p: Polynomial, nv: int) -> tuple[_Kernel, _Energies]:
                         own ^= np.where(own, -field, field) < sweep[rows]
         x[:, order] = (state[:nv] < 0 if spins else state[:nv]).T
 
-    # The terms of each degree, the constant's empty key included, in chunks
-    # of at most nv terms: a chunk's Python-int products number runs * nv.
-    chunks = [
-        (keys[i : i + nv], coeffs[i : i + nv]) for keys, coeffs in _degree_blocks(p) for i in range(0, len(keys), nv)
-    ]
-
-    def energies(x):
+        # The terms of each degree, the constant's empty key included, in chunks
+        # of at most nv terms: a chunk's Python-int products number runs * nv.
         total = np.zeros(len(x), dtype=object)
-        for keys, coeffs in chunks:
-            total += x.take(keys, axis=1).all(axis=2) @ coeffs
+        for keys, coeffs in _degree_blocks(p):
+            for i in range(0, len(keys), nv):
+                total += x.take(keys[i : i + nv], axis=1).all(axis=2) @ coeffs[i : i + nv]
         return total.tolist()
 
-    return run_flips, energies
+    return kernel
 
 
-def _label_kernel(layout: LogLayout) -> tuple[_Kernel, _Energies]:
+def _label_kernel(layout: LogLayout) -> _Kernel:
     """A log HUBO given by its layout. Each run keeps every vertex's label
     and its table T_v[a] = ladder(a) + W_v[a], where ladder(a) is the
     ladder energy of label a and W_v[a] the summed weight of v's
     neighbours that carry label a. Moving v from label a to b changes the
     energy by exactly T_v[b] - T_v[a], whatever L is; an accepted move
     shifts entries a and b of each neighbour's table by its edge weight.
-    The energy function reads the same layout in O(nL + m)."""
+    The kernel returns each run's energy from its final labels in
+    O(nL + m): the constant, the labels' ladder energies and the weights
+    of the edges whose ends share a label."""
     n, l = layout.n, len(layout.ladder)
     ladder = [sum(p for k, p in enumerate(layout.ladder) if a >> k & 1) for a in range(1 << l)]
     weighted = [(u, v, w) for (u, v), w in zip(layout.edges, layout.weights)]
@@ -328,7 +310,7 @@ def _label_kernel(layout: LogLayout) -> tuple[_Kernel, _Energies]:
             near[v].append((table[u], w))
         return label, table, near
 
-    def run_flips(x, blocks):
+    def kernel(x, blocks):
         runs = [run_state(bits) for bits in x.view(np.uint8).tolist()]
         for block in blocks:
             for (label, table, near), run_block in zip(runs, block):
@@ -344,13 +326,9 @@ def _label_kernel(layout: LogLayout) -> tuple[_Kernel, _Energies]:
                             t[a] -= w
                             t[b] += w
         x[:] = [[a >> k & 1 for a in label for k in range(l)] for label, _, _ in runs]
+        return [
+            layout.constant + sum(ladder[a] for a in label) + sum(w for u, v, w in weighted if label[u] == label[v])
+            for label, _, _ in runs
+        ]
 
-    def energy(bits):
-        label = vertex_labels(bits, n, l)
-        return (
-            layout.constant
-            + sum(ladder[a] for a in label)
-            + sum(w for u, v, w in weighted if label[u] == label[v])
-        )
-
-    return run_flips, lambda x: list(map(energy, x.view(np.uint8).tolist()))
+    return kernel

@@ -30,10 +30,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
-def star_graph(n: int) -> Graph:
-    return Graph(n, tuple((0, i) for i in range(1, n)))
-
-
 def connected_graphs_up_to_iso(n: int) -> list[Graph]:
     """All isomorphism-distinct connected graphs on n vertices, by exhaustion.
 
@@ -70,13 +66,6 @@ def brute_force_chromatic(g: Graph) -> int:
             if all(labels[u] != labels[v] for u, v in g.edges):
                 return k
     return g.n
-
-
-def proper_label_assignments(g: Graph, num_labels: int):
-    """All proper colorings with labels drawn from 0..num_labels-1."""
-    for labels in itertools.product(range(num_labels), repeat=g.n):
-        if all(labels[u] != labels[v] for u, v in g.edges):
-            yield labels
 
 
 # Term-dict algebra: {sorted variable tuple: int}, zero entries dropped. An

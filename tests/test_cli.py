@@ -340,6 +340,13 @@ def _zero_bits(doc):
     doc["terms"] = [{"coeffs": [str(len(meta["edges"]) * meta["penalties"]["a_adjacency"])], "degree": 0, "vars": []}]
 
 
+def _repeat_edge(doc):
+    """Edge 0-1 listed twice, with m raised to the list's length."""
+    meta = doc["metadata"]
+    meta["edges"].append([0, 1])
+    meta["m"] = len(meta["edges"])
+
+
 K3 = complete_graph(3)
 K3_SPEC = PartitionSpec(alpha=dict.fromkeys(K3.edges, 0), beta=dict.fromkeys(K3.edges, 2), gap=2)
 K3_MODELS = {
@@ -424,11 +431,14 @@ MODEL_DEFECTS = {
     ),
     "m_changed_log": ("log", lambda doc: doc["metadata"].update(m=40)),
     "m_changed_quadratized": ("quadratized", lambda doc: doc["metadata"].update(m=40)),
+    "edge_repeated_m_raised": ("log", _repeat_edge),
+    "gap_missing": ("general", lambda doc: doc["metadata"].pop("gap")),
 }
 # The defects that replace the whole document with the one they return.
 WHOLE_DOCUMENT_DEFECTS = {"document_not_object"}
-# The layout the error message names for a defect whose entry does not fit it.
-DEFECT_LAYOUTS = {
+# Text the error message must hold: the layout it names for a defect whose
+# entry does not fit it, or the rule the model breaks.
+DEFECT_MESSAGES = {
     "document_not_object": "{num_vars, terms, variables}",
     "num_vars_missing": "{num_vars, terms, variables}",
     "terms_missing": "{num_vars, terms, variables}",
@@ -436,6 +446,8 @@ DEFECT_LAYOUTS = {
     "term_object": "{coeffs, degree, vars}",
     "block_without_degree": "{coeffs, degree, vars}",
     "variable_without_role": "{id, role}",
+    "edge_repeated_m_raised": "edges must be distinct",
+    "gap_missing": "records its gap",
 }
 
 K2 = complete_graph(2)
@@ -654,6 +666,19 @@ class TestExitCodes:
         assert out == ""
         assert "beta" in err
 
+    def test_constant_model_anneal_exits_2_exact_solves(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(
+            '{"metadata": {}, "num_vars": 0, "terms": [{"coeffs": ["5"], "degree": 0, "vars": []}], "variables": []}'
+        )
+        code, out, err = run(["solve", "--in", str(model), "--runs", "2", "--sweeps", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "annealing needs at least one variable" in err
+        code, out, _ = run(["solve", "--in", str(model), "--exact"], capsys)
+        assert code == 0
+        assert json.loads(out)["min_energy"] == "5"
+
     @pytest.mark.parametrize("encoding", ["log", "onehot"])
     def test_anneal_with_coefficient_beyond_float_range(self, encoding, tmp_path, capsys):
         # Uphill changes no float can hold, which the annealer must reject:
@@ -689,7 +714,7 @@ class TestExitCodes:
         code, _, err = run([command, "--in", str(model)], capsys)
         assert code == 2
         assert "Traceback" not in err
-        assert DEFECT_LAYOUTS.get(defect, "") in err
+        assert DEFECT_MESSAGES.get(defect, "") in err
 
     def test_non_integer_graph_json_exits_2(self, tmp_path, capsys):
         graph = tmp_path / "g.json"

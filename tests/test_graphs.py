@@ -170,6 +170,21 @@ class TestColoring:
         assert Coloring((0, 2, 0)).distinct_count() == 2
 
 
+# Graph files the readers refuse, one check each, and what the error says:
+# DIMACS text, then a JSON object whose Graph raises.
+READER_REFUSALS = {
+    "p edge 2 1\np edge 2 1\ne 1 2\n": "duplicate problem line",
+    "p edge 2\n": "malformed problem line",
+    "p edge two 1\n": "non-integer counts",
+    "p edge 2 1\ne 1\n": "malformed edge line",
+    "p edge 2 1\ne 1 b\n": "non-integer endpoints",
+    "p edge 2 1\nx 1 2\n": "unrecognized line",
+    "c no problem line\n": "missing problem line",
+    "p edge 2 1\ne 1 1\n": "self-loop",
+    '{"n": 3, "edges": [[0, 0]]}': "self-loop",
+}
+
+
 class TestSerialization:
     def test_json_exact_bytes(self):
         assert serialize_graph(Graph(2, ((0, 1),)), "json") == '{"n":2,"edges":[[0,1]]}'
@@ -219,6 +234,7 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "text",
         [
+            *READER_REFUSALS,
             '{"n": 3.7, "edges": [[0, 1.9], [1, 2]]}',
             '{"n": 3.0, "edges": []}',
             '{"n": true, "edges": []}',
@@ -233,8 +249,9 @@ class TestSerialization:
         ],
     )
     def test_parse_error_non_integer_json(self, text):
-        with pytest.raises(ParseError):
-            parse_graph(text, "json")
+        fmt = "json" if text.startswith("{") else "dimacs"
+        with pytest.raises(ParseError, match=READER_REFUSALS.get(text)):
+            parse_graph(text, fmt)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

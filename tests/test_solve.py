@@ -159,20 +159,16 @@ def hubos(draw):
     return Polynomial(items), nv + draw(st.integers(0, 2))
 
 
-def evaluate_runs(p):
-    """An energy function for `solve._anneal_with`: p evaluated on each run."""
-    return lambda x: [p.evaluate(bits) for bits in x.view(np.uint8).tolist()]
-
-
 def naive_kernel(p, nv, order=None):
     """Each flip's energy change by evaluating the whole polynomial twice,
     one run and one variable at a time. A sweep visits the variables in
     `order`, by default the colour classes' order the class kernel follows;
-    a flip is accepted when its change is below its threshold."""
+    a flip is accepted when its change is below its threshold. The final
+    states are scored by p.evaluate."""
     if order is None:
         order = [v for members in solve._colour_classes(p, nv) for v in members]
 
-    def run_flips(x, blocks):
+    def kernel(x, blocks):
         for block in blocks:
             for run, run_block in zip(x, block.tolist()):
                 bits = run.view(np.uint8).tolist()
@@ -182,8 +178,9 @@ def naive_kernel(p, nv, order=None):
                         if p.evaluate(flipped) - p.evaluate(bits) < thresholds[v]:
                             bits[v] = 1 - bits[v]
                 run[:] = bits
+        return [p.evaluate(bits) for bits in x.view(np.uint8).tolist()]
 
-    return run_flips
+    return kernel
 
 
 class Pinned:
@@ -231,7 +228,7 @@ class TestKernel:
     def test_matches_naive_reevaluation(self, models, data, runs, sweeps, seed, betas):
         poly, nv = data.draw(models)
         params = AnnealParams(runs, sweeps, betas[0], betas[1], seed)
-        naive = solve._anneal_with(naive_kernel(poly, nv), evaluate_runs(poly), params, nv)
+        naive = solve._anneal_with(naive_kernel(poly, nv), params, nv)
         assert anneal(poly, params, nv) == naive
 
 
@@ -265,7 +262,7 @@ class TestLabelKernel:
         p, nv = prob.polynomial, prob.num_variables
         params = AnnealParams(runs, sweeps, seed=seed)
         ss = anneal(checked_log_layout(prob), params)
-        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), evaluate_runs(p), params, nv)
+        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), params, nv)
         assert all(s.energy == p.evaluate(s.bits) for s in ss.samples)
 
     def test_chosen_for_log_models(self, monkeypatch):
@@ -322,7 +319,7 @@ def test_other_models_keep_the_class_kernel(name, monkeypatch):
 
     monkeypatch.setattr(solve, "_label_kernel", refuse)
     params = AnnealParams(runs=3, sweeps=10, seed=2)
-    assert anneal(p, params, nv) == solve._anneal_with(naive_kernel(p, nv), evaluate_runs(p), params, nv)
+    assert anneal(p, params, nv) == solve._anneal_with(naive_kernel(p, nv), params, nv)
 
 
 # Every kernel and state: the models above, a log layout on label tables,
@@ -453,8 +450,9 @@ class TestFlipDraws:
         def record(x, blocks):
             seen.append(x.copy())
             seen.extend(block.copy() for block in blocks)
+            return [0] * len(x)
 
-        solve._anneal_with(record, lambda x: [0] * len(x), params, nv)
+        solve._anneal_with(record, params, nv)
         start, *blocks = seen
         assert [block.shape for block in blocks] == [(runs, size, nv) for size in block_sizes]
         betas = np.array([0.01 * 10_000.0 ** (t / (sweeps - 1)) for t in range(sweeps)])
@@ -480,7 +478,7 @@ class TestHugeEnergyChanges:
         poly = Polynomial({(0, 1, 2): 2**1100})
         ss = anneal(poly, self.PARAMS)
         assert energies(ss) == [0] * self.PARAMS.runs
-        assert ss == solve._anneal_with(naive_kernel(poly, 3), evaluate_runs(poly), self.PARAMS, 3)
+        assert ss == solve._anneal_with(naive_kernel(poly, 3), self.PARAMS, 3)
 
     def test_label_kernel(self):
         # agreeing labels on either edge cost 2**1100; L = 2 gives four labels
@@ -488,7 +486,7 @@ class TestHugeEnergyChanges:
         prob = encode_general(P3, spec, 2)
         p, nv = prob.polynomial, prob.num_variables
         ss = anneal(checked_log_layout(prob), self.PARAMS, nv)
-        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), evaluate_runs(p), self.PARAMS, nv)
+        assert ss == solve._anneal_with(naive_kernel(p, nv, range(nv)), self.PARAMS, nv)
         assert max(energies(ss)) < 2**1100
 
     def test_float_boundary(self):
@@ -498,7 +496,7 @@ class TestHugeEnergyChanges:
         for pair in (2**53, 2**53 - 2):
             poly = Polynomial({(0,): 2**53 + 1, (0, 1): -pair})
             ss = anneal(poly, self.PARAMS)
-            assert ss == solve._anneal_with(naive_kernel(poly, 2), evaluate_runs(poly), self.PARAMS, 2), pair
+            assert ss == solve._anneal_with(naive_kernel(poly, 2), self.PARAMS, 2), pair
 
 
 class TestSampleSetJson:
