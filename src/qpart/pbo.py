@@ -205,6 +205,15 @@ def index_to_bits(index: int, num_vars: int) -> Bits:
     return tuple((index >> v) & 1 for v in range(num_vars))
 
 
+def _exact_dtype(p: Polynomial) -> type:
+    """The narrowest integer dtype that holds every sum over a subset of p's
+    coefficients exactly, as they are all bounded by the absolute sum: int32
+    when that is below 2**31, int64 below 2**62, object (Python ints)
+    otherwise. The exhaustive table and the annealer's scorer both take it."""
+    bound = sum(abs(c) for c in p._terms.values())
+    return np.int32 if bound < 2**31 else np.int64 if bound < 2**62 else object
+
+
 def energy_vector(p: Polynomial, num_vars: int) -> np.ndarray:
     """Energies of all 2**num_vars assignments; bit v of an index is x_v.
 
@@ -215,9 +224,8 @@ def energy_vector(p: Polynomial, num_vars: int) -> np.ndarray:
     in-place pass per variable v adds each index without bit v into its
     partner with bit v, O(num_vars * 2**num_vars) in all (Yates 1937;
     Bjorklund et al., "Fourier meets Moebius", STOC 2007). Every partial
-    sum is a sum over a subset of the coefficients, bounded by their
-    absolute sum: int32 when that bound is below 2**31, int64 when it is
-    below 2**62, object (big-int) dtype otherwise. The high passes stream
+    sum is a sum over a subset of the coefficients, so the table takes
+    _exact_dtype(p): int32, int64 or object (big-int). The high passes stream
     the whole table, so the narrowest exact dtype is also the fastest; a
     24-variable table takes 64 MiB in int32.
     """
@@ -227,8 +235,7 @@ def energy_vector(p: Polynomial, num_vars: int) -> np.ndarray:
         raise ResourceLimitError(
             f"exhaustive enumeration is limited to {ENUMERATION_MAX_VARS} variables, got {num_vars}"
         )
-    bound = sum(abs(c) for c in p._terms.values())
-    energies = np.zeros(1 << num_vars, dtype=np.int32 if bound < 2**31 else np.int64 if bound < 2**62 else object)
+    energies = np.zeros(1 << num_vars, dtype=_exact_dtype(p))
     low = min(num_vars, ZETA_ROW_BITS)
     rows = energies.reshape(-1, 1 << low)
     held = set()

@@ -35,10 +35,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ResourceLimitError
 from .graphs import Graph, greedy_coloring
 from .logenc import LogLayout, vertex_labels
-from .pbo import Bits, Polynomial, _degree_blocks
+from .pbo import Bits, Polynomial, _degree_blocks, _exact_dtype
 
 
 @dataclass(frozen=True)
@@ -98,19 +98,31 @@ def anneal(model: Polynomial | LogLayout, params: AnnealParams, num_vars: int | 
         nv = model.n * len(model.ladder)
         if num_vars not in (None, nv):
             raise DimensionError(f"num_vars={num_vars} is not the layout's {nv} bits")
-        return _anneal_with(_label_kernel(model), params, nv)
-    span = model.num_variables()
-    nv = span if num_vars is None else num_vars
-    if nv < span:
-        raise DimensionError(f"num_vars={nv} is smaller than the polynomial's variable span")
-    if nv < 1:
-        raise ValueError("annealing needs at least one variable")
-    return _anneal_with(_class_kernel(model, nv), params, nv)
+    else:
+        span = model.num_variables()
+        nv = span if num_vars is None else num_vars
+        if nv < span:
+            raise DimensionError(f"num_vars={nv} is smaller than the polynomial's variable span")
+        if nv < 1:
+            raise ValueError("annealing needs at least one variable")
+    if params.runs * nv > MAX_ANNEAL_CELLS:
+        raise ResourceLimitError(
+            f"{params.runs} runs x {nv} variables is over the annealer's limit of {MAX_ANNEAL_CELLS}"
+        )
+    kernel = _label_kernel(model) if isinstance(model, LogLayout) else _class_kernel(model, nv)
+    return _anneal_with(kernel, params, nv)
 
+
+# Most runs * variables one anneal takes. A draw block holds at least one
+# sweep of every run, so this bounds the state and one sweep of float64
+# draws with its layout copy: 256 MiB of draws at 1 << 24, plus a bool
+# state of 16 MiB (128 MiB as float64 spins).
+MAX_ANNEAL_CELLS = 1 << 24
 
 # Most draws one block of thresholds holds over all runs; a block still
-# holds at least one sweep of every run.
-DRAW_BLOCK = 1 << 14
+# holds at least one sweep of every run. Twice as many made suite's RSS
+# grow, and blocks past 1 << 17 draws fall out of cache.
+DRAW_BLOCK = 1 << 15
 
 # A kernel applies blocks of thresholds, shaped (runs, sweeps, variable id),
 # to the runs' states, a (runs, nv) bool array, in place, and returns the
@@ -135,8 +147,8 @@ def _anneal_with(kernel: _Kernel, params: AnnealParams, nv: int) -> SampleSet:
 def _thresholds(rngs: list[np.random.Generator], betas: np.ndarray, nv: int) -> Iterator[np.ndarray]:
     """Blocks of whole sweeps of max(-ln(u)/beta, 1), shaped (runs, sweeps,
     variable id), from each run's uniforms in (sweep, variable id) order.
-    Every block is written into one buffer, so a block is valid only until
-    the next one is drawn."""
+    Every block is written into one buffer, so a kernel copies or applies
+    each block before it asks for the next."""
     sweeps = len(betas)
     block = min(max(DRAW_BLOCK // (len(rngs) * nv), 1), sweeps)
     buf = np.empty((len(rngs), block, nv))
@@ -212,9 +224,16 @@ def _class_kernel(p: Polynomial, nv: int) -> _Kernel:
     and an accepted flip negates s. HUBOs and larger fields stay on bits,
     where an AND of rows is a bool reduction.
 
+    Each block of thresholds is laid out as (sweep, row, run) by one
+    gathering np.take into a buffer kept through the anneal, so a group's
+    thresholds are a slice; each group's fields go into an output of its
+    own, kept likewise.
+
     The kernel returns the final states' energies: the terms of each
     degree, the key rows and coefficients of pbo._degree_blocks, summed
-    over all runs at once in Python ints."""
+    over all runs at once in pbo._exact_dtype(p), the integer tiers of the
+    exhaustive oracle. Every partial sum is a sum over a subset of the
+    coefficients, so each tier is exact."""
     # Per variable: (coefficient, the term's other members), h_v first.
     entries: list[list[tuple[int, tuple[int, ...]]]] = [[(0, ())] for _ in range(nv)]
     for key, coeff in p.items():
@@ -228,8 +247,8 @@ def _class_kernel(p: Polynomial, nv: int) -> _Kernel:
     dtype = float if bound < 1 << 53 else object
 
     groups = _groups(_colour_classes(p, nv), list(map(len, entries)))
-    order = [v for members in groups for v in members]
-    row = dict(zip(order, range(nv)))
+    order = np.array([v for members in groups for v in members])
+    row = dict(zip(order.tolist(), range(nv)))
     # Per group: its rows, its gather rows, (k, span) at width 1 and
     # (width, k, span) above it, and its coefficients (k, 1, span).
     steps = []
@@ -255,15 +274,23 @@ def _class_kernel(p: Polynomial, nv: int) -> _Kernel:
         else:
             state = np.ones((nv + 1, len(x)), dtype=bool)
             state[:nv] = x.T[order]
-        plan = [(state[rows], rows, gather, coeffs) for rows, gather, coeffs in steps]
+        plan = []
+        for rows, gather, coeffs in steps:
+            out = np.empty((len(coeffs), 1, len(x)), dtype=dtype)
+            plan.append((state[rows], rows, gather, coeffs, out, out[:, 0]))
+        layout = np.empty((0, nv, len(x)))
         for block in blocks:
-            # (sweep, row, run), so a group's thresholds are a slice.
-            for sweep in np.ascontiguousarray(block.transpose(1, 2, 0)[:, order]):
-                for own, rows, gather, coeffs in plan:
+            if len(layout) < block.shape[1]:
+                layout = np.empty((block.shape[1], nv, len(x)))
+            # order is a permutation, so "clip" never clips; it lets take
+            # write into out= directly instead of through a buffer.
+            sweeps = np.take(block.transpose(1, 2, 0), order, axis=1, out=layout[: block.shape[1]], mode="clip")
+            for sweep in sweeps:
+                for own, rows, gather, coeffs, out, field in plan:
                     on = state.take(gather, axis=0)
                     if on.ndim == 4:
                         on = np.logical_and.reduce(on)
-                    field = np.matmul(coeffs, on)[:, 0]
+                    np.matmul(coeffs, on, out=out)
                     # The energy change of flipping x is (1 - 2x) * field.
                     if spins:
                         field *= own
@@ -273,9 +300,11 @@ def _class_kernel(p: Polynomial, nv: int) -> _Kernel:
         x[:, order] = (state[:nv] < 0 if spins else state[:nv]).T
 
         # The terms of each degree, the constant's empty key included, in chunks
-        # of at most nv terms: a chunk's Python-int products number runs * nv.
-        total = np.zeros(len(x), dtype=object)
+        # of at most nv terms: a chunk's products number runs * nv.
+        tier = _exact_dtype(p)
+        total = np.zeros(len(x), dtype=tier)
         for keys, coeffs in _degree_blocks(p):
+            coeffs = coeffs.astype(tier, copy=False)
             for i in range(0, len(keys), nv):
                 total += x.take(keys[i : i + nv], axis=1).all(axis=2) @ coeffs[i : i + nv]
         return total.tolist()

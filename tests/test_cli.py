@@ -653,6 +653,30 @@ class TestExitCodes:
             assert "Traceback" not in err
             assert peak < 128 << 20, degree
 
+    @pytest.mark.parametrize("command", ["solve_onehot", "solve_log", "bench"])
+    def test_anneal_past_size_limit_exits_3(self, command, k3_file, tmp_path, capsys):
+        # 2**40 runs of a few variables each: one sweep of their draws would
+        # take terabytes, so the anneal is refused before any run is drawn.
+        runs = ["--runs", str(1 << 40), "--sweeps", "1"]
+        if command == "bench":
+            argv = ["bench", "--count", "1", "--n-min", "4", "--n-max", "4", *runs]
+        else:
+            model = tmp_path / "model.json"
+            encoding = command.removeprefix("solve_")
+            run(["encode", "--in", str(k3_file), "--encoding", encoding, "--colors", "4", "--out", str(model)], capsys)
+            argv = ["solve", "--in", str(model), *runs]
+        tracemalloc.start()
+        try:
+            code, out, err = run(argv, capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+        assert "Traceback" not in err
+        assert peak < 16 << 20
+
     @pytest.mark.parametrize(
         "betas",
         [["--beta-end", "inf"], ["--beta-start", "1e-300", "--beta-end", "1e300"]],

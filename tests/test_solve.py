@@ -342,12 +342,15 @@ def test_run_sample_does_not_depend_on_runs(name):
     assert few.samples == many.samples[:4]
 
 
-@pytest.mark.parametrize("draw_block", [1, 1 << 20])
+@pytest.mark.parametrize("draw_block", [1, 1 << 20, "three_sweeps"])
 @pytest.mark.parametrize("name", list(STREAM_MODELS))
 def test_samples_do_not_depend_on_draw_block(name, draw_block, monkeypatch):
     p, nv = STREAM_MODELS[name]
     params = AnnealParams(runs=5, sweeps=40, seed=9)
     expected = anneal(p, params, nv)
+    if draw_block == "three_sweeps":
+        # 13 blocks of three sweeps and a shorter last one of one sweep.
+        draw_block = 3 * params.runs * nv
     monkeypatch.setattr(solve, "DRAW_BLOCK", draw_block)
     assert anneal(p, params, nv) == expected
 
@@ -426,6 +429,37 @@ class TestEnergies:
         ss = anneal(p, self.PARAMS)
         assert [s.energy for s in ss.samples] == [p.evaluate(s.bits) for s in ss.samples]
         assert min(energies(ss)) < -(2**63)
+
+    @pytest.mark.parametrize(
+        "singles",
+        [[-(2**30), -(2**30 - 1)], [-(2**38 + v) for v in range(4)]],
+        ids=["int32_tier", "int64_tier"],
+    )
+    def test_sum_in_each_integer_tier(self, singles):
+        # Negative singles only: every run ends with every bit set, at
+        # -sum |c|, which is -(2**31 - 1) in the int32 tier and about -2**40,
+        # past int32, in the int64 tier.
+        p = Polynomial({(v,): c for v, c in enumerate(singles)})
+        ss = anneal(p, self.PARAMS)
+        assert energies(ss) == [sum(singles)] * self.PARAMS.runs
+        assert [s.energy for s in ss.samples] == [p.evaluate(s.bits) for s in ss.samples]
+        assert all(type(e) is int for e in energies(ss))
+
+
+@pytest.mark.parametrize("model", ["class", "label"])
+def test_runs_past_size_limit_are_refused_before_drawing(model, monkeypatch):
+    p, nv = (LOG_CYCLE.polynomial, LOG_CYCLE.num_variables)
+    if model == "label":
+        p = checked_log_layout(LOG_CYCLE)
+    monkeypatch.setattr(solve, "MAX_ANNEAL_CELLS", 3 * nv)
+    assert anneal(p, AnnealParams(runs=3, sweeps=2), nv).runs == 3
+
+    def refuse(kernel, params, nv):
+        raise AssertionError("drew a run past the limit")
+
+    monkeypatch.setattr(solve, "_anneal_with", refuse)
+    with pytest.raises(ResourceLimitError, match="over the limit"):
+        anneal(p, AnnealParams(runs=4, sweeps=2), nv)
 
 
 class TestFlipDraws:
