@@ -448,7 +448,7 @@ class TestEnergies:
 
 @pytest.mark.parametrize("model", ["class", "label"])
 def test_runs_past_size_limit_are_refused_before_drawing(model, monkeypatch):
-    p, nv = (LOG_CYCLE.polynomial, LOG_CYCLE.num_variables)
+    p, nv = LOG_CYCLE.polynomial, LOG_CYCLE.num_variables
     if model == "label":
         p = checked_log_layout(LOG_CYCLE)
     monkeypatch.setattr(solve, "MAX_ANNEAL_CELLS", 3 * nv)
@@ -458,7 +458,7 @@ def test_runs_past_size_limit_are_refused_before_drawing(model, monkeypatch):
         raise AssertionError("drew a run past the limit")
 
     monkeypatch.setattr(solve, "_anneal_with", refuse)
-    with pytest.raises(ResourceLimitError, match="over the limit"):
+    with pytest.raises(ResourceLimitError, match="annealer's limit"):
         anneal(p, AnnealParams(runs=4, sweeps=2), nv)
 
 
