@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalInvariantError, ResourceLimitError
 from .graphs import Coloring, Graph, brooks_upper_bound, generate_random_connected
 from .logenc import bits_for_colors, decode_log, encode_mgc_log
 from .onehot import decode_onehot, encode_mgc_onehot
@@ -260,9 +259,8 @@ def run_suite(
 ) -> BenchReport:
     """Sample every instance and score it against the fewest colours either arm found.
 
-    A failing instance is recorded and the suite goes on; an InternalInvariantError
-    is a bug, not a bad instance, and a ResourceLimitError asks for more than one
-    process may hold, so both propagate. Records sharing the grouping
+    An instance whose input is bad (a ValueError) is recorded as a failure and
+    the suite goes on; any other error propagates. Records sharing the grouping
     key get one km_median survival estimate per (group, encoding).
     """
     if group_by not in ("n", "density"):
@@ -275,9 +273,7 @@ def run_suite(
             arms = sample_instance(inst.graph, c, anneal_params)
             best = min((q for *_, counts in arms.values() for q in counts if q is not None), default=None)
             records.extend(score(inst, c, arms, best, anneal_params))
-        except (InternalInvariantError, ResourceLimitError):
-            raise
-        except Exception as exc:  # noqa: BLE001 - suite must survive bad instances
+        except ValueError as exc:
             failures.append((inst.instance_id, f"{type(exc).__name__}: {exc}"))
 
     grouped: dict[tuple[str, str], list[SurvivalObservation]] = {}

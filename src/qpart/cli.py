@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 
 from .bench import records_to_csv, report_to_json, run_suite, suite_instances
-from .errors import InternalInvariantError, ResourceLimitError
+from .errors import ResourceLimitError
 from .gates import cnot_count_log_closed, cnot_count_onehot_closed, cnot_count_oracle
 from .graphs import brooks_upper_bound, generate_random_connected, parse_graph, serialize_graph
 from .logenc import LOG_KINDS, bits_for_colors, checked_log_layout, encode_mgc_log
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"qpart: resource limit: {exc}", file=sys.stderr)
         return 3
-    except (InternalInvariantError, AssertionError) as exc:
+    except AssertionError as exc:
         print(f"qpart: internal invariant violated: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:

@@ -1,7 +1,9 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: malformed inputs or bad arguments
-exit 2, resource limits exit 3, internal invariant failures exit 4.
+A ValueError, each subclass here included, is bad input everywhere: the
+CLI exits 2 on it, and bench.run_suite records it as a failed instance
+and goes on. A ResourceLimitError exits 3. An AssertionError, such as an
+InternalInvariantError, is a bug and exits 4.
 """
 
 

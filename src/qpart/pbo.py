@@ -269,10 +269,20 @@ def _zeta_passes(energies: np.ndarray, variables: Iterable[int], op: Callable = 
         op(view[:, 1, :], view[:, 0, :], out=view[:, 1, :])
 
 
+# Most minimisers ground_states lists. Each is a tuple of up to 24 bits,
+# about 250 B, so 2**18 of them take about the 64 MiB of a 24-variable
+# int32 energy table.
+MAX_GROUND_STATES = 1 << 18
+
+
 def ground_states(p: Polynomial, num_vars: int | None = None) -> tuple[int, list[Bits]]:
-    """Exact minimum energy and the complete argmin set, by exhaustion."""
+    """Exact minimum energy and the complete argmin set, by exhaustion.
+    More than MAX_GROUND_STATES minimisers are refused before any is listed."""
     nv = p.num_variables() if num_vars is None else num_vars
     energies = energy_vector(p, nv)
     emin = energies.min()
-    argmin = np.flatnonzero(energies == emin)
-    return int(emin), [index_to_bits(int(i), nv) for i in argmin]
+    at_min = energies == emin
+    count = np.count_nonzero(at_min)
+    if count > MAX_GROUND_STATES:
+        raise ResourceLimitError(f"{count} ground states are over the limit of {MAX_GROUND_STATES} listed")
+    return int(emin), [index_to_bits(int(i), nv) for i in np.flatnonzero(at_min)]

@@ -54,6 +54,8 @@ class AnnealParams:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # A finite ratio keeps every beta of the ramp finite.
         if not (0 < self.beta_start < self.beta_end and self.beta_end / self.beta_start < math.inf):
             raise ValueError(
@@ -105,19 +107,24 @@ def anneal(model: Polynomial | LogLayout, params: AnnealParams, num_vars: int | 
             raise DimensionError(f"num_vars={nv} is smaller than the polynomial's variable span")
         if nv < 1:
             raise ValueError("annealing needs at least one variable")
-    if params.runs * nv > MAX_ANNEAL_CELLS:
+    if params.runs * (nv + RUN_CELLS) > MAX_ANNEAL_CELLS:
         raise ResourceLimitError(
-            f"{params.runs} runs x {nv} variables is over the annealer's limit of {MAX_ANNEAL_CELLS}"
+            f"{params.runs} runs x ({nv} variables + {RUN_CELLS}) is over the annealer's limit of {MAX_ANNEAL_CELLS}"
         )
     kernel = _label_kernel(model) if isinstance(model, LogLayout) else _class_kernel(model, nv)
     return _anneal_with(kernel, params, nv)
 
 
-# Most runs * variables one anneal takes. A draw block holds at least one
-# sweep of every run, so this bounds the state and one sweep of float64
-# draws with its layout copy: 256 MiB of draws at 1 << 24, plus a bool
-# state of 16 MiB (128 MiB as float64 spins).
+# Most runs * (variables + RUN_CELLS) one anneal takes. A draw block holds
+# at least one sweep of every run, so this bounds the state and one sweep
+# of float64 draws with its layout copy: 256 MiB of draws at 1 << 24, plus
+# a bool state of 16 MiB (128 MiB as float64 spins).
 MAX_ANNEAL_CELLS = 1 << 24
+
+# Each run's own cost in eight-byte cells: the np.random.Generator that
+# _anneal_with builds for it before any draw, about 950 bytes with its bit
+# generator and SeedSequence.
+RUN_CELLS = 128
 
 # Most draws one block of thresholds holds over all runs; a block still
 # holds at least one sweep of every run. Twice as many made suite's RSS
@@ -132,33 +139,32 @@ _Kernel = Callable[[np.ndarray, Iterator[np.ndarray]], list[int]]
 
 def _anneal_with(kernel: _Kernel, params: AnnealParams, nv: int) -> SampleSet:
     """Draw each run's initial state and thresholds; `kernel` applies them
-    to the states and gives the final states' exact energies."""
-    sweeps = params.sweeps
-    denom = max(sweeps - 1, 1)
-    ratio = params.beta_end / params.beta_start
-    betas = np.array([params.beta_start * ratio ** (t / denom) for t in range(sweeps)])
-
+    to the states and gives the final states' exact energies. Nothing built
+    before the first draw grows with the sweep count."""
     rngs = [np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(run,))) for run in range(params.runs)]
     x = np.array([rng.integers(0, 2, size=nv) for rng in rngs], dtype=bool)
-    energies = kernel(x, _thresholds(rngs, betas, nv))
+    energies = kernel(x, _thresholds(rngs, params, nv))
     return SampleSet(tuple(map(Sample, map(tuple, x.view(np.uint8).tolist()), energies)))
 
 
-def _thresholds(rngs: list[np.random.Generator], betas: np.ndarray, nv: int) -> Iterator[np.ndarray]:
+def _thresholds(rngs: list[np.random.Generator], params: AnnealParams, nv: int) -> Iterator[np.ndarray]:
     """Blocks of whole sweeps of max(-ln(u)/beta, 1), shaped (runs, sweeps,
     variable id), from each run's uniforms in (sweep, variable id) order.
-    Every block is written into one buffer, so a kernel copies or applies
-    each block before it asks for the next."""
-    sweeps = len(betas)
+    Sweep t's beta is beta_start * ratio ** (t / (sweeps - 1)), computed
+    for one block at a time. Every block is written into one buffer, so a
+    kernel copies or applies each block before it asks for the next."""
+    sweeps = params.sweeps
+    denom = max(sweeps - 1, 1)
+    ratio = params.beta_end / params.beta_start
     block = min(max(DRAW_BLOCK // (len(rngs) * nv), 1), sweeps)
     buf = np.empty((len(rngs), block, nv))
-    neg_betas = -betas[:, None]
     for start in range(0, sweeps, block):
         thresholds = buf[:, : sweeps - start]
         for rng, run_block in zip(rngs, thresholds):
             rng.random(out=run_block)
         np.log(thresholds, out=thresholds)
-        thresholds /= neg_betas[start : start + block]
+        betas = [params.beta_start * ratio ** (t / denom) for t in range(start, start + thresholds.shape[1])]
+        thresholds /= -np.array(betas)[:, None]
         # Energy changes are integers: delta < max(t, 1) is delta <= 0 or delta < t.
         np.maximum(thresholds, 1.0, out=thresholds)
         yield thresholds

@@ -234,6 +234,18 @@ class TestRunSuite:
         assert cli.main(argv) == 4
         assert "internal invariant" in capsys.readouterr().err
 
+    def test_other_errors_propagate(self, monkeypatch):
+        # Only a ValueError is bad input; any other error in a step is a bug.
+        def broken(prob):
+            raise TypeError("a step called wrongly")
+
+        monkeypatch.setattr(bench, "quadratize", broken)
+        with pytest.raises(TypeError, match="a step called wrongly"):
+            run_suite(
+                [BenchInstance("p3", path_graph(3), colors=2)],
+                AnnealParams(runs=4, sweeps=16, seed=0),
+            )
+
     def test_arm_steps_resolve_at_call_time(self, monkeypatch):
         # perfbench's tracer and the invariant test above replace these names on
         # the module; an arm table holding the functions themselves escapes both.

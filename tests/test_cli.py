@@ -677,6 +677,39 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert peak < 16 << 20
 
+    def test_runs_of_one_variable_past_size_limit_exit_3(self, tmp_path, capsys):
+        # 2**24 runs of one variable fit 2**24 cells of state, but each run's
+        # generator takes about 950 B: 16 GB, refused before any is built.
+        model = tmp_path / "model.json"
+        model.write_text(
+            '{"metadata": {}, "num_vars": 1, "terms": [{"coeffs": ["1"], "degree": 1, "vars": [0]}],'
+            ' "variables": [{"id": 0, "role": "x0"}]}'
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = run(["solve", "--in", str(model), "--runs", str(1 << 24), "--sweeps", "1"], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+        assert "Traceback" not in err
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_negative_seed_exits_2(self, command, k3_file, tmp_path, capsys):
+        argv = ["bench", "--count", "1", "--n-min", "4", "--n-max", "4", "--runs", "2", "--sweeps", "2"]
+        if command == "solve":
+            model = tmp_path / "model.json"
+            run(["encode", "--in", str(k3_file), "--encoding", "onehot", "--out", str(model)], capsys)
+            argv = ["solve", "--in", str(model), "--runs", "2", "--sweeps", "2"]
+        code, out, err = run([*argv, "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "betas",
         [["--beta-end", "inf"], ["--beta-start", "1e-300", "--beta-end", "1e300"]],

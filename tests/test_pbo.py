@@ -11,6 +11,7 @@ from conftest import add_scaled, bits_to_index, multiply, zeta_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qpart import pbo
 from qpart.errors import DimensionError, ResourceLimitError
 from qpart.pbo import (
     ENUMERATION_MAX_VARS,
@@ -196,6 +197,20 @@ class TestGroundStates:
     def test_num_vars_too_small_rejected(self):
         with pytest.raises(DimensionError):
             ground_states(Polynomial({(3,): 1}), num_vars=2)
+
+    def test_minimisers_past_limit_refused_before_listing(self, monkeypatch):
+        # With no terms every assignment is a minimiser: 2**num_vars of them.
+        monkeypatch.setattr(pbo, "MAX_GROUND_STATES", 8)
+        emin, states = ground_states(Polynomial(), num_vars=3)
+        assert emin == 0
+        assert sorted(states) == list(itertools.product((0, 1), repeat=3))
+
+        def refuse(*args):
+            raise AssertionError("listed a minimiser past the limit")
+
+        monkeypatch.setattr(pbo, "index_to_bits", refuse)
+        with pytest.raises(ResourceLimitError, match="16 ground states"):
+            ground_states(Polynomial(), num_vars=4)
 
 
 class TestExactArithmetic:

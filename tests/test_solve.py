@@ -1,6 +1,7 @@
 """Exact solver and the seeded Metropolis annealer."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,8 @@ class TestAnneal:
             AnnealParams(runs=0)
         with pytest.raises(ValueError):
             AnnealParams(sweeps=0)
+        with pytest.raises(ValueError, match="seed"):
+            AnnealParams(seed=-1)
         with pytest.raises(ValueError):
             AnnealParams(beta_start=2.0, beta_end=1.0)
         for beta_start, beta_end in ((0.01, math.inf), (0.01, math.nan), (1e-300, 1e300)):
@@ -451,7 +454,7 @@ def test_runs_past_size_limit_are_refused_before_drawing(model, monkeypatch):
     p, nv = LOG_CYCLE.polynomial, LOG_CYCLE.num_variables
     if model == "label":
         p = checked_log_layout(LOG_CYCLE)
-    monkeypatch.setattr(solve, "MAX_ANNEAL_CELLS", 3 * nv)
+    monkeypatch.setattr(solve, "MAX_ANNEAL_CELLS", 3 * (nv + solve.RUN_CELLS))
     assert anneal(p, AnnealParams(runs=3, sweeps=2), nv).runs == 3
 
     def refuse(kernel, params, nv):
@@ -495,6 +498,21 @@ class TestFlipDraws:
             assert start[run].tolist() == rng.integers(0, 2, size=nv).astype(bool).tolist()
             expected = np.maximum(-np.log(rng.random(size=(sweeps, nv))) / betas[:, None], 1.0)
             assert np.array_equal(np.concatenate([block[run] for block in blocks]), expected)
+
+    def test_setup_does_not_grow_with_sweeps(self):
+        # One run of one variable over 10**6 sweeps: a block of draws takes
+        # 256 KiB, where every sweep's beta held at once would take about 38 MiB.
+        def one_block(x, blocks):
+            next(blocks)
+            return [0] * len(x)
+
+        tracemalloc.start()
+        try:
+            solve._anneal_with(one_block, AnnealParams(runs=1, sweeps=10**6), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestHugeEnergyChanges:
