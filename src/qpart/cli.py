@@ -2,8 +2,8 @@
 
 All randomness flows from explicit --seed flags and every writer emits
 stable key ordering, so identical invocations produce byte-identical
-files. Exit codes: 0 success, 2 bad input, 3 resource limit, 4 internal
-invariant failure.
+files. Exit codes: 0 success, 2 bad input, 3 resource limit, 4 any other
+error, which is a bug.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ def cmd_qubits(args: argparse.Namespace) -> int:
     advantage, log_count, onehot_count = qubit_advantage_predicate(args.n, args.m, args.colors)
     doc = {
         "advantage": advantage,
+        "advantage_counts": log_count < onehot_count,
         "log_cnot": cnot_count_log_closed(args.m, bits_for_colors(args.colors)),
         "log_qubits": log_count,
         "onehot_cnot": cnot_count_onehot_closed(args.n, args.m, args.colors),
@@ -219,12 +220,12 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"qpart: resource limit: {exc}", file=sys.stderr)
         return 3
-    except AssertionError as exc:
-        print(f"qpart: internal invariant violated: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, OSError) as exc:
         print(f"qpart: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"qpart: internal invariant violated: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 A ValueError, each subclass here included, is bad input everywhere: the
 CLI exits 2 on it, and bench.run_suite records it as a failed instance
-and goes on. A ResourceLimitError exits 3. An AssertionError, such as an
-InternalInvariantError, is a bug and exits 4.
+and goes on. A ResourceLimitError exits 3. Any other exception, such as
+an InternalInvariantError, is a bug and exits 4.
 """
 
 

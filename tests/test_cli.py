@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, path_graph
 
-from qpart import gates, graphs, logenc, onehot
+from qpart import bench, cli, gates, graphs, logenc, onehot
 from qpart.cli import build_parser, main
 from qpart.graphs import Graph, serialize_graph
 from qpart.logenc import PartitionSpec, encode_general, encode_mgc_log
@@ -180,7 +180,26 @@ class TestQubits:
     def test_advantage_false(self, capsys):
         code, out, _ = run(["qubits", "--n", "100", "--m", "700", "--colors", "64"], capsys)
         assert code == 0
-        assert json.loads(out)["advantage"] is False
+        doc = json.loads(out)
+        assert doc["advantage"] is False
+        assert doc["advantage_counts"] is False
+
+    @pytest.mark.parametrize("n, m, c, log_qubits, onehot_qubits", [(4, 6, 4, 20, 20), (5, 5, 3, 20, 18)])
+    def test_published_advantage_where_the_counts_show_none(self, n, m, c, log_qubits, onehot_qubits, capsys):
+        # The published inequality leaves n*L - L of the log count out.
+        code, out, _ = run(["qubits", "--n", str(n), "--m", str(m), "--colors", str(c)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["log_qubits"], doc["onehot_qubits"]) == (log_qubits, onehot_qubits)
+        assert doc["advantage"] is True
+        assert doc["advantage_counts"] is False
+
+    def test_advantage_in_the_counts(self, capsys):
+        code, out, _ = run(["qubits", "--n", "10", "--m", "10", "--colors", "16"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["log_qubits"], doc["onehot_qubits"]) == (100, 176)
+        assert doc["advantage_counts"] is True
 
     def test_negative_counts_exit_2(self, capsys):
         bad = [(n, m, "4") for n, m in (("-5", "3"), ("4", "-3"), ("2", "100"))]
@@ -554,6 +573,30 @@ class TestExitCodes:
         code, _, err = run(["solve", "--in", str(model), "--exact"], capsys)
         assert code == 3
         assert "resource limit" in err
+
+    @pytest.mark.parametrize(
+        "module, step, command",
+        [
+            (cli, "encode_mgc_log", ["encode", "--in", "{graph}", "--colors", "4"]),
+            (cli, "anneal", ["solve", "--in", "{model}", "--runs", "2", "--sweeps", "2"]),
+            (cli, "cnot_count_oracle", ["gates", "--in", "{model}"]),
+            (bench, "quadratize", ["bench", "--count", "1", "--runs", "2", "--sweeps", "2"]),
+        ],
+        ids=["encode", "solve", "gates", "bench"],
+    )
+    def test_bug_in_a_step_exits_4(self, module, step, command, k3_file, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a step called wrongly")
+
+        monkeypatch.setattr(module, step, broken)
+        model = tmp_path / "model.json"
+        model.write_text(to_model_json(K3_MODELS["log"]()))
+        argv = [arg.format(graph=k3_file, model=model) for arg in command]
+        code, out, err = run(argv, capsys)
+        assert code == 4
+        assert out == ""
+        assert "TypeError: a step called wrongly" in err
+        assert "Traceback" not in err
 
     def test_gen_past_vertex_limit_exits_3(self, capsys, monkeypatch):
         # n(n-1)/2 pairs at n = 20000 would take over 20 GB; refused before any are listed

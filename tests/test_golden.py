@@ -8,13 +8,25 @@ are SHA-256 of `SampleSet.to_json` output, so a change to the annealer
 that alters a random draw, an acceptance decision or a final energy
 changes one. The energy-vector digests cover the dtype and every entry of
 `energy_vector`, so a change to exhaustive evaluation that alters one
-energy or the int32/int64/object choice changes one. The bench digests cover the
-CSV and JSON that `qpart bench` writes, so a change to scoring, timing or
-Kaplan-Meier aggregation that alters one number changes one.
+energy or the int32/int64/object choice changes one.
+
+`CLI_PIPELINES` runs `qpart` command chains through `cli.main` in one
+process, and `CLI_SHA256` pins the bytes each chain writes: models, gate
+reports and seeded anneals as the CLI reads and writes them, and the CSV
+and JSON of `qpart bench`, so a change to scoring, timing or Kaplan-Meier
+aggregation that alters one number changes one. CI runs the same table
+against the installed package.
+
+A new pin holds the digest its output has at the parent commit. A pin
+changes only on purpose, and CHANGES.md says why.
 """
 
 import hashlib
+import io
 import itertools
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from conftest import add_scaled, multiply, spin_terms
@@ -315,17 +327,160 @@ def test_outputs_do_not_read_term_order(name):
     assert energy_digest(energy_vector(q, nv)) == energy_digest(energy_vector(p, nv))
 
 
-# A small suite with an L=1 passthrough, quadratized L=2 arms, the one-run
-# clamp at p_s = 0.5 and p_s = 1, and a censored arm on each encoding.
-BENCH_ARGV = ["bench", "--count", "6", "--n-min", "3", "--n-max", "6", "--runs", "8", "--sweeps", "20", "--seed", "0"]
-BENCH_SHA256 = {
-    "csv": "1ed9ca70bbc73cec8bb969902bdc1e1736a842689fc809eeba79c48cc83f47e1",
-    "json": "dffb285acf5a5c8130a241bdfcbbcab5520ff304c9c486ad1b02c08fe7b0ddb3",
+def as_kind_hubo(text):
+    """The model relabelled as kind "hubo", which qpart does not know, so
+    `qpart solve` anneals its polynomial on colour classes."""
+    doc = json.loads(text)
+    doc["metadata"]["kind"] = "hubo"
+    return json.dumps(doc)
+
+
+GEN_N6 = "gen --n 6 --seed 1"
+LOG_N6_C8 = (GEN_N6, "encode --in - --colors 8")
+QUAD_N6_C8 = (*LOG_N6_C8, "quadratize --in -")
+ONEHOT_N6_C8 = (GEN_N6, "encode --in - --encoding onehot --colors 8")
+QUAD_N10_C4 = ("gen --n 10 --seed 3", "encode --in - --colors 4", "quadratize --in -")
+LOG_N20_C16 = ("gen --n 20 --seed 7", "encode --in - --colors 16")
+LOG_N40_C16 = ("gen --n 40 --density 0.1 --seed 3", "encode --in - --colors 16")
+LOG_N64_C16 = ("gen --n 64 --density 0.5 --seed 0", "encode --in - --colors 16")
+ONEHOT_N20_C16 = ("gen --n 20 --seed 7", "encode --in - --encoding onehot --colors 16")
+SOLVE = "solve --in - --runs 4 --sweeps 20 --seed 0"
+BENCH_S0 = "bench --seed 0 --out-csv bench_s0.csv --out-json bench_s0.json"
+BENCH_S2 = "bench --count 3 --runs 4 --sweeps 10 --seed 2 --out-csv bench_s2.csv --out-json bench_s2.json"
+BENCH_N3_6 = (
+    "bench --count 6 --n-min 3 --n-max 6 --runs 8 --sweeps 20 --seed 0"
+    " --out-csv bench_n3_6.csv --out-json bench_n3_6.json"
+)
+
+# Each pipeline is a chain of stages run in one process: a `qpart` command
+# line through cli.main, or a function of the text. Each stage reads the
+# stdout of the one before it. The pinned output is the file of the entry's
+# name when the chain writes one (`qpart bench`), and its stdout otherwise.
+CLI_PIPELINES = {
+    # An L=3 log HUBO of degree 6, its one-hot QUBO and its quadratization,
+    # and seeded anneals of each: the log HUBO on label tables, the same
+    # polynomial as an unknown kind on colour classes, and both QUBOs on
+    # colour classes with a spin state.
+    "log_n6_c8.json": LOG_N6_C8,
+    "onehot_n6_c8.json": ONEHOT_N6_C8,
+    "quad_n6_c8.json": QUAD_N6_C8,
+    "solve_log_n6_c8.json": (*LOG_N6_C8, SOLVE),
+    "solve_hubo_n6_c8.json": (*LOG_N6_C8, as_kind_hubo, SOLVE),
+    "solve_onehot_n6_c8.json": (*ONEHOT_N6_C8, SOLVE),
+    "solve_quad_n6_c8.json": (*QUAD_N6_C8, SOLVE),
+    # An L=2 quadratization, whose chains are empty, and a seeded anneal of it.
+    "quad_n10_c4.json": QUAD_N10_C4,
+    "solve_quad_n10_c4.json": (*QUAD_N10_C4, SOLVE),
+    # An n=20, L=4 log model, its quadratization and both gate reports.
+    "log_n20_c16.json": LOG_N20_C16,
+    "quad_n20_c16.json": (*LOG_N20_C16, "quadratize --in -"),
+    "gates_log_n20_c16.json": (*LOG_N20_C16, "gates --in -"),
+    "gates_quad_n20_c16.json": (*LOG_N20_C16, "quadratize --in -", "gates --in -"),
+    # An n=40, L=4 log model, whose 160 ids take 8 bits, so that a degree-8
+    # key packs into two int64 sort words; its quadratization and both gate
+    # reports.
+    "log_n40_c16.json": LOG_N40_C16,
+    "quad_n40_c16.json": (*LOG_N40_C16, "quadratize --in -"),
+    "gates_log_n40_c16.json": (*LOG_N40_C16, "gates --in -"),
+    "gates_quad_n40_c16.json": (*LOG_N40_C16, "quadratize --in -", "gates --in -"),
+    # The n=64, c=16 log model of perfbench's build workload, its
+    # quadratization, whose 10,336 variables take ids of five digits, and the
+    # log model's gate report.
+    "log_n64_c16.json": LOG_N64_C16,
+    "quad_n64_c16.json": (*LOG_N64_C16, "quadratize --in -"),
+    "gates_log_n64_c16.json": (*LOG_N64_C16, "gates --in -"),
+    # An n=20, c=16 one-hot QUBO, its gate report and a seeded anneal of it.
+    "onehot_n20_c16.json": ONEHOT_N20_C16,
+    "gates_onehot_n20_c16.json": (*ONEHOT_N20_C16, "gates --in -"),
+    "solve_onehot_n20_c16.json": (*ONEHOT_N20_C16, SOLVE),
+    # A graph in DIMACS text, its one-hot QUBO and every ground state of it.
+    "solve_exact_dimacs_n5_c3.json": (
+        "gen --n 5 --seed 2 --format dimacs",
+        "encode --in - --format dimacs --encoding onehot --colors 3",
+        "solve --in - --exact",
+    ),
+    # The default bench, 20 instances at 50 runs x 200 sweeps.
+    "bench_s0.csv": (BENCH_S0,),
+    "bench_s0.json": (BENCH_S0,),
+    # A small bench whose g002_n6_d0.8 counts one 6-colour log run at c = 5.
+    "bench_s2.csv": (BENCH_S2,),
+    "bench_s2.json": (BENCH_S2,),
+    # A bench with an L=1 passthrough, quadratized L=2 arms, the one-run
+    # clamp at p_s = 0.5 and p_s = 1, and a censored arm on each encoding.
+    "bench_n3_6.csv": (BENCH_N3_6,),
+    "bench_n3_6.json": (BENCH_N3_6,),
+    # Two instances at 2 runs x 5 sweeps, CSV on stdout.
+    "bench_small_s0.csv": ("bench --count 2 --runs 2 --sweeps 5 --seed 0",),
+}
+
+CLI_SHA256 = {
+    "bench_n3_6.csv": "1ed9ca70bbc73cec8bb969902bdc1e1736a842689fc809eeba79c48cc83f47e1",
+    "bench_n3_6.json": "dffb285acf5a5c8130a241bdfcbbcab5520ff304c9c486ad1b02c08fe7b0ddb3",
+    "bench_s0.csv": "2e400f4dca1fd43edb0cb60f567550dfa4c8fed2bec93368f187998af89afb5f",
+    "bench_s0.json": "5a8dbafd4c1e06bf642f5c8637ceb09611b45f0cc1dd2ee88619709f15f7dd5d",
+    "bench_s2.csv": "c627cc262c77e6de8c2d711565466b0d3dd02eb3f3a6de0c4584f5e7c2a82511",
+    "bench_s2.json": "e3a6b5d6d9e952c87f0e3b07f0e9445c09c0775a68b808797e4866cad9b94458",
+    "bench_small_s0.csv": "0a2540f9e9cd9d06adf95211b8558a3cac142b52af2b3d457299b42ee676a14d",
+    "gates_log_n20_c16.json": "a319b9ec3254bf32d26565a3496edc652b65080a88568e46483ffd5d3837252c",
+    "gates_log_n40_c16.json": "4417dd6290c7224b64b9f4bfe98ce57a8c0123cbd5b538e422d1695367ff9fa3",
+    "gates_log_n64_c16.json": "582ea22061b3a12d3362c494a4701688236eac94d5360e966924e266b1a39daa",
+    "gates_onehot_n20_c16.json": "105f9f99dabda1771abbd54d97b5ad8cc9fab40f512e5a68df84c496ca85e8a9",
+    "gates_quad_n20_c16.json": "daa2aadad0bdd86582d56d351b3d2889b2dc297ead4acb86659659360d5e9bb5",
+    "gates_quad_n40_c16.json": "150a336b305334bde398fa0d07b346f1a5323b57feccf996ef22e967694c0d57",
+    "log_n20_c16.json": "fe6dcf4eac97c0cfaac884e305d5b522c79f91e99b92f72e2ffdb8fed9f09802",
+    "log_n40_c16.json": "4546d56716f8ea16c266a8e05d7bc2501db0ffb706594ec8f3b15d3935375c56",
+    "log_n64_c16.json": "2ff7648ceebda08cec2bb8e5c4c0320a9cd7cc1b6eedd6264fcfc390f7d09aeb",
+    "log_n6_c8.json": "77b1f7501245646ec2e8838b9f40296d7004cbde3890755b90134ab2047cc498",
+    "onehot_n20_c16.json": "3bbe221f77a8d0f3fde8417c74e91bcb261adc075f5684919d03c7daea6640fe",
+    "onehot_n6_c8.json": "f4f6b1a19d58d138fa2aa03c5676d7c1d5a4461021f2b4633ef9d96a91722503",
+    "quad_n10_c4.json": "aacbc05798e06f5779f0085d5a9caaa1dbf75def00a8d06ad697d2e85d6ab404",
+    "quad_n20_c16.json": "5c70fdbad1b909da231748967faa28107d75f7055d9843b6677b36c074aad69b",
+    "quad_n40_c16.json": "b58a4d66458bba9ea266b225cc730a26eec9f9db7b4cb2fa82307d7c2e8e0317",
+    "quad_n64_c16.json": "e025de00eb0abad8a1327e71e2eedab97dd39ce35f2b0677fa06a9874bbe4c64",
+    "quad_n6_c8.json": "3804939f64e5827a4acb238332408ad72730a3a164b36af2239086961c92ef6c",
+    "solve_exact_dimacs_n5_c3.json": "e7fce801fa4a31cab6096ca05caca855956ea3c12f612894143ffc71fccad19b",
+    "solve_hubo_n6_c8.json": "01afc8c4e22ec48fee29fa1065df1c61f56527fc522ea07915310a97ecf07216",
+    "solve_log_n6_c8.json": "353cad8469d22e95eaccb312b083f48b4ea0b7ba615d6af605b40243bc250fb7",
+    "solve_onehot_n20_c16.json": "430bb978c8bff0d4b04e305daa802282e419b68547f41ca6dec60639d7546a69",
+    "solve_onehot_n6_c8.json": "dc5fd383e90af579f98eb867cb2a42db76a40663582a551e97dd748a0bf22107",
+    "solve_quad_n10_c4.json": "0f9630e05d39885972e8f242e84368120f0768ecd5e60f638c3e0f8dab6cb8a1",
+    "solve_quad_n6_c8.json": "694424c7713326fd19760c7ee02e06f62f0d1f7ade30081be16e1b7db7cb012e",
 }
 
 
-def test_bench_bytes_pinned(tmp_path):
-    paths = {kind: tmp_path / f"bench.{kind}" for kind in BENCH_SHA256}
-    assert cli.main(BENCH_ARGV + ["--out-csv", str(paths["csv"]), "--out-json", str(paths["json"])]) == 0
-    digests = {kind: hashlib.sha256(path.read_bytes()).hexdigest() for kind, path in paths.items()}
-    assert digests == BENCH_SHA256
+@pytest.fixture(scope="module")
+def cli_output(tmp_path_factory):
+    """The bytes of one pipeline's output. Pipelines share the stdout of a
+    common prefix of stages, and run in one directory, where bench writes."""
+    workdir = tmp_path_factory.mktemp("cli")
+    stdouts = {(): ""}
+
+    def stdout_of(stages):
+        if stages not in stdouts:
+            text, stage = stdout_of(stages[:-1]), stages[-1]
+            if callable(stage):
+                stdouts[stages] = stage(text)
+            else:
+                out, err = io.StringIO(), io.StringIO()
+                with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+                    mp.chdir(workdir)
+                    mp.setattr(sys, "stdin", io.StringIO(text))
+                    assert cli.main(stage.split()) == 0, err.getvalue()
+                stdouts[stages] = out.getvalue()
+        return stdouts[stages]
+
+    def output(name):
+        text = stdout_of(CLI_PIPELINES[name])
+        path = workdir / name
+        return path.read_bytes() if path.exists() else text.encode()
+
+    return output
+
+
+def test_cli_golden_names_cover_every_pipeline():
+    assert set(CLI_PIPELINES) == set(CLI_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SHA256))
+def test_cli_pipeline_bytes_pinned(cli_output, name):
+    assert hashlib.sha256(cli_output(name)).hexdigest() == CLI_SHA256[name]
